@@ -37,11 +37,8 @@ from .linreach import (
     ReachConfig,
     Segment,
     SimTrace,
-    concretize,
-    lazy_advance,
     reach,
     simulate,
-    step_autonomous,
     step_input_facets,
     step_input_vertices,
 )
@@ -90,8 +87,8 @@ __all__ = [
     "intersect", "is_empty", "linear_map", "member", "minkowski_sum",
     "support", "support_batch", "template_hull", "translate",
     "Flowpipe", "LazyReachSet", "LinearSystem", "ReachConfig", "Segment",
-    "SimTrace", "concretize", "lazy_advance", "reach", "simulate",
-    "step_autonomous", "step_input_facets", "step_input_vertices",
+    "SimTrace", "reach", "simulate", "step_input_facets",
+    "step_input_vertices",
     "HybridAutomaton", "HybridFlowpipe", "HybridTrace", "Jump", "Mode",
     "ModeFlow", "Transition", "guard_cross", "hybrid_reach",
     "hybrid_simulate", "mode_reach",

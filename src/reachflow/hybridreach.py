@@ -36,7 +36,6 @@ from .linreach import (
     _as_vpolytope,
     _input_channel,
     discretize_continuous,
-    step_autonomous,
     step_input_facets,
     step_input_vertices,
 )
@@ -310,7 +309,7 @@ def mode_reach(
             if v_in is not None:
                 pv = step_input_vertices(pv, v_in, a_step)
             else:
-                out = step_autonomous(pv, a_step)
+                out = linear_map(a_step, pv)
                 pv = out if isinstance(out, VPolytope) else _as_vpolytope(out)
             current = pv
         else:

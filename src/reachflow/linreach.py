@@ -37,7 +37,6 @@ from .setgeom import (
     linear_map,
     member,
     minkowski_sum,
-    support,
     support_batch,
     vrep_to_hrep,
     zonotope_vertices_2d,
@@ -154,10 +153,18 @@ class ReachConfig:
         if self.step is not None and self.step <= 0:
             raise ValueError("step must be positive")
         if self.template is not None:
-            t = as_matrix(self.template)
-            if np.any(np.linalg.norm(t, axis=1) < TOL):
-                raise ValueError("template rows must be nonzero")
+            t = as_matrix(self.template).copy()  # the caller keeps its array
+            _template_norms(t)
+            t.flags.writeable = False
             object.__setattr__(self, "template", t)
+
+
+def _template_norms(t: np.ndarray) -> np.ndarray:
+    """Row norms of a direction template; zero rows are rejected."""
+    norms = np.linalg.norm(t, axis=1)
+    if np.any(norms < TOL):
+        raise ValueError("template rows must be nonzero")
+    return norms
 
 
 @dataclass(frozen=True)
@@ -242,11 +249,6 @@ def _is_origin(s: SetRep) -> bool:
 # single-step operators
 
 
-def step_autonomous(p: SetRep, a: np.ndarray) -> SetRep:
-    """One autonomous step ``P -> A P``."""
-    return linear_map(a, p)
-
-
 def step_input_vertices(
     p: SetRep, v: SetRep, a: np.ndarray, b: Optional[np.ndarray] = None
 ) -> VPolytope:
@@ -313,16 +315,19 @@ def step_input_facets(
 class LazyReachSet:
     """Reach set at step k, represented by its support function.
 
-    Holds the initial set X0, the step matrix A and the per-step input
-    summands; the set it denotes is ``A^k X0 + sum_{i<k} A^i U``.  A
-    template of directions registered up front is co-evolved under A^T
-    so their input support sums accumulate in O(1) per step; any other
-    direction is answered from scratch in O(k).  Advancing returns a new
-    object and never feeds a concretization back into the recurrence, so
-    repeated over-approximation cannot compound.
+    Holds the initial set X0, the step matrix A, the per-step input
+    summands, and one evolving matrix: the template directions pulled back
+    to step 0, ``(A^T)^k D^T``, with their accumulated input supports.  The
+    set it denotes is ``A^k X0 + sum_{i<k} A^i U``.  Advancing costs one
+    n x n by n x m product, and every concretization answers the template
+    from that matrix alone.  The template is scaled to unit rows once and
+    kept read-only, so all segments of one flowpipe share one normals
+    buffer.  Any other direction is answered from scratch in O(k) products.
+    Advancing returns a new object and never feeds a concretization back
+    into the recurrence, so repeated over-approximation cannot compound.
     """
 
-    __slots__ = ("base", "a", "channel", "k", "base_map", "dirs", "_cur", "_acc")
+    __slots__ = ("base", "a", "channel", "k", "dirs", "_cur", "_acc")
 
     def __init__(
         self,
@@ -351,11 +356,12 @@ class LazyReachSet:
         directions = as_matrix(directions)
         if directions.shape[1] != n:
             raise ValueError("template direction dimension mismatch")
+        dirs = directions / _template_norms(directions)[:, None]
+        dirs.flags.writeable = False
         self.k = 0
-        self.base_map = np.eye(n)
-        self.dirs = directions
-        self._cur = directions.T.copy()  # columns: (A^T)^k d
-        self._acc = np.zeros(directions.shape[0])
+        self.dirs = dirs
+        self._cur = dirs.T  # columns: (A^T)^k d
+        self._acc = np.zeros(dirs.shape[0])
 
     @property
     def dim(self) -> int:
@@ -368,7 +374,6 @@ class LazyReachSet:
         new.channel = self.channel
         new.dirs = self.dirs
         new.k = self.k + 1
-        new.base_map = self.a @ self.base_map
         if self.channel:
             new._acc = self._acc + self.channel.support_batch(self._cur)
         else:
@@ -381,29 +386,26 @@ class LazyReachSet:
         d = as_vector(d)
         if d.shape[0] != self.dim:
             raise ValueError("direction dimension mismatch")
-        pulled = self.base_map.T @ d
-        if np.all(pulled == 0.0):
-            val = 0.0
-        else:
-            val = support(self.base, pulled)[0]
-        if self.channel:
-            t = d
-            for _ in range(self.k):
-                val += float(self.channel.support_batch(t.reshape(-1, 1))[0])
-                t = self.a.T @ t
-        return float(val)
+        return float(self._from_scratch(d.reshape(-1, 1))[0])
 
-    def _template_values(self) -> np.ndarray:
-        pulled = self.base_map.T @ self.dirs.T
+    def _base_support(self, pulled: np.ndarray) -> np.ndarray:
+        """Supports of X0 in the columns of ``pulled`` (0 for zero columns)."""
         zero = np.all(pulled == 0.0, axis=0)
-        if np.any(zero):
-            vals = np.zeros(self.dirs.shape[0])
-            nz = ~zero
-            if np.any(nz):
-                vals[nz] = support_batch(self.base, pulled[:, nz])
-        else:
-            vals = support_batch(self.base, pulled)
-        return vals + self._acc
+        if not np.any(zero):
+            return support_batch(self.base, pulled)
+        vals = np.zeros(pulled.shape[1])
+        if not np.all(zero):
+            vals[~zero] = support_batch(self.base, pulled[:, ~zero])
+        return vals
+
+    def _from_scratch(self, dmat: np.ndarray) -> np.ndarray:
+        """Supports in the columns of ``dmat``, pulled back through k steps."""
+        acc = np.zeros(dmat.shape[1])
+        for _ in range(self.k):
+            if self.channel:
+                acc += self.channel.support_batch(dmat)
+            dmat = self.a.T @ dmat
+        return self._base_support(dmat) + acc
 
     def concretize(self, directions: Optional[np.ndarray] = None) -> HPolytope:
         """Template H-polytope enclosure at the current step.
@@ -412,18 +414,12 @@ class LazyReachSet:
         true reach set overall, hence flagged non-exact.
         """
         if directions is None:
-            return HPolytope(self.dirs, self._template_values(), exact=False)
+            vals = self._base_support(self._cur) + self._acc
+            return HPolytope(self.dirs, vals, exact=False)
         directions = as_matrix(directions)
-        vals = np.array([self.support(d) for d in directions])
-        return HPolytope(directions, vals, exact=False)
-
-
-def lazy_advance(s: LazyReachSet) -> LazyReachSet:
-    return s.advance()
-
-
-def concretize(s: LazyReachSet, template: Optional[np.ndarray] = None) -> HPolytope:
-    return s.concretize(template)
+        if directions.shape[1] != self.dim:
+            raise ValueError("direction dimension mismatch")
+        return HPolytope(directions, self._from_scratch(directions.T), exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +563,13 @@ def _template_dominates(q: SetRep, p: SetRep) -> bool:
     if (
         isinstance(p, HPolytope)
         and isinstance(q, HPolytope)
-        and p.normals.shape == q.normals.shape
-        and np.array_equal(p.normals, q.normals)
+        and (
+            p.normals is q.normals
+            or (
+                p.normals.shape == q.normals.shape
+                and np.array_equal(p.normals, q.normals)
+            )
+        )
     ):
         return bool(np.all(p.offsets <= q.offsets + TOL))
     return contains_set(q, p)
@@ -666,7 +667,7 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
             if v_in is not None:
                 pv = step_input_vertices(pv, v_in, a_step)
             else:
-                out = step_autonomous(pv, a_step)
+                out = linear_map(a_step, pv)
                 pv = out if isinstance(out, VPolytope) else _as_vpolytope(out)
             current = pv
         else:

@@ -16,6 +16,9 @@ from .numkernel import (FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem,
                         as_matrix, as_vector, lp_max)
 
 TOL = 1e-9
+# a row whose norm is this close to 1 counts as unit: rounding after a
+# normalisation leaves a few ulps, far below TOL
+_UNIT_TOL = 1e-12
 
 
 class UnsupportedCheck(Exception):
@@ -25,6 +28,14 @@ class UnsupportedCheck(Exception):
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _is_frozen(a: np.ndarray) -> bool:
+    """True when neither ``a`` nor the array it views can be written."""
+    base = a.base
+    return not a.flags.writeable and not (
+        isinstance(base, np.ndarray) and base.flags.writeable
+    )
 
 
 class Empty:
@@ -93,7 +104,12 @@ class Box:
 
 
 class HPolytope:
-    """Intersection of half-spaces a_i . x <= b_i with unit normals."""
+    """Intersection of half-spaces a_i . x <= b_i with unit normals.
+
+    Normals that are already read-only with unit rows are kept as given,
+    so sets built over one shared template share one normals buffer.
+    The caller's arrays are never frozen: writable input is copied.
+    """
 
     __slots__ = ("normals", "offsets", "exact")
 
@@ -103,16 +119,17 @@ class HPolytope:
         if a.shape[0] != b.shape[0]:
             raise ValueError("normal count does not match offset count")
         norms = np.linalg.norm(a, axis=1)
-        degenerate = norms <= 1e-14
-        if np.any(degenerate):
-            if np.any(b[degenerate] < -TOL):
-                raise ValueError("zero normal with negative offset (trivially empty)")
-            a, b, norms = a[~degenerate], b[~degenerate], norms[~degenerate]
-        if a.shape[0]:
-            a = a / norms[:, None]
-            b = b / norms
-        self.normals = _freeze(a)
-        self.offsets = _freeze(b)
+        if _is_frozen(a) and np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
+            self.normals = a
+            self.offsets = b if _is_frozen(b) else _freeze(b.copy())
+        else:
+            degenerate = norms <= 1e-14
+            if np.any(degenerate):
+                if np.any(b[degenerate] < -TOL):
+                    raise ValueError("zero normal with negative offset (trivially empty)")
+                a, b, norms = a[~degenerate], b[~degenerate], norms[~degenerate]
+            self.normals = _freeze(a / norms[:, None])
+            self.offsets = _freeze(b / norms)
         self.exact = exact
 
     @property

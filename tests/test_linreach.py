@@ -19,12 +19,9 @@ from reachflow.linreach import (
     LazyReachSet,
     LinearSystem,
     ReachConfig,
-    concretize,
     discretize_continuous,
-    lazy_advance,
     reach,
     simulate,
-    step_autonomous,
     step_input_facets,
     step_input_vertices,
 )
@@ -38,6 +35,7 @@ from reachflow.setgeom import (
     bounding_box,
     contains_set,
     default_template,
+    linear_map,
     member,
     sample_points,
     support,
@@ -67,7 +65,7 @@ def h_axis_bounds(pipe, k):
 
 class TestStepOperators:
     def test_autonomous_step_box(self):
-        out = step_autonomous(unit_box(2), 2.0 * np.eye(2))
+        out = linear_map(2.0 * np.eye(2), unit_box(2))
         lo, hi = axis_bounds(out)
         np.testing.assert_allclose(lo, [-2, -2])
         np.testing.assert_allclose(hi, [2, 2])
@@ -151,14 +149,14 @@ class TestLazyReachSet:
         seen = []
         for _ in range(4):
             seen.append(s.support([1.0]))
-            s = lazy_advance(s)
+            s = s.advance()
         assert seen == pytest.approx([0.0, 1.0, 1.5, 1.75], abs=1e-12)
 
     def test_concretize_template_box(self):
         s = LazyReachSet(Box([0.0, 0.0], [0.0, 0.0]), 0.5 * np.eye(2), unit_box(2))
         for _ in range(3):
-            s = lazy_advance(s)
-        h = concretize(s)
+            s = s.advance()
+        h = s.concretize()
         assert isinstance(h, HPolytope)
         lo, hi = axis_bounds(h)
         np.testing.assert_allclose(lo, [-1.75, -1.75], atol=1e-12)
@@ -168,7 +166,7 @@ class TestLazyReachSet:
         a = rot(0.7) * 0.9
         s = LazyReachSet(unit_box(2), a, Box([-0.3, -0.2], [0.3, 0.2]))
         for _ in range(6):
-            s = lazy_advance(s)
+            s = s.advance()
         for d in default_template(2):
             # the registered template and a from-scratch query must agree
             h = s.concretize()
@@ -189,7 +187,7 @@ class TestLazyReachSet:
                 )
                 k = int(rng.integers(1, 8))
                 for _ in range(k):
-                    s = lazy_advance(s)
+                    s = s.advance()
                 for _ in range(4):
                     d = rng.normal(size=n)
                     want = eager_zonotope_support(x0c, x0g, vc, vg, a, k, d)
@@ -197,7 +195,7 @@ class TestLazyReachSet:
 
     def test_advance_is_persistent(self):
         s0 = LazyReachSet(unit_box(2), 2.0 * np.eye(2))
-        s1 = lazy_advance(s0)
+        s1 = s0.advance()
         assert s0.k == 0 and s1.k == 1
         assert s0.support([1.0, 0.0]) == pytest.approx(1.0)
         assert s1.support([1.0, 0.0]) == pytest.approx(2.0)
@@ -207,7 +205,7 @@ class TestLazyReachSet:
         a = rot(math.pi / 180)
         s = LazyReachSet(unit_box(2), a)
         for _ in range(90):
-            s = lazy_advance(s)
+            s = s.advance()
         # after a quarter turn the box maps onto itself
         assert s.support([1.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
 
@@ -220,6 +218,65 @@ class TestLazyReachSet:
             LazyReachSet(unit_box(2), np.eye(3))
         with pytest.raises(ValueError):
             LazyReachSet(unit_box(2), np.eye(2), Box([-1.0], [1.0]))
+
+    def test_rejects_zero_template_row(self):
+        t = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="template rows must be nonzero"):
+            LazyReachSet(unit_box(2), np.eye(2), directions=t)
+        with pytest.raises(ValueError, match="template rows must be nonzero"):
+            ReachConfig(horizon=1, template=t)
+
+    def test_autonomous_support_matches_oracle(self):
+        rng = np.random.default_rng(23)
+        n = 4
+        a = rng.normal(size=(n, n))
+        a *= 0.95 / np.max(np.abs(np.linalg.eigvals(a)))
+        x0c = rng.normal(size=n)
+        x0g = rng.normal(size=(n, 3)) * 0.4
+        s = LazyReachSet(Zonotope(x0c, x0g), a)
+        for k in range(13):
+            for d in rng.normal(size=(3, n)):
+                want = eager_zonotope_support(
+                    x0c, x0g, np.zeros(n), np.zeros((n, 0)), a, k, d
+                )
+                assert s.support(d) == pytest.approx(want, abs=1e-9), k
+            s = s.advance()
+
+    def test_explicit_directions_match_support(self):
+        a = rot(0.3) * 0.95
+        s = LazyReachSet(unit_box(2), a, Box([-0.1, -0.2], [0.1, 0.2]))
+        for _ in range(7):
+            s = s.advance()
+        dirs = np.array([[2.0, 1.0], [-1.0, 3.0], [0.0, -0.5]])
+        h = s.concretize(dirs)
+        for row, off, d in zip(h.normals, h.offsets, dirs):
+            np.testing.assert_allclose(row, d / np.linalg.norm(d))
+            assert off == pytest.approx(s.support(d) / np.linalg.norm(d), abs=1e-12)
+
+    def test_non_unit_template_rows_give_unit_normals(self):
+        rng = np.random.default_rng(31)
+        n = 20
+        a = rng.normal(size=(n, n))
+        a *= 0.95 / np.max(np.abs(np.linalg.eigvals(a)))
+        x0c = rng.normal(size=n)
+        x0g = rng.normal(size=(n, 3)) * 0.3
+        vc = rng.normal(size=n) * 0.05
+        vg = rng.normal(size=(n, 2)) * 0.1
+        t = rng.normal(size=(2 * n, n))
+        t /= np.linalg.norm(t, axis=1)[:, None]
+        t[0::2] *= 3.0
+        t[1::2] *= 0.5
+        s = LazyReachSet(Zonotope(x0c, x0g), a, Zonotope(vc, vg), directions=t)
+        unit = t / np.linalg.norm(t, axis=1)[:, None]
+        for k in range(51):
+            h = s.concretize()
+            np.testing.assert_allclose(np.linalg.norm(h.normals, axis=1), 1.0,
+                                       atol=1e-14)
+            if k in (0, 1, 10, 25, 50):
+                want = [eager_zonotope_support(x0c, x0g, vc, vg, a, k, d)
+                        for d in unit]
+                np.testing.assert_allclose(h.offsets, want, rtol=0, atol=1e-9)
+            s = s.advance()
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +494,28 @@ class TestReachStrategies:
         h = pipe.segments[2].set_rep
         assert h.normals.shape == (4, 2)
 
+    def test_lazy_segments_share_one_read_only_template(self):
+        pipe = reach(self.system(), ReachConfig(horizon=5, strategy="lazy"))
+        first = pipe.segments[0].set_rep.normals
+        assert not first.flags.writeable
+        for seg in pipe.segments[1:]:
+            assert np.shares_memory(seg.set_rep.normals, first)
+        with pytest.raises(ValueError):
+            first[0, 0] = 2.0
+
+    def test_caller_template_neither_aliased_nor_frozen(self):
+        t = np.vstack([np.eye(2), -np.eye(2)]) * 2.0
+        kept = t.copy()
+        cfg = ReachConfig(horizon=3, template=t)
+        pipe = reach(self.system(), cfg)
+        assert t.flags.writeable
+        np.testing.assert_array_equal(t, kept)
+        for seg in pipe.segments:
+            assert not np.shares_memory(seg.set_rep.normals, t)
+        t[0] = 0.0  # the caller may still edit its own array
+        np.testing.assert_array_equal(cfg.template, kept)
+        np.testing.assert_allclose(pipe.segments[2].set_rep.normals[0], [1.0, 0.0])
+
     def test_anti_wrapping_rotation(self):
         # 360 one-degree rotations: lazy stays at the true box, a naive
         # rectangular hull iteration inflates exponentially
@@ -449,7 +528,7 @@ class TestReachStrategies:
 
         box = unit_box(2)
         for _ in range(360):
-            box = bounding_box(step_autonomous(box, a))
+            box = bounding_box(linear_map(a, box))
         assert np.all(box.upper > 10.0)  # the naive loop has blown up
 
 

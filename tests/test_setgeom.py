@@ -488,3 +488,43 @@ class TestHullUnion:
         for s in (z1, z2):
             for p in sg.sample_points(s, 200, rng):
                 assert sg.member(u, p, tol=1e-7)
+
+
+class TestHPolytopeArrays:
+    def test_empty_rows_leave_caller_arrays_writable(self):
+        a, b = np.zeros((0, 2)), np.zeros(0)
+        h = HPolytope(a, b)
+        assert a.flags.writeable and b.flags.writeable
+        assert not h.normals.flags.writeable and not h.offsets.flags.writeable
+
+    def test_writable_unit_rows_are_copied(self):
+        a = np.vstack([np.eye(2), -np.eye(2)])
+        b = np.ones(4)
+        h = HPolytope(a, b)
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(h.normals, a)
+        assert not np.shares_memory(h.offsets, b)
+
+    def test_read_only_unit_rows_are_kept(self):
+        a = np.vstack([np.eye(2), -np.eye(2)])
+        a.flags.writeable = False
+        b = np.ones(4)
+        h = HPolytope(a, b)
+        assert h.normals is a
+        assert b.flags.writeable and not np.shares_memory(h.offsets, b)
+
+    def test_read_only_non_unit_rows_are_normalised(self):
+        a = np.array([[2.0, 0.0], [0.0, -0.5]])
+        a.flags.writeable = False
+        h = HPolytope(a, [4.0, 1.0])
+        np.testing.assert_allclose(h.normals, [[1.0, 0.0], [0.0, -1.0]])
+        np.testing.assert_allclose(h.offsets, [2.0, 2.0])
+        np.testing.assert_array_equal(a, [[2.0, 0.0], [0.0, -0.5]])
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        base = np.vstack([np.eye(2), -np.eye(2)])
+        view = base[:]
+        view.flags.writeable = False
+        h = HPolytope(view, np.ones(4))
+        base[0, 0] = 7.0
+        np.testing.assert_array_equal(h.normals[0], [1.0, 0.0])
