@@ -28,19 +28,16 @@ from .linreach import (
     FIXPOINT,
     HORIZON,
     ONCE_HULL,
-    LazyReachSet,
     LinearSystem,
     ReachConfig,
     Segment,
-    _as_hpolytope,
-    _input_channel,
-    discretize_continuous,
+    _as_hbox,
+    _flow_steps,
 )
 from .hybridreach import HybridAutomaton, Mode, Transition
 from .numkernel import as_matrix, as_vector
 from .setgeom import (
     Box,
-    HPolytope,
     SetRep,
     bounding_box,
     contains_set,
@@ -209,7 +206,7 @@ class StaticHybridization:
             log.warning(
                 "initial set overhangs cell %s: clipping to the cell", name
             )
-        clipped = intersect(_as_hpolytope(x0) if not isinstance(x0, (Box, HPolytope)) else x0, cell)
+        clipped = intersect(_as_hbox(x0), cell)
         if is_empty(clipped):
             raise ValueError("initial set does not intersect its center cell")
         return name, clipped
@@ -319,12 +316,13 @@ def dynamic_hybridize_reach(
 
     Each epoch linearizes over a box wrapped around the current reach set
     (its bounding box inflated by ``pad_fraction`` of its width, at least
-    ``min_pad``) and advances the affine flowpipe while its segments stay
-    inside that box -- segment containment in the domain is what makes
-    the residual bound, and hence the enclosure, valid.  A step that
-    leaves the domain is undone and the domain rebuilt around the last
-    good segment.  Two consecutive rebuilds without progress stall the
-    run; the truncated pipe is returned with status ``stalled``.
+    ``min_pad``) and advances the affine flowpipe, with the strategy
+    ``config.strategy`` selects, while its segments stay inside that box
+    -- segment containment in the domain is what makes the residual
+    bound, and hence the enclosure, valid.  A step that leaves the domain
+    is undone and the domain rebuilt around the last good segment.  Two
+    consecutive rebuilds without progress stall the run; the truncated
+    pipe is returned with status ``stalled``.
     """
     if config.step is None:
         raise ValueError("hybridized reachability needs a time step")
@@ -337,10 +335,7 @@ def dynamic_hybridize_reach(
         )
     r = float(config.step)
     total = int(math.ceil(config.horizon / r - 1e-12))
-    bad = config.bad_set if config.mode == BAD_SET else None
-    bad_h = None
-    if bad is not None:
-        bad_h = bad if isinstance(bad, (Box, HPolytope)) else _as_hpolytope(bad)
+    bad = _as_hbox(config.bad_set) if config.mode == BAD_SET else None
 
     segments = []
     domains = []
@@ -360,25 +355,19 @@ def dynamic_hybridize_reach(
         rigorous = rigorous and lin.rigorous
         a, gain, dist = _affine_mode_parts(lin)
         affine = LinearSystem(a, entry, b=gain, input_set=dist, time_kind=CONTINUOUS)
-        a_step, omega0, _ = discretize_continuous(affine, config)
-        channel = _input_channel(affine, config)
-        lazy = LazyReachSet(omega0, a_step, channel, config.template)
         progressed = 0
-        while True:
-            current = lazy.concretize()
+        for seg in _flow_steps(affine, config):
+            current = seg.set_rep
             if not contains_set(domain, current):
                 break  # rebuild around the last good segment
             segments.append(Segment(k, k * r, (k + 1) * r, current))
             progressed += 1
             k += 1
-            if bad_h is not None:
-                hit = intersect(current, bad_h)
-                if not is_empty(hit):
-                    status, status_step = BAD_REACHED, k - 1
-                    break
+            if bad is not None and not is_empty(intersect(_as_hbox(current), bad)):
+                status, status_step = BAD_REACHED, k - 1
+                break
             if k > total:
                 break
-            lazy = lazy.advance()
         if status != HORIZON or k > total:
             break
         if progressed == 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,19 +25,10 @@ from .linreach import (
     CONTINUOUS,
     DISCRETE,
     HORIZON,
-    LAZY,
-    ONCE_HULL,
-    VERTICES,
-    LazyReachSet,
     LinearSystem,
     ReachConfig,
-    Segment,
-    _as_hpolytope,
-    _as_vpolytope,
-    _input_channel,
-    discretize_continuous,
-    step_input_facets,
-    step_input_vertices,
+    _as_hbox,
+    _flow_steps,
 )
 from .numkernel import as_matrix, as_vector, mat_exp
 from .setgeom import (
@@ -45,7 +36,7 @@ from .setgeom import (
     Box,
     HPolytope,
     SetRep,
-    VPolytope,
+    _exact_hform,
     contains_set,
     hull_union,
     intersect,
@@ -215,16 +206,6 @@ class HybridFlowpipe:
                 yield flow.mode, seg
 
 
-def _mode_system(mode: Mode, entry: SetRep, time_kind: str) -> LinearSystem:
-    return LinearSystem(
-        mode.a, entry, b=mode.b, input_set=mode.input_set, time_kind=time_kind
-    )
-
-
-def _as_hbox(s: SetRep) -> SetRep:
-    return s if isinstance(s, (Box, HPolytope)) else _as_hpolytope(s)
-
-
 def _clip(s: SetRep, inv: Optional[SetRep]) -> SetRep:
     return s if inv is None else intersect(_as_hbox(s), inv)
 
@@ -250,71 +231,32 @@ def mode_reach(
     for each transition in order, its per-step guard pieces
     ``[(k, piece), ...]``.
     """
-    system = _mode_system(mode, entry, time_kind)
-    continuous = time_kind == CONTINUOUS
-    if continuous:
-        a_step, omega0, _ = discretize_continuous(system, config)
-        r = float(config.step)
-        dense = config.bloat_policy == ONCE_HULL
-    else:
-        a_step, omega0 = system.a, system.x0
-        r = 1.0
-        dense = False
-    channel = _input_channel(system, config)
-
-    if config.strategy == LAZY:
-        lazy = LazyReachSet(omega0, a_step, channel, config.template)
-        current = lazy.concretize()
-    elif config.strategy == VERTICES:
-        pv = _as_vpolytope(omega0)
-        v_in = _as_vpolytope(channel.as_set()) if channel else None
-        current = pv
-    else:
-        ph = _as_hpolytope(omega0)
-        current = ph
-
     inv = mode.invariant
+    bad = None if bad_set is None else _as_hbox(bad_set)
     hits = [[] for _ in transitions]
     segments = []
     status, status_step = HORIZON, None
 
-    k = 0
-    while True:
-        clipped = _clip(_as_hbox(current), inv)
+    system = LinearSystem(
+        mode.a, entry, b=mode.b, input_set=mode.input_set, time_kind=time_kind
+    )
+    for seg in _flow_steps(system, config):
+        k = seg.k
+        clipped = _clip(_as_hbox(seg.set_rep), inv)
         if is_empty(clipped):
             # nothing remains inside the invariant: the flow is over
             status, status_step = COMPLETED, k
             break
-        if dense:
-            segments.append(Segment(k, k * r, (k + 1) * r, clipped))
-        else:
-            t = k * r if continuous else float(k)
-            segments.append(Segment(k, t, t, clipped))
+        segments.append(replace(seg, set_rep=clipped))
         for i, tr in enumerate(transitions):
             piece = intersect(clipped, tr.guard)
             if not is_empty(piece):
                 hits[i].append((k, piece))
-        if bad_set is not None:
-            hit = intersect(clipped, _as_hbox(bad_set))
-            if not is_empty(hit):
-                status, status_step = BAD_REACHED, k
-                break
+        if bad is not None and not is_empty(intersect(clipped, bad)):
+            status, status_step = BAD_REACHED, k
+            break
         if k >= nsteps:
             break
-        k += 1
-        if config.strategy == LAZY:
-            lazy = lazy.advance()
-            current = lazy.concretize()
-        elif config.strategy == VERTICES:
-            if v_in is not None:
-                pv = step_input_vertices(pv, v_in, a_step)
-            else:
-                out = linear_map(a_step, pv)
-                pv = out if isinstance(out, VPolytope) else _as_vpolytope(out)
-            current = pv
-        else:
-            ph = step_input_facets(ph, channel if channel else None, a_step)
-            current = ph
 
     return tuple(segments), hits, status, status_step
 
@@ -382,7 +324,10 @@ def hybrid_reach(
     flows = []
     raw_jumps = []  # (transition, from_flow, ticket or None, k_lo, k_hi, pre, post)
     ticket_flow = {}  # ticket -> flow index (explored) or None (pruned)
-    explored = []  # (mode name, entry H-form, remaining steps)
+    # (mode name, exact entry H-form, remaining steps); an entry without an
+    # exact facet form is never pruned against, since an enclosure of it
+    # would prune successors that reach states outside it
+    explored = []
     queue = deque([(init_mode, init_set, 0, 0, 0, 0)])
     next_ticket = 1
     status = COMPLETED
@@ -391,9 +336,8 @@ def hybrid_reach(
     while queue:
         mode_name, entry, offset, spread, depth, ticket = queue.popleft()
         remaining = total_steps - offset
-        entry_h = _as_hbox(entry)
         if any(
-            name == mode_name and remaining <= rem and contains_set(old, entry_h)
+            name == mode_name and remaining <= rem and contains_set(old, entry)
             for name, old, rem in explored
         ):
             ticket_flow[ticket] = None
@@ -401,7 +345,9 @@ def hybrid_reach(
         if len(flows) >= max_flows:
             status = INCOMPLETE
             break
-        explored.append((mode_name, entry_h, remaining))
+        entry_h = _exact_hform(entry)
+        if entry_h is not None:
+            explored.append((mode_name, entry_h, remaining))
         mode = automaton.mode(mode_name)
         outgoing = automaton.outgoing(mode_name)
         segments, hits, flow_status, flow_step = mode_reach(

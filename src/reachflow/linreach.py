@@ -2,10 +2,15 @@
 
 Discrete-time semantics is the exact set recurrence
 ``X_{k+1} = A X_k + B V``; continuous-time systems are reduced to that
-shape by conservative time discretization.  Three interchangeable
-stepping strategies are provided: explicit vertex propagation, facet
-pushing in H-representation, and a lazy support-function evaluator that
-never materializes intermediate sets (and therefore does not wrap).
+shape by conservative time discretization.  One stepping core,
+``_flow_steps``, runs that recurrence on demand: it discretizes, builds
+the per-step input, and yields segment k+1 only when its caller asks for
+it.  Behind it sit three interchangeable strategies: explicit vertex
+propagation, facet pushing in H-representation, and a lazy
+support-function evaluator that never materializes intermediate sets (and
+therefore does not wrap).  The drivers -- ``reach`` here,
+``hybridreach.mode_reach`` and ``hybridize.dynamic_hybridize_reach`` --
+iterate the core and keep only their own stopping rules.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +31,8 @@ from .setgeom import (
     SetRep,
     VPolytope,
     Zonotope,
+    _exact_hform,
+    _support_template,
     axis_bounds,
     bloat,
     contains_set,
@@ -38,7 +45,6 @@ from .setgeom import (
     member,
     minkowski_sum,
     support_batch,
-    vrep_to_hrep,
     zonotope_vertices_2d,
 )
 
@@ -283,13 +289,11 @@ def step_input_facets(
     back to a template over-approximation and logs a warning.
     """
     a = as_matrix(a)
-    if not isinstance(p, HPolytope):
-        p = _as_hpolytope(p)
+    p = _facet_form(p)
     bv = v if b is None else linear_map(as_matrix(b), v)
     bv_batch = (
         bv.support_batch if isinstance(bv, _InputChannel) else (lambda d: support_batch(bv, d))
     )
-    n = a.shape[0]
     if abs(np.linalg.det(a)) > TOL:
         # rows of the image: a_i A^{-1}; same offsets, then push by the input
         mapped = np.linalg.solve(a.T, p.normals.T).T
@@ -301,11 +305,12 @@ def step_input_facets(
     log.warning(
         "facet pushing through a singular map: falling back to a template hull"
     )
-    dirs = default_template(n)
-    vals = support_batch(p, (a.T @ dirs.T))
-    if v is not None:
-        vals = vals + bv_batch(dirs.T)
-    return HPolytope(dirs, vals, exact=False)
+
+    def pushed(dmat):
+        vals = support_batch(p, a.T @ dmat)
+        return vals if v is None else vals + bv_batch(dmat)
+
+    return _support_template(a.shape[0], pushed)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +453,7 @@ def discretize_continuous(system: LinearSystem, config: ReachConfig):
     ``err_ball`` is the per-step error set E (a centered box; degenerate
     at the origin except for the error_ball policy).
 
-    The per-step input contribution is NOT part of E: reach() adds
+    The per-step input contribution is NOT part of E: the stepping core adds
     ``r * BV`` plus a curvature residual of radius
     ``(e^u - 1 - u) / ||A||  *  sup ||Bv||`` (u = ||A|| r), which together
     cover the true convolution integral of the input over one step.
@@ -539,23 +544,23 @@ def _as_vpolytope(s: SetRep) -> VPolytope:
     raise TypeError(f"cannot convert {type(s).__name__} to V-form")
 
 
-def _as_hpolytope(s: SetRep) -> HPolytope:
-    if isinstance(s, HPolytope):
-        return s
+def _as_hbox(s: SetRep) -> Union[Box, HPolytope]:
+    """``s`` as an operand of ``intersect``: a box as it is, any other set
+    in its exact facet form, or else the facet form of its bounding box,
+    flagged inexact (a sound enclosure)."""
     if isinstance(s, Box):
-        return s.to_hpolytope()
-    if isinstance(s, VPolytope):
-        return vrep_to_hrep(s)
-    if isinstance(s, Zonotope):
-        if s.dim == 2:
-            return vrep_to_hrep(VPolytope(zonotope_vertices_2d(s), exact=s.exact))
-        b = s.bounding_box()
-        return HPolytope(
-            np.vstack([np.eye(s.dim), -np.eye(s.dim)]),
-            np.concatenate([b.upper, -b.lower]),
-            exact=False,
-        )
-    raise TypeError(f"cannot convert {type(s).__name__} to H-form")
+        return s
+    h = _exact_hform(s)
+    if h is None:
+        lo, hi = axis_bounds(s)
+        h = Box(lo, hi, exact=False).to_hpolytope()
+    return h
+
+
+def _facet_form(s: SetRep) -> HPolytope:
+    """Operand of facet pushing: ``_as_hbox`` with boxes in facet form."""
+    h = _as_hbox(s)
+    return h.to_hpolytope() if isinstance(h, Box) else h
 
 
 def _template_dominates(q: SetRep, p: SetRep) -> bool:
@@ -576,34 +581,75 @@ def _template_dominates(q: SetRep, p: SetRep) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# driver
+# stepping core and driver
+
+
+def _flow_steps(system: LinearSystem, config: ReachConfig) -> Iterator[Segment]:
+    """Segments 0, 1, 2, ... of the flowpipe of ``system``, without end.
+
+    Discretizes a continuous system, builds the per-step input and runs the
+    strategy ``config.strategy`` selects; segment k+1 is computed only when
+    the caller asks for it, so each driver stops on its own rules.  Dense
+    continuous segments cover [k r, (k+1) r]; discrete and lattice ones are
+    the snapshot at k r (r = 1 for discrete systems).
+    """
+    if system.time_kind == CONTINUOUS:
+        a_step, omega0, _ = discretize_continuous(system, config)
+        r = float(config.step)
+        dense = config.bloat_policy == ONCE_HULL
+    else:
+        a_step, omega0 = system.a, system.x0
+        r = 1.0
+        dense = False
+    channel = _input_channel(system, config)
+
+    if config.strategy == LAZY:
+        lazy = LazyReachSet(omega0, a_step, channel, config.template)
+        current = lazy.concretize()
+    elif config.strategy == VERTICES:
+        current = _as_vpolytope(omega0)
+        v_in = _as_vpolytope(channel.as_set()) if channel else None
+    else:  # facets
+        current = _facet_form(omega0)
+
+    k = 0
+    while True:
+        t = k * r
+        yield Segment(k, t, (k + 1) * r if dense else t, current)
+        k += 1
+        if config.strategy == LAZY:
+            lazy = lazy.advance()
+            current = lazy.concretize()
+        elif config.strategy == VERTICES:
+            if v_in is not None:
+                current = step_input_vertices(current, v_in, a_step)
+            else:
+                out = linear_map(a_step, current)
+                current = out if isinstance(out, VPolytope) else _as_vpolytope(out)
+        else:
+            current = step_input_facets(current, channel if channel else None, a_step)
 
 
 def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     """Compute the flowpipe of ``system`` under ``config``.
 
-    Incremental worklist over steps: P is advanced by one step per
-    iteration and appended to the output.  Early exit on bad-set contact
+    Takes segments from the stepping core until the horizon (or, in
+    fixpoint mode, ``max_steps``).  Early exit on bad-set contact
     (bad_set mode) or on inclusion in an already-seen segment (fixpoint
     mode, decided by template domination).
     """
     n = system.dim
     continuous = system.time_kind == CONTINUOUS
     if continuous:
-        a_step, omega0, _ = discretize_continuous(system, config)
-        r = float(config.step)
-        nsteps = int(math.ceil(config.horizon / r - 1e-12))
-        dense = config.bloat_policy == ONCE_HULL
+        if config.step is None:
+            raise ValueError("continuous systems require a time step")
+        nsteps = int(math.ceil(config.horizon / float(config.step) - 1e-12))
     else:
         if config.step is not None:
             raise ValueError("discrete systems take an integer horizon, not a step")
         if config.horizon != int(config.horizon):
             raise ValueError("discrete horizon must be an integer step count")
-        a_step, omega0 = system.a, system.x0
-        r = 1.0
         nsteps = int(config.horizon)
-        dense = False
-    channel = _input_channel(system, config)
 
     limit = nsteps
     if config.mode == FIXPOINT:
@@ -616,77 +662,32 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     if config.template is not None and config.template.shape[1] != n:
         raise ValueError("template dimension does not match the system")
 
-    bad_h = None
+    bad = None
     if config.bad_set is not None:
         if config.bad_set.dim != n:
             raise ValueError("bad set dimension does not match the system")
-        bad_h = _as_hpolytope(config.bad_set)
+        bad = _as_hbox(config.bad_set)
 
-    # strategy state: `current` yields the set to record, `advance` steps it
-    if config.strategy == LAZY:
-        lazy = LazyReachSet(omega0, a_step, channel, config.template)
-        current = lazy.concretize()
-    elif config.strategy == VERTICES:
-        pv = _as_vpolytope(omega0)
-        v_in = _as_vpolytope(channel.as_set()) if channel else None
-        current = pv
-    else:  # facets
-        ph = _as_hpolytope(omega0)
-        current = ph
-
-    def record(k: int, s: SetRep) -> Segment:
-        if dense:
-            return Segment(k, k * r, (k + 1) * r, s)
-        t = k * r if continuous else float(k)
-        return Segment(k, t, t, s)
-
-    segments = [record(0, current)]
-
-    def hits_bad(s: SetRep) -> bool:
-        cut = intersect(_as_hpolytope(s) if not isinstance(s, (Box, HPolytope)) else s, bad_h)
-        return not is_empty(cut)
-
-    status = HORIZON
-    status_step: Optional[int] = None
-
-    if bad_h is not None and hits_bad(current):
-        return Flowpipe(
-            (segments[0],),
-            BAD_REACHED,
-            status_step=0,
-            time_step=r if continuous else None,
-        )
-
-    k = 0
-    while k < limit:
-        k += 1
-        if config.strategy == LAZY:
-            lazy = lazy.advance()
-            current = lazy.concretize()
-        elif config.strategy == VERTICES:
-            if v_in is not None:
-                pv = step_input_vertices(pv, v_in, a_step)
-            else:
-                out = linear_map(a_step, pv)
-                pv = out if isinstance(out, VPolytope) else _as_vpolytope(out)
-            current = pv
-        else:
-            ph = step_input_facets(ph, channel if channel else None, a_step)
-            current = ph
-        segments.append(record(k, current))
-        if bad_h is not None and hits_bad(current):
-            status, status_step = BAD_REACHED, k
+    segments = []
+    status, status_step = HORIZON, None
+    for seg in _flow_steps(system, config):
+        segments.append(seg)
+        if bad is not None and not is_empty(intersect(_as_hbox(seg.set_rep), bad)):
+            status, status_step = BAD_REACHED, seg.k
             break
-        if config.mode == FIXPOINT:
-            if any(_template_dominates(seg.set_rep, current) for seg in segments[:-1]):
-                status, status_step = FIXPOINT_REACHED, k
-                break
+        if config.mode == FIXPOINT and any(
+            _template_dominates(old.set_rep, seg.set_rep) for old in segments[:-1]
+        ):
+            status, status_step = FIXPOINT_REACHED, seg.k
+            break
+        if seg.k >= limit:
+            break
 
     return Flowpipe(
         tuple(segments),
         status,
         status_step=status_step,
-        time_step=r if continuous else None,
+        time_step=float(config.step) if continuous else None,
     )
 
 

@@ -366,13 +366,8 @@ def linear_map(a, s: SetRep) -> SetRep:
                 pass
         # singular or non-square: template over-approximation of the image,
         # using rho_{AS}(d) = rho_S(A^T d); a zero pullback direction means
-        # the image is flat there and contributes support 0
-        dirs = default_template(a.shape[0])
-        vals = []
-        for d in dirs:
-            dd = a.T @ d
-            vals.append(0.0 if np.all(dd == 0.0) else support(s, dd)[0])
-        return HPolytope(np.asarray(dirs), np.asarray(vals), exact=False)
+        # the image is flat there, and support_batch gives it support 0
+        return _support_template(a.shape[0], lambda dmat: support_batch(s, a.T @ dmat))
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
 
@@ -419,11 +414,13 @@ def minkowski_sum(s1: SetRep, s2: SetRep) -> SetRep:
             except ValueError:
                 pass
     # general fallback: support functions add under minkowski sum
-    dirs = np.asarray(default_template(s1.dim))
-    vals = [support(s1, d)[0] + support(s2, d)[0] for d in dirs]
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("minkowski sum of unbounded operands is not supported")
-    return HPolytope(dirs, np.asarray(vals), exact=False)
+    def total(dmat):
+        vals = support_batch(s1, dmat) + support_batch(s2, dmat)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("minkowski sum of unbounded operands is not supported")
+        return vals
+
+    return _support_template(s1.dim, total)
 
 
 def _as_vpolytope_exact(s: SetRep, max_vertices: int = 4096) -> VPolytope | None:
@@ -484,16 +481,20 @@ def intersect(s1: SetRep, s2: SetRep) -> SetRep:
         if np.any(lo > hi):
             return Empty(s1.dim)
         return Box(lo, hi, exact=s1.exact and s2.exact)
-    hs = []
+    # box bad sets and guards meet every segment: stack their facet rows
+    # directly rather than build an HPolytope for them on each call
+    normals, offsets = [], []
     for s in (s1, s2):
         if isinstance(s, Box):
-            hs.append(s.to_hpolytope())
+            eye = np.eye(s.dim)
+            normals += [eye, -eye]
+            offsets += [s.upper, -s.lower]
         elif isinstance(s, HPolytope):
-            hs.append(s)
+            normals.append(s.normals)
+            offsets.append(s.offsets)
         else:
             raise ValueError("intersection requires Box or HPolytope operands")
-    return HPolytope(np.vstack([hs[0].normals, hs[1].normals]),
-                     np.concatenate([hs[0].offsets, hs[1].offsets]),
+    return HPolytope(np.vstack(normals), np.concatenate(offsets),
                      exact=s1.exact and s2.exact)
 
 
@@ -655,9 +656,9 @@ def hrep_to_vrep(p: HPolytope, tol: float = 1e-7) -> VPolytope:
     if n > 3:
         raise ValueError("exact facet-to-vertex conversion is limited to dimension 3")
     eye = np.eye(n)
-    for d in np.vstack([eye, -eye]):
-        if not np.isfinite(support(p, d)[0]):  # raises on empty input
-            raise ValueError("cannot enumerate the vertices of an unbounded polytope")
+    # raises on empty input
+    if not np.all(np.isfinite(support_batch(p, np.hstack([eye, -eye])))):
+        raise ValueError("cannot enumerate the vertices of an unbounded polytope")
     a, b = p.normals, p.offsets
     scale = max(1.0, float(np.abs(b).max()))
     pts = []
@@ -696,6 +697,17 @@ def default_template(n: int) -> np.ndarray:
     return np.vstack(dirs)
 
 
+def _support_template(n: int, values) -> HPolytope:
+    """Flagged outer approximation over the default template of dimension n.
+
+    ``values(dmat)`` returns the offsets for the template directions given
+    as the columns of ``dmat``; each caller decides there how zero and
+    unbounded directions are treated.
+    """
+    dirs = default_template(n)
+    return HPolytope(dirs, values(dirs.T), exact=False)
+
+
 def template_hull(s: SetRep, directions) -> HPolytope:
     """Support-based outer approximation of s over the given directions.
 
@@ -707,15 +719,11 @@ def template_hull(s: SetRep, directions) -> HPolytope:
         raise ValueError("template hull of the empty set is undefined")
     if dirs.shape[1] != s.dim:
         raise ValueError("template directions do not match the set dimension")
-    rows, offs = [], []
-    for d in dirs:
-        val = support(s, d)[0]
-        if np.isfinite(val):
-            rows.append(d)
-            offs.append(val)
-    if not rows:
-        return HPolytope(np.zeros((0, s.dim)), np.zeros(0), exact=False)
-    return HPolytope(np.asarray(rows), np.asarray(offs), exact=False)
+    if np.any(np.all(dirs == 0.0, axis=1)):
+        raise ValueError("support direction must be nonzero")
+    vals = support_batch(s, dirs.T)
+    bounded = np.isfinite(vals)
+    return HPolytope(dirs[bounded], vals[bounded], exact=False)
 
 
 def bloat(s: SetRep, eps: float) -> SetRep:
@@ -744,22 +752,25 @@ def bloat(s: SetRep, eps: float) -> SetRep:
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
 
-def _union_to_hform(q: SetRep) -> HPolytope:
-    if isinstance(q, Box):
-        return q.to_hpolytope()
-    if isinstance(q, HPolytope):
-        return q
-    if isinstance(q, VPolytope) and q.dim <= 3:
-        return vrep_to_hrep(q)
-    if isinstance(q, Zonotope):
-        if q.order == 0:
-            return translate(Box(np.zeros(q.dim), np.zeros(q.dim)), q.center).to_hpolytope()
-        if q.dim == 2:
-            return vrep_to_hrep(VPolytope(zonotope_vertices_2d(q)))
-        if q.dim == 1:
-            return q.bounding_box().to_hpolytope()
-    raise UnsupportedCheck(
-        f"no exact facet form for containment against {type(q).__name__} in dimension {q.dim}")
+def _exact_hform(s: SetRep) -> HPolytope | None:
+    """Exact facet form of s, flagged as s is, or None when there is none.
+
+    Boxes, H-polytopes, vertex sets up to dimension 3, and zonotopes that
+    are points, intervals or planar have one; callers that can do with an
+    enclosure take the bounding box when None comes back.
+    """
+    if isinstance(s, HPolytope):
+        return s
+    if isinstance(s, Box):
+        return s.to_hpolytope()
+    if isinstance(s, VPolytope) and s.dim <= 3:
+        return vrep_to_hrep(s)
+    if isinstance(s, Zonotope):
+        if s.order == 0 or s.dim == 1:
+            return s.bounding_box().to_hpolytope()
+        if s.dim == 2:
+            return vrep_to_hrep(VPolytope(zonotope_vertices_2d(s), exact=s.exact))
+    return None
 
 
 def _box_difference(p: Box, b: Box) -> list[Box]:
@@ -809,9 +820,14 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
         return any(contains_set(m, p, tol) for m in members)
     if isinstance(q, Empty):
         return False
-    h = _union_to_hform(q)
+    h = _exact_hform(q)
+    if h is None:
+        raise UnsupportedCheck(
+            f"no exact facet form for containment against {type(q).__name__} "
+            f"in dimension {q.dim}")
+    # one row at a time: an H-form p costs one LP per row, so stop early
     for a_row, b_row in zip(h.normals, h.offsets):
-        if support(p, a_row)[0] > b_row + tol:
+        if support_batch(p, a_row[:, None])[0] > b_row + tol:
             return False
     return True
 
@@ -827,13 +843,9 @@ def axis_bounds(s: SetRep) -> tuple[np.ndarray, np.ndarray]:
         return b.lower, b.upper
     if isinstance(s, VPolytope):
         return s.vertices.min(axis=0), s.vertices.max(axis=0)
-    n = s.dim
-    lo, hi = np.empty(n), np.empty(n)
-    eye = np.eye(n)
-    for i in range(n):
-        hi[i] = support(s, eye[i])[0]
-        lo[i] = -support(s, -eye[i])[0]
-    return lo, hi
+    eye = np.eye(s.dim)
+    vals = support_batch(s, np.hstack([eye, -eye]))
+    return -vals[s.dim:], vals[:s.dim]
 
 
 def bounding_box(s: SetRep) -> Box:
@@ -876,11 +888,14 @@ def hull_union(s1: SetRep, s2: SetRep) -> SetRep:
         gens = np.hstack([0.5 * (z1.center - z2.center)[:, None],
                           0.5 * (g1 + g2), 0.5 * (g1 - g2)])
         return Zonotope(mid, gens, exact=False)
-    dirs = default_template(s1.dim)
-    vals = [max(support(s1, d)[0], support(s2, d)[0]) for d in dirs]
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("hull of unbounded operands is not supported")
-    return HPolytope(dirs, np.asarray(vals), exact=False)
+
+    def widest(dmat):
+        vals = np.maximum(support_batch(s1, dmat), support_batch(s2, dmat))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("hull of unbounded operands is not supported")
+        return vals
+
+    return _support_template(s1.dim, widest)
 
 
 def sample_points(s: SetRep, count: int, rng: np.random.Generator) -> np.ndarray:

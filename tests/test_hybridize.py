@@ -22,7 +22,7 @@ from reachflow.linreach import (
     ReachConfig,
     reach,
 )
-from reachflow.setgeom import Box, axis_bounds, member
+from reachflow.setgeom import Box, HPolytope, axis_bounds, default_template, member
 
 from oracles import rk4
 
@@ -311,7 +311,8 @@ class TestDynamicHybridize:
                     pipe.segments[max(k - 1, 0)].set_rep, x
                 ), (x0, t)
 
-    def test_rk4_paths_stay_inside_pipe(self):
+    @staticmethod
+    def _oscillator_pipe_holds_rk4(**kw):
         # damped oscillator with a nonlinear velocity term
         def f(x):
             return np.array([x[1], -x[0] + 0.2 * (1.0 - x[0] ** 2) * x[1]])
@@ -323,7 +324,7 @@ class TestDynamicHybridize:
 
         sys = NonlinearSystem(f=f, dim=2, hessian_bound=curvature)
         r = 0.005
-        pipe = dynamic_hybridize_reach(sys, Box([1.0, 0.0], [1.0, 0.0]), cfg(0.5, r))
+        pipe = dynamic_hybridize_reach(sys, Box([1.0, 0.0], [1.0, 0.0]), cfg(0.5, r, **kw))
         assert pipe.status == HORIZON
         path = rk4(f, np.array([1.0, 0.0]), 0.5, 500)
         for i, x in enumerate(path):
@@ -332,6 +333,20 @@ class TestDynamicHybridize:
             assert member(pipe.segments[k].set_rep, x) or member(
                 pipe.segments[max(k - 1, 0)].set_rep, x
             ), t
+        return pipe
+
+    def test_rk4_paths_stay_inside_pipe(self):
+        self._oscillator_pipe_holds_rk4()
+
+    def test_rk4_paths_stay_inside_facet_pipe(self):
+        pipe = self._oscillator_pipe_holds_rk4(strategy="facets")
+        # facet pushing turns the normals away from the lazy engine's template
+        template = HPolytope(default_template(2), np.ones(8)).normals
+        assert any(
+            s.set_rep.normals.shape != template.shape
+            or not np.allclose(s.set_rep.normals, template)
+            for s in pipe.segments
+        )
 
     def test_bad_set_mode_aborts(self):
         r = 0.01

@@ -28,7 +28,7 @@ from reachflow.linreach import (
     HORIZON,
     ReachConfig,
 )
-from reachflow.setgeom import Box, HPolytope, axis_bounds, member
+from reachflow.setgeom import Box, HPolytope, Zonotope, axis_bounds, member
 
 from oracles import euler_interval_1d
 
@@ -413,3 +413,21 @@ class TestHybridSimulate:
             assert not trace.truncated
             for x, m in zip(trace.states, trace.modes):
                 assert any(member(s, x) for s in by_mode[m]), (m, x)
+
+
+class TestPruningSoundness:
+    def test_no_pruning_against_an_enclosure(self):
+        # a thin diagonal zonotope has no exact facet form in 3-d; its
+        # bounding box holds the jump's successor, the zonotope does not
+        x0 = Zonotope(np.zeros(3), np.hstack([0.5 * np.ones((3, 1)), 0.01 * np.eye(3)]))
+        loop = Transition("A", "A", guard=Box(0.3 * np.ones(3), 0.6 * np.ones(3)),
+                          reset_offset=[-0.8, 0.0, 0.0])
+        auto = HybridAutomaton((Mode("A", np.eye(3)),), (loop,), time_kind=DISCRETE)
+        bad = Box([-0.6, 0.2, 0.2], [-0.2, 0.6, 0.6])
+        # a real trajectory: it sits in the guard, and its jump lands in bad
+        x = np.full(3, 0.45)
+        assert member(x0, x) and member(loop.guard, x)
+        assert member(bad, loop.apply_reset_point(x))
+        pipe = hybrid_reach(auto, "A", x0, ReachConfig(horizon=3, mode="bad_set", bad_set=bad))
+        assert pipe.status == BAD_REACHED
+        assert not any(j.pruned for j in pipe.jumps)

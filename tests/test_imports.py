@@ -1,0 +1,67 @@
+"""Every name a package module imports is used in that module.
+
+Refactors that delete call sites tend to leave imports behind; no linter
+is a dependency, so this walks the syntax trees with the standard library.
+A name counts as used when it appears as an identifier anywhere in the
+module (annotations included) or is listed in the module's ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reachflow"
+
+
+def _imported(tree):
+    """(bound name, line) for each import outside ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _used(tree):
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        # names re-exported through __all__ count as used
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(
+                e.value for e in ast.walk(node.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            )
+        # quoted annotations such as -> "HPolytope"
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            args += [a for a in (node.args.vararg, node.args.kwarg) if a is not None]
+            annotations = [a.annotation for a in args] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names.update(
+                    n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                    if isinstance(n, ast.Name)
+                )
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_detects_an_unused_import():
+    tree = ast.parse("import os\nfrom math import pi, tau\n\nprint(pi)\n")
+    used = _used(tree)
+    assert [n for n, _ in _imported(tree) if n not in used] == ["os", "tau"]

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from reachflow.linreach import (
     LazyReachSet,
     LinearSystem,
     ReachConfig,
+    _flow_steps,
     discretize_continuous,
     reach,
     simulate,
@@ -605,6 +607,67 @@ class TestReachContinuous:
         sys = LinearSystem([[0.0]], Box([0.0], [0.0]), time_kind=CONTINUOUS)
         pipe = reach(sys, ReachConfig(horizon=1.0, step=0.3, bloat_policy=SMALL_R))
         assert len(pipe.segments) == 5  # ceil(1/0.3) = 4 steps
+
+
+# ---------------------------------------------------------------------------
+# stepping core
+
+
+def _set_arrays(s):
+    if isinstance(s, HPolytope):
+        return s.normals, s.offsets
+    if isinstance(s, VPolytope):
+        return (s.vertices,)
+    raise TypeError(type(s).__name__)
+
+
+CORE_SYSTEMS = {
+    "discrete": (
+        LinearSystem(0.9 * rot(0.3), Box([0.9, -0.1], [1.1, 0.1]),
+                     input_set=Box([-0.01, -0.01], [0.01, 0.01])),
+        {"horizon": 12},
+    ),
+    "continuous": (
+        LinearSystem(ROT90.T, Box([0.9, -0.1], [1.1, 0.1]),
+                     input_set=Box([-0.01, -0.01], [0.01, 0.01]), time_kind=CONTINUOUS),
+        {"horizon": 0.12, "step": 0.01},
+    ),
+}
+
+
+class TestSteppingCore:
+    @pytest.mark.parametrize("kind", sorted(CORE_SYSTEMS))
+    @pytest.mark.parametrize("strategy", ["lazy", "vertices", "facets"])
+    def test_first_segments_equal_reach(self, kind, strategy):
+        system, kw = CORE_SYSTEMS[kind]
+        config = ReachConfig(strategy=strategy, **kw)
+        pipe = reach(system, config)
+        assert pipe.status == HORIZON and len(pipe) == 13
+        core = list(islice(_flow_steps(system, config), len(pipe)))
+        for got, want in zip(core, pipe.segments):
+            assert (got.k, got.t0, got.t1) == (want.k, want.t0, want.t1)
+            assert type(got.set_rep) is type(want.set_rep)
+            assert got.set_rep.exact == want.set_rep.exact
+            for a, b in zip(_set_arrays(got.set_rep), _set_arrays(want.set_rep)):
+                np.testing.assert_array_equal(a, b)
+
+    def test_steps_only_on_demand(self, monkeypatch):
+        calls = []
+        advance = LazyReachSet.advance
+
+        def counted(self):
+            calls.append(self.k)
+            return advance(self)
+
+        monkeypatch.setattr(LazyReachSet, "advance", counted)
+        system, kw = CORE_SYSTEMS["discrete"]
+        pipe = reach(system, ReachConfig(**kw))
+        assert len(pipe) == 13 and len(calls) == 12
+        # an early stop leaves the later steps uncomputed
+        calls.clear()
+        pipe = reach(system, ReachConfig(horizon=12, mode="bad_set",
+                                         bad_set=Box([-2.0, -2.0], [2.0, 2.0])))
+        assert pipe.status == BAD_REACHED and len(pipe) == 1 and calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,29 @@ class TestContainsSet:
         assert sg.contains_set(unit_box(), Empty(2))
 
 
+class TestExactHform:
+    def test_exact_forms_keep_the_flag_and_the_set(self):
+        cases = [
+            unit_box(),
+            diamond(),
+            Zonotope([0.5, 0.0], [[1.0, 0.5], [0.0, 1.0]], exact=False),
+            Zonotope([0.5], [[1.0, 0.5]]),  # an interval
+            Zonotope([1.0, 2.0, 3.0], np.zeros((3, 0))),  # a point
+        ]
+        for s in cases:
+            h = sg._exact_hform(s)
+            assert isinstance(h, HPolytope)
+            assert h.exact == s.exact
+            assert same_set(h, s)
+        h = diamond_h()
+        assert sg._exact_hform(h) is h
+
+    def test_none_without_an_exact_facet_form(self):
+        thin = Zonotope(np.zeros(3), np.hstack([0.5 * np.ones((3, 1)), 0.01 * np.eye(3)]))
+        assert sg._exact_hform(thin) is None
+        assert sg._exact_hform(VPolytope(np.vstack([np.eye(4), -np.eye(4)]))) is None
+
+
 class TestConvexHull2d:
     def test_interior_and_collinear_points_removed(self):
         pts = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0],
@@ -400,6 +423,14 @@ class TestTemplateHull:
     def test_diamond_octagonal_template_is_exact(self):
         t = sg.template_hull(diamond(), sg.default_template(2))
         assert same_set(t, diamond())
+
+    def test_unbounded_directions_dropped_zero_directions_rejected(self):
+        half_plane = HPolytope([[1.0, 0.0]], [1.0])
+        t = sg.template_hull(half_plane, np.vstack([np.eye(2), -np.eye(2)]))
+        np.testing.assert_array_equal(t.normals, [[1.0, 0.0]])
+        np.testing.assert_array_equal(t.offsets, [1.0])
+        with pytest.raises(ValueError, match="nonzero"):
+            sg.template_hull(unit_box(), [[1.0, 0.0], [0.0, 0.0]])
 
     def test_superset_for_random_sets_and_points(self):
         rng = np.random.default_rng(29)
