@@ -31,7 +31,6 @@ from .linreach import (
     LinearSystem,
     ReachConfig,
     Segment,
-    _as_hbox,
     _flow_steps,
 )
 from .hybridreach import HybridAutomaton, Mode, Transition
@@ -206,7 +205,7 @@ class StaticHybridization:
             log.warning(
                 "initial set overhangs cell %s: clipping to the cell", name
             )
-        clipped = intersect(_as_hbox(x0), cell)
+        clipped = intersect(x0, cell)
         if is_empty(clipped):
             raise ValueError("initial set does not intersect its center cell")
         return name, clipped
@@ -335,7 +334,7 @@ def dynamic_hybridize_reach(
         )
     r = float(config.step)
     total = int(math.ceil(config.horizon / r - 1e-12))
-    bad = _as_hbox(config.bad_set) if config.mode == BAD_SET else None
+    bad = config.bad_set if config.mode == BAD_SET else None
 
     segments = []
     domains = []
@@ -363,7 +362,7 @@ def dynamic_hybridize_reach(
             segments.append(Segment(k, k * r, (k + 1) * r, current))
             progressed += 1
             k += 1
-            if bad is not None and not is_empty(intersect(_as_hbox(current), bad)):
+            if bad is not None and not is_empty(intersect(current, bad)):
                 status, status_step = BAD_REACHED, k - 1
                 break
             if k > total:

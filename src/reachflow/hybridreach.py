@@ -27,10 +27,9 @@ from .linreach import (
     HORIZON,
     LinearSystem,
     ReachConfig,
-    _as_hbox,
     _flow_steps,
 )
-from .numkernel import as_matrix, as_vector, mat_exp
+from .numkernel import _exp_integral, as_matrix, as_vector, mat_exp
 from .setgeom import (
     TOL,
     Box,
@@ -206,10 +205,6 @@ class HybridFlowpipe:
                 yield flow.mode, seg
 
 
-def _clip(s: SetRep, inv: Optional[SetRep]) -> SetRep:
-    return s if inv is None else intersect(_as_hbox(s), inv)
-
-
 def mode_reach(
     mode: Mode,
     entry: SetRep,
@@ -232,7 +227,6 @@ def mode_reach(
     ``[(k, piece), ...]``.
     """
     inv = mode.invariant
-    bad = None if bad_set is None else _as_hbox(bad_set)
     hits = [[] for _ in transitions]
     segments = []
     status, status_step = HORIZON, None
@@ -242,7 +236,7 @@ def mode_reach(
     )
     for seg in _flow_steps(system, config):
         k = seg.k
-        clipped = _clip(_as_hbox(seg.set_rep), inv)
+        clipped = seg.set_rep if inv is None else intersect(seg.set_rep, inv)
         if is_empty(clipped):
             # nothing remains inside the invariant: the flow is over
             status, status_step = COMPLETED, k
@@ -252,7 +246,7 @@ def mode_reach(
             piece = intersect(clipped, tr.guard)
             if not is_empty(piece):
                 hits[i].append((k, piece))
-        if bad is not None and not is_empty(intersect(clipped, bad)):
+        if bad_set is not None and not is_empty(intersect(clipped, bad_set)):
             status, status_step = BAD_REACHED, k
             break
         if k >= nsteps:
@@ -322,25 +316,26 @@ def hybrid_reach(
     bad = config.bad_set if config.mode == BAD_SET else None
 
     flows = []
-    raw_jumps = []  # (transition, from_flow, ticket or None, k_lo, k_hi, pre, post)
-    ticket_flow = {}  # ticket -> flow index (explored) or None (pruned)
+    # a jump is recorded when its crossing is found; its successor's
+    # worklist item carries the jump's index, and popping the item settles
+    # whether the jump was pruned or which flow it leads to
+    jumps = []
     # (mode name, exact entry H-form, remaining steps); an entry without an
     # exact facet form is never pruned against, since an enclosure of it
     # would prune successors that reach states outside it
     explored = []
-    queue = deque([(init_mode, init_set, 0, 0, 0, 0)])
-    next_ticket = 1
+    queue = deque([(init_mode, init_set, 0, 0, 0, None)])
     status = COMPLETED
     bad_flow = None
 
     while queue:
-        mode_name, entry, offset, spread, depth, ticket = queue.popleft()
+        mode_name, entry, offset, spread, depth, jump = queue.popleft()
         remaining = total_steps - offset
         if any(
             name == mode_name and remaining <= rem and contains_set(old, entry)
             for name, old, rem in explored
         ):
-            ticket_flow[ticket] = None
+            jumps[jump] = replace(jumps[jump], pruned=True)
             continue
         if len(flows) >= max_flows:
             status = INCOMPLETE
@@ -360,7 +355,8 @@ def hybrid_reach(
             bad_set=bad,
         )
         flow_idx = len(flows)
-        ticket_flow[ticket] = flow_idx
+        if jump is not None:
+            jumps[jump] = replace(jumps[jump], to_flow=flow_idx)
         flows.append(
             ModeFlow(
                 mode_name, offset, depth, segments, flow_status, flow_step,
@@ -375,35 +371,19 @@ def hybrid_reach(
                 continue
             for k_lo, k_hi, pre, post in guard_cross(tr_hits, tr):
                 target_inv = automaton.mode(tr.target).invariant
-                entry_next = _clip(post, target_inv)
+                entry_next = post if target_inv is None else intersect(post, target_inv)
                 if is_empty(entry_next):
                     continue
+                jumps.append(Jump(tr, flow_idx, None, k_lo, k_hi, pre, entry_next))
                 if depth + 1 > jump_depth:
                     status = INCOMPLETE
-                    raw_jumps.append((tr, flow_idx, None, k_lo, k_hi, pre, entry_next))
                     continue
                 # the crossing happened somewhere in [k_lo, k_hi]: align the
                 # successor to the earliest step and widen its entry spread
                 queue.append((
                     tr.target, entry_next, offset + k_lo,
-                    spread + (k_hi - k_lo), depth + 1, next_ticket,
+                    spread + (k_hi - k_lo), depth + 1, len(jumps) - 1,
                 ))
-                raw_jumps.append((tr, flow_idx, next_ticket, k_lo, k_hi, pre, entry_next))
-                next_ticket += 1
-
-    unexplored = object()
-    jumps = []
-    for tr, from_flow, ticket, k_lo, k_hi, pre, post in raw_jumps:
-        if ticket is None:
-            jumps.append(Jump(tr, from_flow, None, k_lo, k_hi, pre, post))
-            continue
-        resolved = ticket_flow.get(ticket, unexplored)
-        if resolved is unexplored:
-            jumps.append(Jump(tr, from_flow, None, k_lo, k_hi, pre, post))
-        elif resolved is None:
-            jumps.append(Jump(tr, from_flow, None, k_lo, k_hi, pre, post, pruned=True))
-        else:
-            jumps.append(Jump(tr, from_flow, resolved, k_lo, k_hi, pre, post))
 
     return HybridFlowpipe(
         tuple(flows),
@@ -446,15 +426,11 @@ def _sim_matrices(mode: Mode, tau: float):
     hit = _STEP_MATS.get(key)
     if hit is not None:
         return hit
-    n = mode.dim
     a_step = mat_exp(mode.a, tau)
     b_step = None
     if mode.input_set is not None:
-        aug = np.zeros((2 * n, 2 * n))
-        aug[:n, :n] = mode.a
-        aug[:n, n:] = np.eye(n)
-        gain = mode.b if mode.b is not None else np.eye(n)
-        b_step = mat_exp(aug, tau)[:n, n:] @ gain
+        gain = mode.b if mode.b is not None else np.eye(mode.dim)
+        b_step = _exp_integral(mode.a, tau) @ gain
     if len(_STEP_MATS) >= _STEP_MATS_CAP:
         _STEP_MATS.clear()
     _STEP_MATS[key] = (a_step, b_step)

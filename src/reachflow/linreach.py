@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .numkernel import as_matrix, as_vector, mat_apply, mat_exp
+from .numkernel import _exp_integral, as_matrix, as_vector, mat_apply, mat_exp
 from .setgeom import (
     TOL,
     Box,
@@ -31,13 +31,13 @@ from .setgeom import (
     SetRep,
     VPolytope,
     Zonotope,
-    _exact_hform,
+    _hform_enclosure,
     _support_template,
+    _vform_enclosure,
     axis_bounds,
     bloat,
     contains_set,
     default_template,
-    hrep_to_vrep,
     hull_union,
     intersect,
     is_empty,
@@ -45,7 +45,6 @@ from .setgeom import (
     member,
     minkowski_sum,
     support_batch,
-    zonotope_vertices_2d,
 )
 
 log = logging.getLogger(__name__)
@@ -260,19 +259,14 @@ def step_input_vertices(
 ) -> VPolytope:
     """``A P + B V`` by explicit vertex propagation.
 
-    Both operands must be convertible to V-representation, which limits
-    this strategy to low dimensions for H-form operands.  In 2-d the
-    vertex cloud is reduced to its hull after every step, so the count
-    stays bounded by the true facet structure.
+    Each operand enters by its exact vertex form, or else by the corners
+    of its bounding box (flagged inexact).  In 2-d the vertex cloud is
+    reduced to its hull after every step, so the count stays bounded by
+    the true facet structure.
     """
-    a = as_matrix(a)
-    pv = _as_vpolytope(p)
-    av = linear_map(a, pv)
-    bv = _as_vpolytope(v if b is None else linear_map(as_matrix(b), v))
-    out = minkowski_sum(av, bv)
-    if not isinstance(out, VPolytope):
-        out = _as_vpolytope(out)
-    return out
+    av = linear_map(as_matrix(a), _vform_enclosure(p))
+    bv = _vform_enclosure(v if b is None else linear_map(as_matrix(b), v))
+    return minkowski_sum(av, bv)
 
 
 def step_input_facets(
@@ -289,7 +283,7 @@ def step_input_facets(
     back to a template over-approximation and logs a warning.
     """
     a = as_matrix(a)
-    p = _facet_form(p)
+    p = _hform_enclosure(p)
     bv = v if b is None else linear_map(as_matrix(b), v)
     bv_batch = (
         bv.support_batch if isinstance(bv, _InputChannel) else (lambda d: support_batch(bv, d))
@@ -450,13 +444,13 @@ def discretize_continuous(system: LinearSystem, config: ReachConfig):
 
     Returns ``(a_step, omega0, err_ball)`` with ``a_step = e^{Ar}``.
     ``omega0`` covers the initial segment per the bloat policy and
-    ``err_ball`` is the per-step error set E (a centered box; degenerate
-    at the origin except for the error_ball policy).
+    ``err_ball`` is the per-step error set E, a centered box.
 
-    The per-step input contribution is NOT part of E: the stepping core adds
-    ``r * BV`` plus a curvature residual of radius
-    ``(e^u - 1 - u) / ||A||  *  sup ||Bv||`` (u = ||A|| r), which together
-    cover the true convolution integral of the input over one step.
+    The stepping core adds ``r * BV + E`` per step.  E holds the input's
+    curvature residual, of radius ``(e^u - 1 - u) / ||A||  *  sup ||Bv||``
+    (u = ||A|| r), so that the sum covers the true convolution integral of
+    the input over one step (E is the origin without an input); under the
+    error_ball policy E also carries the state's fixed per-step fattening.
     """
     if config.step is None:
         raise ValueError("continuous systems require a time step")
@@ -474,7 +468,7 @@ def discretize_continuous(system: LinearSystem, config: ReachConfig):
 
     policy = config.bloat_policy
     if policy == SMALL_R:
-        return a_step, system.x0, _ball(n, 0.0)
+        return a_step, system.x0, _ball(n, beta)
     if policy == ONCE_HULL:
         r_x = _sup_norm_of_set(system.x0)
         # chord defect of the matrix exponential over one step, plus the
@@ -484,7 +478,7 @@ def discretize_continuous(system: LinearSystem, config: ReachConfig):
         omega0 = hull_union(system.x0, linear_map(a_step, system.x0))
         if eps > 0:
             omega0 = bloat(omega0, eps)
-        return a_step, omega0, _ball(n, 0.0)
+        return a_step, omega0, _ball(n, beta)
     # error_ball: lattice semantics with a fixed fattening per step
     r_x = (
         float(config.state_bound)
@@ -492,75 +486,6 @@ def discretize_continuous(system: LinearSystem, config: ReachConfig):
         else _sup_norm_of_set(system.x0)
     )
     return a_step, system.x0, _ball(n, phi * r_x + beta)
-
-
-def _input_channel(system: LinearSystem, config: ReachConfig) -> _InputChannel:
-    """Effective per-step input summands for the discrete recurrence."""
-    if system.time_kind == DISCRETE:
-        if not system.has_input:
-            return _InputChannel([])
-        return _InputChannel([linear_map(system.b, system.input_set)])
-    parts = []
-    r = float(config.step)
-    if system.has_input:
-        bv = linear_map(system.b, system.input_set)
-        parts.append(linear_map(r * np.eye(system.dim), bv))
-    if config.bloat_policy == ERROR_BALL:
-        # E already carries the input curvature residual beta
-        _, _, err = discretize_continuous(system, config)
-        parts.append(err)
-    elif system.has_input:
-        norm_a = _inf_norm(system.a)
-        phi = math.expm1(norm_a * r) - (norm_a * r)
-        beta = (phi / norm_a) * _sup_norm_of_set(bv) if norm_a > 0 else 0.0
-        if beta > 0:
-            parts.append(_ball(system.dim, beta))
-    return _InputChannel(parts)
-
-
-# ---------------------------------------------------------------------------
-# conversion helpers for the strategies
-
-
-def _as_vpolytope(s: SetRep) -> VPolytope:
-    if isinstance(s, VPolytope):
-        return s
-    if isinstance(s, Box):
-        return s.to_vpolytope()
-    if isinstance(s, HPolytope):
-        if s.dim > 3:
-            raise ValueError(
-                "vertex strategy needs V-form operands; H-form conversion "
-                "is only available up to dimension 3"
-            )
-        return hrep_to_vrep(s)
-    if isinstance(s, Zonotope):
-        if s.dim == 2:
-            return VPolytope(zonotope_vertices_2d(s), exact=s.exact)
-        box = s.bounding_box()  # sound enclosure only: flag it
-        return VPolytope(box.to_vpolytope().vertices, exact=False)
-    if isinstance(s, _InputChannel):
-        return _as_vpolytope(s.as_set())
-    raise TypeError(f"cannot convert {type(s).__name__} to V-form")
-
-
-def _as_hbox(s: SetRep) -> Union[Box, HPolytope]:
-    """``s`` as an operand of ``intersect``: a box as it is, any other set
-    in its exact facet form, or else the facet form of its bounding box,
-    flagged inexact (a sound enclosure)."""
-    if isinstance(s, Box):
-        return s
-    h = _exact_hform(s)
-    if h is None:
-        lo, hi = axis_bounds(s)
-        h = Box(lo, hi, exact=False).to_hpolytope()
-    return h
-
-
-def _facet_form(s: SetRep) -> HPolytope:
-    """Operand of facet pushing: ``_as_hbox`` with boxes in facet form."""
-    h = _as_hbox(s)
-    return h.to_hpolytope() if isinstance(h, Box) else h
 
 
 def _template_dominates(q: SetRep, p: SetRep) -> bool:
@@ -593,24 +518,28 @@ def _flow_steps(system: LinearSystem, config: ReachConfig) -> Iterator[Segment]:
     continuous segments cover [k r, (k+1) r]; discrete and lattice ones are
     the snapshot at k r (r = 1 for discrete systems).
     """
+    # per-step input: BV for discrete systems, r BV + E for continuous ones
+    bv = linear_map(system.b, system.input_set) if system.has_input else None
     if system.time_kind == CONTINUOUS:
-        a_step, omega0, _ = discretize_continuous(system, config)
+        a_step, omega0, err = discretize_continuous(system, config)
         r = float(config.step)
         dense = config.bloat_policy == ONCE_HULL
+        parts = [] if bv is None else [linear_map(r * np.eye(system.dim), bv)]
+        channel = _InputChannel(parts + [err])
     else:
         a_step, omega0 = system.a, system.x0
         r = 1.0
         dense = False
-    channel = _input_channel(system, config)
+        channel = _InputChannel([] if bv is None else [bv])
 
     if config.strategy == LAZY:
         lazy = LazyReachSet(omega0, a_step, channel, config.template)
         current = lazy.concretize()
     elif config.strategy == VERTICES:
-        current = _as_vpolytope(omega0)
-        v_in = _as_vpolytope(channel.as_set()) if channel else None
+        current = _vform_enclosure(omega0)
+        v_in = _vform_enclosure(channel.as_set()) if channel else None
     else:  # facets
-        current = _facet_form(omega0)
+        current = _hform_enclosure(omega0)
 
     k = 0
     while True:
@@ -624,8 +553,7 @@ def _flow_steps(system: LinearSystem, config: ReachConfig) -> Iterator[Segment]:
             if v_in is not None:
                 current = step_input_vertices(current, v_in, a_step)
             else:
-                out = linear_map(a_step, current)
-                current = out if isinstance(out, VPolytope) else _as_vpolytope(out)
+                current = linear_map(a_step, current)
         else:
             current = step_input_facets(current, channel if channel else None, a_step)
 
@@ -662,17 +590,15 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     if config.template is not None and config.template.shape[1] != n:
         raise ValueError("template dimension does not match the system")
 
-    bad = None
-    if config.bad_set is not None:
-        if config.bad_set.dim != n:
-            raise ValueError("bad set dimension does not match the system")
-        bad = _as_hbox(config.bad_set)
+    bad = config.bad_set
+    if bad is not None and bad.dim != n:
+        raise ValueError("bad set dimension does not match the system")
 
     segments = []
     status, status_step = HORIZON, None
     for seg in _flow_steps(system, config):
         segments.append(seg)
-        if bad is not None and not is_empty(intersect(_as_hbox(seg.set_rep), bad)):
+        if bad is not None and not is_empty(intersect(seg.set_rep, bad)):
             status, status_step = BAD_REACHED, seg.k
             break
         if config.mode == FIXPOINT and any(
@@ -735,12 +661,7 @@ def simulate(
         r = float(step)
         a_step = mat_exp(system.a, r)
         if system.has_input:
-            # integral of e^{As} over one step via the augmented exponential
-            n = system.dim
-            aug = np.zeros((2 * n, 2 * n))
-            aug[:n, :n] = system.a
-            aug[:n, n:] = np.eye(n)
-            b_step = mat_exp(aug, r)[:n, n:] @ system.b
+            b_step = _exp_integral(system.a, r) @ system.b
     else:
         a_step = system.a
 

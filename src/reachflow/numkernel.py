@@ -82,6 +82,17 @@ def mat_exp(a, r: float = 1.0) -> np.ndarray:
     return out
 
 
+def _exp_integral(a, r: float) -> np.ndarray:
+    """The input integral of e^{A s} over s in [0, r]: the top-right block
+    of the exponential of the augmented matrix [[A, I], [0, 0]] r."""
+    a = as_matrix(a)
+    n = a.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = a
+    aug[:n, n:] = np.eye(n)
+    return mat_exp(aug, r)[:n, n:]
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """maximize objective . x  subject to  a x <= b  (x free)."""

@@ -187,18 +187,18 @@ class Zonotope:
         return self.generators.shape[1]
 
     def bounding_box(self) -> Box:
+        """Tight enclosing box, flagged exact only when it is the zonotope
+        itself: every generator lies along an axis (points and intervals
+        included)."""
         r = np.abs(self.generators).sum(axis=1)
-        return Box(self.center - r, self.center + r, exact=self.exact)
+        aligned = bool(np.all(np.count_nonzero(self.generators, axis=0) <= 1))
+        return Box(self.center - r, self.center + r, exact=self.exact and aligned)
 
     def __repr__(self):
         return f"Zonotope(dim={self.dim}, order={self.order})"
 
 
 SetRep = Box | HPolytope | VPolytope | Zonotope | Empty
-
-
-def dim_of(s: SetRep) -> int:
-    return s.dim
 
 
 def _check_dim(s: SetRep, x: np.ndarray, what: str) -> None:
@@ -405,14 +405,13 @@ def minkowski_sum(s1: SetRep, s2: SetRep) -> SetRep:
             sums = (x.vertices[:, None, :] + y.vertices[None, :, :]).reshape(-1, x.dim)
             return VPolytope(_reduce_vertices(sums), exact=x.exact and y.exact)
         if isinstance(x, VPolytope) and isinstance(y, (Box, Zonotope)):
-            v = _as_vpolytope_exact(y)
+            v = _exact_vform(y)
             if v is not None:
                 return minkowski_sum(x, v)
-        if isinstance(x, HPolytope) and x.dim <= 3:
-            try:
-                return minkowski_sum(hrep_to_vrep(x), y)
-            except ValueError:
-                pass
+        if isinstance(x, HPolytope):
+            v = _exact_vform(x)
+            if v is not None:
+                return minkowski_sum(v, y)
     # general fallback: support functions add under minkowski sum
     def total(dmat):
         vals = support_batch(s1, dmat) + support_batch(s2, dmat)
@@ -421,30 +420,6 @@ def minkowski_sum(s1: SetRep, s2: SetRep) -> SetRep:
         return vals
 
     return _support_template(s1.dim, total)
-
-
-def _as_vpolytope_exact(s: SetRep, max_vertices: int = 4096) -> VPolytope | None:
-    """Exact vertex representation when affordable, else None."""
-    if isinstance(s, VPolytope):
-        return s
-    if isinstance(s, Box):
-        if 2 ** s.dim <= max_vertices:
-            return s.to_vpolytope()
-        return None
-    if isinstance(s, Zonotope):
-        if s.dim == 2:
-            return VPolytope(zonotope_vertices_2d(s), exact=s.exact)
-        if 2 ** s.order <= max_vertices:
-            signs = np.array(list(itertools.product((-1.0, 1.0), repeat=s.order)))
-            pts = s.center + signs @ s.generators.T
-            return VPolytope(_reduce_vertices(pts), exact=s.exact)
-        return None
-    if isinstance(s, HPolytope) and s.dim <= 3:
-        try:
-            return hrep_to_vrep(s)
-        except ValueError:
-            return None
-    return None
 
 
 def zonotope_vertices_2d(z: Zonotope) -> np.ndarray:
@@ -470,7 +445,13 @@ def zonotope_vertices_2d(z: Zonotope) -> np.ndarray:
 
 
 def intersect(s1: SetRep, s2: SetRep) -> SetRep:
-    """Intersection of H-form representable operands (Box or HPolytope)."""
+    """Intersection of any two sets: a box when both are boxes, else H-form.
+
+    Each other operand enters by its facet rows: a box by its own, any
+    other set by its exact facet form, or else by the facet rows of its
+    bounding box, flagged inexact, so the result always contains the true
+    intersection.
+    """
     if s1.dim != s2.dim:
         raise ValueError(f"intersection of sets with dimensions {s1.dim} and {s2.dim}")
     if isinstance(s1, Empty) or isinstance(s2, Empty):
@@ -483,19 +464,18 @@ def intersect(s1: SetRep, s2: SetRep) -> SetRep:
         return Box(lo, hi, exact=s1.exact and s2.exact)
     # box bad sets and guards meet every segment: stack their facet rows
     # directly rather than build an HPolytope for them on each call
-    normals, offsets = [], []
+    normals, offsets, exact = [], [], True
     for s in (s1, s2):
         if isinstance(s, Box):
             eye = np.eye(s.dim)
             normals += [eye, -eye]
             offsets += [s.upper, -s.lower]
-        elif isinstance(s, HPolytope):
+        else:
+            s = _hform_enclosure(s)
             normals.append(s.normals)
             offsets.append(s.offsets)
-        else:
-            raise ValueError("intersection requires Box or HPolytope operands")
-    return HPolytope(np.vstack(normals), np.concatenate(offsets),
-                     exact=s1.exact and s2.exact)
+        exact = exact and s.exact
+    return HPolytope(np.vstack(normals), np.concatenate(offsets), exact=exact)
 
 
 def is_empty(s: SetRep, tol: float = FEAS_TOL) -> bool:
@@ -773,6 +753,52 @@ def _exact_hform(s: SetRep) -> HPolytope | None:
     return None
 
 
+def _hform_enclosure(s: SetRep) -> HPolytope:
+    """``_exact_hform(s)``, or else the facet form of the bounding box of s,
+    flagged inexact: the H-form operand of facet pushing and ``intersect``."""
+    h = _exact_hform(s)
+    return Box(*axis_bounds(s), exact=False).to_hpolytope() if h is None else h
+
+
+# most corners or sign patterns _exact_vform enumerates
+_MAX_VERTICES = 4096
+
+
+def _exact_vform(s: SetRep) -> VPolytope | None:
+    """Exact vertex form of s, flagged as s is, or None when there is none.
+
+    Vertex sets, boxes and zonotopes with at most ``_MAX_VERTICES`` corners
+    or sign patterns (planar zonotopes always), and H-polytopes up to
+    dimension 3 have one; callers that can do with an enclosure take the
+    corners of the bounding box when None comes back.
+    """
+    if isinstance(s, VPolytope):
+        return s
+    if isinstance(s, Box):
+        return s.to_vpolytope() if 2 ** s.dim <= _MAX_VERTICES else None
+    if isinstance(s, Zonotope):
+        if s.dim == 2:
+            return VPolytope(zonotope_vertices_2d(s), exact=s.exact)
+        if 2 ** s.order <= _MAX_VERTICES:
+            signs = np.array(list(itertools.product((-1.0, 1.0), repeat=s.order)))
+            pts = s.center + signs @ s.generators.T
+            return VPolytope(_reduce_vertices(pts), exact=s.exact)
+        return None
+    if isinstance(s, HPolytope) and s.dim <= 3:
+        try:
+            return hrep_to_vrep(s)
+        except ValueError:
+            return None
+    return None
+
+
+def _vform_enclosure(s: SetRep) -> VPolytope:
+    """``_exact_vform(s)``, or else the corners of the bounding box of s,
+    flagged inexact: the operand of vertex propagation."""
+    v = _exact_vform(s)
+    return Box(*axis_bounds(s), exact=False).to_vpolytope() if v is None else v
+
+
 def _box_difference(p: Box, b: Box) -> list[Box]:
     """p minus b as a disjoint list of boxes (empty list when b covers p)."""
     inter = intersect(p, b)
@@ -849,10 +875,13 @@ def axis_bounds(s: SetRep) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bounding_box(s: SetRep) -> Box:
+    """Tight enclosing box, flagged exact only when it equals s."""
+    if isinstance(s, Zonotope):
+        return s.bounding_box()
     lo, hi = axis_bounds(s)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("set is unbounded, no bounding box")
-    return Box(lo, hi, exact=getattr(s, "exact", True))
+    return Box(lo, hi, exact=isinstance(s, Box) and s.exact)
 
 
 def hull_union(s1: SetRep, s2: SetRep) -> SetRep:

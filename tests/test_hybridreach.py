@@ -1,6 +1,7 @@
 """Hybrid automaton engine tests: mode flows, guards, jumps, simulation."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -26,9 +27,12 @@ from reachflow.linreach import (
     CONTINUOUS,
     DISCRETE,
     HORIZON,
+    LinearSystem,
     ReachConfig,
+    _flow_steps,
 )
-from reachflow.setgeom import Box, HPolytope, Zonotope, axis_bounds, member
+from reachflow.setgeom import (Box, HPolytope, VPolytope, Zonotope, axis_bounds,
+                               intersect, member)
 
 from oracles import euler_interval_1d
 
@@ -431,3 +435,42 @@ class TestPruningSoundness:
         pipe = hybrid_reach(auto, "A", x0, ReachConfig(horizon=3, mode="bad_set", bad_set=bad))
         assert pipe.status == BAD_REACHED
         assert not any(j.pruned for j in pipe.jumps)
+
+
+class TestJumpResolution:
+    def test_each_explored_flow_is_entered_by_one_jump(self):
+        pipe = hybrid_reach(thermostat(), "heat", Box([19.0], [20.0]), cfg(4.0))
+        targets = [j.to_flow for j in pipe.jumps if j.to_flow is not None]
+        assert sorted(targets) == list(range(1, len(pipe.flows)))
+        assert any(j.pruned for j in pipe.jumps)
+        assert all(j.to_flow is None for j in pipe.jumps if j.pruned)
+        # jumps are listed in the order their crossings were found
+        froms = [j.from_flow for j in pipe.jumps]
+        assert froms == sorted(froms)
+
+    def test_successors_left_in_the_worklist_stay_unresolved(self):
+        pipe = hybrid_reach(thermostat(), "heat", Box([19.0], [20.0]), cfg(4.0), max_flows=2)
+        assert pipe.status == INCOMPLETE and len(pipe.flows) == 2
+        last = pipe.jumps[-1]
+        assert last.from_flow == 1 and last.to_flow is None and not last.pruned
+
+
+class TestSetsAsTheyAre:
+    def test_mode_without_invariant_records_the_core_sets(self):
+        a = 0.9 * np.array([[0.8, -0.6], [0.6, 0.8]])
+        x0 = Box([0.9, -0.1], [1.1, 0.1])
+        guard = Box([0.0, 0.0], [2.0, 2.0])
+        mode = Mode("free", a)
+        config = ReachConfig(horizon=5, strategy="vertices")
+        segments, hits, status, _ = mode_reach(
+            mode, x0, config, 5, (Transition("free", "free", guard=guard),), DISCRETE)
+        core = list(islice(_flow_steps(LinearSystem(a, x0), config), 6))
+        assert status == HORIZON and len(segments) == 6
+        for got, want in zip(segments, core):
+            assert isinstance(got.set_rep, VPolytope)
+            np.testing.assert_array_equal(got.set_rep.vertices, want.set_rep.vertices)
+        for k, piece in hits[0]:
+            want = intersect(core[k].set_rep, guard)
+            np.testing.assert_array_equal(piece.normals, want.normals)
+            np.testing.assert_array_equal(piece.offsets, want.offsets)
+        assert hits[0]

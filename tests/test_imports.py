@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+function the benchmark's tracer wraps still exists.
 
 Refactors that delete call sites tend to leave imports behind; no linter
 is a dependency, so this walks the syntax trees with the standard library.
@@ -7,11 +8,14 @@ module (annotations included) or is listed in the module's ``__all__``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reachflow"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "reachflow"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _imported(tree):
@@ -65,3 +69,24 @@ def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\n\nprint(pi)\n")
     used = _used(tree)
     assert [n for n, _ in _imported(tree) if n not in used] == ["os", "tau"]
+
+
+def _spanned():
+    """The ``SPANNED`` (module, attribute) pairs of the benchmark tracer,
+    read from its syntax tree so the benchmark is never imported."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPANNED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no SPANNED")
+
+
+@pytest.mark.parametrize("module,attr", _spanned(), ids=lambda v: v)
+def test_traced_functions_resolve(module, attr):
+    obj = importlib.import_module(f"reachflow.{module}")
+    for part in attr.split("."):
+        assert hasattr(obj, part), f"reachflow.{module} has no {attr}"
+        obj = getattr(obj, part)
+    assert callable(obj)

@@ -742,3 +742,76 @@ class TestLinearSystem:
             LinearSystem(np.eye(3), unit_box(2))
         with pytest.raises(ValueError, match="square"):
             LinearSystem(np.ones((2, 3)), unit_box(2))
+
+
+# ---------------------------------------------------------------------------
+# one discretization per run; vertex forms
+
+
+class TestDiscretizeOnce:
+    @pytest.mark.parametrize("policy", [SMALL_R, ONCE_HULL, ERROR_BALL])
+    def test_one_matrix_exponential_per_run(self, monkeypatch, policy):
+        calls = []
+
+        def counted(a, r=1.0):
+            calls.append(r)
+            return mat_exp(a, r)
+
+        monkeypatch.setattr("reachflow.linreach.mat_exp", counted)
+        system, kw = CORE_SYSTEMS["continuous"]
+        pipe = reach(system, ReachConfig(bloat_policy=policy, **kw))
+        assert pipe.status == HORIZON
+        assert calls == [0.01]
+
+    @pytest.mark.parametrize("policy", [SMALL_R, ONCE_HULL])
+    def test_error_set_is_the_input_residual(self, policy):
+        sys = LinearSystem([[-1.0]], Box([-2.0], [2.0]), input_set=Box([-0.5], [0.5]),
+                           time_kind=CONTINUOUS)
+        cfg = ReachConfig(horizon=1.0, step=0.1, bloat_policy=policy)
+        _, _, err = discretize_continuous(sys, cfg)
+        beta = (math.exp(0.1) - 1.0 - 0.1) * 0.5
+        lo, hi = axis_bounds(err)
+        assert hi[0] == pytest.approx(beta, abs=1e-12)
+        assert lo[0] == pytest.approx(-beta, abs=1e-12)
+
+
+def rot3(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+        [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+class TestVertexStrategyForms:
+    def test_zonotope_above_the_plane_is_enumerated(self):
+        a = 0.95 * rot3(0.3)
+        x0 = Zonotope([1.0, 0.0, 0.5], [[0.3, 0.1, 0.0], [0.1, 0.3, 0.1], [0.0, -0.1, 0.2]])
+        cfg = ReachConfig(horizon=10, strategy="vertices")
+        pipe = reach(LinearSystem(a, x0), cfg)
+        # the bounding box's corners: what the strategy used to start from
+        boxed = reach(LinearSystem(a, bounding_box(x0)), cfg)
+        assert len(pipe) == len(boxed) == 11
+        for seg, outer in zip(pipe.segments, boxed.segments):
+            v = seg.set_rep
+            assert isinstance(v, VPolytope) and v.exact and v.vertices.shape[0] == 8
+            assert all(member(outer.set_rep, x) for x in v.vertices)
+        # and strictly tighter
+        first = pipe.segments[0].set_rep
+        assert not all(member(first, x) for x in boxed.segments[0].set_rep.vertices)
+        for x in sample_points(x0, 40, np.random.default_rng(5)):
+            trace = simulate(LinearSystem(a, x0), x, steps=10)
+            for state, seg in zip(trace.states, pipe.segments):
+                assert member(seg.set_rep, state)
+
+    def test_hpolytope_above_three_dimensions_takes_box_corners(self):
+        cross = HPolytope(np.array([[s1, s2, s3, s4] for s1 in (1, -1) for s2 in (1, -1)
+                                    for s3 in (1, -1) for s4 in (1, -1)], dtype=float),
+                          np.ones(16))
+        a = np.diag([0.9, 0.8, -0.7, 0.95])
+        pipe = reach(LinearSystem(a, cross), ReachConfig(horizon=5, strategy="vertices"))
+        first = pipe.segments[0].set_rep
+        assert not first.exact
+        np.testing.assert_array_equal(first.vertices, bounding_box(cross).corners())
+        for x in sample_points(cross, 40, np.random.default_rng(6)):
+            trace = simulate(LinearSystem(a, cross), x, steps=5)
+            for state, seg in zip(trace.states, pipe.segments):
+                assert member(seg.set_rep, state)

@@ -559,3 +559,134 @@ class TestHPolytopeArrays:
         h = HPolytope(view, np.ones(4))
         base[0, 0] = 7.0
         np.testing.assert_array_equal(h.normals[0], [1.0, 0.0])
+
+
+def _rows(s):
+    """Facet rows (normals, offsets) an operand of intersect enters with."""
+    h = s.to_hpolytope() if isinstance(s, Box) else s
+    return h.normals, h.offsets
+
+
+def _assert_stacked(c, *parts):
+    """c has exactly the rows of the (normals, offsets) parts, in order."""
+    want = HPolytope(np.vstack([n for n, _ in parts]), np.concatenate([b for _, b in parts]))
+    np.testing.assert_array_equal(c.normals, want.normals)
+    np.testing.assert_array_equal(c.offsets, want.offsets)
+
+
+class TestIntersectAnySet:
+    """intersect takes any set: a box by its own facet rows, another set by
+    its exact facet form, or else by its bounding box's rows, flagged."""
+
+    others = (Box([0.0, -0.5], [1.0, 0.5]), diamond_h())
+
+    def test_exact_operands_enter_by_their_facet_form(self):
+        zono = Zonotope([0.5, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+        for s in (zono, diamond()):
+            h = sg._exact_hform(s)
+            for other in self.others:
+                normals, offsets = _rows(other)
+                c = sg.intersect(s, other)
+                assert isinstance(c, HPolytope) and c.exact
+                _assert_stacked(c, (h.normals, h.offsets), (normals, offsets))
+                _assert_stacked(sg.intersect(other, s), (normals, offsets), (h.normals, h.offsets))
+
+    def test_flags_carry_over(self):
+        zono = Zonotope([0.5, 0.0], [[1.0, 0.5], [0.0, 1.0]], exact=False)
+        assert not sg.intersect(zono, unit_box()).exact
+        assert not sg.intersect(diamond(), Box([0.0, 0.0], [1.0, 1.0], exact=False)).exact
+
+    def test_no_exact_form_enters_as_bounding_box_rows(self):
+        thin = Zonotope(np.zeros(3), np.hstack([0.5 * np.ones((3, 1)), 0.01 * np.eye(3)]))
+        lo, hi = sg.axis_bounds(thin)
+        eye = np.eye(3)
+        box = Box(0.2 * np.ones(3), np.ones(3))
+        for other in (box, box.to_hpolytope()):
+            c = sg.intersect(thin, other)
+            assert isinstance(c, HPolytope) and not c.exact
+            _assert_stacked(c, (np.vstack([eye, -eye]), np.concatenate([hi, -lo])), _rows(other))
+        # an enclosure of the true intersection
+        pts = sg.sample_points(thin, 200, np.random.default_rng(3))
+        c = sg.intersect(thin, box)
+        for x in pts:
+            if sg.member(box, x):
+                assert sg.member(c, x)
+
+    def test_two_converted_operands(self):
+        zono = Zonotope([0.5, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+        c = sg.intersect(zono, diamond())
+        a, b = sg._exact_hform(zono), sg._exact_hform(diamond())
+        _assert_stacked(c, _rows(a), _rows(b))
+
+
+class TestExactVform:
+    def test_vertex_sets_pass_through(self):
+        v = diamond()
+        assert sg._exact_vform(v) is v
+
+    def test_box_corners(self):
+        b = Box([0.0, 1.0], [2.0, 3.0], exact=False)
+        v = sg._exact_vform(b)
+        assert not v.exact
+        assert set(map(tuple, v.vertices)) == {(0.0, 1.0), (2.0, 1.0), (0.0, 3.0), (2.0, 3.0)}
+
+    def test_planar_zonotope_walk(self):
+        z = Zonotope([0.5, 0.0], [[1.0, 0.5, 0.2], [0.0, 1.0, -0.3]])
+        v = sg._exact_vform(z)
+        assert v.exact and v.vertices.shape[0] == 6
+        assert same_set(v, z)
+
+    def test_zonotope_above_the_plane_is_enumerated(self):
+        g = np.array([[1.0, 0.3, 0.0], [0.2, 1.0, 0.4], [0.0, -0.5, 1.0]])
+        for exact in (True, False):
+            v = sg._exact_vform(Zonotope([1.0, 2.0, 3.0], g, exact=exact))
+            assert v.exact == exact
+            # a parallelepiped: each of the 8 sign patterns is a vertex
+            want = np.array([1.0, 2.0, 3.0]) + np.array(
+                [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]) @ g.T
+            assert sorted(map(tuple, np.round(v.vertices, 12))) == \
+                sorted(map(tuple, np.round(want, 12)))
+
+    def test_hpolytope_up_to_three_dimensions(self):
+        v = sg._exact_vform(diamond_h())
+        assert v.exact and same_set(v, diamond_h())
+        cube = Box(-np.ones(3), np.ones(3)).to_hpolytope()
+        assert sg._exact_vform(cube).vertices.shape[0] == 8
+
+    def test_none_cases(self):
+        assert sg._exact_vform(Box(np.zeros(13), np.ones(13))) is None  # 8192 corners
+        many = Zonotope(np.zeros(3), np.random.default_rng(0).normal(size=(3, 13)))
+        assert sg._exact_vform(many) is None  # 8192 sign patterns
+        assert sg._exact_vform(Box(np.zeros(4), np.ones(4)).to_hpolytope()) is None
+        assert sg._exact_vform(HPolytope([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])) is None
+        assert sg._exact_vform(Empty(2)) is None
+
+    def test_enclosure_takes_bounding_box_corners(self):
+        many = Zonotope(np.zeros(3), np.random.default_rng(0).normal(size=(3, 13)))
+        v = sg._vform_enclosure(many)
+        assert not v.exact
+        np.testing.assert_array_equal(v.vertices, sg.bounding_box(many).corners())
+        v = diamond()
+        assert sg._vform_enclosure(v) is v
+
+
+class TestBoundingBoxFlag:
+    def test_strict_enclosures_are_inexact(self):
+        z = Zonotope([0.0, 0.0], [[1.0, 1.0], [1.0, -1.0]])
+        for box in (sg.bounding_box(z), z.bounding_box()):
+            np.testing.assert_array_equal(box.lower, [-2.0, -2.0])
+            np.testing.assert_array_equal(box.upper, [2.0, 2.0])
+            assert not box.exact
+            assert not sg.contains_set(z, box)
+        for s in (diamond_h(), diamond()):
+            assert not sg.bounding_box(s).exact
+
+    def test_boxes_equal_to_the_set_keep_its_flag(self):
+        assert sg.bounding_box(unit_box()).exact
+        assert not sg.bounding_box(Box([0.0], [1.0], exact=False)).exact
+        aligned = Zonotope([1.0, 2.0], [[0.5, 0.0, 0.25], [0.0, 1.0, 0.0]])
+        box = sg.bounding_box(aligned)
+        assert box.exact and same_set(box, aligned)
+        assert Zonotope([1.0, 2.0, 3.0], np.zeros((3, 0))).bounding_box().exact
+        assert Zonotope([0.5], [[1.0, 0.5]]).bounding_box().exact
+        assert not Zonotope([0.5], [[1.0, 0.5]], exact=False).bounding_box().exact
