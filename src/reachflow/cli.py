@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from typing import Optional
 
@@ -24,10 +23,9 @@ import numpy as np
 from .exprs import ExprError
 from .hybridize import STALLED, dynamic_hybridize_reach
 from .hybridreach import INCOMPLETE, hybrid_reach, hybrid_simulate
-from .linreach import BAD_REACHED, BAD_SET, reach, simulate
+from .linreach import BAD_REACHED, BAD_SET, CONTINUOUS, _lattice, reach, simulate
 from .modelio import (
     KIND_HYBRID,
-    KIND_LINEAR_DISCRETE,
     KIND_NONLINEAR,
     ModelError,
     ParsedModel,
@@ -142,15 +140,14 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model)
     config = _require_config(model)
     rng = np.random.default_rng(args.seed)
-    continuous = model.kind != KIND_LINEAR_DISCRETE
-    if continuous:
-        if config.step is None:
-            raise ModelError("config: continuous simulation needs a step")
-        r = float(config.step)
-        nsteps = int(math.ceil(config.horizon / r - 1e-12))
+    # the same time lattice as reach and check: a discrete horizon counts steps
+    if model.kind == KIND_HYBRID:
+        time_kind, dim = model.automaton.time_kind, model.automaton.dim
+    elif model.kind == KIND_NONLINEAR:
+        time_kind, dim = CONTINUOUS, model.nonlinear.dim
     else:
-        r = None
-        nsteps = int(config.horizon)
+        time_kind, dim = model.system.time_kind, model.system.dim
+    r, nsteps = _lattice(config, time_kind, dim)
 
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
@@ -178,8 +175,7 @@ def cmd_simulate(args) -> int:
                 model.system, x0, inputs=inputs, steps=nsteps, step=r
             )
             for k, x in enumerate(trace.states):
-                t = k * r if continuous else float(k)
-                rows.append((run, k, t, "-", x))
+                rows.append((run, k, k * r, "-", x))
 
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:

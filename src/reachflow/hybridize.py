@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -23,7 +22,6 @@ import numpy as np
 
 from .linreach import (
     BAD_REACHED,
-    BAD_SET,
     CONTINUOUS,
     FIXPOINT,
     HORIZON,
@@ -32,6 +30,7 @@ from .linreach import (
     ReachConfig,
     Segment,
     _flow_steps,
+    _lattice,
 )
 from .hybridreach import HybridAutomaton, Mode, Transition
 from .numkernel import as_matrix, as_vector
@@ -121,6 +120,8 @@ class Linearization:
     rigorous: bool
 
     def disturbance_set(self) -> Box:
+        """The constant term and the residual as one input box
+        ``b + [-err, err]``, entering with the identity gain."""
         return Box(self.b - self.err, self.b + self.err)
 
 
@@ -162,15 +163,6 @@ def linearize(
         "and doubled; the enclosure is not guaranteed"
     )
     return Linearization(a, b, 2.0 * resid, rigorous=False)
-
-
-def _affine_mode_parts(lin: Linearization):
-    """Mode dynamics for an affine enclosure.
-
-    The constant term and the residual enter as one identity-gain
-    disturbance box ``b + [-err, err]``, so the gain slot stays None.
-    """
-    return lin.a, None, lin.disturbance_set()
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +244,8 @@ def static_hybridize(
         cell = cell_box(idx)
         lin = linearize(system, cell)
         rigorous = rigorous and lin.rigorous
-        a, gain, dist = _affine_mode_parts(lin)
         name = "cell_" + "_".join(str(i) for i in idx)
-        modes.append(Mode(name, a, b=gain, input_set=dist, invariant=cell))
+        modes.append(Mode(name, lin.a, input_set=lin.disturbance_set(), invariant=cell))
         cells[name] = cell
 
     transitions = []
@@ -323,8 +314,7 @@ def dynamic_hybridize_reach(
     consecutive rebuilds without progress stall the run; the truncated
     pipe is returned with status ``stalled``.
     """
-    if config.step is None:
-        raise ValueError("hybridized reachability needs a time step")
+    r, total = _lattice(config, CONTINUOUS, system.dim)
     if config.mode == FIXPOINT:
         raise ValueError("fixpoint mode is not supported with hybridization")
     if config.bloat_policy != ONCE_HULL:
@@ -332,9 +322,7 @@ def dynamic_hybridize_reach(
             "hybridized reachability requires the dense bloat policy: "
             "lattice semantics could step across a domain face unseen"
         )
-    r = float(config.step)
-    total = int(math.ceil(config.horizon / r - 1e-12))
-    bad = config.bad_set if config.mode == BAD_SET else None
+    bad = config.bad_set
 
     segments = []
     domains = []
@@ -352,8 +340,9 @@ def dynamic_hybridize_reach(
         domains.append(domain)
         lin = linearize(system, domain)
         rigorous = rigorous and lin.rigorous
-        a, gain, dist = _affine_mode_parts(lin)
-        affine = LinearSystem(a, entry, b=gain, input_set=dist, time_kind=CONTINUOUS)
+        affine = LinearSystem(
+            lin.a, entry, input_set=lin.disturbance_set(), time_kind=CONTINUOUS
+        )
         progressed = 0
         for seg in _flow_steps(affine, config):
             current = seg.set_rep

@@ -20,14 +20,16 @@ import numpy as np
 
 from .linreach import (
     BAD_REACHED,
-    BAD_SET,
     COMPLETED,
     CONTINUOUS,
     DISCRETE,
+    FIXPOINT,
     HORIZON,
     LinearSystem,
     ReachConfig,
+    _dynamics,
     _flow_steps,
+    _lattice,
 )
 from .numkernel import _exp_integral, as_matrix, as_vector, mat_exp
 from .setgeom import (
@@ -51,7 +53,11 @@ INCOMPLETE = "incomplete"
 
 @dataclass(frozen=True, eq=False)
 class Mode:
-    """One discrete location: linear dynamics restricted to an invariant."""
+    """One discrete location: linear dynamics restricted to an invariant.
+
+    The dynamics are checked as ``LinearSystem`` checks them, so ``b`` is
+    the identity when an input set comes without a gain.
+    """
 
     name: str
     a: np.ndarray
@@ -60,12 +66,12 @@ class Mode:
     invariant: Optional[SetRep] = None  # None means the whole space
 
     def __post_init__(self):
-        a = as_matrix(self.a)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"mode {self.name!r}: dynamics matrix must be square")
+        try:
+            a, b = _dynamics(self.a, self.b, self.input_set)
+        except ValueError as e:
+            raise ValueError(f"mode {self.name!r}: {e}") from None
         object.__setattr__(self, "a", a)
-        if self.b is not None:
-            object.__setattr__(self, "b", as_matrix(self.b))
+        object.__setattr__(self, "b", b)
         if self.invariant is not None and not isinstance(self.invariant, (Box, HPolytope)):
             raise ValueError(f"mode {self.name!r}: invariant must be a Box or HPolytope")
         if self.invariant is not None and self.invariant.dim != a.shape[0]:
@@ -302,18 +308,9 @@ def hybrid_reach(
     is flagged ``incomplete``; a bad-set hit aborts immediately.
     """
     automaton.mode(init_mode)  # raises on unknown name
-    continuous = automaton.time_kind == CONTINUOUS
-    if continuous:
-        if config.step is None:
-            raise ValueError("continuous automata require a time step")
-        r = float(config.step)
-        total_steps = int(math.ceil(config.horizon / r - 1e-12))
-    else:
-        if config.horizon != int(config.horizon):
-            raise ValueError("discrete horizon must be an integer step count")
-        r = 1.0
-        total_steps = int(config.horizon)
-    bad = config.bad_set if config.mode == BAD_SET else None
+    if config.mode == FIXPOINT:
+        raise ValueError("fixpoint mode is not supported with hybrid automata")
+    r, total_steps = _lattice(config, automaton.time_kind, automaton.dim)
 
     flows = []
     # a jump is recorded when its crossing is found; its successor's
@@ -352,7 +349,7 @@ def hybrid_reach(
             remaining,
             outgoing,
             automaton.time_kind,
-            bad_set=bad,
+            bad_set=config.bad_set,
         )
         flow_idx = len(flows)
         if jump is not None:
@@ -389,7 +386,7 @@ def hybrid_reach(
         tuple(flows),
         tuple(jumps),
         status,
-        time_step=r if continuous else None,
+        time_step=r if automaton.time_kind == CONTINUOUS else None,
         bad_flow=bad_flow,
     )
 
@@ -417,20 +414,12 @@ _STEP_MATS_CAP = 8192
 
 
 def _sim_matrices(mode: Mode, tau: float):
-    key = (
-        tau,
-        mode.a.tobytes(),
-        None if mode.b is None else mode.b.tobytes(),
-        mode.input_set is not None,
-    )
+    key = (tau, mode.a.tobytes(), None if mode.b is None else mode.b.tobytes())
     hit = _STEP_MATS.get(key)
     if hit is not None:
         return hit
     a_step = mat_exp(mode.a, tau)
-    b_step = None
-    if mode.input_set is not None:
-        gain = mode.b if mode.b is not None else np.eye(mode.dim)
-        b_step = _exp_integral(mode.a, tau) @ gain
+    b_step = None if mode.b is None else _exp_integral(mode.a, tau) @ mode.b
     if len(_STEP_MATS) >= _STEP_MATS_CAP:
         _STEP_MATS.clear()
     _STEP_MATS[key] = (a_step, b_step)
@@ -506,7 +495,7 @@ def hybrid_simulate(
         if not continuous:
             out = mode.a @ x
             if zeta is not None:
-                out = out + (mode.b @ zeta if mode.b is not None else zeta)
+                out = out + mode.b @ zeta
             return out
         a_step, b_step = _sim_matrices(mode, tau)
         out = a_step @ x

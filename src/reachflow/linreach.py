@@ -32,7 +32,7 @@ from .setgeom import (
     VPolytope,
     Zonotope,
     _hform_enclosure,
-    _support_template,
+    _pullback,
     _vform_enclosure,
     axis_bounds,
     bloat,
@@ -71,6 +71,32 @@ FIXPOINT_REACHED = "fixpoint"
 COMPLETED = "completed"
 
 
+def _dynamics(a, b, input_set: Optional[SetRep]):
+    """Checked ``(A, B)`` of ``x' = A x + B v``, shared by ``LinearSystem``
+    and ``hybridreach.Mode``.
+
+    A must be square and the input bounded; B needs A's row count and one
+    column per input coordinate, defaults to the identity when an input is
+    given without a gain, and is refused without an input.
+    """
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("dynamics matrix must be square")
+    if input_set is None:
+        if b is not None:
+            raise ValueError("input gain given without an input set")
+        return a, None
+    b = np.eye(a.shape[0]) if b is None else as_matrix(b)
+    if b.shape[0] != a.shape[0]:
+        raise ValueError("input gain row count does not match dynamics")
+    if b.shape[1] != input_set.dim:
+        raise ValueError("input gain column count does not match input set")
+    lo, hi = axis_bounds(input_set)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("input set must be bounded")
+    return a, b
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """``x' = A x + B v`` (discrete step or time derivative).
@@ -87,10 +113,9 @@ class LinearSystem:
     time_kind: str = DISCRETE
 
     def __post_init__(self):
-        a = as_matrix(self.a)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("dynamics matrix must be square")
+        a, b = _dynamics(self.a, self.b, self.input_set)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if isinstance(self.x0, Empty):
             raise ValueError("initial set must be nonempty")
         if self.x0.dim != a.shape[0]:
@@ -100,18 +125,6 @@ class LinearSystem:
             raise ValueError("initial set must be bounded")
         if self.time_kind not in (DISCRETE, CONTINUOUS):
             raise ValueError(f"unknown time kind {self.time_kind!r}")
-        if self.input_set is not None:
-            b = np.eye(a.shape[0]) if self.b is None else as_matrix(self.b)
-            if b.shape[0] != a.shape[0]:
-                raise ValueError("input gain row count does not match dynamics")
-            if b.shape[1] != self.input_set.dim:
-                raise ValueError("input gain column count does not match input set")
-            lo, hi = axis_bounds(self.input_set)
-            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-                raise ValueError("input set must be bounded")
-            object.__setattr__(self, "b", b)
-        elif self.b is not None:
-            raise ValueError("input gain given without an input set")
 
     @property
     def dim(self) -> int:
@@ -170,6 +183,33 @@ def _template_norms(t: np.ndarray) -> np.ndarray:
     if np.any(norms < TOL):
         raise ValueError("template rows must be nonzero")
     return norms
+
+
+def _lattice(config: ReachConfig, time_kind: str, dim: int):
+    """The time lattice of a run: ``(r, N)``, step length and step count.
+
+    Continuous time needs a step r and takes N = ceil(horizon / r) steps
+    (up to a 1e-12 slack); discrete time counts steps, so the horizon must
+    be an integer N, r is 1 and no step may be given.  The config's
+    template and bad set must have the state dimension ``dim``.  Every
+    driver and the CLI take their lattice from here.
+    """
+    if time_kind == CONTINUOUS:
+        if config.step is None:
+            raise ValueError("continuous time requires a time step")
+        r = float(config.step)
+        nsteps = int(math.ceil(config.horizon / r - 1e-12))
+    else:
+        if config.step is not None:
+            raise ValueError("discrete time takes an integer horizon, not a time step")
+        if config.horizon != int(config.horizon):
+            raise ValueError("discrete horizon must be an integer step count")
+        r, nsteps = 1.0, int(config.horizon)
+    if config.template is not None and config.template.shape[1] != dim:
+        raise ValueError("template dimension does not match the system")
+    if config.bad_set is not None and config.bad_set.dim != dim:
+        raise ValueError("bad set dimension does not match the system")
+    return r, nsteps
 
 
 @dataclass(frozen=True)
@@ -274,37 +314,30 @@ def step_input_facets(
 ) -> HPolytope:
     """``A P + B V`` by pushing facets of P through the map.
 
-    For invertible A each facet normal is pulled back exactly and its
-    offset raised by the input support, so every facet of the result
-    touches the true sum.  The input may add facet directions that P does
-    not have, so with a full-dimensional input the result is a tight
-    superset and is flagged; it is the exact sum when the input is absent
-    or a point.  A singular A loses facet correspondence: the step falls
-    back to a template over-approximation and logs a warning.
+    Each facet normal of P is pulled back through A, as ``linear_map``
+    does, and its offset raised by the input support, so every facet of
+    the result touches the true sum.  The input may add facet directions
+    that P does not have, so with a full-dimensional input the result is a
+    tight superset and is flagged; it is the exact sum when the input is
+    absent or a point.  A singular A loses facet correspondence: the step
+    takes ``linear_map``'s template over-approximation of A P, raised the
+    same way, and logs a warning.
     """
     a = as_matrix(a)
     p = _hform_enclosure(p)
+    img = _pullback(a, p)
+    if img is None:
+        log.warning(
+            "facet pushing through a singular map: falling back to a template hull"
+        )
+        img = linear_map(a, p)
+    if v is None:
+        return img
     bv = v if b is None else linear_map(as_matrix(b), v)
     bv_batch = (
         bv.support_batch if isinstance(bv, _InputChannel) else (lambda d: support_batch(bv, d))
     )
-    if abs(np.linalg.det(a)) > TOL:
-        # rows of the image: a_i A^{-1}; same offsets, then push by the input
-        mapped = np.linalg.solve(a.T, p.normals.T).T
-        img = HPolytope(mapped, p.offsets, exact=p.exact)
-        if v is None:
-            return img
-        return HPolytope(img.normals, img.offsets + bv_batch(img.normals.T),
-                         exact=False)
-    log.warning(
-        "facet pushing through a singular map: falling back to a template hull"
-    )
-
-    def pushed(dmat):
-        vals = support_batch(p, a.T @ dmat)
-        return vals if v is None else vals + bv_batch(dmat)
-
-    return _support_template(a.shape[0], pushed)
+    return HPolytope(img.normals, img.offsets + bv_batch(img.normals.T), exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +485,7 @@ def discretize_continuous(system: LinearSystem, config: ReachConfig):
     the input over one step (E is the origin without an input); under the
     error_ball policy E also carries the state's fixed per-step fattening.
     """
-    if config.step is None:
-        raise ValueError("continuous systems require a time step")
-    r = float(config.step)
+    r, _ = _lattice(config, CONTINUOUS, system.dim)
     a = system.a
     n = system.dim
     a_step = mat_exp(a, r)
@@ -518,17 +549,16 @@ def _flow_steps(system: LinearSystem, config: ReachConfig) -> Iterator[Segment]:
     continuous segments cover [k r, (k+1) r]; discrete and lattice ones are
     the snapshot at k r (r = 1 for discrete systems).
     """
+    r, _ = _lattice(config, system.time_kind, system.dim)
     # per-step input: BV for discrete systems, r BV + E for continuous ones
     bv = linear_map(system.b, system.input_set) if system.has_input else None
     if system.time_kind == CONTINUOUS:
         a_step, omega0, err = discretize_continuous(system, config)
-        r = float(config.step)
         dense = config.bloat_policy == ONCE_HULL
         parts = [] if bv is None else [linear_map(r * np.eye(system.dim), bv)]
         channel = _InputChannel(parts + [err])
     else:
         a_step, omega0 = system.a, system.x0
-        r = 1.0
         dense = False
         channel = _InputChannel([] if bv is None else [bv])
 
@@ -566,19 +596,7 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     (bad_set mode) or on inclusion in an already-seen segment (fixpoint
     mode, decided by template domination).
     """
-    n = system.dim
-    continuous = system.time_kind == CONTINUOUS
-    if continuous:
-        if config.step is None:
-            raise ValueError("continuous systems require a time step")
-        nsteps = int(math.ceil(config.horizon / float(config.step) - 1e-12))
-    else:
-        if config.step is not None:
-            raise ValueError("discrete systems take an integer horizon, not a step")
-        if config.horizon != int(config.horizon):
-            raise ValueError("discrete horizon must be an integer step count")
-        nsteps = int(config.horizon)
-
+    r, nsteps = _lattice(config, system.time_kind, system.dim)
     limit = nsteps
     if config.mode == FIXPOINT:
         limit = (
@@ -587,13 +605,7 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
             else (10 * nsteps if nsteps > 0 else 10000)
         )
 
-    if config.template is not None and config.template.shape[1] != n:
-        raise ValueError("template dimension does not match the system")
-
     bad = config.bad_set
-    if bad is not None and bad.dim != n:
-        raise ValueError("bad set dimension does not match the system")
-
     segments = []
     status, status_step = HORIZON, None
     for seg in _flow_steps(system, config):
@@ -613,7 +625,7 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
         tuple(segments),
         status,
         status_step=status_step,
-        time_step=float(config.step) if continuous else None,
+        time_step=r if system.time_kind == CONTINUOUS else None,
     )
 
 

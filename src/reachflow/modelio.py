@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -155,10 +155,7 @@ def encode_set(s: SetRep) -> dict:
 def _decode_config(obj, path: str) -> ReachConfig:
     if not isinstance(obj, dict):
         raise ModelError(f"{path}: must be an object")
-    known = {
-        "horizon", "step", "mode", "bad_set", "strategy",
-        "template", "bloat_policy", "max_steps", "state_bound",
-    }
+    known = {f.name for f in fields(ReachConfig)}
     for key in obj:
         if key not in known:
             raise ModelError(f"{_join(path, key)}: unknown config entry")
@@ -392,10 +389,6 @@ def _encode_segment(seg) -> dict:
     }
 
 
-def _config_echo(doc: dict):
-    return doc.get("config")
-
-
 def result_doc(model: ParsedModel, pipe) -> dict:
     """Result document for a flowpipe computed from ``model``."""
     out = {
@@ -407,7 +400,7 @@ def result_doc(model: ParsedModel, pipe) -> dict:
     }
     if model.name is not None:
         out["name"] = model.name
-    echo = _config_echo(model.doc)
+    echo = model.doc.get("config")
     if echo is not None:
         out["config"] = echo
     if isinstance(pipe, HybridFlowpipe):

@@ -356,14 +356,9 @@ def linear_map(a, s: SetRep) -> SetRep:
     if isinstance(s, VPolytope):
         return VPolytope(s.vertices @ a.T, exact=s.exact)
     if isinstance(s, HPolytope):
-        if a.shape[0] == a.shape[1]:
-            try:
-                # row a_i of the image polytope is a_i A^{-1}; offsets carry over
-                mapped = np.linalg.solve(a.T, s.normals.T).T
-                if np.all(np.isfinite(mapped)):
-                    return HPolytope(mapped, s.offsets, exact=s.exact)
-            except np.linalg.LinAlgError:
-                pass
+        img = _pullback(a, s) if a.shape[0] == a.shape[1] else None
+        if img is not None:
+            return img
         # singular or non-square: template over-approximation of the image,
         # using rho_{AS}(d) = rho_S(A^T d); a zero pullback direction means
         # the image is flat there, and support_batch gives it support 0
@@ -371,10 +366,26 @@ def linear_map(a, s: SetRep) -> SetRep:
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
 
+def _pullback(a: np.ndarray, h: HPolytope) -> HPolytope | None:
+    """Exact image of h under the square map a, or None when a is singular.
+
+    Row a_i of the image is a_i A^{-1} and the offsets carry over; the map
+    counts as singular when the solve fails or gives non-finite rows.
+    """
+    try:
+        rows = np.linalg.solve(a.T, h.normals.T).T
+    except np.linalg.LinAlgError:
+        return None
+    return HPolytope(rows, h.offsets, exact=h.exact) if np.all(np.isfinite(rows)) else None
+
+
 def _reduce_vertices(v: np.ndarray) -> np.ndarray:
-    """Drop duplicate rows (1e-9 grid); in 2-d also drop non-extreme points."""
+    """Drop duplicate rows (1e-9 grid); in 1-d and 2-d also drop
+    non-extreme points, so an interval keeps its two ends."""
     if v.shape[1] == 2 and v.shape[0] >= 3:
         return convex_hull_2d(v).vertices
+    if v.shape[1] == 1:
+        v = v[[np.argmin(v[:, 0]), np.argmax(v[:, 0])]]
     _, idx = np.unique(np.round(v / TOL).astype(np.int64), axis=0, return_index=True)
     return v[np.sort(idx)]
 

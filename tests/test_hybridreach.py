@@ -474,3 +474,44 @@ class TestSetsAsTheyAre:
             np.testing.assert_array_equal(piece.normals, want.normals)
             np.testing.assert_array_equal(piece.offsets, want.offsets)
         assert hits[0]
+
+
+class TestModeDynamics:
+    def test_gain_shape_checked_with_the_mode_name(self):
+        with pytest.raises(ValueError, match="mode 'm': input gain column count"):
+            Mode("m", [[0.5]], b=[[1.0, 2.0]], input_set=Box([0.0], [1.0]))
+
+    def test_unbounded_input_rejected(self):
+        with pytest.raises(ValueError, match="mode 'm': input set must be bounded"):
+            Mode("m", [[0.5]], input_set=HPolytope([[1.0]], [1.0]))
+
+    def test_gain_without_input_rejected(self):
+        with pytest.raises(ValueError, match="mode 'm': input gain given without"):
+            Mode("m", [[0.5]], b=[[1.0]])
+
+    def test_default_gain_is_identity(self):
+        mode = Mode("m", -np.eye(2), input_set=Box([0.0, 0.0], [1.0, 1.0]))
+        assert np.array_equal(mode.b, np.eye(2))
+        assert Mode("free", [[0.5]]).b is None
+
+    def test_simulation_uses_the_default_gain(self):
+        # the identity gain and an explicit one give the same discrete trace
+        implicit = Mode("count", [[1.0]], input_set=Box([2.0], [2.0]))
+        explicit = Mode("count", [[1.0]], b=[[1.0]], input_set=Box([2.0], [2.0]))
+        traces = [
+            hybrid_simulate(HybridAutomaton((m,), (), time_kind=DISCRETE), "count",
+                            [0.0], 4.0, rng=np.random.default_rng(0)).states
+            for m in (implicit, explicit)
+        ]
+        np.testing.assert_array_equal(traces[0], traces[1])
+        np.testing.assert_array_equal(traces[0].ravel(), [0.0, 2.0, 4.0, 6.0, 8.0])
+
+
+class TestHybridFixpoint:
+    def test_fixpoint_mode_rejected(self):
+        # a contracting discrete mode used to run every step and report completed
+        shrink = Mode("shrink", [[0.5]])
+        auto = HybridAutomaton((shrink,), (), time_kind=DISCRETE)
+        with pytest.raises(ValueError, match="fixpoint"):
+            hybrid_reach(auto, "shrink", Box([0.0], [1.0]),
+                         ReachConfig(horizon=50, mode="fixpoint"))

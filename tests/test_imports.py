@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
+private top-level helper is referenced somewhere in the package, and every
 function the benchmark's tracer wraps still exists.
 
 Refactors that delete call sites tend to leave imports behind; no linter
@@ -69,6 +70,64 @@ def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\n\nprint(pi)\n")
     used = _used(tree)
     assert [n for n, _ in _imported(tree) if n not in used] == ["os", "tau"]
+
+
+def _private_definitions(tree):
+    """(name, line) of each private top-level function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _leftovers(trees):
+    """Private top-level names of ``{module: tree}`` that no module reads,
+    as a name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module}: {name} (line {line})"
+        for module, tree in sorted(trees.items())
+        for name, line in _private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_private_helpers_are_referenced():
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in PACKAGE.glob("*.py")
+    }
+    left = _leftovers(trees)
+    assert not left, f"private names nothing in the package reads: {', '.join(left)}"
+
+
+def test_detects_a_leftover_private_helper():
+    used = ast.parse("from .a import _helper\n\nprint(_helper(), _CAP)\n")
+    defs = ast.parse(
+        "_CAP = 3\n_STALE = 4\n\n"
+        "def _helper():\n    return 1\n\n"
+        "def _left_behind():\n    return _helper()\n\n"
+        "class _Unused:\n    pass\n"
+    )
+    assert _leftovers({"a.py": defs, "b.py": used}) == [
+        "a.py: _STALE (line 2)",
+        "a.py: _left_behind (line 7)",
+        "a.py: _Unused (line 10)",
+    ]
 
 
 def _spanned():

@@ -1,0 +1,214 @@
+"""The time lattice: one rule turns a config's horizon and step into a step
+length and a step count for ``reach``, ``hybrid_reach``,
+``dynamic_hybridize_reach`` and ``reachflow simulate``.
+
+Continuous time needs a step and takes ceil(horizon / step) steps; discrete
+time counts steps, so its horizon is an integer and it takes no step.
+"""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from reachflow import hybridize, hybridreach
+from reachflow.cli import main
+from reachflow.hybridize import NonlinearSystem, dynamic_hybridize_reach
+from reachflow.hybridreach import HybridAutomaton, Mode, Transition, hybrid_reach
+from reachflow.linreach import (
+    CONTINUOUS,
+    DISCRETE,
+    FACETS,
+    LinearSystem,
+    ReachConfig,
+    _lattice,
+    reach,
+)
+from reachflow.setgeom import Box, HPolytope
+
+LATTICE_MESSAGE = "time step|integer"
+
+DISCRETE_STEP = {"horizon": 4, "step": 0.5}
+FRACTIONAL_HORIZON = {"horizon": 2.5}
+NO_STEP = {"horizon": 1.0}
+
+
+def counter(time_kind):
+    """x+ = x + 1 (dx/dt = x + 1 in continuous time) while x <= 5, then
+    a frozen mode."""
+    count = Mode("count", [[1.0]], input_set=Box([1.0], [1.0]),
+                 invariant=HPolytope([[1.0]], [5.0]))
+    frozen = Mode("frozen", [[1.0]] if time_kind == DISCRETE else [[0.0]])
+    tr = Transition("count", "frozen", guard=HPolytope([[-1.0]], [-3.0]))
+    return HybridAutomaton((count, frozen), (tr,), time_kind=time_kind)
+
+
+def cubic():
+    return NonlinearSystem(f=lambda x: -x ** 3, dim=1,
+                           jac=lambda x: np.array([[-3.0 * x[0] ** 2]]),
+                           hessian_bound=6.0)
+
+
+def run_reach(time_kind, config):
+    return reach(LinearSystem([[0.5]], Box([0.0], [1.0]), time_kind=time_kind), config)
+
+
+def run_hybrid(time_kind, config):
+    return hybrid_reach(counter(time_kind), "count", Box([0.0], [0.0]), config)
+
+
+def run_dynamic(time_kind, config):
+    assert time_kind == CONTINUOUS
+    return dynamic_hybridize_reach(cubic(), Box([0.9], [1.0]), config)
+
+
+def model_doc(kind, time_kind, config):
+    """A one-dimensional model file of each kind, with ``config``."""
+    if kind == "nonlinear":
+        return {"format": "flowpipe-model/1", "kind": "nonlinear",
+                "variables": ["x"], "rhs": ["-x**3"], "hessian_bound": 6.0,
+                "x0": {"type": "box", "lower": [0.9], "upper": [1.0]},
+                "config": config}
+    if kind == "hybrid":
+        return {"format": "flowpipe-model/1", "kind": "hybrid", "time": time_kind,
+                "init_mode": "count",
+                "x0": {"type": "box", "lower": [0.0], "upper": [0.5]},
+                "modes": [
+                    {"name": "count", "a": [[1.0]],
+                     "input": {"type": "box", "lower": [1.0], "upper": [1.0]},
+                     "invariant": {"type": "hpolytope", "normals": [[1.0]],
+                                   "offsets": [5.0]}},
+                    {"name": "frozen", "a": [[1.0]]},
+                ],
+                "transitions": [
+                    {"source": "count", "target": "frozen",
+                     "guard": {"type": "hpolytope", "normals": [[-1.0]],
+                               "offsets": [-3.0]}},
+                ],
+                "config": config}
+    return {"format": "flowpipe-model/1", "kind": f"linear-{time_kind}",
+            "a": [[0.5]], "x0": {"type": "box", "lower": [0.0], "upper": [1.0]},
+            "config": config}
+
+
+def simulate_cli(tmp_path, doc, *extra):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return main(["simulate", str(path), "--runs", "2", *extra])
+
+
+# ---------------------------------------------------------------------------
+# one rejection rule in every driver and the CLI
+
+
+@pytest.mark.parametrize("run", [run_reach, run_hybrid], ids=["reach", "hybrid_reach"])
+@pytest.mark.parametrize("config", [DISCRETE_STEP, FRACTIONAL_HORIZON],
+                         ids=["step", "fractional-horizon"])
+def test_drivers_reject_bad_discrete_lattice(run, config):
+    with pytest.raises(ValueError, match=LATTICE_MESSAGE):
+        run(DISCRETE, ReachConfig(**config))
+
+
+@pytest.mark.parametrize("run", [run_reach, run_hybrid, run_dynamic],
+                         ids=["reach", "hybrid_reach", "dynamic_hybridize_reach"])
+def test_drivers_reject_continuous_without_step(run):
+    with pytest.raises(ValueError, match=LATTICE_MESSAGE):
+        run(CONTINUOUS, ReachConfig(**NO_STEP))
+
+
+@pytest.mark.parametrize("kind", ["linear", "hybrid"])
+@pytest.mark.parametrize("config", [DISCRETE_STEP, FRACTIONAL_HORIZON],
+                         ids=["step", "fractional-horizon"])
+def test_simulate_rejects_bad_discrete_lattice(tmp_path, capsys, kind, config):
+    assert simulate_cli(tmp_path, model_doc(kind, DISCRETE, config)) == 1
+    err = capsys.readouterr().err
+    assert "time step" in err or "integer" in err
+
+
+@pytest.mark.parametrize("kind", ["linear", "hybrid", "nonlinear"])
+def test_simulate_rejects_continuous_without_step(tmp_path, capsys, kind):
+    assert simulate_cli(tmp_path, model_doc(kind, CONTINUOUS, NO_STEP)) == 1
+    assert "time step" in capsys.readouterr().err
+
+
+def test_simulate_discrete_hybrid_model(tmp_path):
+    out = tmp_path / "runs.csv"
+    doc = model_doc("hybrid", DISCRETE, {"horizon": 8})
+    assert simulate_cli(tmp_path, doc, "-o", str(out)) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    times = [row["time"] for row in rows]
+    assert all(t == str(int(float(t))) for t in times)
+    assert max(float(t) for t in times) == 8.0
+    assert {row["mode"] for row in rows} <= {"count", "frozen"}
+
+
+# ---------------------------------------------------------------------------
+# dimensions are checked before the first step
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("a step was computed before the config was checked")
+
+
+def test_hybrid_reach_rejects_wrong_dimension_bad_set(monkeypatch):
+    monkeypatch.setattr(hybridreach, "_flow_steps", _no_step)
+    config = ReachConfig(horizon=1.0, step=0.1, mode="bad_set",
+                         bad_set=Box([0.0, 0.0], [1.0, 1.0]))
+    with pytest.raises(ValueError, match="bad set dimension"):
+        run_hybrid(CONTINUOUS, config)
+
+
+def test_dynamic_hybridize_reach_rejects_wrong_dimension_bad_set(monkeypatch):
+    monkeypatch.setattr(hybridize, "linearize", _no_step)
+    monkeypatch.setattr(hybridize, "_flow_steps", _no_step)
+    config = ReachConfig(horizon=1.0, step=0.1, mode="bad_set",
+                         bad_set=Box([0.0, 0.0], [1.0, 1.0]))
+    with pytest.raises(ValueError, match="bad set dimension"):
+        run_dynamic(CONTINUOUS, config)
+
+
+@pytest.mark.parametrize("run", [run_hybrid, run_dynamic],
+                         ids=["hybrid_reach", "dynamic_hybridize_reach"])
+def test_wrong_dimension_template_is_rejected_under_facets(run):
+    # facet pushing never reads the template, so it used to be ignored
+    config = ReachConfig(horizon=1.0, step=0.1, strategy=FACETS,
+                         template=np.eye(2))
+    with pytest.raises(ValueError, match="template dimension"):
+        run(CONTINUOUS, config)
+
+
+# ---------------------------------------------------------------------------
+# the lattice itself
+
+
+# (horizon, step, time kind, step count at the previous release): the
+# README examples, the thermostat, the benchmark's models and a few
+# horizons that are not a float multiple of the step
+REFERENCE_LATTICES = [
+    (6.3, 0.01, CONTINUOUS, 630),   # README quick start, benchmark rotation
+    (2.0, 0.05, CONTINUOUS, 40),    # README CLI model
+    (2.0, 0.01, CONTINUOUS, 200),   # thermostat
+    (1.0, 0.01, CONTINUOUS, 100),   # README hybridization, benchmark n=20
+    (0.4, 0.01, CONTINUOUS, 40),    # benchmark vertex rotation
+    (3.0, 0.01, CONTINUOUS, 300),   # benchmark Van der Pol
+    (1.0, 0.05, CONTINUOUS, 20),    # acceptance continuous systems
+    (0.5, 0.01, CONTINUOUS, 50),
+    (0.3, 0.1, CONTINUOUS, 3),
+    (0.7, 0.1, CONTINUOUS, 7),
+    (1000, None, DISCRETE, 1000),   # benchmark lazy-highdim and n=4 models
+    (6, None, DISCRETE, 6),
+    (20, None, DISCRETE, 20),
+    (0, None, DISCRETE, 0),
+]
+
+
+@pytest.mark.parametrize("horizon,step,time_kind,nsteps", REFERENCE_LATTICES)
+def test_lattice_keeps_step_counts(horizon, step, time_kind, nsteps):
+    r, n = _lattice(ReachConfig(horizon=horizon, step=step), time_kind, 1)
+    assert n == nsteps
+    assert r == (step if time_kind == CONTINUOUS else 1.0)
+    pipe = run_reach(time_kind, ReachConfig(horizon=horizon, step=step))
+    assert len(pipe.segments) == nsteps + 1

@@ -815,3 +815,44 @@ class TestVertexStrategyForms:
             trace = simulate(LinearSystem(a, cross), x, steps=5)
             for state, seg in zip(trace.states, pipe.segments):
                 assert member(seg.set_rep, state)
+
+
+class TestOneDimensionalVertexCloud:
+    def test_interval_keeps_two_vertices(self):
+        # x+ = 0.9 x + v, v in [-0.1, 0.1]: the cloud used to double each step
+        sys = LinearSystem([[0.9]], Box([0.0], [1.0]), input_set=Box([-0.1], [0.1]))
+        pipe = reach(sys, ReachConfig(horizon=12, strategy="vertices"))
+        lo, hi = 0.0, 1.0
+        for seg in pipe.segments:
+            v = seg.set_rep
+            assert isinstance(v, VPolytope) and v.vertices.shape[0] <= 2
+            assert v.vertices.min() == pytest.approx(lo, abs=1e-12)
+            assert v.vertices.max() == pytest.approx(hi, abs=1e-12)
+            lo, hi = 0.9 * lo - 0.1, 0.9 * hi + 0.1
+        assert len(pipe) == 13
+
+
+class TestFacetPushingConditioning:
+    def test_small_invertible_map_keeps_its_facets(self, caplog):
+        # det(0.1 I) = 1e-10 in 10-D, yet the map is perfectly conditioned
+        n = 10
+        diag = np.zeros(n)
+        diag[:2] = 1.0 / math.sqrt(2.0)
+        box = unit_box(n).to_hpolytope()
+        p = HPolytope(np.vstack([box.normals, diag]), np.append(box.offsets, 1.0))
+        v = Box(-0.1 * np.ones(n), 0.1 * np.ones(n))
+        with caplog.at_level(logging.WARNING, logger="reachflow.linreach"):
+            out = step_input_facets(p, v, 0.1 * np.eye(n))
+        assert not any("singular" in rec.message for rec in caplog.records)
+        # one facet per facet of P, the diagonal one included
+        np.testing.assert_allclose(out.normals, p.normals, atol=1e-15)
+        want = np.append(0.2 * np.ones(2 * n), 0.1 + 0.1 * math.sqrt(2.0))
+        np.testing.assert_allclose(out.offsets, want, atol=1e-12)
+
+    def test_pushing_matches_linear_map(self):
+        a = rot(0.4) @ np.diag([1.3, 0.6])
+        p = HPolytope(default_template(2), np.arange(1.0, 9.0))
+        out = step_input_facets(p, None, a)
+        img = linear_map(a, p)
+        np.testing.assert_array_equal(out.normals, img.normals)
+        np.testing.assert_array_equal(out.offsets, img.offsets)

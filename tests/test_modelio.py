@@ -319,3 +319,25 @@ class TestResultDocuments:
     def test_save_result_checks_format(self, tmp_path):
         with pytest.raises(ModelError, match="format"):
             save_result({"format": "something"}, tmp_path / "x.json")
+
+
+class TestDecodeChecks:
+    def test_mode_gain_error_names_path_and_mode(self):
+        doc = thermostat_doc()
+        doc["modes"][0]["b"] = [[1.0, 2.0]]
+        with pytest.raises(ModelError, match=r"modes\[0\]: mode 'heat': input gain"):
+            parse_model(doc)
+
+    def test_every_config_field_is_a_known_key(self):
+        config = {
+            "horizon": 4, "mode": "bad_set", "strategy": "facets",
+            "bloat_policy": "error_ball", "max_steps": 9, "state_bound": 2.0,
+            "template": [[1.0, 0.0], [0.0, 1.0]],
+            "bad_set": {"type": "box", "lower": [5.0, 5.0], "upper": [6.0, 6.0]},
+        }
+        parsed = parse_model(linear_doc(config=config)).config
+        assert (parsed.horizon, parsed.mode, parsed.max_steps) == (4, "bad_set", 9)
+        assert parse_model(
+            thermostat_doc(config={"horizon": 1.0, "step": 0.01})).config.step == 0.01
+        with pytest.raises(ModelError, match="config.steps: unknown config entry"):
+            parse_model(linear_doc(config={"horizon": 4, "steps": 1}))
