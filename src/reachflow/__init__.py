@@ -23,6 +23,7 @@ from .setgeom import (
     intersect,
     is_empty,
     linear_map,
+    meets,
     member,
     minkowski_sum,
     support,
@@ -84,7 +85,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Box", "Empty", "HPolytope", "VPolytope", "Zonotope",
     "axis_bounds", "bloat", "bounding_box", "contains_set", "hull_union",
-    "intersect", "is_empty", "linear_map", "member", "minkowski_sum",
+    "intersect", "is_empty", "linear_map", "meets", "member", "minkowski_sum",
     "support", "support_batch", "template_hull", "translate",
     "Flowpipe", "LazyReachSet", "LinearSystem", "ReachConfig", "Segment",
     "SimTrace", "reach", "simulate", "step_input_facets",

@@ -157,7 +157,7 @@ def cmd_simulate(args) -> int:
             x0 = sample_points(model.x0, 1, rng)[0]
             trace = hybrid_simulate(
                 model.automaton, model.init_mode, x0, config.horizon,
-                step=r, rng=rng,
+                step=config.step, rng=rng,
             )
             for k, (t, x, mode) in enumerate(
                 zip(trace.times, trace.states, trace.modes)
@@ -172,7 +172,7 @@ def cmd_simulate(args) -> int:
             x0 = sample_points(model.system.x0, 1, rng)[0]
             inputs = _sample_inputs(model.system, nsteps, rng)
             trace = simulate(
-                model.system, x0, inputs=inputs, steps=nsteps, step=r
+                model.system, x0, inputs=inputs, steps=nsteps, step=config.step
             )
             for k, x in enumerate(trace.states):
                 rows.append((run, k, k * r, "-", x))

@@ -40,7 +40,7 @@ from .setgeom import (
     bounding_box,
     contains_set,
     intersect,
-    is_empty,
+    meets,
     member,
 )
 
@@ -197,10 +197,9 @@ class StaticHybridization:
             log.warning(
                 "initial set overhangs cell %s: clipping to the cell", name
             )
-        clipped = intersect(x0, cell)
-        if is_empty(clipped):
+        if not meets(x0, cell):
             raise ValueError("initial set does not intersect its center cell")
-        return name, clipped
+        return name, intersect(x0, cell)
 
 
 def static_hybridize(
@@ -351,7 +350,7 @@ def dynamic_hybridize_reach(
             segments.append(Segment(k, k * r, (k + 1) * r, current))
             progressed += 1
             k += 1
-            if bad is not None and not is_empty(intersect(current, bad)):
+            if bad is not None and meets(current, bad):
                 status, status_step = BAD_REACHED, k - 1
                 break
             if k > total:

@@ -11,7 +11,6 @@ the jump-depth bound is exceeded.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -43,6 +42,7 @@ from .setgeom import (
     intersect,
     is_empty,
     linear_map,
+    meets,
     member,
     sample_points,
     translate,
@@ -242,17 +242,16 @@ def mode_reach(
     )
     for seg in _flow_steps(system, config):
         k = seg.k
-        clipped = seg.set_rep if inv is None else intersect(seg.set_rep, inv)
-        if is_empty(clipped):
+        if is_empty(seg.set_rep) if inv is None else not meets(seg.set_rep, inv):
             # nothing remains inside the invariant: the flow is over
             status, status_step = COMPLETED, k
             break
+        clipped = seg.set_rep if inv is None else intersect(seg.set_rep, inv)
         segments.append(replace(seg, set_rep=clipped))
         for i, tr in enumerate(transitions):
-            piece = intersect(clipped, tr.guard)
-            if not is_empty(piece):
-                hits[i].append((k, piece))
-        if bad_set is not None and not is_empty(intersect(clipped, bad_set)):
+            if meets(clipped, tr.guard):
+                hits[i].append((k, intersect(clipped, tr.guard)))
+        if bad_set is not None and meets(clipped, bad_set):
             status, status_step = BAD_REACHED, k
             break
         if k >= nsteps:
@@ -368,9 +367,9 @@ def hybrid_reach(
                 continue
             for k_lo, k_hi, pre, post in guard_cross(tr_hits, tr):
                 target_inv = automaton.mode(tr.target).invariant
-                entry_next = post if target_inv is None else intersect(post, target_inv)
-                if is_empty(entry_next):
+                if is_empty(post) if target_inv is None else not meets(post, target_inv):
                     continue
+                entry_next = post if target_inv is None else intersect(post, target_inv)
                 jumps.append(Jump(tr, flow_idx, None, k_lo, k_hi, pre, entry_next))
                 if depth + 1 > jump_depth:
                     status = INCOMPLETE
@@ -478,11 +477,11 @@ def hybrid_simulate(
         raise ValueError(f"unknown jump policy {jump_policy!r}")
     rng = rng if rng is not None else np.random.default_rng()
     continuous = automaton.time_kind == CONTINUOUS
-    if continuous and (step is None or step <= 0):
-        raise ValueError("continuous simulation needs a positive time step")
-    r = float(step) if continuous else 1.0
+    # the time lattice of hybrid_reach: a discrete horizon counts steps
+    r, nsteps = _lattice(ReachConfig(horizon=horizon, step=step),
+                         automaton.time_kind, automaton.dim)
     if max_samples is None:
-        max_samples = 10 * int(math.ceil(horizon / r)) + 100
+        max_samples = 10 * nsteps + 100
 
     inv_fns = {m.name: _member_fn(m.invariant) for m in automaton.modes}
     samplers = {m.name: _input_sampler(m, rng) for m in automaton.modes}

@@ -39,9 +39,8 @@ from .setgeom import (
     contains_set,
     default_template,
     hull_union,
-    intersect,
-    is_empty,
     linear_map,
+    meets,
     member,
     minkowski_sum,
     support_batch,
@@ -610,7 +609,7 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     status, status_step = HORIZON, None
     for seg in _flow_steps(system, config):
         segments.append(seg)
-        if bad is not None and not is_empty(intersect(seg.set_rep, bad)):
+        if bad is not None and meets(seg.set_rep, bad):
             status, status_step = BAD_REACHED, seg.k
             break
         if config.mode == FIXPOINT and any(
@@ -666,11 +665,10 @@ def simulate(
             raise ValueError("steps and input sequence length disagree")
         nsteps = len(seq)
 
+    # the step rule of reach's time lattice; the step count is the caller's
+    r, _ = _lattice(ReachConfig(horizon=0, step=step), system.time_kind, system.dim)
     continuous = system.time_kind == CONTINUOUS
     if continuous:
-        if step is None or step <= 0:
-            raise ValueError("continuous simulation needs a positive time step")
-        r = float(step)
         a_step = mat_exp(system.a, r)
         if system.has_input:
             b_step = _exp_integral(system.a, r) @ system.b
@@ -689,5 +687,5 @@ def simulate(
     return SimTrace(
         states,
         np.array(seq) if seq is not None else None,
-        time_step=(float(step) if continuous else None),
+        time_step=(r if continuous else None),
     )

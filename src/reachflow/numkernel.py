@@ -143,14 +143,13 @@ def _bland(t: np.ndarray, basis: list[int], nvars: int, tol: float) -> str:
     safety net only.
     """
     rows = t.shape[0] - 1
+    nonbasic = np.ones(t.shape[1], dtype=bool)
+    nonbasic[basis] = False
     for _ in range(500 * (nvars + rows + 10)):
-        enter = -1
-        for j in range(nvars):
-            if t[-1, j] > tol and j not in basis:
-                enter = j
-                break
-        if enter < 0:
+        candidates = np.flatnonzero((t[-1, :nvars] > tol) & nonbasic[:nvars])
+        if candidates.size == 0:
             return OPTIMAL
+        enter = int(candidates[0])
         best_ratio = None
         leave = -1
         for i in range(rows):
@@ -163,17 +162,22 @@ def _bland(t: np.ndarray, basis: list[int], nvars: int, tol: float) -> str:
                     leave = i
         if leave < 0:
             return UNBOUNDED
+        nonbasic[basis[leave]] = True
+        nonbasic[enter] = False
         _pivot(t, basis, leave, enter)
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def _solve_raw(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> LpResult:
-    """Two-phase dense simplex on the split-variable standard form."""
+def _phase_one(a: np.ndarray, b: np.ndarray, tol: float):
+    """A feasible basis of {a x <= b} (m > 0 rows) on the split-variable
+    standard form, or None when the constraints are infeasible.
+
+    Returns the tableau, columns x+ (n), x- (n), slacks (m) and the
+    right-hand side, with the objective row left for phase two, and its
+    basis.  Only ``(a, b)`` are read, so every objective over the same
+    constraints can start phase two from a copy of one result.
+    """
     m, n = a.shape
-    if m == 0:
-        if np.any(np.abs(c) > tol):
-            return LpResult(UNBOUNDED)
-        return LpResult(OPTIMAL, 0.0, np.zeros(n))
     neg = b < 0.0
     n_art = int(np.count_nonzero(neg))
     # columns: x+ (n), x- (n), slacks (m), artificials (n_art), rhs
@@ -194,54 +198,90 @@ def _solve_raw(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> LpRes
             art_col += 1
         else:
             basis[i] = 2 * n + i
-    if n_art:
-        # phase one: maximize -(sum of artificials)
-        t[-1, nreal:ncols] = -1.0
-        for i in range(m):
-            if basis[i] >= nreal:
-                t[-1] += t[i]
-        status = _bland(t, basis, ncols, tol)
-        assert status == OPTIMAL  # phase one is always bounded
-        # the tableau keeps the negated objective value in the corner
-        if t[-1, -1] > tol:
-            return LpResult(INFEASIBLE)
-        # drive leftover artificials out of the basis, drop redundant rows
-        keep = []
-        for i in range(m):
-            if basis[i] >= nreal:
-                piv = -1
-                for j in range(nreal):
-                    if abs(t[i, j]) > tol:
-                        piv = j
-                        break
-                if piv < 0:
-                    continue  # redundant constraint row
-                _pivot(t, basis, i, piv)
-            keep.append(i)
-        if len(keep) < m:
-            t = np.vstack([t[keep], t[-1:]])
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        t[:, nreal:ncols] = 0.0  # artificial columns retired
-    # phase two objective: c.(x+ - x-), priced out against the basis
+    if not n_art:
+        return t, basis
+    # maximize -(sum of artificials)
+    t[-1, nreal:ncols] = -1.0
+    for i in range(m):
+        if basis[i] >= nreal:
+            t[-1] += t[i]
+    status = _bland(t, basis, ncols, tol)
+    assert status == OPTIMAL  # phase one is always bounded
+    # the tableau keeps the negated objective value in the corner
+    if t[-1, -1] > tol:
+        return None
+    # drive leftover artificials out of the basis, drop redundant rows
+    keep = []
+    for i in range(m):
+        if basis[i] >= nreal:
+            piv = -1
+            for j in range(nreal):
+                if abs(t[i, j]) > tol:
+                    piv = j
+                    break
+            if piv < 0:
+                continue  # redundant constraint row
+            _pivot(t, basis, i, piv)
+        keep.append(i)
+    # retire the artificial columns (all zero from here on) with the
+    # redundant rows
+    return np.delete(t[keep + [m]], np.s_[nreal:ncols], axis=1), [basis[i] for i in keep]
+
+
+def _phase_two(c: np.ndarray, t: np.ndarray, basis: list[int], tol: float) -> LpResult:
+    """Maximize c.(x+ - x-) from a feasible basis of ``_phase_one``; the
+    tableau and basis are overwritten."""
+    n = c.shape[0]
+    # objective row priced out against the basis
     t[-1, :] = 0.0
     t[-1, :n] = c
     t[-1, n:2 * n] = -c
-    for i in range(m):
+    for i in range(len(basis)):
         cb = t[-1, basis[i]]
         if cb != 0.0:
             t[-1] -= cb * t[i]
-    status = _bland(t, basis, nreal, tol)
+    status = _bland(t, basis, t.shape[1] - 1, tol)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
     x = np.zeros(n)
-    for i in range(m):
-        j = basis[i]
+    for i, j in enumerate(basis):
         if j < n:
             x[j] += t[i, -1]
         elif j < 2 * n:
             x[j - n] -= t[i, -1]
     return LpResult(OPTIMAL, float(c @ x), x)
+
+
+def _solve_raw(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> LpResult:
+    """Two-phase dense simplex on the split-variable standard form."""
+    if a.shape[0] == 0:
+        if np.any(np.abs(c) > tol):
+            return LpResult(UNBOUNDED)
+        return LpResult(OPTIMAL, 0.0, np.zeros(a.shape[1]))
+    start = _phase_one(a, b, tol)
+    if start is None:
+        return LpResult(INFEASIBLE)
+    return _phase_two(c, *start, tol)
+
+
+def lp_max_batch(objectives, a, b) -> list[LpResult]:
+    """``lp_max(LpProblem(c, a, b), lex_tiebreak=False)`` for every row c
+    of ``objectives``, from one phase one.
+
+    Phase one never reads the objective, so each phase two starts from a
+    copy of one feasible tableau and makes the same pivots, with the same
+    values, as a cold solve of its objective.
+    """
+    objectives = as_matrix(objectives)
+    prob = LpProblem(np.zeros(objectives.shape[1]), a, b)
+    a, b = prob.a, prob.b
+    if a.shape[0] == 0:
+        return [_solve_raw(c, a, b, FEAS_TOL) for c in objectives]
+    start = _phase_one(a, b, FEAS_TOL)
+    if start is None:
+        return [LpResult(INFEASIBLE) for _ in objectives]
+    t, basis = start
+    return [_phase_two(c, t.copy(), list(basis), FEAS_TOL) for c in objectives]
 
 
 def lp_max(prob: LpProblem, lex_tiebreak: bool = True) -> LpResult:

@@ -4,6 +4,19 @@ Five representations: Box, HPolytope, VPolytope, Zonotope and Empty.  All
 values are immutable after construction.  Operations that cannot produce an
 exact result return a set with ``exact=False``; such results are always
 supersets of the true set, never subsets.
+
+Yes/no queries try a closed form before the simplex and give the LP's
+answer either way.  ``meets(s1, s2)``, the test ``not is_empty(intersect(s1,
+s2))``, takes both sets as ``intersect`` stacks them and says "disjoint"
+when a row (n, b) of either lies beyond the other: b < -U(-n), where U
+bounds the other's support from its own rows (a box exactly, an H-polytope
+by a row with the same normal or, for a parallelotope, by one n x n
+solve).  ``contains_set`` skips the LP for a row of the outer set that
+such a bound of an inner H-polytope already satisfies.  Both demand a
+margin of ``_PRECHECK_MARGIN`` relative to the magnitudes involved, a
+thousand times the simplex's FEAS_TOL, so rounding cannot flip an
+answer.  The supports of an H-polytope share one phase one of the simplex
+per ``support_batch`` call.
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ import itertools
 import numpy as np
 
 from .numkernel import (FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem,
-                        as_matrix, as_vector, lp_max)
+                        as_matrix, as_vector, lp_max, lp_max_batch)
 
 TOL = 1e-9
 # a row whose norm is this close to 1 counts as unit: rounding after a
@@ -79,19 +92,16 @@ class Box:
         return 0.5 * (self.upper - self.lower)
 
     def corners(self) -> np.ndarray:
-        """All 2^n corner points, one per row."""
-        n = self.dim
-        out = np.empty((2 ** n, n))
-        for i, bits in enumerate(itertools.product((0, 1), repeat=n)):
-            out[i] = np.where(np.asarray(bits, dtype=bool), self.upper, self.lower)
+        """The 2^w distinct corner points, one per row, for w axes of
+        nonzero width; in 2^n order when no axis is flat."""
+        wide = np.flatnonzero(self.lower < self.upper)
+        out = np.tile(self.lower, (2 ** wide.shape[0], 1))
+        for i, bits in enumerate(itertools.product((0, 1), repeat=wide.shape[0])):
+            out[i, wide] = np.where(np.asarray(bits, dtype=bool), self.upper[wide], self.lower[wide])
         return out
 
     def to_hpolytope(self) -> "HPolytope":
-        n = self.dim
-        eye = np.eye(n)
-        return HPolytope(np.vstack([eye, -eye]),
-                         np.concatenate([self.upper, -self.lower]),
-                         exact=self.exact)
+        return HPolytope(*_box_rows(self), exact=self.exact)
 
     def to_zonotope(self) -> "Zonotope":
         return Zonotope(self.center, np.diag(self.radii), exact=self.exact)
@@ -295,19 +305,15 @@ def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:
     if isinstance(s, VPolytope):
         return (s.vertices @ dmat).max(axis=0)
     if isinstance(s, HPolytope):
-        out = np.empty(dmat.shape[1])
-        for j in range(dmat.shape[1]):
-            d = dmat[:, j]
-            if np.all(d == 0.0):
-                out[j] = 0.0
-                continue
-            res = lp_max(LpProblem(d, s.normals, s.offsets), lex_tiebreak=False)
-            if res.status == UNBOUNDED:
-                out[j] = np.inf
-            elif res.status == INFEASIBLE:
+        out = np.zeros(dmat.shape[1])
+        live = np.flatnonzero(np.any(dmat != 0.0, axis=0))
+        if live.size == 0:
+            return out
+        # one phase one for all directions: they share the constraints
+        for j, res in zip(live, lp_max_batch(dmat[:, live].T, s.normals, s.offsets)):
+            if res.status == INFEASIBLE:
                 raise ValueError("support of an empty polytope is undefined")
-            else:
-                out[j] = res.value
+            out[j] = np.inf if res.status == UNBOUNDED else res.value
         return out
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
@@ -478,9 +484,9 @@ def intersect(s1: SetRep, s2: SetRep) -> SetRep:
     normals, offsets, exact = [], [], True
     for s in (s1, s2):
         if isinstance(s, Box):
-            eye = np.eye(s.dim)
-            normals += [eye, -eye]
-            offsets += [s.upper, -s.lower]
+            a, b = _box_rows(s)
+            normals.append(a)
+            offsets.append(b)
         else:
             s = _hform_enclosure(s)
             normals.append(s.normals)
@@ -502,6 +508,114 @@ def is_empty(s: SetRep, tol: float = FEAS_TOL) -> bool:
                      lex_tiebreak=False)
         return res.status == INFEASIBLE
     raise TypeError(f"unknown set representation {type(s).__name__}")
+
+
+# a facet row decides a yes/no query without the simplex only when it
+# clears the closed-form bound by this much, relative to one plus the
+# magnitudes on both sides (each term's weight times one plus its offset);
+# far above the rounding of those sums and the simplex's FEAS_TOL, so the
+# exact LP path always gives the same answer
+_PRECHECK_MARGIN = 1e-6
+# a parallelotope whose normals are worse conditioned than this gets no
+# closed-form support bound
+_MAX_COND = 1e8
+
+
+def _box_rows(b: Box) -> tuple[np.ndarray, np.ndarray]:
+    """A box's facet rows ``(normals, offsets)``: +-axes, upper and -lower."""
+    eye = np.eye(b.dim)
+    return np.vstack([eye, -eye]), np.concatenate([b.upper, -b.lower])
+
+
+def _clears(gap: np.ndarray, offsets: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """Where ``gap`` is negative by the precheck margin, so the sign of the
+    exact LP's gap is not in doubt."""
+    return gap < -_PRECHECK_MARGIN * (1.0 + np.abs(offsets) + mag)
+
+
+def _support_bound(s: Box | HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds on the supports of s along the unit columns of dmat,
+    taken from s's own facet rows, and the magnitude of the terms summed
+    into each bound (inf where the rows give no bound).
+
+    A box answers exactly.  An H-polytope answers by the least offset of a
+    row with the same normal and, when it is a parallelotope (n antiparallel
+    row pairs, independent normals), exactly by one n x n solve.  Only the
+    rows an LP over s sees enter, each with a bounded multiplier, so the
+    LP's own tolerances move its answer far less than the precheck margin.
+    """
+    if isinstance(s, Box):
+        return (support_batch(s, dmat),
+                np.abs(dmat.T) @ (1.0 + np.maximum(np.abs(s.lower), np.abs(s.upper))))
+    bound = np.full(dmat.shape[1], np.inf)
+    rows, cols = _equal_rows(s.normals, dmat.T)
+    np.minimum.at(bound, cols, s.offsets[rows])
+    mag = 1.0 + np.abs(bound)
+    if np.all(np.isfinite(bound)):
+        return bound, mag
+    pairs = _antiparallel_pairs(s)
+    if pairs is None:
+        return bound, mag
+    first, second = pairs
+    lam = np.linalg.solve(s.normals[first].T, dmat)  # d = sum_i lam_i n_i
+    hi, lo = s.offsets[first][:, None], s.offsets[second][:, None]
+    para = np.where(lam > 0.0, lam * hi, -lam * lo).sum(axis=0)
+    para_mag = (np.abs(lam) * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))).sum(axis=0)
+    tighter = para < bound
+    return np.where(tighter, para, bound), np.where(tighter, para_mag, mag)
+
+
+def _equal_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with a[i] == b[j] exactly, found through one
+    weighted sum per row instead of an all-pairs comparison of rows."""
+    w = np.sqrt(np.arange(2.0, a.shape[1] + 2.0))
+    ka = (np.ascontiguousarray(a) * w).sum(axis=1)
+    kb = (np.ascontiguousarray(b) * w).sum(axis=1)
+    i, j = np.nonzero(ka[:, None] == kb[None, :])
+    same = np.all(a[i] == b[j], axis=1)
+    return i[same], j[same]
+
+
+def _antiparallel_pairs(h: HPolytope):
+    """Row indices ``(first, second)`` with normals[second] == -normals[first]
+    when h is a well-conditioned parallelotope (its 2n rows pair up), else
+    None."""
+    n = h.dim
+    if h.nrows != 2 * n:
+        return None
+    i, j = _equal_rows(h.normals, -h.normals)
+    if i.shape[0] != 2 * n or not np.array_equal(i, np.arange(2 * n)):
+        return None
+    first = i < j
+    sv = np.linalg.svd(h.normals[i[first]], compute_uv=False)
+    if sv[-1] * _MAX_COND <= sv[0]:
+        return None
+    return i[first], j[first]
+
+
+def meets(s1: SetRep, s2: SetRep) -> bool:
+    """True when s1 and s2 share a point: ``not is_empty(intersect(s1, s2))``.
+
+    Both sets enter as ``intersect`` stacks them: a box by its own rows,
+    any other set by ``_hform_enclosure``.  A row (n, b) of either one
+    that the other's support bound U places beyond it, b < -U(-n) by
+    ``_PRECHECK_MARGIN``, separates the two and answers "no" without the
+    simplex.  Otherwise the intersection's LP decides.
+    """
+    if s1.dim != s2.dim:
+        raise ValueError(f"intersection of sets with dimensions {s1.dim} and {s2.dim}")
+    if isinstance(s1, Empty) or isinstance(s2, Empty):
+        return False
+    # the closed-form support of a zonotope or vertex set is no bound for
+    # its facet form as the LP sees it: on a sliver the pivot tolerance
+    # admits points well outside the set
+    ops = [s if isinstance(s, Box) else _hform_enclosure(s) for s in (s1, s2)]
+    for x, y in (ops, ops[::-1]):
+        normals, offsets = _box_rows(x) if isinstance(x, Box) else (x.normals, x.offsets)
+        bound, mag = _support_bound(y, -normals.T)
+        if np.any(_clears(offsets + bound, offsets, mag)):
+            return False
+    return not is_empty(intersect(*ops))
 
 
 def convex_hull_2d(points) -> VPolytope:
@@ -786,7 +900,7 @@ def _exact_vform(s: SetRep) -> VPolytope | None:
     if isinstance(s, VPolytope):
         return s
     if isinstance(s, Box):
-        return s.to_vpolytope() if 2 ** s.dim <= _MAX_VERTICES else None
+        return s.to_vpolytope() if 2 ** np.count_nonzero(s.lower < s.upper) <= _MAX_VERTICES else None
     if isinstance(s, Zonotope):
         if s.dim == 2:
             return VPolytope(zonotope_vertices_2d(s), exact=s.exact)
@@ -862,8 +976,14 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
         raise UnsupportedCheck(
             f"no exact facet form for containment against {type(q).__name__} "
             f"in dimension {q.dim}")
+    rows = zip(h.normals, h.offsets)
+    if isinstance(p, HPolytope):
+        # a row of q that p's own rows already bound needs no LP
+        bound, mag = _support_bound(p, h.normals.T)
+        open_rows = ~_clears(bound - h.offsets - tol, h.offsets, mag)
+        rows = zip(h.normals[open_rows], h.offsets[open_rows])
     # one row at a time: an H-form p costs one LP per row, so stop early
-    for a_row, b_row in zip(h.normals, h.offsets):
+    for a_row, b_row in rows:
         if support_batch(p, a_row[:, None])[0] > b_row + tol:
             return False
     return True

@@ -24,6 +24,7 @@ from reachflow.linreach import (
     ReachConfig,
     _lattice,
     reach,
+    simulate,
 )
 from reachflow.setgeom import Box, HPolytope
 
@@ -143,6 +144,44 @@ def test_simulate_discrete_hybrid_model(tmp_path):
     assert all(t == str(int(float(t))) for t in times)
     assert max(float(t) for t in times) == 8.0
     assert {row["mode"] for row in rows} <= {"count", "frozen"}
+
+
+# ---------------------------------------------------------------------------
+# the library's samplers take the same rule
+
+
+@pytest.mark.parametrize("horizon,step", [(2.5, 0.3), (2.0, 0.3), (2.5, None)],
+                         ids=["step-and-fraction", "step", "fraction"])
+def test_hybrid_simulate_rejects_bad_discrete_lattice(horizon, step):
+    # it used to ignore the step and run to times 0, 1, 2, 3
+    with pytest.raises(ValueError, match=LATTICE_MESSAGE):
+        hybridreach.hybrid_simulate(counter(DISCRETE), "count", [0.0], horizon, step=step)
+
+
+def test_hybrid_simulate_rejects_continuous_without_step():
+    with pytest.raises(ValueError, match=LATTICE_MESSAGE):
+        hybridreach.hybrid_simulate(counter(CONTINUOUS), "count", [0.0], 1.0)
+
+
+def test_library_simulate_rejects_a_discrete_step():
+    system = LinearSystem([[0.5]], Box([0.0], [1.0]), time_kind=DISCRETE)
+    with pytest.raises(ValueError, match="not a time step"):
+        simulate(system, [1.0], steps=3, step=0.3)
+    np.testing.assert_array_equal(simulate(system, [1.0], steps=3).states.ravel(),
+                                  [1.0, 0.5, 0.25, 0.125])
+
+
+def test_library_simulate_rejects_continuous_without_step():
+    system = LinearSystem([[0.5]], Box([0.0], [1.0]), time_kind=CONTINUOUS)
+    with pytest.raises(ValueError, match=LATTICE_MESSAGE):
+        simulate(system, [1.0], steps=3)
+
+
+def test_discrete_hybrid_simulate_counts_integer_steps():
+    trace = hybridreach.hybrid_simulate(counter(DISCRETE), "count", [0.0], 6,
+                                        rng=np.random.default_rng(1))
+    assert trace.times[-1] == 6.0
+    assert all(t == int(t) for t in trace.times)
 
 
 # ---------------------------------------------------------------------------

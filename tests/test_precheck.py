@@ -1,0 +1,327 @@
+"""Yes/no geometry without the simplex: the separation precheck of
+``meets``, the containment precheck of ``contains_set`` and the shared
+phase one of ``support_batch`` on an H-polytope.
+
+Every shortcut must give the answer of the exact LP path: ``meets`` says
+"disjoint" only when ``is_empty(intersect(...))`` does, the containment
+precheck settles a row only when the LP row test passes it, and a batch of
+supports equals one cold solve per direction, bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from reachflow import numkernel
+from reachflow import setgeom as sg
+from reachflow.linreach import LinearSystem, ReachConfig, reach
+from reachflow.numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, lp_max,
+                                 lp_max_batch)
+from reachflow.setgeom import Box, HPolytope, VPolytope, Zonotope
+
+from oracles import box_support, lp_vertex_enum
+
+PROPERTY = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+coord = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
+width = st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0]) | st.floats(0.0, 4.0)
+
+
+@st.composite
+def boxes(draw, n):
+    lo = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    return Box(lo, lo + np.array(draw(st.lists(width, min_size=n, max_size=n))))
+
+
+@st.composite
+def zonotopes(draw, n):
+    p = draw(st.integers(0, 4))
+    c = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * p, max_size=n * p)))
+    return Zonotope(c, g.reshape(n, p))
+
+
+@st.composite
+def vpolytopes(draw, n):
+    k = draw(st.integers(1, 6))
+    v = draw(st.lists(coord, min_size=n * k, max_size=n * k))
+    return VPolytope(np.array(v).reshape(k, n))
+
+
+@st.composite
+def parallelotopes(draw, n):
+    """{lo <= M x <= hi} for a well-conditioned M: rows [M; -M]."""
+    m = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)))
+    m = m.reshape(n, n) + 3.0 * np.eye(n)
+    b = draw(boxes(n))
+    return HPolytope(np.vstack([m, -m]), np.concatenate([b.upper, -b.lower]))
+
+
+@st.composite
+def template_hpolytopes(draw, n):
+    """Default-template rows with random offsets: possibly empty, always
+    bounded."""
+    dirs = sg.default_template(n)
+    offs = draw(st.lists(st.floats(-3.0, 6.0), min_size=dirs.shape[0], max_size=dirs.shape[0]))
+    return HPolytope(dirs, np.array(offs))
+
+
+def sets(n):
+    return st.one_of(boxes(n), zonotopes(n), vpolytopes(n), parallelotopes(n),
+                     template_hpolytopes(n))
+
+
+@st.composite
+def set_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return draw(sets(n)), draw(sets(n))
+
+
+def lp_empty(s1, s2):
+    return sg.is_empty(sg.intersect(s1, s2))
+
+
+def stacked(s1, s2):
+    h = sg.intersect(s1, s2)
+    if isinstance(h, Box):
+        h = h.to_hpolytope()
+    return h
+
+
+class TestMeetsAgreesWithTheLp:
+    @PROPERTY
+    @given(set_pairs())
+    def test_meets_is_the_lp_verdict(self, pair):
+        # each order against its own LP: on a touching pair the simplex may
+        # answer differently for the two row orders
+        s1, s2 = pair
+        assert sg.meets(s1, s2) == (not lp_empty(s1, s2))
+        assert sg.meets(s2, s1) == (not lp_empty(s2, s1))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(set_pairs())
+    def test_disjoint_only_without_a_feasible_vertex(self, pair):
+        # the vertex-enumeration oracle finds no point of the stacked facet
+        # form whenever meets says "disjoint"
+        s1, s2 = pair
+        if sg.meets(s1, s2):
+            return
+        h = stacked(s1, s2)
+        if isinstance(h, sg.Empty):
+            return
+        assert lp_vertex_enum(np.zeros(h.dim), h.normals, h.offsets) is None
+
+    @PROPERTY
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.one_of(boxes(n), parallelotopes(n), template_hpolytopes(n)),
+                            st.lists(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+                                     min_size=1, max_size=5))))
+    def test_support_bound_holds_the_lp_support(self, case):
+        s, dirs = case
+        d = np.array(dirs, dtype=float)
+        d = d[np.linalg.norm(d, axis=1) > 1e-3]
+        if d.shape[0] == 0 or (isinstance(s, HPolytope) and sg.is_empty(s)):
+            return
+        d = (d / np.linalg.norm(d, axis=1)[:, None]).T
+        bound, mag = sg._support_bound(s, d)
+        # the simplex is accurate to a few FEAS_TOL on flat sets; a tenth
+        # of the precheck margin is the slack the precheck can afford
+        assert np.all(bound >= sg.support_batch(s, d) - 0.1 * sg._PRECHECK_MARGIN * mag)
+
+    def test_a_sliver_gets_the_lp_verdict(self):
+        # the facet form of this thin parallelogram ends at x = +-2, but its
+        # long sides differ in slope by 1.1e-10, below the pivot tolerance:
+        # the LP finds the point (3, 0) inside, and meets must agree
+        z = Zonotope([0.0, 0.0], [[1.0, 1.0], [0.0, 1.1053934228198483e-10]])
+        point = Box([3.0, 0.0], [3.0, 0.0])
+        assert not lp_empty(point, z)
+        assert sg.meets(point, z) and sg.meets(z, point)
+
+    def test_parallelotope_bound_is_exact(self):
+        m = np.array([[1.0, 0.4], [-0.3, 1.0]])
+        p = HPolytope(np.vstack([m, -m]), [1.0, 2.0, 0.5, 1.0])
+        d = sg.default_template(2).T
+        bound, _ = sg._support_bound(p, d)
+        np.testing.assert_allclose(bound, sg.support_batch(p, d), rtol=1e-12, atol=1e-12)
+
+    def test_box_bound_matches_the_oracle(self):
+        b = Box([-1.0, 2.0, 0.5], [3.0, 2.0, 4.0])
+        d = sg.default_template(3).T
+        bound, _ = sg._support_bound(b, d)
+        want = [box_support(b.lower, b.upper, col) for col in d.T]
+        np.testing.assert_allclose(bound, want, rtol=1e-12)
+
+    def test_no_bound_for_a_row_free_direction(self):
+        h = HPolytope([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [1.0, 1.0, 1.0])
+        bound, _ = sg._support_bound(h, np.array([[1.0, 0.0], [0.0, -1.0]]).T)
+        assert bound[0] == 1.0 and bound[1] == np.inf
+
+    def test_ill_conditioned_parallelotope_gets_no_pairs(self):
+        m = np.array([[1.0, 0.0], [1.0, 1e-10]])
+        p = HPolytope(np.vstack([m, -m]), np.ones(4))
+        assert sg._antiparallel_pairs(p) is None
+
+    def test_touching_sets_fall_back_to_the_lp(self, monkeypatch):
+        # a shared face is no separation: the LP decides, and says "meets"
+        calls = count_calls(monkeypatch, sg, "is_empty")
+        assert sg.meets(Box([0.0, 0.0], [1.0, 1.0]).to_hpolytope(), Box([1.0, 0.0], [2.0, 1.0]))
+        assert calls == [1]
+
+    def test_dimension_mismatch_and_empty(self):
+        with pytest.raises(ValueError):
+            sg.meets(Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1.0]))
+        assert not sg.meets(sg.Empty(2), Box([0.0, 0.0], [1.0, 1.0]))
+
+
+class TestContainmentPrecheck:
+    @PROPERTY
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.one_of(boxes(n), template_hpolytopes(n), parallelotopes(n)),
+                            st.one_of(template_hpolytopes(n), parallelotopes(n)))))
+    def test_settled_rows_pass_the_lp_row_test(self, pair):
+        q, p = pair
+        if sg.is_empty(p):
+            return
+        h = sg._exact_hform(q)
+        bound, mag = sg._support_bound(p, h.normals.T)
+        settled = sg._clears(bound - h.offsets - sg.TOL, h.offsets, mag)
+        for a_row, b_row in zip(h.normals[settled], h.offsets[settled]):
+            res = lp_max(LpProblem(a_row, p.normals, p.offsets), lex_tiebreak=False)
+            assert res.status == OPTIMAL and res.value <= b_row + sg.TOL
+        lp_rows = all(sg.support_batch(p, a[:, None])[0] <= b + sg.TOL
+                      for a, b in zip(h.normals, h.offsets))
+        assert sg.contains_set(q, p) == lp_rows
+
+    def test_template_segment_inside_a_box_needs_no_lp(self, monkeypatch):
+        dirs = sg.default_template(2)
+        seg = HPolytope(dirs, np.abs(dirs) @ np.array([1.0, 1.0]))
+        solves = count_calls(monkeypatch, numkernel, "_phase_one")
+        assert sg.contains_set(Box([-2.0, -2.0], [2.0, 2.0]), seg)
+        assert solves == [0]
+        # a row the template does not settle still goes to the LP
+        assert not sg.contains_set(Box([-2.0, -2.0], [2.0, 0.5]), seg)
+        assert solves[0] >= 1
+
+
+class TestSharedPhaseOne:
+    def cold(self, h, d):
+        return lp_max(LpProblem(d, h.normals, h.offsets), lex_tiebreak=False)
+
+    @PROPERTY
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.one_of(template_hpolytopes(n), parallelotopes(n)),
+                            st.lists(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+                                     min_size=1, max_size=6))))
+    def test_batch_equals_cold_solves_exactly(self, case):
+        h, dirs = case
+        dmat = np.array(dirs, dtype=float).T
+        cold = [self.cold(h, d) for d in dmat.T if np.any(d != 0.0)]
+        if any(r.status == INFEASIBLE for r in cold):
+            with pytest.raises(ValueError):
+                sg.support_batch(h, dmat)
+            return
+        got = sg.support_batch(h, dmat)
+        want = [0.0 if not np.any(d != 0.0) else self.cold(h, d).value for d in dmat.T]
+        assert got.tolist() == want
+
+    def test_results_match_field_by_field(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(9, 3))
+        b = rng.uniform(-0.5, 1.0, size=9)
+        objs = rng.normal(size=(5, 3))
+        objs[2] = 0.0
+        for got, c in zip(lp_max_batch(objs, a, b), objs):
+            want = lp_max(LpProblem(c, a, b), lex_tiebreak=False)
+            assert got.status == want.status and got.value == want.value
+            assert (got.x is None and want.x is None) or np.array_equal(got.x, want.x)
+
+    def test_infeasible_unbounded_and_zero_columns(self):
+        empty = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="empty"):
+            sg.support_batch(empty, np.eye(2))
+        # zero columns need no solve, so an all-zero batch is 0 even here
+        assert sg.support_batch(empty, np.zeros((2, 3))).tolist() == [0.0, 0.0, 0.0]
+        assert all(r.status == INFEASIBLE for r in
+                   lp_max_batch(np.eye(2), empty.normals, empty.offsets))
+        half = HPolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0])
+        dmat = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        got = sg.support_batch(half, dmat)
+        assert got.tolist() == [1.0, np.inf, 0.0, 1.0]
+        assert self.cold(half, np.array([-1.0, 0.0])).status == UNBOUNDED
+
+    def test_no_rows(self):
+        res = lp_max_batch([[0.0, 0.0], [1.0, 0.0]], np.zeros((0, 2)), np.zeros(0))
+        assert [r.status for r in res] == [OPTIMAL, UNBOUNDED]
+        assert res[0].value == 0.0
+
+    def test_phase_one_runs_once_per_batch(self, monkeypatch):
+        dirs = sg.default_template(3)
+        # negative offsets put artificials in the start basis: phase one pivots
+        h = HPolytope(dirs, np.abs(dirs) @ np.array([1.0, 2.0, 0.5]) - 0.2 * dirs[:, 0])
+        h = sg.translate(h, [5.0, -4.0, 3.0])
+        k = dirs.shape[0]
+        calls = count_calls(monkeypatch, numkernel, "_phase_one")
+        pivots = count_calls(monkeypatch, numkernel, "_pivot")
+        vals = sg.support_batch(h, dirs.T)
+        assert calls == [1]
+        batch_pivots = pivots[0]
+        cold = [self.cold(h, d).value for d in dirs]
+        assert calls == [1 + k]
+        assert vals.tolist() == cold
+        # the cold solves repeat phase one's pivots k times
+        assert pivots[0] - batch_pivots > batch_pivots
+
+
+class TestCounters:
+    def test_far_bad_set_needs_no_lp(self, monkeypatch):
+        rng = np.random.default_rng(404)
+        q, r = np.linalg.qr(rng.normal(size=(4, 4)))
+        a = 0.9 * q * np.sign(np.diag(r))
+        lo, hi = np.full(4, -30.0), np.full(4, 30.0)
+        lo[0] = 20.0
+        system = LinearSystem(a, Box(np.full(4, -0.1), np.full(4, 0.1)),
+                              input_set=Box(np.full(4, -0.05), np.full(4, 0.05)))
+        solves = count_calls(monkeypatch, numkernel, "_phase_one")
+        lp_calls = count_calls(monkeypatch, numkernel, "_solve_raw")
+        pipe = reach(system, ReachConfig(horizon=1000, mode="bad_set", bad_set=Box(lo, hi)))
+        assert pipe.status == "horizon" and len(pipe.segments) == 1001
+        assert solves == [0] and lp_calls == [0]
+
+
+class TestDistinctCorners:
+    def test_flat_axes_add_no_corners(self):
+        b = Box(np.zeros(12), np.r_[np.zeros(11), 1.0])
+        v = b.to_vpolytope()
+        assert v.vertices.tolist() == [[0.0] * 12, [0.0] * 11 + [1.0]]
+        assert sg._exact_vform(Box(np.zeros(13), np.r_[np.zeros(12), 1.0])).vertices.shape == (2, 13)
+        assert Box([1.0, 2.0], [1.0, 2.0]).corners().tolist() == [[1.0, 2.0]]
+
+    def test_corner_order_of_a_full_box_unchanged(self):
+        lo, hi = np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 5.0])
+        want = [np.where(np.array(bits, dtype=bool), hi, lo)
+                for bits in itertools.product((0, 1), repeat=3)]
+        np.testing.assert_array_equal(Box(lo, hi).corners(), want)
+
+    def test_vertex_reach_of_a_flat_box_keeps_two_rows(self):
+        x0 = Box(np.zeros(12), np.r_[np.zeros(11), 1.0])
+        pipe = reach(LinearSystem(0.5 * np.eye(12), x0),
+                     ReachConfig(horizon=2, strategy="vertices"))
+        assert [s.set_rep.vertices.shape[0] for s in pipe.segments] == [2, 2, 2]
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` and return a one-element list holding its call
+    count."""
+    count = [0]
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
