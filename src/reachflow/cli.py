@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -136,6 +138,13 @@ def _rk4_path(field, x0: np.ndarray, nsteps: int, r: float, substeps: int = 8):
     return out
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]  # the empty last field and the "\r\n" row end
+
+
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     config = _require_config(model)
@@ -151,39 +160,39 @@ def cmd_simulate(args) -> int:
 
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
-    rows = []  # (run, step, time, mode, state...)
-    for run in range(args.runs):
-        if model.kind == KIND_HYBRID:
-            x0 = sample_points(model.x0, 1, rng)[0]
-            trace = hybrid_simulate(
-                model.automaton, model.init_mode, x0, config.horizon,
-                step=config.step, rng=rng,
-            )
-            for k, (t, x, mode) in enumerate(
-                zip(trace.times, trace.states, trace.modes)
-            ):
-                rows.append((run, k, t, mode, x))
-        elif model.kind == KIND_NONLINEAR:
-            x0 = sample_points(model.x0, 1, rng)[0]
-            path = _rk4_path(model.nonlinear.field, x0, nsteps, r)
-            for k, x in enumerate(path):
-                rows.append((run, k, k * r, "-", x))
-        else:
-            x0 = sample_points(model.system.x0, 1, rng)[0]
-            inputs = _sample_inputs(model.system, nsteps, rng)
-            trace = simulate(
-                model.system, x0, inputs=inputs, steps=nsteps, step=config.step
-            )
-            for k, x in enumerate(trace.states):
-                rows.append((run, k, k * r, "-", x))
+    # (times, states, mode per sample) per run
+    if model.kind == KIND_HYBRID:
+        # one batch: all starts first, then every trace's draws interleaved
+        starts = sample_points(model.x0, args.runs, rng)
+        traces = hybrid_simulate(
+            model.automaton, model.init_mode, starts, config.horizon,
+            step=config.step, rng=rng,
+        )
+        runs = [(trace.times, trace.states, trace.modes) for trace in traces]
+    else:
+        runs = []
+        for _ in range(args.runs):
+            if model.kind == KIND_NONLINEAR:
+                x0 = sample_points(model.x0, 1, rng)[0]
+                states = _rk4_path(model.nonlinear.field, x0, nsteps, r)
+            else:
+                x0 = sample_points(model.system.x0, 1, rng)[0]
+                inputs = _sample_inputs(model.system, nsteps, rng)
+                states = simulate(
+                    model.system, x0, inputs=inputs, steps=nsteps, step=config.step
+                ).states
+            runs.append((np.arange(len(states)) * r, states, ("-",) * len(states)))
 
+    fields = {name: _csv_field(name) for _, _, modes in runs for name in set(modes)}
+    line = "%d,%d,%.12g,%s" + ",%.12g" * dim + "\r\n"
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
-        writer = csv.writer(out)
-        dim = len(rows[0][4])
-        writer.writerow(["run", "step", "time", "mode"] + [f"x{i}" for i in range(dim)])
-        for run, k, t, mode, x in rows:
-            writer.writerow([run, k, f"{t:.12g}", mode] + [f"{v:.12g}" for v in x])
+        csv.writer(out).writerow(
+            ["run", "step", "time", "mode"] + [f"x{i}" for i in range(dim)])
+        for run, (times, states, modes) in enumerate(runs):
+            rows = zip(repeat(run), range(len(times)), times.tolist(),
+                       map(fields.__getitem__, modes), *states.T.tolist())
+            out.write("".join(map(line.__mod__, rows)))
     finally:
         if args.output:
             out.close()

@@ -43,7 +43,6 @@ from .setgeom import (
     is_empty,
     linear_map,
     meets,
-    member,
     sample_points,
     translate,
 )
@@ -242,7 +241,9 @@ def mode_reach(
     )
     for seg in _flow_steps(system, config):
         k = seg.k
-        if is_empty(seg.set_rep) if inv is None else not meets(seg.set_rep, inv):
+        # a segment of the stepping core is never empty, so only an
+        # invariant can end the flow
+        if inv is not None and not meets(seg.set_rep, inv):
             # nothing remains inside the invariant: the flow is over
             status, status_step = COMPLETED, k
             break
@@ -425,27 +426,27 @@ def _sim_matrices(mode: Mode, tau: float):
     return a_step, b_step
 
 
-def _member_fn(s: Optional[SetRep]):
-    """Membership closure with the same tolerance semantics as member()."""
+def _member_rows(s: Optional[SetRep]):
+    """Row-wise membership test of a point stack with member()'s tolerance;
+    invariants and guards are boxes or H-polytopes."""
     if s is None:
-        return lambda x: True
+        return lambda xs: np.ones(xs.shape[0], dtype=bool)
     if isinstance(s, Box):
         lo, hi = s.lower - TOL, s.upper + TOL
-        return lambda x: bool(np.all(x >= lo)) and bool(np.all(x <= hi))
-    if isinstance(s, HPolytope):
-        normals, offs = s.normals, s.offsets + TOL
-        return lambda x: bool(np.all(normals @ x <= offs))
-    return lambda x: member(s, x)
+        return lambda xs: np.all((xs >= lo) & (xs <= hi), axis=1)
+    normals_t, offs = s.normals.T, s.offsets + TOL
+    return lambda xs: np.all(xs @ normals_t <= offs, axis=1)
 
 
-def _input_sampler(mode: Mode, rng: np.random.Generator):
+def _input_draw(mode: Mode, rng: np.random.Generator):
+    """Inputs for k traces flowing in the mode, one row each (None without
+    an input set); a point input set draws nothing."""
     v = mode.input_set
     if v is None:
-        return None
+        return lambda k: None
     if isinstance(v, Box) and np.array_equal(v.lower, v.upper):
-        const = v.lower.copy()
-        return lambda: const
-    return lambda: sample_points(v, 1, rng)[0]
+        return lambda k: np.broadcast_to(v.lower, (k, v.dim))
+    return lambda k: sample_points(v, k, rng)
 
 
 def hybrid_simulate(
@@ -458,8 +459,13 @@ def hybrid_simulate(
     jump_policy: str = RANDOM,
     jump_probability: float = 0.5,
     max_samples: Optional[int] = None,
-) -> HybridTrace:
-    """Sample one trajectory of the automaton.
+) -> HybridTrace | tuple[HybridTrace, ...]:
+    """Sample trajectories of the automaton.
+
+    ``x0`` is one start state ``(n,)``, which returns one ``HybridTrace``,
+    or a stack of starts ``(N, n)``, which returns a tuple of N traces in
+    row order.  All traces advance together as one state array, one
+    sample per trace and round.
 
     Continuous flows advance with the exact one-step solution under a
     zero-order hold on a per-step random input.  When a step would leave
@@ -467,7 +473,14 @@ def hybrid_simulate(
     state is clamped onto the boundary; an enabled transition must then
     be taken (the trace is truncated if none lands).  ``urgent`` jumps as
     soon as a guard is enabled, ``delayed`` jumps only when forced, and
-    ``random`` flips a coin per enabled step.
+    ``random`` flips a coin per enabled step.  A trace that reaches
+    ``max_samples`` samples is truncated too; the others go on.
+
+    Each round draws, in this order: one coin per trace with an enabled
+    guard (``random`` only), a permutation of the enabled transitions per
+    trace that jumps, the inputs of the flowing traces mode by mode, and a
+    permutation per trace that reaches its invariant's boundary.  So the
+    draws of one trace depend on the other starts of its stack.
 
     A crossing is searched between consecutive samples, so a flow that
     leaves and re-enters the invariant within one step can be missed;
@@ -483,110 +496,154 @@ def hybrid_simulate(
     if max_samples is None:
         max_samples = 10 * nsteps + 100
 
-    inv_fns = {m.name: _member_fn(m.invariant) for m in automaton.modes}
-    samplers = {m.name: _input_sampler(m, rng) for m in automaton.modes}
-    out_guarded = {
-        m.name: [(tr, _member_fn(tr.guard)) for tr in automaton.outgoing(m.name)]
-        for m in automaton.modes
-    }
+    starts = np.asarray(x0, dtype=float)
+    n = automaton.dim
+    if starts.ndim not in (1, 2) or starts.shape[-1] != n:
+        raise ValueError(f"initial states must have shape ({n},) or (N, {n}), "
+                         f"got {starts.shape}")
+    if not np.all(np.isfinite(starts)):
+        raise ValueError("initial state has non-finite entries")
+    x = np.array(starts, ndmin=2)
 
-    def flow(mode: Mode, x, zeta, tau):
-        if not continuous:
-            out = mode.a @ x
-            if zeta is not None:
-                out = out + mode.b @ zeta
-            return out
-        a_step, b_step = _sim_matrices(mode, tau)
-        out = a_step @ x
-        if zeta is not None:
-            out = out + b_step @ zeta
-        return out
+    modes = automaton.modes
+    start = modes.index(automaton.mode(init_mode))
+    index = {m.name: i for i, m in enumerate(modes)}
+    inv = [_member_rows(m.invariant) for m in modes]
+    draw = [_input_draw(m, rng) for m in modes]
+    # per mode: its outgoing transitions with target index and guard test
+    outs = [[(tr, index[tr.target], _member_rows(tr.guard))
+             for tr in automaton.outgoing(m.name)] for m in modes]
+    nguards = max(map(len, outs))
 
-    mode = automaton.mode(init_mode)
-    inv = inv_fns[mode.name]
-    x = as_vector(x0)
-    if x.shape[0] != automaton.dim:
-        raise ValueError("initial state dimension mismatch")
-    if not inv(x):
+    if not np.all(inv[start](x)):
         raise ValueError("initial state violates the mode invariant")
 
-    t = 0.0
-    states, times, modes = [x.copy()], [0.0], [mode.name]
-    truncated = False
+    def advance(m, xs, zs, tau):
+        a_step, b_step = (_sim_matrices(modes[m], tau) if continuous
+                          else (modes[m].a, modes[m].b))
+        out = xs @ a_step.T
+        return out if zs is None else out + zs @ b_step.T
 
-    def enabled(point):
-        return [tr for tr, g in out_guarded[mode.name] if g(point)]
+    def enabled(ids, points):
+        """Enabled outgoing transitions, one row per trace, in its mode's order."""
+        out = np.zeros((ids.size, nguards), dtype=bool)
+        here = loc[ids]
+        for m in np.unique(here):
+            pos = np.flatnonzero(here == m)
+            for j, (_, _, guard) in enumerate(outs[m]):
+                out[pos, j] = guard(points[pos])
+        return out
 
-    def take_jump(point, options):
+    def take_jump(i, point, row):
         # try the enabled transitions in random order; a jump may still be
         # blocked by the target invariant
-        for i in rng.permutation(len(options)):
-            tr = options[int(i)]
+        options = np.flatnonzero(row)
+        for j in rng.permutation(options.size):
+            tr, target, _ = outs[loc[i]][options[j]]
             y = tr.apply_reset_point(point)
-            if inv_fns[tr.target](y):
-                return automaton.mode(tr.target), y
+            if inv[target](y[None])[0]:
+                return target, y
         return None
 
-    while t < horizon - 1e-12:
-        if len(states) >= max_samples:
-            truncated = True
-            break
-        # consider jumping before flowing
-        options = enabled(x)
-        if options:
-            jump_now = jump_policy == URGENT or (
-                jump_policy == RANDOM and rng.uniform() < jump_probability
-            )
-            if jump_now:
-                landed = take_jump(x, options)
-                if landed is not None:
-                    mode, x = landed
-                    inv = inv_fns[mode.name]
-                    states.append(x.copy())
-                    times.append(t)
-                    modes.append(mode.name)
-                    continue
-        tau = min(r, horizon - t) if continuous else 1.0
-        sampler = samplers[mode.name]
-        zeta = sampler() if sampler is not None else None
-        x_next = flow(mode, x, zeta, tau)
-        if inv(x_next):
-            x = x_next
-            t += tau
-            states.append(x.copy())
-            times.append(t)
-            modes.append(mode.name)
-            continue
-        # the step exits the invariant: clamp onto the boundary
-        if continuous:
-            # bisect incrementally: carry the state at the inside endpoint
-            # and probe with halving durations, so the step matrices come
-            # from a fixed tau/2^j sequence the cache can serve
-            lo, y_lo, width = 0.0, x, tau
-            for _ in range(40):
-                width *= 0.5
-                y_mid = flow(mode, y_lo, zeta, width)
-                if inv(y_mid):
-                    lo, y_lo = lo + width, y_mid
-            x_cross, t_cross = y_lo, t + lo
-        else:
-            x_cross, t_cross = x, t  # discrete: stay at the pre-step state
-        options = enabled(x_cross)
-        landed = take_jump(x_cross, options) if options else None
-        if landed is None:
-            # stuck on the boundary with no usable transition
-            states.append(x_cross.copy())
-            times.append(t_cross)
-            modes.append(mode.name)
-            truncated = True
-            break
-        mode, x = landed
-        inv = inv_fns[mode.name]
-        t = t_cross
-        states.append(x.copy())
-        times.append(t)
-        modes.append(mode.name)
+    ntraces = x.shape[0]
+    loc = np.full(ntraces, start)  # mode index per trace
+    t = np.zeros(ntraces)
+    count = np.zeros(ntraces, dtype=int)
+    active = np.ones(ntraces, dtype=bool)
+    truncated = np.zeros(ntraces, dtype=bool)
+    # one entry per recorded sample batch: (trace ids, states, times, modes);
+    # a trace gets at most one sample per round, so a stable sort by trace
+    # id puts every trace's samples in time order
+    log = []
 
-    return HybridTrace(
-        np.asarray(states), np.asarray(times), tuple(modes), truncated
+    def record(ids):
+        log.append((ids, x[ids], t[ids], loc[ids]))
+        count[ids] += 1
+
+    record(np.arange(ntraces))
+    while True:
+        live = np.flatnonzero(active)
+        done = t[live] >= horizon - 1e-12
+        full = ~done & (count[live] >= max_samples)
+        truncated[live[full]] = True
+        active[live[done | full]] = False
+        live = live[~(done | full)]
+        if live.size == 0:
+            break
+
+        # consider jumping before flowing
+        jumped = np.zeros(live.size, dtype=bool)
+        if jump_policy != DELAYED:
+            rows = enabled(live, x[live])
+            go = rows.any(axis=1)
+            if jump_policy == RANDOM and go.any():
+                go[go] = rng.uniform(size=np.count_nonzero(go)) < jump_probability
+            for p in np.flatnonzero(go):
+                i = live[p]
+                landed = take_jump(i, x[i], rows[p])
+                if landed is not None:
+                    loc[i], x[i] = landed
+                    jumped[p] = True
+            record(live[jumped])
+
+        flowing = live[~jumped]
+        tau = np.minimum(r, horizon - t[flowing]) if continuous else np.ones(flowing.size)
+        crossed = []  # (trace ids, boundary states, crossing times)
+        here = loc[flowing]
+        for m in np.unique(here):
+            sel = np.flatnonzero(here == m)
+            zs = draw[m](sel.size)
+            for tv in np.unique(tau[sel]):
+                sub = tau[sel] == tv
+                ids, z = flowing[sel[sub]], None if zs is None else zs[sub]
+                nxt = advance(m, x[ids], z, float(tv))
+                ok = inv[m](nxt)
+                x[ids[ok]] = nxt[ok]
+                t[ids[ok]] += tv
+                record(ids[ok])
+                if ok.all():
+                    continue
+                ids, z = ids[~ok], None if z is None else z[~ok]
+                if not continuous:
+                    crossed.append((ids, x[ids], t[ids]))  # stay at the pre-step state
+                    continue
+                # the step exits the invariant: clamp onto the boundary.
+                # Bisect incrementally: carry the states at the inside
+                # endpoints and probe with halving durations, so the step
+                # matrices come from a fixed tau/2^j sequence the cache can serve
+                lo, y, width = np.zeros(ids.size), x[ids], float(tv)
+                for _ in range(40):
+                    width *= 0.5
+                    mid = advance(m, y, z, width)
+                    inside = inv[m](mid)
+                    lo[inside] += width
+                    y[inside] = mid[inside]
+                crossed.append((ids, y, t[ids] + lo))
+
+        if crossed:
+            ids, points, times = (np.concatenate(c) for c in zip(*crossed))
+            order = np.argsort(ids)  # jump in trace order
+            ids, points, times = ids[order], points[order], times[order]
+            rows = enabled(ids, points)
+            for p, i in enumerate(ids):
+                landed = take_jump(i, points[p], rows[p])
+                if landed is None:
+                    # stuck on the boundary with no usable transition
+                    x[i] = points[p]
+                    truncated[i] = True
+                    active[i] = False
+                else:
+                    loc[i], x[i] = landed
+            t[ids] = times
+            record(ids)
+
+    ids, states, times, locs = (np.concatenate(c) for c in zip(*log))
+    order = np.argsort(ids, kind="stable")
+    states, times = states[order], times[order]
+    names = np.array([m.name for m in modes], dtype=object)[locs[order]]
+    ends = np.cumsum(count)
+    traces = tuple(
+        HybridTrace(states[e - c:e], times[e - c:e], tuple(names[e - c:e]), bool(cut))
+        for c, e, cut in zip(count, ends, truncated)
     )
+    return traces[0] if starts.ndim == 1 else traces

@@ -120,6 +120,7 @@ class LpProblem:
 class LpResult:
     status: str
     value: float | None = None
+    # the optimal point; for an infeasible result, phase one's last basic point
     x: np.ndarray | None = None
 
 
@@ -168,9 +169,23 @@ def _bland(t: np.ndarray, basis: list[int], nvars: int, tol: float) -> str:
     raise RuntimeError("simplex iteration limit exceeded")
 
 
+def _basic_point(t: np.ndarray, basis: list[int], n: int) -> np.ndarray:
+    """The point x = x+ - x- of a tableau's basic solution."""
+    x = np.zeros(n)
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] += t[i, -1]
+        elif j < 2 * n:
+            x[j - n] -= t[i, -1]
+    return x
+
+
 def _phase_one(a: np.ndarray, b: np.ndarray, tol: float):
     """A feasible basis of {a x <= b} (m > 0 rows) on the split-variable
-    standard form, or None when the constraints are infeasible.
+    standard form, or an infeasible ``LpResult`` when phase one ends with
+    artificials above tol.  Its ``x`` is the last basic point: on a flat
+    set the tableau's rounding can leave that residue although the point
+    meets every row.
 
     Returns the tableau, columns x+ (n), x- (n), slacks (m) and the
     right-hand side, with the objective row left for phase two, and its
@@ -209,7 +224,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray, tol: float):
     assert status == OPTIMAL  # phase one is always bounded
     # the tableau keeps the negated objective value in the corner
     if t[-1, -1] > tol:
-        return None
+        return LpResult(INFEASIBLE, x=_basic_point(t, basis, n))
     # drive leftover artificials out of the basis, drop redundant rows
     keep = []
     for i in range(m):
@@ -243,12 +258,7 @@ def _phase_two(c: np.ndarray, t: np.ndarray, basis: list[int], tol: float) -> Lp
     status = _bland(t, basis, t.shape[1] - 1, tol)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
-    x = np.zeros(n)
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] += t[i, -1]
-        elif j < 2 * n:
-            x[j - n] -= t[i, -1]
+    x = _basic_point(t, basis, n)
     return LpResult(OPTIMAL, float(c @ x), x)
 
 
@@ -259,8 +269,8 @@ def _solve_raw(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> LpRes
             return LpResult(UNBOUNDED)
         return LpResult(OPTIMAL, 0.0, np.zeros(a.shape[1]))
     start = _phase_one(a, b, tol)
-    if start is None:
-        return LpResult(INFEASIBLE)
+    if isinstance(start, LpResult):
+        return start
     return _phase_two(c, *start, tol)
 
 
@@ -278,8 +288,8 @@ def lp_max_batch(objectives, a, b) -> list[LpResult]:
     if a.shape[0] == 0:
         return [_solve_raw(c, a, b, FEAS_TOL) for c in objectives]
     start = _phase_one(a, b, FEAS_TOL)
-    if start is None:
-        return [LpResult(INFEASIBLE) for _ in objectives]
+    if isinstance(start, LpResult):
+        return [start for _ in objectives]
     t, basis = start
     return [_phase_two(c, t.copy(), list(basis), FEAS_TOL) for c in objectives]
 

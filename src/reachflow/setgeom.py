@@ -495,6 +495,12 @@ def intersect(s1: SetRep, s2: SetRep) -> SetRep:
     return HPolytope(np.vstack(normals), np.concatenate(offsets), exact=exact)
 
 
+# rows within this distance of phase one's basic point count as tight when
+# is_empty re-solves that point; the row test of the result, not this band,
+# decides the answer
+_REFINE_BAND = 1e-6
+
+
 def is_empty(s: SetRep, tol: float = FEAS_TOL) -> bool:
     """Emptiness check; H-polytopes are decided by LP feasibility."""
     if isinstance(s, Empty):
@@ -506,7 +512,17 @@ def is_empty(s: SetRep, tol: float = FEAS_TOL) -> bool:
             return False
         res = lp_max(LpProblem(np.zeros(s.dim), s.normals, s.offsets),
                      lex_tiebreak=False)
-        return res.status == INFEASIBLE
+        if res.status != INFEASIBLE:
+            return False
+        # phase one can misjudge a flat set by its own rounding: "empty"
+        # stands only when its last basic point misses some row, and so does
+        # that point re-solved, by least squares, on the rows it nearly meets
+        gap = s.normals @ res.x - s.offsets
+        if np.all(gap <= TOL):
+            return False
+        near = gap >= -_REFINE_BAND
+        x = res.x - np.linalg.lstsq(s.normals[near], gap[near], rcond=None)[0]
+        return not np.all(s.normals @ x <= s.offsets + TOL)
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
 

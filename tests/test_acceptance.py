@@ -635,18 +635,20 @@ def test_criterion_6_thermostat():
         batches = ((URGENT, 3000), (DELAYED, 3000), (RANDOM, 4000))
         first_switch = {URGENT: [], DELAYED: [], RANDOM: []}
         for policy, count in batches:
-            for _ in range(count):
-                x0 = rng.uniform(19.5, 20.5)
-                trace = hybrid_simulate(
-                    auto,
-                    "heat",
-                    [x0],
-                    horizon,
-                    step=r,
-                    rng=rng,
-                    jump_policy=policy,
-                    jump_probability=0.2,
-                )
+            # one batch per policy: all starts first, then the traces' draws
+            starts = rng.uniform(19.5, 20.5, size=(count, 1))
+            traces = hybrid_simulate(
+                auto,
+                "heat",
+                starts,
+                horizon,
+                step=r,
+                rng=rng,
+                jump_policy=policy,
+                jump_probability=0.2,
+            )
+            assert len(traces) == count
+            for trace in traces:
                 assert not trace.truncated
                 assert {"heat", "cool"} <= set(trace.modes)
                 xs = trace.states[:, 0]

@@ -248,6 +248,56 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    def test_linear_csv_bytes(self, tmp_path):
+        # per-run draws (start, then inputs) and the %.12g format, as
+        # written before hybrid runs were batched
+        doc = rotation_doc(horizon=0.03, step=0.01)
+        doc["input"] = {"type": "box", "lower": [-0.1, -0.1], "upper": [0.1, 0.1]}
+        model = write_model(tmp_path, doc)
+        out = tmp_path / "runs.csv"
+        assert main(["simulate", model, "--runs", "2", "--seed", "5", "-o", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"run,step,time,mode,x0,x1\r\n"
+            b"0,0,0,-,1.06100058475,0.0615881579473\r\n"
+            b"0,1,0.01,-,1.06159191512,0.0505467061959\r\n"
+            b"0,2,0.02,-,1.06115100458,0.0396996389666\r\n"
+            b"0,3,0.03,-,1.06130733949,0.0281778016186\r\n"
+            b"1,0,0,-,0.909751542145,0.099835223013\r\n"
+            b"1,1,0.01,-,0.911006468807,0.090200373071\r\n"
+            b"1,2,0.02,-,0.911737546656,0.082034957335\r\n"
+            b"1,3,0.03,-,0.913311080301,0.0735981059682\r\n"
+        )
+
+    def test_hybrid_seed_determinism(self, tmp_path):
+        # heat may leave from 21 on: the coin flips make traces differ by seed
+        doc = thermostat_doc()
+        doc["transitions"][0]["guard"]["offsets"] = [-21.0]
+        model = write_model(tmp_path, doc)
+        outs = {}
+        for seed, runs in ((7, 4), (7, 4), (8, 4), (7, 5)):
+            out = tmp_path / f"{seed}-{runs}.csv"
+            assert main(["simulate", model, "--runs", str(runs), "--seed", str(seed),
+                         "-o", str(out)]) == 0
+            outs.setdefault((seed, runs), []).append(out.read_bytes())
+        assert outs[7, 4][0] == outs[7, 4][1]
+        assert outs[7, 4][0] != outs[8, 4][0]
+        with open(tmp_path / "7-5.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert sorted({int(row[0]) for row in rows}) == [0, 1, 2, 3, 4]
+
+    def test_mode_names_quoted_as_csv(self, tmp_path):
+        doc = thermostat_doc()
+        doc["modes"][0]["name"] = 'heat, "on"'
+        doc["init_mode"] = doc["transitions"][0]["source"] = 'heat, "on"'
+        doc["transitions"][1]["target"] = 'heat, "on"'
+        model = write_model(tmp_path, doc)
+        out = tmp_path / "runs.csv"
+        assert main(["simulate", model, "--runs", "2", "-o", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 5 for row in rows)
+        assert {row[3] for row in rows[1:]} == {'heat, "on"', "cool"}
+
     def test_hybrid_modes_in_csv(self, tmp_path):
         model = write_model(tmp_path, thermostat_doc())
         out = tmp_path / "runs.csv"

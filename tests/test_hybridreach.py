@@ -1,11 +1,14 @@
 """Hybrid automaton engine tests: mode flows, guards, jumps, simulation."""
 
+import json
 import math
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reachflow import hybridreach, setgeom
 from reachflow.hybridreach import (
     DELAYED,
     INCOMPLETE,
@@ -419,6 +422,180 @@ class TestHybridSimulate:
                 assert any(member(s, x) for s in by_mode[m]), (m, x)
 
 
+def noisy_thermostat():
+    """The thermostat with interval heater and cooler inputs and a band
+    [22, 23] where leaving heat is optional."""
+    heat = Mode("heat", [[-1.0]], b=[[1.0]], input_set=Box([28.0], [32.0]),
+                invariant=le(23.0))
+    cool = Mode("cool", [[-1.0]], b=[[1.0]], input_set=Box([9.0], [11.0]),
+                invariant=ge(18.0))
+    return HybridAutomaton((heat, cool), (Transition("heat", "cool", guard=ge(22.0)),
+                                          Transition("cool", "heat", guard=le(18.5))))
+
+
+def damped_rotation():
+    """Two 2-d modes split by slanted half-planes, a gained input in one and
+    a contracting reset back."""
+    a = [[-0.1, 1.0], [-1.0, -0.1]]
+    left = Mode("left", a, input_set=Box([-0.05, -0.05], [0.05, 0.05]),
+                invariant=HPolytope([[1.0, 0.3]], [0.8]))
+    right = Mode("right", a, b=[[1.0], [0.5]], input_set=Box([-0.1], [0.1]),
+                 invariant=HPolytope([[-1.0, 0.2]], [0.8]))
+    return HybridAutomaton((left, right), (
+        Transition("left", "right", guard=HPolytope([[-1.0, -0.3]], [-0.5])),
+        Transition("right", "left", guard=HPolytope([[1.0, -0.2]], [-0.5]),
+                   reset_matrix=[[0.9, 0.0], [0.0, 0.9]]),
+    ))
+
+
+def counter_with_reset():
+    """Discrete: count up by a random 1..2 while x <= 9, optionally jump at
+    x >= 4 to a halving mode, shifted by one."""
+    count = Mode("count", [[1.0]], input_set=Box([1.0], [2.0]),
+                 invariant=HPolytope([[1.0]], [9.0]))
+    halve = Mode("halve", [[0.5]])
+    return HybridAutomaton((count, halve), (
+        Transition("count", "halve", guard=HPolytope([[-1.0]], [-4.0]), reset_offset=[1.0]),
+    ), time_kind=DISCRETE)
+
+
+def stuck_heater():
+    return HybridAutomaton((Mode("stuck", [[-1.0]], b=[[1.0]], input_set=Box([30.0], [30.0]),
+                                 invariant=le(22.0)),), ())
+
+
+def sampler_cases():
+    """Single-start sampler runs, each a zero-argument call."""
+    cases = {}
+    for policy in (URGENT, DELAYED, RANDOM):
+        cases[f"thermostat-{policy}"] = lambda policy=policy: hybrid_simulate(
+            thermostat(hot_limit=23.0), "heat", [19.5], 1.0, step=0.05,
+            rng=np.random.default_rng(7), jump_policy=policy)
+        cases[f"rotation-{policy}"] = lambda policy=policy: hybrid_simulate(
+            damped_rotation(), "left", [0.0, 1.0], 8.0, step=0.2,
+            rng=np.random.default_rng(3), jump_policy=policy)
+    cases["noisy-thermostat"] = lambda: hybrid_simulate(
+        noisy_thermostat(), "heat", [19.5], 1.5, step=0.05, rng=np.random.default_rng(11))
+    cases["stuck"] = lambda: hybrid_simulate(
+        stuck_heater(), "stuck", [19.5], 5.0, step=0.05, rng=np.random.default_rng(0))
+    cases["max-samples"] = lambda: hybrid_simulate(
+        thermostat(), "heat", [19.5], 2.0, step=0.05, rng=np.random.default_rng(1),
+        max_samples=12)
+    cases["discrete"] = lambda: hybrid_simulate(
+        counter_with_reset(), "count", [0.0], 12, rng=np.random.default_rng(5))
+    return cases
+
+
+# traces of sampler_cases() recorded with the one-trace-at-a-time sampler
+# that the batched one replaced (commit bc4659c)
+PINNED_TRACES = Path(__file__).with_name("sampler_traces.json")
+
+
+def trace_record(trace):
+    return {"modes": list(trace.modes), "times": trace.times.tolist(),
+            "states": trace.states.tolist(), "truncated": trace.truncated}
+
+
+def interval_union_holds(intervals, xs):
+    """Whether each value lies in one of the closed intervals, within TOL."""
+    lo, hi = np.array(intervals).T
+    return ((xs[:, None] >= lo - setgeom.TOL) & (xs[:, None] <= hi + setgeom.TOL)).any(axis=1)
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("name", sorted(sampler_cases()))
+    def test_single_start_matches_the_pinned_trace(self, name):
+        want = json.loads(PINNED_TRACES.read_text())[name]
+        got = sampler_cases()[name]()
+        assert list(got.modes) == want["modes"]
+        assert got.truncated == want["truncated"]
+        np.testing.assert_allclose(got.times, want["times"], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got.states, want["states"], rtol=0.0, atol=1e-12)
+
+    def test_stack_returns_one_trace_per_row(self):
+        traces = hybrid_simulate(thermostat(), "heat", [[19.5], [19.9], [19.1]], 0.5,
+                                 step=0.05, rng=np.random.default_rng(0))
+        assert isinstance(traces, tuple) and len(traces) == 3
+        for trace, x0 in zip(traces, (19.5, 19.9, 19.1)):
+            assert trace.states[0, 0] == x0 and trace.times[-1] == pytest.approx(0.5)
+
+    def test_batch_equals_single_starts_without_draws(self):
+        # the delayed policy with point inputs draws nothing, so every
+        # trace of a batch must equal its own single-start run
+        auto = thermostat(hot_limit=23.0)
+        starts = np.linspace(18.5, 22.5, 9)[:, None]
+        batch = hybrid_simulate(auto, "heat", starts, 2.0, step=0.01,
+                                rng=np.random.default_rng(0), jump_policy=DELAYED)
+        for x0, trace in zip(starts, batch):
+            alone = hybrid_simulate(auto, "heat", x0, 2.0, step=0.01,
+                                    rng=np.random.default_rng(0), jump_policy=DELAYED)
+            assert trace.modes == alone.modes
+            np.testing.assert_array_equal(trace.times, alone.times)
+            np.testing.assert_array_equal(trace.states, alone.states)
+
+    def test_batch_stays_inside_the_flowpipe(self):
+        auto = noisy_thermostat()
+        pipe = hybrid_reach(auto, "heat", Box([19.0], [20.0]), cfg(2.0))
+        assert pipe.status == COMPLETED
+        by_mode = {}
+        for mode_name, seg in pipe.all_segments():
+            lo, hi = axis_bounds(seg.set_rep)
+            by_mode.setdefault(mode_name, []).append((lo[0], hi[0]))
+        rng = np.random.default_rng(12)
+        starts = rng.uniform(19.0, 20.0, size=(200, 1))
+        traces = hybrid_simulate(auto, "heat", starts, 2.0, step=0.01, rng=rng)
+        assert len(traces) == 200
+        assert {m for trace in traces for m in trace.modes} == {"heat", "cool"}
+        for trace in traces:
+            assert not trace.truncated
+            assert trace.times[-1] == pytest.approx(2.0, abs=1e-9)
+            modes = np.array(trace.modes)
+            for name, intervals in by_mode.items():
+                xs = trace.states[modes == name, 0]
+                assert np.all(interval_union_holds(intervals, xs)), name
+
+    def test_one_truncated_trace_does_not_stop_the_others(self):
+        # the heater's way out needs the flag x1 >= 0.5: flagless traces get
+        # stuck on the invariant's ceiling, the others switch and go on
+        heat = Mode("heat", [[-1.0, 0.0], [0.0, 0.0]], b=[[1.0], [0.0]],
+                    input_set=Box([30.0], [30.0]), invariant=HPolytope([[1.0, 0.0]], [22.0]))
+        cool = Mode("cool", [[-1.0, 0.0], [0.0, 0.0]], b=[[1.0], [0.0]],
+                    input_set=Box([10.0], [10.0]))
+        out = Transition("heat", "cool", guard=HPolytope([[-1.0, 0.0], [0.0, -1.0]],
+                                                         [-22.0, -0.5]))
+        auto = HybridAutomaton((heat, cool), (out,))
+        starts = np.array([[19.5, 0.0], [19.5, 1.0], [20.5, 0.0], [20.5, 1.0]])
+        traces = hybrid_simulate(auto, "heat", starts, 1.0, step=0.01,
+                                 rng=np.random.default_rng(0))
+        assert [t.truncated for t in traces] == [True, False, True, False]
+        for trace in traces[0::2]:
+            assert trace.states[-1, 0] == pytest.approx(22.0, abs=1e-6)
+            assert set(trace.modes) == {"heat"} and trace.times[-1] < 1.0
+        for trace in traces[1::2]:
+            assert trace.modes[-1] == "cool"
+            assert trace.times[-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_max_samples_truncates_per_trace(self):
+        # a start on the guard urgently jumps back and forth in place and
+        # spends its samples without time passing; the other one flows
+        ping = Mode("ping", [[0.0]], invariant=le(1.0))
+        pong = Mode("pong", [[0.0]], invariant=le(1.0))
+        auto = HybridAutomaton((ping, pong), (Transition("ping", "pong", guard=ge(0.5)),
+                                              Transition("pong", "ping", guard=ge(0.5))))
+        traces = hybrid_simulate(auto, "ping", [[0.0], [0.7]], 0.5, step=0.1,
+                                 rng=np.random.default_rng(0), jump_policy=URGENT,
+                                 max_samples=20)
+        assert not traces[0].truncated and traces[0].times[-1] == pytest.approx(0.5)
+        assert traces[1].truncated and len(traces[1].times) == 20
+
+    def test_rejects_a_bad_stack(self):
+        auto = thermostat()
+        with pytest.raises(ValueError, match="shape"):
+            hybrid_simulate(auto, "heat", np.zeros((2, 2)), 1.0, step=0.01)
+        with pytest.raises(ValueError, match="invariant"):
+            hybrid_simulate(auto, "heat", [[19.5], [25.0]], 1.0, step=0.01)
+
+
 class TestPruningSoundness:
     def test_no_pruning_against_an_enclosure(self):
         # a thin diagonal zonotope has no exact facet form in 3-d; its
@@ -474,6 +651,26 @@ class TestSetsAsTheyAre:
             np.testing.assert_array_equal(piece.normals, want.normals)
             np.testing.assert_array_equal(piece.offsets, want.offsets)
         assert hits[0]
+
+
+class TestEmptinessChecks:
+    def test_no_emptiness_lp_without_an_invariant(self, monkeypatch):
+        # a segment of the stepping core is never empty: only an invariant
+        # can end a flow early
+        calls = []
+
+        def counting(s, *args, **kwargs):
+            calls.append(s)
+            return real(s, *args, **kwargs)
+
+        real = setgeom.is_empty
+        monkeypatch.setattr(setgeom, "is_empty", counting)
+        monkeypatch.setattr(hybridreach, "is_empty", counting)
+        auto = HybridAutomaton((Mode("free", [[-1.0]], input_set=Box([0.9], [1.1])),), ())
+        pipe = hybrid_reach(auto, "free", Box([0.0], [1.0]), cfg(1.0))
+        assert [len(flow.segments) for flow in pipe.flows] == [101]
+        assert pipe.flows[0].status == HORIZON
+        assert len(calls) == 0
 
 
 class TestModeDynamics:

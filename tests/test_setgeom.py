@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from reachflow import setgeom as sg
 from reachflow.setgeom import (Box, Empty, HPolytope, UnsupportedCheck,
@@ -489,6 +491,35 @@ class TestIsEmpty:
 
     def test_single_point_hform_is_nonempty(self):
         h = HPolytope([[1.0], [-1.0]], [0.5, -0.5])
+        assert not sg.is_empty(h)
+
+    def test_flat_parallelotope_with_a_weak_coupling_is_nonempty(self):
+        # {x : R x = (1, 2, 0)} holds R^-1 (1, 2, 0) on every row to 1e-17,
+        # but phase one ends with an artificial residue above its tolerance
+        r = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 1.0], [1e-7, 1.0, 3.0]])
+        y = np.array([1.0, 2.0, 0.0])
+        h = HPolytope(np.vstack([r, -r]), np.concatenate([y, -y]))
+        assert np.all(h.normals @ np.linalg.solve(r, y) <= h.offsets + 1e-15)
+        assert not sg.is_empty(h)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from([0.0, 1e-7, -1e-7, 1e-4, 1.0, -1.0]) | st.floats(-2.0, 2.0),
+                 min_size=n * n, max_size=n * n),
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, -1.0]) | st.floats(-3.0, 3.0),
+                 min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.0, 0.0, 0.5]), min_size=n, max_size=n))))
+    def test_zero_width_parallelotopes_are_nonempty(self, case):
+        # {y - w <= R x <= y + w} with some widths w zero holds R^-1 y
+        entries, y, w = (np.array(v) for v in case)
+        n = y.shape[0]
+        r = entries.reshape(n, n) + 3.0 * np.eye(n)
+        assume(np.linalg.cond(r) < 1e4)
+        h = HPolytope(np.vstack([r, -r]), np.concatenate([y + w, w - y]))
+        # the vertex-enumeration oracle finds a point of the facet form
+        # (its determinant test meets singular row subsets)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert lp_vertex_enum(np.zeros(n), h.normals, h.offsets) is not None
         assert not sg.is_empty(h)
 
 
