@@ -9,7 +9,13 @@ it came from.
 
 Serialization is canonical: sorted keys, fixed separators, two-space
 indent, floats in shortest round-trip form.  Loading a result file and
-saving it again reproduces the bytes exactly.
+saving it again reproduces the bytes exactly.  The writer,
+``canonical_dumps``, emits byte for byte what ``json.dumps(doc,
+sort_keys=True, indent=2, allow_nan=False)`` does, but leaves the number
+arrays to the C encoder.  A document holding anything other than plain
+JSON types (dicts with str keys, lists, str, int, float, bool, None) --
+a tuple, a numpy scalar, an int key -- or a value ``json.dumps`` refuses
+is handed to that ``json.dumps`` call itself.
 
 Validation errors carry the dotted path of the offending entry
 (``modes[1].a: must be a matrix``) rather than a bare message.
@@ -20,6 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
+from itertools import chain
+from math import isfinite
+from struct import pack
 from typing import Optional
 
 import numpy as np
@@ -48,8 +57,117 @@ class ModelError(ValueError):
 # canonical JSON
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ": "), allow_nan=False).encode
+_STRING = json.encoder.encode_basestring_ascii
+
+
+def _float(x: float) -> str:
+    if not isfinite(x):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return float.__repr__(x)
+
+
+# the exact types whose JSON text holds no comma, each with its writer
+_NUMBERS = {
+    float: _float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+class _Defer(Exception):
+    """A value that is not a plain JSON type: ``json.dumps`` writes it."""
+
+
 def canonical_dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` plus
+    a newline, byte for byte.
+
+    Dicts and lists are walked here.  Each list of numbers, and each list
+    of number rows, is written by the C encoder and indented by string
+    replacement; a float matrix that repeats within one document is
+    written once.  Anything else -- a tuple, a non-str key, a subclass of
+    a JSON type, nan, a cycle -- goes to ``json.dumps`` itself, which
+    writes it or raises as it always has.
+    """
+    out: list = []
+    try:
+        _write(doc, 0, out, {})
+    except (_Defer, ValueError, TypeError, RecursionError):
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, level: int, out: list, seen: dict) -> None:
+    t = type(o)
+    if t is str:
+        out.append(_STRING(o))
+    elif t in _NUMBERS:
+        out.append(_NUMBERS[t](o))
+    elif t is dict:
+        if set(map(type, o)) - {str}:
+            raise _Defer
+        _members([(_STRING(k) + ": ", o[k]) for k in sorted(o)], "{}", level, out, seen)
+    elif t is list:
+        kinds = set(map(type, o))
+        if kinds == {list} and all(o):
+            flat = list(chain.from_iterable(o))
+            kinds = set(map(type, flat))
+            if kinds <= _NUMBERS.keys():
+                out.append(_rows(o, flat if kinds == {float} else None, level, seen))
+                return
+        elif o and kinds <= _NUMBERS.keys():
+            ind = "\n" + "  " * (level + 1)
+            out.append("[" + ind + _COMPACT(o)[1:-1].replace(",", "," + ind)
+                       + ind[:-2] + "]")
+            return
+        _members([("", v) for v in o], "[]", level, out, seen)
+    else:
+        raise _Defer
+
+
+def _members(items: list, brackets: str, level: int, out: list, seen: dict) -> None:
+    """A dict or list, one ``(prefix, value)`` member per line."""
+    if not items:
+        out.append(brackets)
+        return
+    ind = "\n" + "  " * (level + 1)
+    sep = brackets[0] + ind
+    for prefix, value in items:
+        t = type(value)
+        if t in _NUMBERS:  # written here, sparing the call for most members
+            out.append(sep + prefix + _NUMBERS[t](value))
+        else:
+            out.append(sep + prefix)
+            _write(value, level + 1, out, seen)
+        sep = "," + ind
+    out.append(ind[:-2] + brackets[1])
+
+
+def _rows(o: list, floats: Optional[list], level: int, seen: dict) -> str:
+    """A list of non-empty rows of numbers, through the C encoder.
+
+    A matrix of floats only (``floats`` holds them, row after row) is kept
+    in ``seen``, keyed by the bits of its floats and its row lengths, so
+    -0.0 and 0.0 never share a text; ints and bools would turn into floats
+    in that key.
+    """
+    key = None
+    if floats is not None:
+        key = (pack(f"{len(floats)}d", *floats), tuple(map(len, o)), level)
+        if key in seen:
+            return seen[key]
+    row = "\n" + "  " * (level + 1)
+    item = row + "  "
+    text = ("[" + row + "[" + item
+            + _COMPACT(o)[2:-2].replace(",", "," + item)
+            .replace("]," + item + "[", row + "]," + row + "[" + item)
+            + row + "]" + row[:-2] + "]")
+    if key is not None:
+        seen[key] = text
+    return text
 
 
 def model_sha256(doc: dict) -> str:

@@ -252,7 +252,9 @@ def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
     """Support value max{d.x : x in s} and a witness point attaining it.
 
     Returns (inf, None) when s is unbounded in direction d.  Boxes,
-    zonotopes and vertex lists use closed forms; H-polytopes solve an LP.
+    zonotopes and vertex lists use closed forms; H-polytopes solve an LP,
+    relaxed by ``_relaxed_offsets`` when the simplex calls a flat set
+    infeasible.
     """
     d = as_vector(d)
     if np.all(d == 0.0):
@@ -279,6 +281,11 @@ def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
         if s.nrows == 0:
             return float("inf"), None
         res = lp_max(LpProblem(d, s.normals, s.offsets))
+        if res.status == INFEASIBLE:
+            # no lexicographic witness here: on a set this flat its pinned
+            # re-solves can end at points far outside the set
+            res = lp_max(LpProblem(d, s.normals, _relaxed_offsets(s)),
+                         lex_tiebreak=False)
         if res.status == UNBOUNDED:
             return float("inf"), None
         if res.status == INFEASIBLE:
@@ -310,12 +317,29 @@ def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:
         if live.size == 0:
             return out
         # one phase one for all directions: they share the constraints
-        for j, res in zip(live, lp_max_batch(dmat[:, live].T, s.normals, s.offsets)):
+        results = lp_max_batch(dmat[:, live].T, s.normals, s.offsets)
+        if results[0].status == INFEASIBLE:
+            results = lp_max_batch(dmat[:, live].T, s.normals, _relaxed_offsets(s))
+        for j, res in zip(live, results):
             if res.status == INFEASIBLE:
                 raise ValueError("support of an empty polytope is undefined")
             out[j] = np.inf if res.status == UNBOUNDED else res.value
         return out
     raise TypeError(f"unknown set representation {type(s).__name__}")
+
+
+def _relaxed_offsets(s: HPolytope) -> np.ndarray:
+    """Offsets to solve again with after the simplex called ``s`` infeasible.
+
+    On a flat set phase one's rounding can say "infeasible" although
+    ``is_empty`` finds a point meeting every row.  Then every offset is
+    relaxed by TOL (1 + |b|): a superset, so its supports still bound
+    those of ``s`` from above, and a witness misses a row of ``s`` by at
+    most that much.  An empty ``s`` keeps its offsets and stays infeasible.
+    """
+    if is_empty(s):
+        return s.offsets
+    return s.offsets + TOL * (1.0 + np.abs(s.offsets))
 
 
 def translate(s: SetRep, v) -> SetRep:
@@ -360,7 +384,7 @@ def linear_map(a, s: SetRep) -> SetRep:
     if isinstance(s, Zonotope):
         return Zonotope(a @ s.center, a @ s.generators, exact=s.exact)
     if isinstance(s, VPolytope):
-        return VPolytope(s.vertices @ a.T, exact=s.exact)
+        return VPolytope(_distinct_rows(s.vertices @ a.T), exact=s.exact)
     if isinstance(s, HPolytope):
         img = _pullback(a, s) if a.shape[0] == a.shape[1] else None
         if img is not None:
@@ -385,6 +409,19 @@ def _pullback(a: np.ndarray, h: HPolytope) -> HPolytope | None:
     return HPolytope(rows, h.offsets, exact=h.exact) if np.all(np.isfinite(rows)) else None
 
 
+def _distinct_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of v without duplicates on a 1e-9 grid, first occurrences kept
+    in order."""
+    # float keys: an int64 cast would send every |v| above 9.2e9 to one key
+    keys = np.round(v / TOL)
+    # a stable sort puts each key's first occurrence first among its equals
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    return v[np.sort(order[first])]
+
+
 def _reduce_vertices(v: np.ndarray) -> np.ndarray:
     """Drop duplicate rows (1e-9 grid); in 1-d and 2-d also drop
     non-extreme points, so an interval keeps its two ends."""
@@ -392,8 +429,7 @@ def _reduce_vertices(v: np.ndarray) -> np.ndarray:
         return convex_hull_2d(v).vertices
     if v.shape[1] == 1:
         v = v[[np.argmin(v[:, 0]), np.argmax(v[:, 0])]]
-    _, idx = np.unique(np.round(v / TOL).astype(np.int64), axis=0, return_index=True)
-    return v[np.sort(idx)]
+    return _distinct_rows(v)
 
 
 def minkowski_sum(s1: SetRep, s2: SetRep) -> SetRep:

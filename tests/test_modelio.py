@@ -1,10 +1,15 @@
 """Model and result document handling."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from reachflow.cli import main
 from reachflow.hybridreach import hybrid_reach
 from reachflow.hybridize import dynamic_hybridize_reach
 from reachflow.linreach import reach
@@ -103,6 +108,175 @@ class TestCanonicalForm:
     def test_non_finite_numbers_refused(self):
         with pytest.raises(ValueError):
             canonical_dumps({"a": float("inf")})
+
+
+def reference_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def outcome(dumps, doc):
+    """The text written, or the type and message of the error raised."""
+    try:
+        return dumps(doc)
+    except Exception as e:  # compared with the other writer's, not handled
+        return type(e), str(e)
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308])
+NUMBERS = (FLOATS | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+           | st.booleans() | st.none())
+ROWS = st.lists(st.lists(NUMBERS, max_size=4), max_size=4)
+MATRICES = st.lists(st.lists(FLOATS, min_size=1, max_size=4), min_size=1, max_size=4)
+
+
+@st.composite
+def repeated_matrices(draw):
+    """One float matrix three times, and the same numbers with the signs
+    of their zeros flipped or cut into one-number rows: equal matrices
+    may share one text, the others must not."""
+    m = draw(MATRICES)
+    flipped = [[-x if x == 0.0 else x for x in row] for row in m]
+    column = [[x] for row in m for x in row]
+    return [{"normals": [list(r) for r in m]}, {"normals": flipped}, {"normals": column},
+            {"normals": [list(r) for r in m], "offsets": [row[0] for row in m]}]
+
+
+LEAVES = st.text() | NUMBERS | ROWS | MATRICES | st.lists(NUMBERS)
+DOCUMENTS = st.recursive(
+    LEAVES | repeated_matrices(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+def _linear_result(strategy):
+    m = parse_model(linear_doc(config={"horizon": 6, "strategy": strategy}))
+    return result_doc(m, reach(m.system, m.config))
+
+
+def _continuous_result():
+    m = parse_model({
+        "format": "flowpipe-model/1", "kind": "linear-continuous", "name": "spring",
+        "a": [[0.0, 1.0], [-1.0, 0.0]], "b": [[0.0], [1.0]],
+        "input": {"type": "box", "lower": [-0.1], "upper": [0.1]},
+        "x0": {"type": "box", "lower": [0.9, -0.1], "upper": [1.1, 0.1]},
+        "config": {"horizon": 1.0, "step": 0.05},
+    })
+    return result_doc(m, reach(m.system, m.config))
+
+
+def _hybrid_result():
+    m = parse_model(thermostat_doc())
+    return result_doc(m, hybrid_reach(m.automaton, m.init_mode, m.x0, m.config))
+
+
+def _nonlinear_result():
+    m = parse_model(nonlinear_doc())
+    return result_doc(m, dynamic_hybridize_reach(m.nonlinear, m.x0, m.config))
+
+
+# one result document per kind and stepping strategy
+RESULT_DOCUMENTS = {
+    "linear-lazy": lambda: _linear_result("lazy"),
+    "linear-facets": lambda: _linear_result("facets"),
+    "linear-vertices": lambda: _linear_result("vertices"),
+    "linear-continuous": _continuous_result,
+    "hybrid": _hybrid_result,
+    "nonlinear": _nonlinear_result,
+}
+
+
+class TestCanonicalWriter:
+    """``canonical_dumps`` writes exactly what ``json.dumps(indent=2)`` does."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(DOCUMENTS)
+    def test_equals_the_indent_encoder(self, doc):
+        assert canonical_dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("name", sorted(RESULT_DOCUMENTS))
+    def test_equals_the_indent_encoder_on_result_documents(self, name):
+        doc = RESULT_DOCUMENTS[name]()
+        assert canonical_dumps(doc) == reference_dumps(doc)
+        assert canonical_dumps(json.loads(canonical_dumps(doc))) == canonical_dumps(doc)
+
+    def test_repeated_matrices_share_text_only_when_equal(self):
+        doc = {"a": [[0.0, 1.0]], "b": [[-0.0, 1.0]], "c": [[0.0, 1.0]], "d": [[0, 1.0]],
+               "e": [[1.0, 2.0], [3.0]], "f": [[1.0], [2.0, 3.0]], "g": [[1.0, 2.0, 3.0]],
+               "h": {"e": [[1.0, 2.0], [3.0]]}}
+        text = canonical_dumps(doc)
+        assert text == reference_dumps(doc)
+        assert text.count("-0.0") == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_refused_everywhere(self, bad):
+        for doc in ({"a": bad}, {"a": [1.0, bad]}, {"a": [[1.0], [bad]]},
+                    {"a": [{"b": bad}]}, [[bad, 1]], bad):
+            with pytest.raises(ValueError):
+                canonical_dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"a": (1.0, 2.0)},
+        {"a": [[1.0], (2.0,)]},
+        {3: [1.0], 1: "x"},
+        {3: [1.0], 2.5: "x", None: True},
+        {"a": 1, 2: 3},
+        {"a": np.float64(0.1), "b": [np.float64(-0.0), 1.0]},
+        {"a": [[np.int64(3), 1.0]]},
+        {"a": {1.0, 2.0}},
+        {"a": [True, 2, -0.0, None]},
+        {"a": [1e16, 10 ** 40, -(10 ** 40), 5e-324]},
+        [],
+        {},
+        [[], {}],
+        [[1.0], []],
+        "\u00e9\u2603",
+    ])
+    def test_other_values_written_as_json_dumps_writes_them(self, doc):
+        assert outcome(canonical_dumps, doc) == outcome(reference_dumps, doc)
+
+    def test_cycles_are_refused_as_json_dumps_refuses_them(self):
+        loop = {"a": []}
+        loop["a"].append(loop)
+        assert outcome(canonical_dumps, loop) == outcome(reference_dumps, loop)
+        assert outcome(canonical_dumps, loop)[0] is ValueError
+
+
+# SHA-256 of the canonical bytes as json.dumps(indent=2) wrote them: a
+# writer must reproduce these, not only round-trip its own output; a change
+# to a flowpipe moves the result hashes and must say so
+PINNED_MODEL_SHA256 = "ca05c80a26be42b8130ceec4d0a5dd82282d9b3a08a04a55c56e367d4eaa0e0e"
+PINNED_RESULT_SHA256 = {
+    "linear": "bd2f3ea92146e6a01692838cceab44524710c68456927f8aee57e12befdbb6fb",
+    "hybrid": "3f0de969b22c5c68a8179d6b0c398c06efccf2a503ef1145fc5f1394e89f1d3d",
+    "nonlinear": "41128fb8838b4c12f70f5c8f4f0a4ea6d6529012ed4cd8b8d4f6fe9e2617f792",
+}
+
+
+def _pinned_models():
+    far = {"type": "box", "lower": [5.0, 5.0], "upper": [6.0, 6.0]}
+    cold = {"type": "hpolytope", "normals": [[1.0]], "offsets": [16.0]}
+    below = {"type": "box", "lower": [-2.0], "upper": [-0.5]}
+    return {
+        "linear": linear_doc(config={"horizon": 5, "mode": "bad_set", "bad_set": far}),
+        "hybrid": thermostat_doc(config={"horizon": 0.3, "step": 0.01,
+                                         "mode": "bad_set", "bad_set": cold}),
+        "nonlinear": nonlinear_doc(config={"horizon": 0.1, "step": 0.01,
+                                           "mode": "bad_set", "bad_set": below}),
+    }
+
+
+class TestPinnedBytes:
+    def test_model_hash(self):
+        assert model_sha256(thermostat_doc()) == PINNED_MODEL_SHA256
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_RESULT_SHA256))
+    def test_check_result_file(self, tmp_path, kind):
+        model, out = tmp_path / "model.json", tmp_path / "result.json"
+        model.write_text(json.dumps(_pinned_models()[kind]))
+        assert main(["check", str(model), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_RESULT_SHA256[kind]
 
 
 class TestSetCodec:

@@ -78,6 +78,29 @@ class TestLinearMap:
         img = sg.linear_map(a, v)
         assert np.allclose(img.vertices, v.vertices @ a.T)
 
+    def test_singular_map_of_vertices_keeps_distinct_images(self):
+        cube = Box([0.0] * 3, [1.0] * 3).to_vpolytope()
+        img = sg.linear_map(np.diag([1.0, 0.0, 0.0]), cube)
+        assert np.array_equal(img.vertices, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert img.exact
+        # images are kept in the order of their first preimage
+        swap = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        img = sg.linear_map(swap, VPolytope([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]))
+        assert np.array_equal(img.vertices, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-12, 2e-10, -3e-10, 0.5]),
+                 min_size=n, max_size=n), min_size=1, max_size=12)))
+    def test_distinct_rows_match_a_unique_on_the_grid(self, rows):
+        v = np.array(rows)
+        _, idx = np.unique(np.round(v / 1e-9).astype(np.int64), axis=0, return_index=True)
+        assert np.array_equal(sg._distinct_rows(v), v[np.sort(idx)])
+
+    def test_distinct_rows_keep_large_coordinates_apart(self):
+        v = np.array([[1e10, 0.0], [2e10, 0.0], [3e10, 5.0], [2e10, 0.0]])
+        assert np.array_equal(sg._distinct_rows(v), v[:3])
+
     def test_hpolytope_invertible_map_is_exact(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
@@ -501,6 +524,33 @@ class TestIsEmpty:
         h = HPolytope(np.vstack([r, -r]), np.concatenate([y, -y]))
         assert np.all(h.normals @ np.linalg.solve(r, y) <= h.offsets + 1e-15)
         assert not sg.is_empty(h)
+
+    def test_flat_parallelotope_has_supports(self):
+        # the set above, once meets has said it touches a box: support,
+        # support_batch and bounding_box bound the one point from above
+        r = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 1.0], [1e-7, 1.0, 3.0]])
+        y = np.array([1.0, 2.0, 0.0])
+        h = HPolytope(np.vstack([r, -r]), np.concatenate([y, -y]))
+        assert sg.meets(h, Box([0.0, 0.0, -1.0], [1.0, 1.0, 0.0]))
+        dirs = np.hstack([np.eye(3), -np.eye(3)])
+        values = sg.support_batch(h, dirs)
+        for j, d in enumerate(dirs.T):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                exact = lp_vertex_enum(d, h.normals, h.offsets)[0]
+            assert exact - 1e-12 <= values[j] <= exact + 1e-7
+            value, witness = sg.support(h, d)
+            assert value == values[j]
+            assert sg.member(h, witness, tol=1e-8)
+        box = sg.bounding_box(h)
+        assert np.array_equal(box.upper, values[:3])
+        assert np.array_equal(box.lower, -values[3:])
+
+    def test_empty_polytope_still_has_no_support(self):
+        h = HPolytope([[1.0], [-1.0]], [0.0, -1.0])
+        with pytest.raises(ValueError, match="empty polytope"):
+            sg.support(h, [1.0])
+        with pytest.raises(ValueError, match="empty polytope"):
+            sg.support_batch(h, np.eye(1))
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
