@@ -419,16 +419,6 @@ class LazyReachSet:
             raise ValueError("direction dimension mismatch")
         return float(self._from_scratch(d.reshape(-1, 1))[0])
 
-    def _base_support(self, pulled: np.ndarray) -> np.ndarray:
-        """Supports of X0 in the columns of ``pulled`` (0 for zero columns)."""
-        zero = np.all(pulled == 0.0, axis=0)
-        if not np.any(zero):
-            return support_batch(self.base, pulled)
-        vals = np.zeros(pulled.shape[1])
-        if not np.all(zero):
-            vals[~zero] = support_batch(self.base, pulled[:, ~zero])
-        return vals
-
     def _from_scratch(self, dmat: np.ndarray) -> np.ndarray:
         """Supports in the columns of ``dmat``, pulled back through k steps."""
         acc = np.zeros(dmat.shape[1])
@@ -436,7 +426,7 @@ class LazyReachSet:
             if self.channel:
                 acc += self.channel.support_batch(dmat)
             dmat = self.a.T @ dmat
-        return self._base_support(dmat) + acc
+        return support_batch(self.base, dmat) + acc
 
     def concretize(self, directions: Optional[np.ndarray] = None) -> HPolytope:
         """Template H-polytope enclosure at the current step.
@@ -445,7 +435,7 @@ class LazyReachSet:
         true reach set overall, hence flagged non-exact.
         """
         if directions is None:
-            vals = self._base_support(self._cur) + self._acc
+            vals = support_batch(self.base, self._cur) + self._acc
             return HPolytope(self.dirs, vals, exact=False)
         directions = as_matrix(directions)
         if directions.shape[1] != self.dim:

@@ -262,31 +262,21 @@ def _phase_two(c: np.ndarray, t: np.ndarray, basis: list[int], tol: float) -> Lp
     return LpResult(OPTIMAL, float(c @ x), x)
 
 
-def _solve_raw(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> LpResult:
-    """Two-phase dense simplex on the split-variable standard form."""
-    if a.shape[0] == 0:
-        if np.any(np.abs(c) > tol):
-            return LpResult(UNBOUNDED)
-        return LpResult(OPTIMAL, 0.0, np.zeros(a.shape[1]))
-    start = _phase_one(a, b, tol)
-    if isinstance(start, LpResult):
-        return start
-    return _phase_two(c, *start, tol)
-
-
 def lp_max_batch(objectives, a, b) -> list[LpResult]:
-    """``lp_max(LpProblem(c, a, b), lex_tiebreak=False)`` for every row c
-    of ``objectives``, from one phase one.
+    """Maximize c.x over {x : a x <= b} for every row c of ``objectives``,
+    from one phase one.
 
-    Phase one never reads the objective, so each phase two starts from a
-    copy of one feasible tableau and makes the same pivots, with the same
-    values, as a cold solve of its objective.
+    Each result's ``x`` is the simplex's optimal vertex; Bland's rule makes
+    it deterministic.  Phase one never reads the objective, so each phase
+    two starts from a copy of one feasible tableau and makes the same
+    pivots, with the same values, as a solve of its objective alone.
     """
     objectives = as_matrix(objectives)
     prob = LpProblem(np.zeros(objectives.shape[1]), a, b)
     a, b = prob.a, prob.b
     if a.shape[0] == 0:
-        return [_solve_raw(c, a, b, FEAS_TOL) for c in objectives]
+        return [LpResult(UNBOUNDED) if np.any(np.abs(c) > FEAS_TOL)
+                else LpResult(OPTIMAL, 0.0, np.zeros(a.shape[1])) for c in objectives]
     start = _phase_one(a, b, FEAS_TOL)
     if isinstance(start, LpResult):
         return [start for _ in objectives]
@@ -294,35 +284,10 @@ def lp_max_batch(objectives, a, b) -> list[LpResult]:
     return [_phase_two(c, t.copy(), list(basis), FEAS_TOL) for c in objectives]
 
 
-def lp_max(prob: LpProblem, lex_tiebreak: bool = True) -> LpResult:
+def lp_max(prob: LpProblem) -> LpResult:
     """Maximize a linear objective over {x : a x <= b}.
 
-    The returned point satisfies the constraints within FEAS_TOL.  With
-    lex_tiebreak (the default) ties between optimal vertices are broken in
-    favour of the lexicographically smallest point, which keeps every
-    downstream geometric result deterministic.
+    The returned point is the simplex's optimal vertex, which Bland's rule
+    makes deterministic; it satisfies the constraints within FEAS_TOL.
     """
-    c, a, b = prob.objective, prob.a, prob.b
-    res = _solve_raw(c, a, b, FEAS_TOL)
-    if res.status != OPTIMAL or not lex_tiebreak:
-        return res
-    n = c.shape[0]
-    # pin the optimal face, then minimize coordinates one at a time; the pin
-    # slack is kept well below FEAS_TOL so the witness still attains the
-    # optimum within the advertised tolerance
-    slack = 0.25 * FEAS_TOL
-    a_cur = np.vstack([a, -c[None, :]])
-    b_cur = np.append(b, -(res.value - slack))
-    x_best = res.x
-    for j in range(n):
-        cj = np.zeros(n)
-        cj[j] = -1.0
-        sub = _solve_raw(cj, a_cur, b_cur, FEAS_TOL)
-        if sub.status != OPTIMAL:
-            break  # optimal face unbounded below in x_j: keep the vertex we have
-        x_best = sub.x
-        pin = np.zeros(n)
-        pin[j] = 1.0
-        a_cur = np.vstack([a_cur, pin[None, :], -pin[None, :]])
-        b_cur = np.append(b_cur, [sub.x[j] + slack, -(sub.x[j] - slack)])
-    return LpResult(OPTIMAL, res.value, x_best)
+    return lp_max_batch(prob.objective[None, :], prob.a, prob.b)[0]

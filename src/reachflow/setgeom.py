@@ -25,7 +25,7 @@ import itertools
 
 import numpy as np
 
-from .numkernel import (FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem,
+from .numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpResult,
                         as_matrix, as_vector, lp_max, lp_max_batch)
 
 TOL = 1e-9
@@ -234,7 +234,7 @@ def member(s: SetRep, x, tol: float = TOL) -> bool:
         m = v.shape[0]
         rows = [v.T, -v.T, np.ones((1, m)), -np.ones((1, m)), -np.eye(m)]
         rhs = np.concatenate([x, -x, [1.0], [-1.0], np.zeros(m)])
-        res = lp_max(LpProblem(np.zeros(m), np.vstack(rows), rhs), lex_tiebreak=False)
+        res = lp_max(LpProblem(np.zeros(m), np.vstack(rows), rhs))
         return res.status == OPTIMAL
     if isinstance(s, Zonotope):
         g = s.generators
@@ -243,7 +243,7 @@ def member(s: SetRep, x, tol: float = TOL) -> bool:
             return bool(np.all(np.abs(x - s.center) <= tol))
         rows = [g, -g, np.eye(p), -np.eye(p)]
         rhs = np.concatenate([x - s.center, s.center - x, np.ones(p), np.ones(p)])
-        res = lp_max(LpProblem(np.zeros(p), np.vstack(rows), rhs), lex_tiebreak=False)
+        res = lp_max(LpProblem(np.zeros(p), np.vstack(rows), rhs))
         return res.status == OPTIMAL
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
@@ -252,9 +252,10 @@ def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
     """Support value max{d.x : x in s} and a witness point attaining it.
 
     Returns (inf, None) when s is unbounded in direction d.  Boxes,
-    zonotopes and vertex lists use closed forms; H-polytopes solve an LP,
-    relaxed by ``_relaxed_offsets`` when the simplex calls a flat set
-    infeasible.
+    zonotopes and vertex lists use closed forms; a vertex list gives its
+    first maximizing vertex.  H-polytopes solve the LP that
+    ``support_batch`` solves, so the value is the same bit for bit, and the
+    witness is that solve's optimal vertex.
     """
     d = as_vector(d)
     if np.all(d == 0.0):
@@ -272,24 +273,12 @@ def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
         return value, witness
     if isinstance(s, VPolytope):
         vals = s.vertices @ d
-        best = vals.max()
-        ties = np.flatnonzero(vals >= best - TOL)
-        # deterministic witness: lexicographically smallest maximizer
-        order = np.lexsort(s.vertices[ties].T[::-1])
-        return float(best), s.vertices[ties[order[0]]].copy()
+        i = int(np.argmax(vals))
+        return float(vals[i]), s.vertices[i].copy()
     if isinstance(s, HPolytope):
-        if s.nrows == 0:
-            return float("inf"), None
-        res = lp_max(LpProblem(d, s.normals, s.offsets))
-        if res.status == INFEASIBLE:
-            # no lexicographic witness here: on a set this flat its pinned
-            # re-solves can end at points far outside the set
-            res = lp_max(LpProblem(d, s.normals, _relaxed_offsets(s)),
-                         lex_tiebreak=False)
+        (res,) = _hpolytope_solves(s, d[:, None])[1]
         if res.status == UNBOUNDED:
             return float("inf"), None
-        if res.status == INFEASIBLE:
-            raise ValueError("support of an empty polytope is undefined")
         return res.value, res.x
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
@@ -297,8 +286,8 @@ def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
 def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:
     """Support values for many directions at once (columns of dmat).
 
-    Values only, no witnesses, no lexicographic refinement; zero columns
-    yield 0 (the supremum of the zero functional over a nonempty set).
+    Values only, no witnesses; zero columns yield 0 (the supremum of the
+    zero functional over a nonempty set).
     """
     if isinstance(s, Empty):
         raise ValueError("support of the empty set is undefined")
@@ -313,19 +302,28 @@ def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:
         return (s.vertices @ dmat).max(axis=0)
     if isinstance(s, HPolytope):
         out = np.zeros(dmat.shape[1])
-        live = np.flatnonzero(np.any(dmat != 0.0, axis=0))
-        if live.size == 0:
-            return out
-        # one phase one for all directions: they share the constraints
-        results = lp_max_batch(dmat[:, live].T, s.normals, s.offsets)
-        if results[0].status == INFEASIBLE:
-            results = lp_max_batch(dmat[:, live].T, s.normals, _relaxed_offsets(s))
-        for j, res in zip(live, results):
-            if res.status == INFEASIBLE:
-                raise ValueError("support of an empty polytope is undefined")
-            out[j] = np.inf if res.status == UNBOUNDED else res.value
+        live, results = _hpolytope_solves(s, dmat)
+        out[live] = [np.inf if res.status == UNBOUNDED else res.value for res in results]
         return out
     raise TypeError(f"unknown set representation {type(s).__name__}")
+
+
+def _hpolytope_solves(h: HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, list[LpResult]]:
+    """The nonzero columns of ``dmat`` and the simplex's result for each
+    over ``h``, from one phase one: the directions share the constraints.
+
+    Solves again on ``_relaxed_offsets`` when the simplex calls ``h``
+    infeasible, and raises when ``h`` is empty.
+    """
+    live = np.flatnonzero(np.any(dmat != 0.0, axis=0))
+    if live.size == 0:
+        return live, []
+    results = lp_max_batch(dmat[:, live].T, h.normals, h.offsets)
+    if results[0].status == INFEASIBLE:
+        results = lp_max_batch(dmat[:, live].T, h.normals, _relaxed_offsets(h))
+    if results[0].status == INFEASIBLE:
+        raise ValueError("support of an empty polytope is undefined")
+    return live, results
 
 
 def _relaxed_offsets(s: HPolytope) -> np.ndarray:
@@ -537,7 +535,7 @@ def intersect(s1: SetRep, s2: SetRep) -> SetRep:
 _REFINE_BAND = 1e-6
 
 
-def is_empty(s: SetRep, tol: float = FEAS_TOL) -> bool:
+def is_empty(s: SetRep) -> bool:
     """Emptiness check; H-polytopes are decided by LP feasibility."""
     if isinstance(s, Empty):
         return True
@@ -546,8 +544,7 @@ def is_empty(s: SetRep, tol: float = FEAS_TOL) -> bool:
     if isinstance(s, HPolytope):
         if s.nrows == 0:
             return False
-        res = lp_max(LpProblem(np.zeros(s.dim), s.normals, s.offsets),
-                     lex_tiebreak=False)
+        res = lp_max(LpProblem(np.zeros(s.dim), s.normals, s.offsets))
         if res.status != INFEASIBLE:
             return False
         # phase one can misjudge a flat set by its own rounding: "empty"
@@ -795,13 +792,16 @@ def _vrep_to_hrep_3d(p: VPolytope) -> HPolytope:
         raise ValueError("facet enumeration failed (degenerate vertex set)")
     rows = np.asarray(rows)
     offs = np.asarray(offs)
-    _, idx = np.unique(np.round(np.hstack([rows, offs[:, None]]) / 1e-9).astype(np.int64),
-                       axis=0, return_index=True)
-    keep = np.sort(idx)
-    return HPolytope(rows[keep], offs[keep], exact=p.exact)
+    facets = _distinct_rows(np.hstack([rows, offs[:, None]]))
+    return HPolytope(facets[:, :-1], facets[:, -1], exact=p.exact)
 
 
-def hrep_to_vrep(p: HPolytope, tol: float = 1e-7) -> VPolytope:
+# a candidate vertex is kept when it meets every row within this much
+# times max(1, max |b|)
+_VERTEX_TOL = 1e-7
+
+
+def hrep_to_vrep(p: HPolytope) -> VPolytope:
     """Exact vertex enumeration of a bounded H-polytope, dimensions <= 3.
 
     Enumerates all n-subsets of facets, solves each linear system and keeps
@@ -827,7 +827,7 @@ def hrep_to_vrep(p: HPolytope, tol: float = 1e-7) -> VPolytope:
             continue
         if not np.all(np.isfinite(x)):
             continue
-        if np.all(a @ x <= b + tol * scale):
+        if np.all(a @ x <= b + _VERTEX_TOL * scale):
             pts.append(x)
     if not pts:
         raise ValueError("vertex enumeration found no vertices (empty polytope?)")

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-private top-level helper is referenced somewhere in the package, and every
-function the benchmark's tracer wraps still exists.
+private top-level helper is referenced somewhere in the package, every
+parameter of a package function is read in its body, and every function
+the benchmark's tracer wraps still exists.
 
 Refactors that delete call sites tend to leave imports behind; no linter
 is a dependency, so this walks the syntax trees with the standard library.
@@ -128,6 +129,46 @@ def test_detects_a_leftover_private_helper():
         "a.py: _left_behind (line 7)",
         "a.py: _Unused (line 10)",
     ]
+
+
+def _unread_parameters(tree):
+    """``name(parameter) (line n)`` for each parameter of a function in
+    ``tree`` that its body never reads, in line order; ``self`` and ``cls``
+    are exempt."""
+    functions = [
+        n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for node in sorted(functions, key=lambda n: n.lineno):
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            n.id for stmt in node.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for a in params:
+            if a.arg not in ("self", "cls") and a.arg not in read:
+                yield f"{node.name}({a.arg}) (line {node.lineno})"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = list(_unread_parameters(tree))
+    assert not unread, f"{path.name} has parameters no body reads: {', '.join(unread)}"
+
+
+def test_detects_an_unread_parameter():
+    tree = ast.parse(
+        "class A:\n"
+        "    def m(self, x, unused=1):\n"
+        "        return x\n\n"
+        "def f(a, *args, flag=False, **kw):\n"
+        "    def inner(b):\n"
+        "        return a + b\n"
+        "    return inner(*args, **kw)\n"
+    )
+    assert list(_unread_parameters(tree)) == ["m(unused) (line 2)", "f(flag) (line 5)"]
 
 
 def _spanned():

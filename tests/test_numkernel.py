@@ -93,13 +93,13 @@ class TestLpMax:
         res = lp_max(LpProblem([1.0], [[-1.0]], [0.0]))
         assert res.status == UNBOUNDED
 
-    def test_degenerate_tie_picks_lexicographically_smallest(self):
+    def test_degenerate_tie_returns_blands_vertex(self):
         a, b = unit_box_constraints(2)
         res = lp_max(LpProblem([1.0, 0.0], a, b))  # whole edge x=1 optimal
         assert res.value == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(res.x, [1.0, 0.0], atol=1e-8)
 
-    def test_zero_objective_returns_lexmin_vertex(self):
+    def test_zero_objective_returns_the_start_vertex(self):
         a, b = unit_box_constraints(3)
         res = lp_max(LpProblem([0.0, 0.0, 0.0], a, b))
         assert res.value == pytest.approx(0.0, abs=1e-12)

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from reachflow import numkernel
@@ -68,6 +68,19 @@ def template_hpolytopes(draw, n):
     dirs = sg.default_template(n)
     offs = draw(st.lists(st.floats(-3.0, 6.0), min_size=dirs.shape[0], max_size=dirs.shape[0]))
     return HPolytope(dirs, np.array(offs))
+
+
+@st.composite
+def flat_parallelotopes(draw, n):
+    """{y - w <= R x <= y + w} with some widths w zero and couplings in R
+    down to 1e-7: flat sets whose phase one the simplex's rounding can
+    call infeasible."""
+    entries = draw(st.lists(st.sampled_from([0.0, 1e-7, -1e-7, 1e-4, 1.0, -1.0])
+                            | st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n))
+    r = np.array(entries).reshape(n, n) + 3.0 * np.eye(n)
+    y = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5]), min_size=n, max_size=n)))
+    return HPolytope(np.vstack([r, -r]), np.concatenate([y + w, w - y]))
 
 
 def sets(n):
@@ -190,7 +203,7 @@ class TestContainmentPrecheck:
         bound, mag = sg._support_bound(p, h.normals.T)
         settled = sg._clears(bound - h.offsets - sg.TOL, h.offsets, mag)
         for a_row, b_row in zip(h.normals[settled], h.offsets[settled]):
-            res = lp_max(LpProblem(a_row, p.normals, p.offsets), lex_tiebreak=False)
+            res = lp_max(LpProblem(a_row, p.normals, p.offsets))
             assert res.status == OPTIMAL and res.value <= b_row + sg.TOL
         lp_rows = all(sg.support_batch(p, a[:, None])[0] <= b + sg.TOL
                       for a, b in zip(h.normals, h.offsets))
@@ -209,7 +222,7 @@ class TestContainmentPrecheck:
 
 class TestSharedPhaseOne:
     def cold(self, h, d):
-        return lp_max(LpProblem(d, h.normals, h.offsets), lex_tiebreak=False)
+        return lp_max(LpProblem(d, h.normals, h.offsets))
 
     @PROPERTY
     @given(st.integers(1, 4).flatmap(
@@ -228,6 +241,24 @@ class TestSharedPhaseOne:
         want = [0.0 if not np.any(d != 0.0) else self.cold(h, d).value for d in dmat.T]
         assert got.tolist() == want
 
+    @PROPERTY
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.one_of(template_hpolytopes(n), parallelotopes(n), flat_parallelotopes(n)),
+            st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))))
+    def test_support_is_its_batch_value_with_a_witness(self, case):
+        h, d = case
+        d = np.array(d)
+        assume(np.any(d != 0.0))
+        try:
+            value, witness = sg.support(h, d)
+        except ValueError:
+            with pytest.raises(ValueError, match="empty polytope"):
+                sg.support_batch(h, d[:, None])
+            return
+        assert value == sg.support_batch(h, d[:, None])[0]
+        assert abs(d @ witness - value) <= 1e-9
+
     def test_results_match_field_by_field(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(9, 3))
@@ -235,7 +266,7 @@ class TestSharedPhaseOne:
         objs = rng.normal(size=(5, 3))
         objs[2] = 0.0
         for got, c in zip(lp_max_batch(objs, a, b), objs):
-            want = lp_max(LpProblem(c, a, b), lex_tiebreak=False)
+            want = lp_max(LpProblem(c, a, b))
             assert got.status == want.status and got.value == want.value
             assert (got.x is None and want.x is None) or np.array_equal(got.x, want.x)
 
@@ -286,10 +317,12 @@ class TestCounters:
         system = LinearSystem(a, Box(np.full(4, -0.1), np.full(4, 0.1)),
                               input_set=Box(np.full(4, -0.05), np.full(4, 0.05)))
         solves = count_calls(monkeypatch, numkernel, "_phase_one")
-        lp_calls = count_calls(monkeypatch, numkernel, "_solve_raw")
+        # the names setgeom calls: no solve of any kind runs
+        lp_calls = count_calls(monkeypatch, sg, "lp_max")
+        batch_calls = count_calls(monkeypatch, sg, "lp_max_batch")
         pipe = reach(system, ReachConfig(horizon=1000, mode="bad_set", bad_set=Box(lo, hi)))
         assert pipe.status == "horizon" and len(pipe.segments) == 1001
-        assert solves == [0] and lp_calls == [0]
+        assert solves == [0] and lp_calls == [0] and batch_calls == [0]
 
 
 class TestDistinctCorners:

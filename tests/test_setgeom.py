@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -413,6 +416,17 @@ class TestConversions:
         v = sg.hrep_to_vrep(h)
         assert set(np.round(v.vertices.ravel(), 9)) == {-1.0, 2.0}
 
+    def test_large_3d_cube_facets_without_overflow(self):
+        # offsets of 1e10 on the 1e-9 duplicate grid lie beyond int64
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = sg.vrep_to_hrep(VPolytope(1e10 * corners))
+        eye = np.eye(3)
+        want = {(*row, off) for row, off in zip(np.vstack([eye, -eye]), [1e10] * 3 + [0.0] * 3)}
+        assert h.nrows == 6
+        assert {(*row, off) for row, off in zip(h.normals, h.offsets)} == want
+
     def test_unbounded_rejected(self):
         with pytest.raises(ValueError):
             sg.hrep_to_vrep(HPolytope([[1.0, 0.0]], [1.0]))
@@ -544,6 +558,19 @@ class TestIsEmpty:
         box = sg.bounding_box(h)
         assert np.array_equal(box.upper, values[:3])
         assert np.array_equal(box.lower, -values[3:])
+
+    def test_relaxed_flat_parallelotope_witnesses_lie_inside(self):
+        # the set above with its offsets relaxed: phase one calls it
+        # feasible, and each witness is the vertex of the solve that gives
+        # the value
+        r = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 1.0], [1e-7, 1.0, 3.0]])
+        y = np.array([1.0, 2.0, 0.0])
+        h = HPolytope(np.vstack([r, -r]), np.concatenate([y, -y]))
+        relaxed = HPolytope(h.normals, sg._relaxed_offsets(h))
+        for d in np.hstack([np.eye(3), -np.eye(3)]).T:
+            value, witness = sg.support(relaxed, d)
+            assert sg.member(relaxed, witness, tol=1e-8)
+            assert d @ witness == value
 
     def test_empty_polytope_still_has_no_support(self):
         h = HPolytope([[1.0], [-1.0]], [0.0, -1.0])
