@@ -18,7 +18,6 @@ import csv
 import io
 import sys
 from itertools import repeat
-from typing import Optional
 
 import numpy as np
 
@@ -115,20 +114,17 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def _sample_inputs(system, nsteps: int, rng) -> Optional[np.ndarray]:
-    if not system.has_input:
-        return None
-    return sample_points(system.input_set, nsteps, rng)
+_RK4_SUBSTEPS = 8
 
 
-def _rk4_path(field, x0: np.ndarray, nsteps: int, r: float, substeps: int = 8):
-    """Classic fixed-step integration, ``substeps`` stages per lattice step."""
+def _rk4_path(field, x0: np.ndarray, nsteps: int, r: float):
+    """Classic fixed-step integration, ``_RK4_SUBSTEPS`` stages per lattice step."""
     out = np.empty((nsteps + 1, x0.shape[0]))
     out[0] = x0
     x = x0
-    h = r / substeps
+    h = r / _RK4_SUBSTEPS
     for k in range(nsteps):
-        for _ in range(substeps):
+        for _ in range(_RK4_SUBSTEPS):
             k1 = field(x)
             k2 = field(x + 0.5 * h * k1)
             k3 = field(x + 0.5 * h * k2)
@@ -176,10 +172,12 @@ def cmd_simulate(args) -> int:
                 x0 = sample_points(model.x0, 1, rng)[0]
                 states = _rk4_path(model.nonlinear.field, x0, nsteps, r)
             else:
-                x0 = sample_points(model.system.x0, 1, rng)[0]
-                inputs = _sample_inputs(model.system, nsteps, rng)
+                system = model.system
+                x0 = sample_points(system.x0, 1, rng)[0]
+                inputs = (sample_points(system.input_set, nsteps, rng)
+                          if system.has_input else None)
                 states = simulate(
-                    model.system, x0, inputs=inputs, steps=nsteps, step=config.step
+                    system, x0, inputs=inputs, steps=nsteps, step=config.step
                 ).states
             runs.append((np.arange(len(states)) * r, states, ("-",) * len(states)))
 

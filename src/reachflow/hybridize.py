@@ -125,18 +125,15 @@ class Linearization:
         return Box(self.b - self.err, self.b + self.err)
 
 
-def linearize(
-    system: NonlinearSystem,
-    domain: Box,
-    rng: Optional[np.random.Generator] = None,
-) -> Linearization:
+def linearize(system: NonlinearSystem, domain: Box) -> Linearization:
     """Affine enclosure of the field over ``domain``.
 
     Expansion at the domain center c: A = Jf(c), b = f(c) - A c.  With a
     curvature bound H the Taylor remainder gives the rigorous residual
     radius ``err_i = H_i/2 * d^2`` where d is the largest Euclidean
     distance from c inside the box (the half-diagonal).  Without one, the
-    residual is estimated from samples, doubled, and flagged non-rigorous.
+    residual is estimated from samples (a fixed seed, so runs repeat),
+    doubled, and flagged non-rigorous.
     """
     if domain.dim != system.dim:
         raise ValueError("domain dimension does not match the system")
@@ -147,7 +144,7 @@ def linearize(
     if h is not None:
         d2 = float(domain.radii @ domain.radii)
         return Linearization(a, b, 0.5 * h * d2, rigorous=True)
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     pts = [c, domain.lower.copy(), domain.upper.copy()]
     if domain.dim <= 10:
         pts.extend(
@@ -288,6 +285,13 @@ class DynamicFlowpipe:
         return len(self.segments)
 
 
+# each epoch's domain: the reach set's bounding box padded by this share
+# of its width on every side, and at least min_pad
+_PAD_FRACTION = 0.5
+# domain rebuilds before a run counts as stalled
+_MAX_REBUILDS = 10000
+
+
 def _inflate(box: Box, pad_fraction: float, min_pad: float) -> Box:
     pad = np.maximum(pad_fraction * (box.upper - box.lower), min_pad)
     return Box(box.lower - pad, box.upper + pad)
@@ -297,21 +301,19 @@ def dynamic_hybridize_reach(
     system: NonlinearSystem,
     x0: SetRep,
     config: ReachConfig,
-    pad_fraction: float = 0.5,
     min_pad: float = 0.1,
-    max_rebuilds: int = 10000,
 ) -> DynamicFlowpipe:
     """Flowpipe of a nonlinear system with on-the-fly domains.
 
     Each epoch linearizes over a box wrapped around the current reach set
-    (its bounding box inflated by ``pad_fraction`` of its width, at least
+    (its bounding box inflated by half its width on every side, at least
     ``min_pad``) and advances the affine flowpipe, with the strategy
     ``config.strategy`` selects, while its segments stay inside that box
     -- segment containment in the domain is what makes the residual
     bound, and hence the enclosure, valid.  A step that leaves the domain
     is undone and the domain rebuilt around the last good segment.  Two
-    consecutive rebuilds without progress stall the run; the truncated
-    pipe is returned with status ``stalled``.
+    consecutive rebuilds without progress, or 10000 rebuilds in all, stall
+    the run; the truncated pipe is returned with status ``stalled``.
     """
     r, total = _lattice(config, CONTINUOUS, system.dim)
     if config.mode == FIXPOINT:
@@ -332,10 +334,10 @@ def dynamic_hybridize_reach(
     status, status_step = HORIZON, None
 
     while k <= total:
-        if len(domains) >= max_rebuilds:
+        if len(domains) >= _MAX_REBUILDS:
             status, status_step = STALLED, k
             break
-        domain = _inflate(bounding_box(entry), pad_fraction, min_pad)
+        domain = _inflate(bounding_box(entry), _PAD_FRACTION, min_pad)
         domains.append(domain)
         lin = linearize(system, domain)
         rigorous = rigorous and lin.rigorous

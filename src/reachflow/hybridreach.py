@@ -29,18 +29,18 @@ from .linreach import (
     _dynamics,
     _flow_steps,
     _lattice,
+    _step_matrices,
 )
-from .numkernel import _exp_integral, as_matrix, as_vector, mat_exp
+from .numkernel import as_matrix, as_vector
 from .setgeom import (
-    TOL,
     Box,
     HPolytope,
     SetRep,
     _exact_hform,
+    _member_rows,
     contains_set,
     hull_union,
     intersect,
-    is_empty,
     linear_map,
     meets,
     sample_points,
@@ -368,7 +368,7 @@ def hybrid_reach(
                 continue
             for k_lo, k_hi, pre, post in guard_cross(tr_hits, tr):
                 target_inv = automaton.mode(tr.target).invariant
-                if is_empty(post) if target_inv is None else not meets(post, target_inv):
+                if target_inv is not None and not meets(post, target_inv):
                     continue
                 entry_next = post if target_inv is None else intersect(post, target_inv)
                 jumps.append(Jump(tr, flow_idx, None, k_lo, k_hi, pre, entry_next))
@@ -406,37 +406,6 @@ class HybridTrace:
 URGENT = "urgent"
 DELAYED = "delayed"
 RANDOM = "random"
-
-# exact one-step matrices reused across simulate calls; keyed by matrix
-# content, not identity, so equal automata share entries
-_STEP_MATS: dict = {}
-_STEP_MATS_CAP = 8192
-
-
-def _sim_matrices(mode: Mode, tau: float):
-    key = (tau, mode.a.tobytes(), None if mode.b is None else mode.b.tobytes())
-    hit = _STEP_MATS.get(key)
-    if hit is not None:
-        return hit
-    a_step = mat_exp(mode.a, tau)
-    b_step = None if mode.b is None else _exp_integral(mode.a, tau) @ mode.b
-    if len(_STEP_MATS) >= _STEP_MATS_CAP:
-        _STEP_MATS.clear()
-    _STEP_MATS[key] = (a_step, b_step)
-    return a_step, b_step
-
-
-def _member_rows(s: Optional[SetRep]):
-    """Row-wise membership test of a point stack with member()'s tolerance;
-    invariants and guards are boxes or H-polytopes."""
-    if s is None:
-        return lambda xs: np.ones(xs.shape[0], dtype=bool)
-    if isinstance(s, Box):
-        lo, hi = s.lower - TOL, s.upper + TOL
-        return lambda xs: np.all((xs >= lo) & (xs <= hi), axis=1)
-    normals_t, offs = s.normals.T, s.offsets + TOL
-    return lambda xs: np.all(xs @ normals_t <= offs, axis=1)
-
 
 def _input_draw(mode: Mode, rng: np.random.Generator):
     """Inputs for k traces flowing in the mode, one row each (None without
@@ -519,7 +488,7 @@ def hybrid_simulate(
         raise ValueError("initial state violates the mode invariant")
 
     def advance(m, xs, zs, tau):
-        a_step, b_step = (_sim_matrices(modes[m], tau) if continuous
+        a_step, b_step = (_step_matrices(modes[m].a, modes[m].b, tau) if continuous
                           else (modes[m].a, modes[m].b))
         out = xs @ a_step.T
         return out if zs is None else out + zs @ b_step.T

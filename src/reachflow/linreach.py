@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .numkernel import _exp_integral, as_matrix, as_vector, mat_apply, mat_exp
+from .numkernel import _exp_integral, as_matrix, as_vector, mat_exp
 from .setgeom import (
     TOL,
     Box,
@@ -293,10 +293,8 @@ def _is_origin(s: SetRep) -> bool:
 # single-step operators
 
 
-def step_input_vertices(
-    p: SetRep, v: SetRep, a: np.ndarray, b: Optional[np.ndarray] = None
-) -> VPolytope:
-    """``A P + B V`` by explicit vertex propagation.
+def step_input_vertices(p: SetRep, v: SetRep, a: np.ndarray) -> VPolytope:
+    """``A P + V`` by explicit vertex propagation.
 
     Each operand enters by its exact vertex form, or else by the corners
     of its bounding box (flagged inexact).  In 2-d the vertex cloud is
@@ -304,14 +302,11 @@ def step_input_vertices(
     the true facet structure.
     """
     av = linear_map(as_matrix(a), _vform_enclosure(p))
-    bv = _vform_enclosure(v if b is None else linear_map(as_matrix(b), v))
-    return minkowski_sum(av, bv)
+    return minkowski_sum(av, _vform_enclosure(v))
 
 
-def step_input_facets(
-    p: HPolytope, v: SetRep, a: np.ndarray, b: Optional[np.ndarray] = None
-) -> HPolytope:
-    """``A P + B V`` by pushing facets of P through the map.
+def step_input_facets(p: HPolytope, v: SetRep, a: np.ndarray) -> HPolytope:
+    """``A P + V`` by pushing facets of P through the map.
 
     Each facet normal of P is pulled back through A, as ``linear_map``
     does, and its offset raised by the input support, so every facet of
@@ -332,11 +327,10 @@ def step_input_facets(
         img = linear_map(a, p)
     if v is None:
         return img
-    bv = v if b is None else linear_map(as_matrix(b), v)
-    bv_batch = (
-        bv.support_batch if isinstance(bv, _InputChannel) else (lambda d: support_batch(bv, d))
+    v_batch = (
+        v.support_batch if isinstance(v, _InputChannel) else (lambda d: support_batch(v, d))
     )
-    return HPolytope(img.normals, img.offsets + bv_batch(img.normals.T), exact=False)
+    return HPolytope(img.normals, img.offsets + v_batch(img.normals.T), exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +616,28 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
 # trajectory sampling
 
 
+# exact one-step matrices reused across simulations; keyed by matrix
+# content, not identity, so equal systems and modes share entries
+_STEP_MATS: dict = {}
+_STEP_MATS_CAP = 8192
+
+
+def _step_matrices(a: np.ndarray, b: Optional[np.ndarray], tau: float):
+    """``(e^{A tau}, int_0^tau e^{A s} ds B)``: the exact one-step solution
+    of ``x' = A x + B v`` under a zero-order hold (no second matrix without
+    a gain)."""
+    key = (tau, a.tobytes(), None if b is None else b.tobytes())
+    hit = _STEP_MATS.get(key)
+    if hit is not None:
+        return hit
+    a_step = mat_exp(a, tau)
+    b_step = None if b is None else _exp_integral(a, tau) @ b
+    if len(_STEP_MATS) >= _STEP_MATS_CAP:
+        _STEP_MATS.clear()
+    _STEP_MATS[key] = (a_step, b_step)
+    return a_step, b_step
+
+
 def simulate(
     system: LinearSystem,
     x0,
@@ -658,22 +674,19 @@ def simulate(
     # the step rule of reach's time lattice; the step count is the caller's
     r, _ = _lattice(ReachConfig(horizon=0, step=step), system.time_kind, system.dim)
     continuous = system.time_kind == CONTINUOUS
-    if continuous:
-        a_step = mat_exp(system.a, r)
-        if system.has_input:
-            b_step = _exp_integral(system.a, r) @ system.b
-    else:
-        a_step = system.a
+    a_step, b_step = (_step_matrices(system.a, system.b, r) if continuous
+                      else (system.a, system.b))
 
     states = np.empty((nsteps + 1, system.dim))
     states[0] = x0
     x = x0
     for k in range(nsteps):
-        x = mat_apply(a_step, x)
+        x = a_step @ x
         if seq is not None:
-            gain = b_step if continuous else system.b
-            x = x + mat_apply(gain, seq[k])
+            x = x + b_step @ seq[k]
         states[k + 1] = x
+    if not np.all(np.isfinite(states)):
+        raise ValueError("vector has non-finite entries")
     return SimTrace(
         states,
         np.array(seq) if seq is not None else None,

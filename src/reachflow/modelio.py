@@ -191,6 +191,20 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+def _field(obj: dict, key: str, path: str, decode, optional: bool = False):
+    """``obj[key]`` decoded as ``decode(value, dotted path)``.  A missing
+    key is an error, or None when ``optional``."""
+    if optional and key not in obj:
+        return None
+    return decode(_require(obj, key, path), _join(path, key))
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ModelError(f"{path}: must be a string")
+    return value
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelError(f"{path}: must be a number")
@@ -216,24 +230,16 @@ def decode_set(obj, path: str = "set") -> SetRep:
     kind = _require(obj, "type", path)
     try:
         if kind == "box":
-            return Box(
-                _vector(_require(obj, "lower", path), _join(path, "lower")),
-                _vector(_require(obj, "upper", path), _join(path, "upper")),
-            )
+            return Box(_field(obj, "lower", path, _vector), _field(obj, "upper", path, _vector))
         if kind == "hpolytope":
             return HPolytope(
-                _matrix(_require(obj, "normals", path), _join(path, "normals")),
-                _vector(_require(obj, "offsets", path), _join(path, "offsets")),
+                _field(obj, "normals", path, _matrix), _field(obj, "offsets", path, _vector)
             )
         if kind == "vpolytope":
-            return VPolytope(
-                _matrix(_require(obj, "vertices", path), _join(path, "vertices"))
-            )
+            return VPolytope(_field(obj, "vertices", path, _matrix))
         if kind == "zonotope":
-            gens = _matrix(
-                _require(obj, "generators", path), _join(path, "generators")
-            )
-            center = _vector(_require(obj, "center", path), _join(path, "center"))
+            gens = _field(obj, "generators", path, _matrix)
+            center = _field(obj, "center", path, _vector)
             # stored one generator per row; the constructor takes columns
             if gens.shape[1] != center.shape[0]:
                 raise ModelError(
@@ -277,22 +283,14 @@ def _decode_config(obj, path: str) -> ReachConfig:
     for key in obj:
         if key not in known:
             raise ModelError(f"{_join(path, key)}: unknown config entry")
-    kw = {"horizon": _number(_require(obj, "horizon", path), _join(path, "horizon"))}
-    if "step" in obj:
-        kw["step"] = _number(obj["step"], _join(path, "step"))
-    for key in ("mode", "strategy", "bloat_policy"):
+    kw = {"horizon": _field(obj, "horizon", path, _number)}
+    for key, decode in (
+        ("step", _number), ("mode", _string), ("strategy", _string),
+        ("bloat_policy", _string), ("bad_set", decode_set), ("template", _matrix),
+        ("max_steps", lambda v, p: int(_number(v, p))), ("state_bound", _number),
+    ):
         if key in obj:
-            if not isinstance(obj[key], str):
-                raise ModelError(f"{_join(path, key)}: must be a string")
-            kw[key] = obj[key]
-    if "bad_set" in obj:
-        kw["bad_set"] = decode_set(obj["bad_set"], _join(path, "bad_set"))
-    if "template" in obj:
-        kw["template"] = _matrix(obj["template"], _join(path, "template"))
-    if "max_steps" in obj:
-        kw["max_steps"] = int(_number(obj["max_steps"], _join(path, "max_steps")))
-    if "state_bound" in obj:
-        kw["state_bound"] = _number(obj["state_bound"], _join(path, "state_bound"))
+            kw[key] = _field(obj, key, path, decode)
     try:
         return ReachConfig(**kw)
     except ValueError as e:
@@ -322,14 +320,13 @@ class ParsedModel:
     init_mode: Optional[str] = None
     x0: Optional[SetRep] = None
     nonlinear: Optional[NonlinearSystem] = None
-    hessian_bound: Optional[np.ndarray] = None
 
 
 def _decode_linear(doc: dict, kind: str) -> LinearSystem:
-    a = _matrix(_require(doc, "a", ""), "a")
-    x0 = decode_set(_require(doc, "x0", ""), "x0")
-    b = _matrix(doc["b"], "b") if "b" in doc else None
-    input_set = decode_set(doc["input"], "input") if "input" in doc else None
+    a = _field(doc, "a", "", _matrix)
+    x0 = _field(doc, "x0", "", decode_set)
+    b = _field(doc, "b", "", _matrix, optional=True)
+    input_set = _field(doc, "input", "", decode_set, optional=True)
     time_kind = DISCRETE if kind == KIND_LINEAR_DISCRETE else CONTINUOUS
     try:
         return LinearSystem(a, x0, b=b, input_set=input_set, time_kind=time_kind)
@@ -341,16 +338,10 @@ def _decode_mode(obj, path: str) -> Mode:
     name = _require(obj, "name", path)
     if not isinstance(name, str) or not name:
         raise ModelError(f"{_join(path, 'name')}: must be a non-empty string")
-    a = _matrix(_require(obj, "a", path), _join(path, "a"))
-    b = _matrix(obj["b"], _join(path, "b")) if "b" in obj else None
-    input_set = (
-        decode_set(obj["input"], _join(path, "input")) if "input" in obj else None
-    )
-    invariant = (
-        decode_set(obj["invariant"], _join(path, "invariant"))
-        if "invariant" in obj
-        else None
-    )
+    a = _field(obj, "a", path, _matrix)
+    b = _field(obj, "b", path, _matrix, optional=True)
+    input_set = _field(obj, "input", path, decode_set, optional=True)
+    invariant = _field(obj, "invariant", path, decode_set, optional=True)
     try:
         return Mode(name, a, b=b, input_set=input_set, invariant=invariant)
     except ValueError as e:
@@ -363,17 +354,9 @@ def _decode_transition(obj, path: str) -> Transition:
     for key, val in (("source", source), ("target", target)):
         if not isinstance(val, str):
             raise ModelError(f"{_join(path, key)}: must be a string")
-    guard = decode_set(_require(obj, "guard", path), _join(path, "guard"))
-    reset_matrix = (
-        _matrix(obj["reset_matrix"], _join(path, "reset_matrix"))
-        if "reset_matrix" in obj
-        else None
-    )
-    reset_offset = (
-        _vector(obj["reset_offset"], _join(path, "reset_offset"))
-        if "reset_offset" in obj
-        else None
-    )
+    guard = _field(obj, "guard", path, decode_set)
+    reset_matrix = _field(obj, "reset_matrix", path, _matrix, optional=True)
+    reset_offset = _field(obj, "reset_offset", path, _vector, optional=True)
     try:
         return Transition(
             source, target, guard,
@@ -399,10 +382,8 @@ def _decode_hybrid(doc: dict):
     time = doc.get("time", "continuous")
     if time not in ("continuous", "discrete"):
         raise ModelError("time: must be 'continuous' or 'discrete'")
-    init_mode = _require(doc, "init_mode", "")
-    if not isinstance(init_mode, str):
-        raise ModelError("init_mode: must be a string")
-    x0 = decode_set(_require(doc, "x0", ""), "x0")
+    init_mode = _field(doc, "init_mode", "", _string)
+    x0 = _field(doc, "x0", "", decode_set)
     try:
         auto = HybridAutomaton(modes, transitions, time_kind=time)
         auto.mode(init_mode)
@@ -424,23 +405,21 @@ def _decode_nonlinear(doc: dict):
         f = parse_field(rhs, variables)
     except ExprError as e:
         raise ModelError(f"rhs: {e}") from None
-    x0 = decode_set(_require(doc, "x0", ""), "x0")
-    hb = None
-    if "hessian_bound" in doc:
-        raw = doc["hessian_bound"]
+    x0 = _field(doc, "x0", "", decode_set)
+
+    def curvature(raw, path):
         if isinstance(raw, list):
-            hb = _vector(raw, "hessian_bound")
+            hb = _vector(raw, path)
             if hb.shape[0] != len(variables):
-                raise ModelError("hessian_bound: one entry per variable")
+                raise ModelError(f"{path}: one entry per variable")
         else:
-            hb = np.full(len(variables), _number(raw, "hessian_bound"))
+            hb = np.full(len(variables), _number(raw, path))
         if np.any(hb < 0):
-            raise ModelError("hessian_bound: must be nonnegative")
-    system = NonlinearSystem(
-        f=f, dim=len(variables),
-        hessian_bound=None if hb is None else hb,
-    )
-    return system, x0, hb
+            raise ModelError(f"{path}: must be nonnegative")
+        return hb
+
+    hb = _field(doc, "hessian_bound", "", curvature, optional=True)
+    return NonlinearSystem(f=f, dim=len(variables), hessian_bound=hb), x0
 
 
 def parse_model(doc: dict) -> ParsedModel:
@@ -455,7 +434,7 @@ def parse_model(doc: dict) -> ParsedModel:
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ModelError("name: must be a string")
-    config = _decode_config(doc["config"], "config") if "config" in doc else None
+    config = _field(doc, "config", "", _decode_config, optional=True)
     sha = model_sha256(doc)
 
     if kind in (KIND_LINEAR_DISCRETE, KIND_LINEAR_CONTINUOUS):
@@ -469,13 +448,10 @@ def parse_model(doc: dict) -> ParsedModel:
             kind, doc, sha, name=name, config=config,
             automaton=auto, init_mode=init_mode, x0=x0,
         )
-    system, x0, hb = _decode_nonlinear(doc)
+    system, x0 = _decode_nonlinear(doc)
     if x0.dim != system.dim:
         raise ModelError("x0: dimension does not match the variables")
-    return ParsedModel(
-        kind, doc, sha, name=name, config=config,
-        nonlinear=system, x0=x0, hessian_bound=hb,
-    )
+    return ParsedModel(kind, doc, sha, name=name, config=config, nonlinear=system, x0=x0)
 
 
 def load_model(path) -> ParsedModel:

@@ -1,5 +1,5 @@
-"""Dense numeric kernel: matrix exponential, matrix application and a small
-dense LP solver.  Everything else in the package sits on top of these three
+"""Dense numeric kernel: the matrix exponential and a small dense LP
+solver.  Everything else in the package sits on top of these two
 primitives."""
 
 from __future__ import annotations
@@ -36,15 +36,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
-
-
-def mat_apply(a, x) -> np.ndarray:
-    """Matrix-vector product A x (the basic cost unit of the engines)."""
-    a = as_matrix(a)
-    x = as_vector(x)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"cannot apply {a.shape} matrix to vector of length {x.shape[0]}")
-    return a @ x
 
 
 # Taylor order used after scaling; with the scaled norm at most 1/2 the
@@ -91,29 +82,6 @@ def _exp_integral(a, r: float) -> np.ndarray:
     aug[:n, :n] = a
     aug[:n, n:] = np.eye(n)
     return mat_exp(aug, r)[:n, n:]
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """maximize objective . x  subject to  a x <= b  (x free)."""
-
-    objective: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "objective", as_vector(self.objective))
-        object.__setattr__(self, "a", as_matrix(self.a))
-        object.__setattr__(self, "b", as_vector(self.b))
-        m, n = self.a.shape
-        if self.objective.shape[0] != n:
-            raise ValueError(
-                f"objective length {self.objective.shape[0]} does not match "
-                f"constraint matrix with {n} columns")
-        if self.b.shape[0] != m:
-            raise ValueError(
-                f"right-hand side length {self.b.shape[0]} does not match "
-                f"constraint matrix with {m} rows")
 
 
 @dataclass(frozen=True)
@@ -271,12 +239,19 @@ def lp_max_batch(objectives, a, b) -> list[LpResult]:
     two starts from a copy of one feasible tableau and makes the same
     pivots, with the same values, as a solve of its objective alone.
     """
-    objectives = as_matrix(objectives)
-    prob = LpProblem(np.zeros(objectives.shape[1]), a, b)
-    a, b = prob.a, prob.b
-    if a.shape[0] == 0:
+    objectives, a, b = as_matrix(objectives), as_matrix(a), as_vector(b)
+    m, n = a.shape
+    if objectives.shape[1] != n:
+        raise ValueError(
+            f"objective length {objectives.shape[1]} does not match "
+            f"constraint matrix with {n} columns")
+    if b.shape[0] != m:
+        raise ValueError(
+            f"right-hand side length {b.shape[0]} does not match "
+            f"constraint matrix with {m} rows")
+    if m == 0:
         return [LpResult(UNBOUNDED) if np.any(np.abs(c) > FEAS_TOL)
-                else LpResult(OPTIMAL, 0.0, np.zeros(a.shape[1])) for c in objectives]
+                else LpResult(OPTIMAL, 0.0, np.zeros(n)) for c in objectives]
     start = _phase_one(a, b, FEAS_TOL)
     if isinstance(start, LpResult):
         return [start for _ in objectives]
@@ -284,10 +259,10 @@ def lp_max_batch(objectives, a, b) -> list[LpResult]:
     return [_phase_two(c, t.copy(), list(basis), FEAS_TOL) for c in objectives]
 
 
-def lp_max(prob: LpProblem) -> LpResult:
-    """Maximize a linear objective over {x : a x <= b}.
+def lp_max(objective, a, b) -> LpResult:
+    """Maximize objective . x over {x : a x <= b} (x free).
 
     The returned point is the simplex's optimal vertex, which Bland's rule
     makes deterministic; it satisfies the constraints within FEAS_TOL.
     """
-    return lp_max_batch(prob.objective[None, :], prob.a, prob.b)[0]
+    return lp_max_batch(as_vector(objective)[None, :], a, b)[0]

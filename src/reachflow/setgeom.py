@@ -25,8 +25,8 @@ import itertools
 
 import numpy as np
 
-from .numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpResult,
-                        as_matrix, as_vector, lp_max, lp_max_batch)
+from .numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, as_matrix, as_vector,
+                        lp_max, lp_max_batch)
 
 TOL = 1e-9
 # a row whose norm is this close to 1 counts as unit: rounding after a
@@ -222,19 +222,15 @@ def member(s: SetRep, x, tol: float = TOL) -> bool:
     if isinstance(s, Empty):
         return False
     _check_dim(s, x, "member")
-    if isinstance(s, Box):
-        return bool(np.all(x >= s.lower - tol) and np.all(x <= s.upper + tol))
-    if isinstance(s, HPolytope):
-        if s.nrows == 0:
-            return True
-        return bool(np.all(s.normals @ x <= s.offsets + tol))
+    if isinstance(s, (Box, HPolytope)):
+        return bool(_member_rows(s, tol)(x[None])[0])
     if isinstance(s, VPolytope):
         # feasibility of sum(l_i v_i) = x, sum(l_i) = 1, l >= 0
         v = s.vertices
         m = v.shape[0]
         rows = [v.T, -v.T, np.ones((1, m)), -np.ones((1, m)), -np.eye(m)]
         rhs = np.concatenate([x, -x, [1.0], [-1.0], np.zeros(m)])
-        res = lp_max(LpProblem(np.zeros(m), np.vstack(rows), rhs))
+        res = lp_max(np.zeros(m), np.vstack(rows), rhs)
         return res.status == OPTIMAL
     if isinstance(s, Zonotope):
         g = s.generators
@@ -243,9 +239,21 @@ def member(s: SetRep, x, tol: float = TOL) -> bool:
             return bool(np.all(np.abs(x - s.center) <= tol))
         rows = [g, -g, np.eye(p), -np.eye(p)]
         rhs = np.concatenate([x - s.center, s.center - x, np.ones(p), np.ones(p)])
-        res = lp_max(LpProblem(np.zeros(p), np.vstack(rows), rhs))
+        res = lp_max(np.zeros(p), np.vstack(rows), rhs)
         return res.status == OPTIMAL
     raise TypeError(f"unknown set representation {type(s).__name__}")
+
+
+def _member_rows(s: Box | HPolytope | None, tol: float = TOL):
+    """Row-wise membership test of a point stack, boundary-inclusive within
+    tol; without a set (a mode without an invariant) every row passes."""
+    if s is None:
+        return lambda xs: np.ones(xs.shape[0], dtype=bool)
+    if isinstance(s, Box):
+        lo, hi = s.lower - tol, s.upper + tol
+        return lambda xs: np.all((xs >= lo) & (xs <= hi), axis=1)
+    normals, offsets = s.normals, s.offsets
+    return lambda xs: np.all(xs @ normals.T <= offsets + tol, axis=1)
 
 
 def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
@@ -544,7 +552,7 @@ def is_empty(s: SetRep) -> bool:
     if isinstance(s, HPolytope):
         if s.nrows == 0:
             return False
-        res = lp_max(LpProblem(np.zeros(s.dim), s.normals, s.offsets))
+        res = lp_max(np.zeros(s.dim), s.normals, s.offsets)
         if res.status != INFEASIBLE:
             return False
         # phase one can misjudge a flat set by its own rounding: "empty"
@@ -1128,7 +1136,7 @@ def sample_points(s: SetRep, count: int, rng: np.random.Generator) -> np.ndarray
         have = 0
         for _ in range(2000):
             cand = rng.uniform(box.lower, box.upper, size=(max(count, 64), s.dim))
-            ok = cand[np.all(s.normals @ cand.T <= s.offsets[:, None] + TOL, axis=0)]
+            ok = cand[_member_rows(s)(cand)]
             take = min(count - have, ok.shape[0])
             out[have:have + take] = ok[:take]
             have += take

@@ -91,6 +91,10 @@ def projection_polygon(s: SetRep, dims: Sequence[int]) -> np.ndarray:
     raise TypeError(f"cannot plot set type {type(s).__name__}")
 
 
+# canvas size in pixels
+WIDTH, HEIGHT = 900, 620
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -99,8 +103,6 @@ def plot_segments(
     groups: Iterable[Tuple[Optional[str], Iterable[SetRep]]],
     dims: Sequence[int],
     path=None,
-    width: int = 900,
-    height: int = 620,
     title: Optional[str] = None,
 ) -> str:
     """Render groups of sets to an SVG document (returned, and written
@@ -122,29 +124,29 @@ def plot_segments(
     span = hi - lo
 
     margin = 40.0
-    scale = min((width - 2 * margin) / span[0], (height - 2 * margin) / span[1])
+    scale = min((WIDTH - 2 * margin) / span[0], (HEIGHT - 2 * margin) / span[1])
 
     def to_px(p):
         x = margin + (p[0] - lo[0]) * scale
-        y = height - margin - (p[1] - lo[1]) * scale
+        y = HEIGHT - margin - (p[1] - lo[1]) * scale
         return x, y
 
     svg = ET.Element(
         "svg",
         {
             "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(width),
-            "height": str(height),
-            "viewBox": f"0 0 {width} {height}",
+            "width": str(WIDTH),
+            "height": str(HEIGHT),
+            "viewBox": f"0 0 {WIDTH} {HEIGHT}",
         },
     )
     ET.SubElement(svg, "rect", {
-        "x": "0", "y": "0", "width": str(width), "height": str(height),
+        "x": "0", "y": "0", "width": str(WIDTH), "height": str(HEIGHT),
         "fill": "white",
     })
     ET.SubElement(svg, "rect", {
         "x": _fmt(margin), "y": _fmt(margin),
-        "width": _fmt(width - 2 * margin), "height": _fmt(height - 2 * margin),
+        "width": _fmt(WIDTH - 2 * margin), "height": _fmt(HEIGHT - 2 * margin),
         "fill": "none", "stroke": "#888888", "stroke-width": "1",
     })
 
@@ -182,15 +184,15 @@ def plot_segments(
 
     if title:
         t = ET.SubElement(svg, "text", {
-            "x": _fmt(width / 2), "y": _fmt(margin - 12),
+            "x": _fmt(WIDTH / 2), "y": _fmt(margin - 12),
             "text-anchor": "middle",
             "font-family": "sans-serif", "font-size": "14",
             "fill": "#222222",
         })
         t.text = title
     for caption, x, y, anchor in (
-        (f"x[{int(dims[0])}]", width / 2, height - 10.0, "middle"),
-        (f"x[{int(dims[1])}]", 14.0, height / 2, "middle"),
+        (f"x[{int(dims[0])}]", WIDTH / 2, HEIGHT - 10.0, "middle"),
+        (f"x[{int(dims[1])}]", 14.0, HEIGHT / 2, "middle"),
     ):
         t = ET.SubElement(svg, "text", {
             "x": _fmt(x), "y": _fmt(y),

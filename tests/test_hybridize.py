@@ -214,6 +214,15 @@ class TestStaticHybridize:
         with pytest.raises(ValueError, match="cap"):
             static_hybridize(sys, Box([0.0, 0.0], [1.0, 1.0]), grid=40)
 
+    def test_raised_cell_cap(self):
+        # the cap is a safety limit the caller may raise, and it is inclusive
+        sys = NonlinearSystem(lambda x: x, 2, hessian_bound=0.0)
+        domain = Box([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"9 cells \(cap 8\)"):
+            static_hybridize(sys, domain, grid=3, max_cells=8)
+        h = static_hybridize(sys, domain, grid=3, max_cells=9)
+        assert len(h.automaton.modes) == 9
+
     def test_initial_picks_center_cell(self):
         h = static_hybridize(square_1d(), Box([0.0], [1.0]), grid=4)
         name, entry = h.initial(Box([0.3], [0.35]))

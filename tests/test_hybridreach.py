@@ -665,12 +665,34 @@ class TestEmptinessChecks:
 
         real = setgeom.is_empty
         monkeypatch.setattr(setgeom, "is_empty", counting)
-        monkeypatch.setattr(hybridreach, "is_empty", counting)
         auto = HybridAutomaton((Mode("free", [[-1.0]], input_set=Box([0.9], [1.1])),), ())
         pipe = hybrid_reach(auto, "free", Box([0.0], [1.0]), cfg(1.0))
         assert [len(flow.segments) for flow in pipe.flows] == [101]
         assert pipe.flows[0].status == HORIZON
         assert len(calls) == 0
+
+    def test_no_emptiness_lp_for_a_jump_without_a_target_invariant(self, monkeypatch):
+        # the reset of guard pieces that meets() found non-empty is never
+        # empty: only a target invariant can block the jump
+        real = setgeom.is_empty
+        calls = []
+
+        def counting(s, *args, **kwargs):
+            calls.append(s)
+            return real(s, *args, **kwargs)
+
+        # every reachflow module that holds it by name
+        for module in (setgeom, hybridreach):
+            if getattr(module, "is_empty", None) is real:
+                monkeypatch.setattr(module, "is_empty", counting)
+        auto = HybridAutomaton(
+            (Mode("go", [[0.0]], input_set=Box([1.0], [1.0])), Mode("stop", [[0.0]])),
+            (Transition("go", "stop", Box([0.5], [0.6]), reset_offset=[1.0]),),
+        )
+        pipe = hybrid_reach(auto, "go", Box([0.0], [0.1]), cfg(1.0))
+        assert [f.mode for f in pipe.flows] == ["go", "stop"]
+        (jump,) = pipe.jumps
+        assert not any(s is jump.post for s in calls)
 
 
 class TestModeDynamics:

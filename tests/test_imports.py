@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 private top-level helper is referenced somewhere in the package, every
-parameter of a package function is read in its body, and every function
-the benchmark's tracer wraps still exists.
+parameter of a package function is read in its body, every parameter with
+a default is set by some call, and every function the benchmark's tracer
+wraps still exists.
 
 Refactors that delete call sites tend to leave imports behind; no linter
 is a dependency, so this walks the syntax trees with the standard library.
@@ -11,12 +12,14 @@ module (annotations included) or is listed in the module's ``__all__``.
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "reachflow"
+CALLERS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
@@ -169,6 +172,111 @@ def test_detects_an_unread_parameter():
         "    return inner(*args, **kw)\n"
     )
     assert list(_unread_parameters(tree)) == ["m(unused) (line 2)", "f(flag) (line 5)"]
+
+
+def _optional_parameters(tree):
+    """``(function name, parameter, line, position)`` for each parameter
+    with a default of each ``def`` in ``tree``, in line order.
+    ``position`` counts the arguments of a call (``None`` for keyword-only
+    ones), so the ``self`` or ``cls`` of a method takes none, and
+    ``__init__`` is named after its class, as its callers name it."""
+    owner = {
+        id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+    }
+    functions = [
+        n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for fn in sorted(functions, key=lambda n: n.lineno):
+        cls = owner.get(id(fn))
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        shift = int(cls is not None and bool(positional)
+                    and positional[0].arg in ("self", "cls"))
+        name = cls if cls is not None and fn.name == "__init__" else fn.name
+        first = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional[first:], start=first):
+            yield name, a.arg, fn.lineno, i - shift
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, a.arg, fn.lineno, None
+
+
+def _passed(trees):
+    """``{callee name: [keywords, positions, first star]}`` over every call
+    in ``trees``: the keywords and argument positions it is called with,
+    and the earliest position of a ``*`` argument, which may fill that
+    position and every later one.  A ``**`` argument may fill any keyword
+    and is recorded as the keyword ``"**"``."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name is None:
+                continue
+            seen = out.setdefault(name, [set(), set(), math.inf])
+            seen[0].update(k.arg or "**" for k in node.keywords)
+            for i, a in enumerate(node.args):
+                seen[1].add(i)
+                if isinstance(a, ast.Starred):
+                    seen[2] = min(seen[2], i)
+    return out
+
+
+def _never_set(package, callers):
+    """``module: name(parameter) (line n)`` for each parameter with a
+    default of a function in ``package`` (``{module: tree}``) that no call
+    in ``callers`` passes, by keyword, by position or through ``*``/``**``."""
+    passed = _passed(callers)
+    for module, tree in sorted(package.items()):
+        for name, param, line, pos in _optional_parameters(tree):
+            keywords, positions, star = passed.get(name, [set(), set(), math.inf])
+            if param in keywords or "**" in keywords or (
+                    pos is not None and (pos in positions or pos >= star)):
+                continue
+            yield f"{module}: {name}({param}) (line {line})"
+
+
+def test_every_optional_parameter_has_a_caller():
+    package = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in PACKAGE.glob("*.py")
+    }
+    callers = [
+        ast.parse(path.read_text(), filename=str(path))
+        for root in CALLERS for path in root.rglob("*.py")
+    ]
+    unset = list(_never_set(package, callers))
+    assert not unset, f"parameters with a default that no call sets: {', '.join(unset)}"
+
+
+def test_detects_a_never_set_parameter():
+    package = ast.parse(
+        "class A:\n"
+        "    def __init__(self, x, scale=1):\n"
+        "        self.x = x * scale\n\n"
+        "    def m(self, y=0, *, knob=2):\n"
+        "        return y + knob\n\n"
+        "def f(a, b=1, c=2, d=3):\n"
+        "    return a + b + c + d\n\n"
+        "def g(a, unset=0, *, kw=None):\n"
+        "    return a, unset, kw\n"
+    )
+    callers = ast.parse(
+        "A(1, 2).m()\n"
+        "A(1).m(knob=3)\n"
+        "f(0, 1)\n"
+        "f(0, *rest)\n"
+        "g(1)\n"
+    )
+    assert list(_never_set({"a.py": package}, [callers])) == [
+        "a.py: m(y) (line 5)",
+        "a.py: g(unset) (line 11)",
+        "a.py: g(kw) (line 11)",
+    ]
 
 
 def _spanned():

@@ -121,7 +121,7 @@ class TestStepOperators:
         p = unit_box(2).to_hpolytope()
         v = Box([-1.0], [1.0])
         b = np.array([[0.0], [1.0]])
-        out = step_input_facets(p, v, np.eye(2), b)
+        out = step_input_facets(p, linear_map(b, v), np.eye(2))
         lo, hi = axis_bounds(out)
         np.testing.assert_allclose(lo, [-1, -2], atol=1e-12)
         np.testing.assert_allclose(hi, [1, 2], atol=1e-12)
@@ -717,6 +717,21 @@ class TestSimulate:
         sys = LinearSystem(np.eye(2), unit_box(2))
         with pytest.raises(ValueError, match="step count"):
             simulate(sys, [0.0, 0.0])
+
+    def test_rejects_wrong_shapes(self):
+        sys = LinearSystem(np.eye(2), unit_box(2), input_set=unit_box(2))
+        with pytest.raises(ValueError, match="initial state dimension"):
+            simulate(sys, [0.0, 0.0, 0.0], [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="dimension 3 does not match"):
+            simulate(sys, [0.0, 0.0], [[0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_overflow_fails_loudly(self, steps):
+        # x+ = 1e200 x overflows on the first step: no trajectory ends on,
+        # or runs on from, a non-finite state
+        sys = LinearSystem([[1e200]], Box([0.0], [1e200]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            simulate(sys, [1e200], steps=steps)
 
 
 # ---------------------------------------------------------------------------

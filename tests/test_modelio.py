@@ -412,7 +412,7 @@ class TestModelParsing:
     def test_nonlinear_model_runs(self):
         m = parse_model(nonlinear_doc())
         assert m.nonlinear.dim == 1
-        assert m.hessian_bound == pytest.approx([8.0])
+        assert m.nonlinear.hessian_bound == pytest.approx([8.0])
         pipe = dynamic_hybridize_reach(m.nonlinear, m.x0, m.config)
         assert pipe.status == "horizon"
         assert pipe.rigorous

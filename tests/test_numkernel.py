@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from reachflow.numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem,
-                                 lp_max, mat_apply, mat_exp)
+from reachflow.numkernel import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max, mat_exp
 
-from oracles import lp_vertex_enum, matvec_loops, taylor_exp
+from oracles import lp_vertex_enum, taylor_exp
 
 
 class TestMatExp:
@@ -53,22 +52,6 @@ class TestMatExp:
             mat_exp(np.zeros((2, 3)))
 
 
-class TestMatApply:
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(5, 5))
-        x = rng.normal(size=5)
-        assert np.allclose(mat_apply(a, x), matvec_loops(a, x), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mat_apply(np.eye(3), np.ones(2))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            mat_apply(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
-
-
 def unit_box_constraints(n):
     eye = np.eye(n)
     a = np.vstack([eye, -eye])
@@ -79,29 +62,29 @@ def unit_box_constraints(n):
 class TestLpMax:
     def test_unit_box_corner(self):
         a, b = unit_box_constraints(2)
-        res = lp_max(LpProblem([1.0, 1.0], a, b))
+        res = lp_max([1.0, 1.0], a, b)
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-8)
 
     def test_infeasible_pair(self):
         # x <= -1 and x >= 0
-        res = lp_max(LpProblem([1.0], [[1.0], [-1.0]], [-1.0, 0.0]))
+        res = lp_max([1.0], [[1.0], [-1.0]], [-1.0, 0.0])
         assert res.status == INFEASIBLE
 
     def test_unbounded(self):
-        res = lp_max(LpProblem([1.0], [[-1.0]], [0.0]))
+        res = lp_max([1.0], [[-1.0]], [0.0])
         assert res.status == UNBOUNDED
 
     def test_degenerate_tie_returns_blands_vertex(self):
         a, b = unit_box_constraints(2)
-        res = lp_max(LpProblem([1.0, 0.0], a, b))  # whole edge x=1 optimal
+        res = lp_max([1.0, 0.0], a, b)  # whole edge x=1 optimal
         assert res.value == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(res.x, [1.0, 0.0], atol=1e-8)
 
     def test_zero_objective_returns_the_start_vertex(self):
         a, b = unit_box_constraints(3)
-        res = lp_max(LpProblem([0.0, 0.0, 0.0], a, b))
+        res = lp_max([0.0, 0.0, 0.0], a, b)
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(res.x, [0.0, 0.0, 0.0], atol=1e-8)
 
@@ -117,7 +100,7 @@ class TestLpMax:
                 p = rng.uniform(-1.0, 1.0, size=n)
                 b = a @ p + rng.uniform(0.2, 2.0, size=a.shape[0])
                 c = rng.normal(size=n)
-                res = lp_max(LpProblem(c, a, b))
+                res = lp_max(c, a, b)
                 oracle = lp_vertex_enum(c, a, b)
                 assert res.status == OPTIMAL and oracle is not None
                 assert res.value == pytest.approx(oracle[0], abs=1e-9)
@@ -130,7 +113,7 @@ class TestLpMax:
         p = rng.uniform(-0.5, 0.5, size=4)
         b = a @ p + rng.uniform(0.5, 1.5, size=a.shape[0])
         c = rng.normal(size=4)
-        res = lp_max(LpProblem(c, a, b))
+        res = lp_max(c, a, b)
         assert res.status == OPTIMAL
         assert np.all(a @ res.x <= b + 1e-9)
         count = 0
@@ -142,12 +125,12 @@ class TestLpMax:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            LpProblem([1.0, 2.0], np.eye(3), np.ones(3))
+            lp_max([1.0, 2.0], np.eye(3), np.ones(3))
         with pytest.raises(ValueError):
-            LpProblem([1.0, 2.0, 3.0], np.eye(3), np.ones(4))
+            lp_max([1.0, 2.0, 3.0], np.eye(3), np.ones(4))
 
     def test_no_constraints(self):
-        res = lp_max(LpProblem([0.0, 0.0], np.zeros((0, 2)), np.zeros(0)))
+        res = lp_max([0.0, 0.0], np.zeros((0, 2)), np.zeros(0))
         assert res.status == OPTIMAL and res.value == 0.0
-        res = lp_max(LpProblem([1.0, 0.0], np.zeros((0, 2)), np.zeros(0)))
+        res = lp_max([1.0, 0.0], np.zeros((0, 2)), np.zeros(0))
         assert res.status == UNBOUNDED

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from reachflow import numkernel
 from reachflow import setgeom as sg
 from reachflow.linreach import LinearSystem, ReachConfig, reach
-from reachflow.numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, lp_max,
-                                 lp_max_batch)
+from reachflow.numkernel import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max, lp_max_batch
 from reachflow.setgeom import Box, HPolytope, VPolytope, Zonotope
 
 from oracles import box_support, lp_vertex_enum
@@ -203,7 +202,7 @@ class TestContainmentPrecheck:
         bound, mag = sg._support_bound(p, h.normals.T)
         settled = sg._clears(bound - h.offsets - sg.TOL, h.offsets, mag)
         for a_row, b_row in zip(h.normals[settled], h.offsets[settled]):
-            res = lp_max(LpProblem(a_row, p.normals, p.offsets))
+            res = lp_max(a_row, p.normals, p.offsets)
             assert res.status == OPTIMAL and res.value <= b_row + sg.TOL
         lp_rows = all(sg.support_batch(p, a[:, None])[0] <= b + sg.TOL
                       for a, b in zip(h.normals, h.offsets))
@@ -222,7 +221,7 @@ class TestContainmentPrecheck:
 
 class TestSharedPhaseOne:
     def cold(self, h, d):
-        return lp_max(LpProblem(d, h.normals, h.offsets))
+        return lp_max(d, h.normals, h.offsets)
 
     @PROPERTY
     @given(st.integers(1, 4).flatmap(
@@ -266,7 +265,7 @@ class TestSharedPhaseOne:
         objs = rng.normal(size=(5, 3))
         objs[2] = 0.0
         for got, c in zip(lp_max_batch(objs, a, b), objs):
-            want = lp_max(LpProblem(c, a, b))
+            want = lp_max(c, a, b)
             assert got.status == want.status and got.value == want.value
             assert (got.x is None and want.x is None) or np.array_equal(got.x, want.x)
 
