@@ -11,7 +11,6 @@ linearization with bounded residuals (``dynamic_hybridize_reach``).
 
 from .setgeom import (
     Box,
-    Empty,
     HPolytope,
     VPolytope,
     Zonotope,
@@ -83,7 +82,7 @@ from .modelio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box", "Empty", "HPolytope", "VPolytope", "Zonotope",
+    "Box", "HPolytope", "VPolytope", "Zonotope",
     "axis_bounds", "bloat", "bounding_box", "contains_set", "hull_union",
     "intersect", "is_empty", "linear_map", "meets", "member", "minkowski_sum",
     "support", "support_batch", "template_hull", "translate",

@@ -26,7 +26,6 @@ from .numkernel import _exp_integral, as_matrix, as_vector, mat_exp
 from .setgeom import (
     TOL,
     Box,
-    Empty,
     HPolytope,
     SetRep,
     VPolytope,
@@ -115,8 +114,6 @@ class LinearSystem:
         a, b = _dynamics(self.a, self.b, self.input_set)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if isinstance(self.x0, Empty):
-            raise ValueError("initial set must be nonempty")
         if self.x0.dim != a.shape[0]:
             raise ValueError("initial set dimension does not match dynamics")
         lo, hi = axis_bounds(self.x0)
@@ -141,7 +138,9 @@ class ReachConfig:
     ``horizon`` counts steps for discrete systems and is a time length
     for continuous ones (paired with ``step``).  ``max_steps`` guards the
     fixpoint mode only; the default is 10x the horizon step count, capped
-    at 10000.
+    at 10000.  ``horizon``, ``state_bound`` and ``max_steps`` are finite and
+    nonnegative, ``step`` finite and positive, and ``max_steps`` a whole
+    number, kept as an int.
     """
 
     horizon: float
@@ -165,10 +164,16 @@ class ReachConfig:
             raise ValueError("bad_set mode requires a bad set")
         if self.mode != BAD_SET and self.bad_set is not None:
             raise ValueError("bad set given outside bad_set mode")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError("horizon must be a nonnegative finite number")
+        if self.step is not None and not 0 < self.step < math.inf:
+            raise ValueError("step must be a positive finite number")
+        if self.state_bound is not None and not 0 <= self.state_bound < math.inf:
+            raise ValueError("state_bound must be a nonnegative finite number")
+        if self.max_steps is not None:
+            if not (self.max_steps >= 0 and float(self.max_steps).is_integer()):
+                raise ValueError("max_steps must be a nonnegative integer")
+            object.__setattr__(self, "max_steps", int(self.max_steps))
         if self.template is not None:
             t = as_matrix(self.template).copy()  # the caller keeps its array
             _template_norms(t)
@@ -361,8 +366,6 @@ class LazyReachSet:
         input_set: Union[SetRep, _InputChannel, None] = None,
         directions: Optional[np.ndarray] = None,
     ):
-        if isinstance(base, Empty):
-            raise ValueError("initial set must be nonempty")
         self.base = base
         self.a = as_matrix(a)
         n = self.a.shape[0]
@@ -583,7 +586,7 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     limit = nsteps
     if config.mode == FIXPOINT:
         limit = (
-            int(config.max_steps)
+            config.max_steps
             if config.max_steps is not None
             else (10 * nsteps if nsteps > 0 else 10000)
         )

@@ -27,7 +27,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from itertools import chain
-from math import isfinite
+from math import inf, isfinite
 from struct import pack
 from typing import Optional
 
@@ -37,7 +37,7 @@ from .exprs import ExprError, parse_field
 from .hybridize import NonlinearSystem
 from .hybridreach import HybridAutomaton, HybridFlowpipe, Mode, Transition
 from .linreach import CONTINUOUS, DISCRETE, LinearSystem, ReachConfig
-from .setgeom import Box, Empty, HPolytope, SetRep, VPolytope, Zonotope
+from .setgeom import Box, HPolytope, SetRep, VPolytope, Zonotope
 
 MODEL_FORMAT = "flowpipe-model/1"
 RESULT_FORMAT = "flowpipe-result/1"
@@ -208,7 +208,14 @@ def _string(value, path: str) -> str:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelError(f"{path}: must be a number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = inf
+    # json.load reads Infinity and NaN as floats
+    if not isfinite(x):
+        raise ModelError(f"{path}: must be a finite number")
+    return x
 
 
 def _vector(value, path: str) -> np.ndarray:
@@ -271,8 +278,6 @@ def encode_set(s: SetRep) -> dict:
             "center": s.center.tolist(),
             "generators": s.generators.T.tolist(),
         }
-    if isinstance(s, Empty):
-        raise ModelError("an empty set cannot be stored in a document")
     raise ModelError(f"cannot encode set type {type(s).__name__}")
 
 
@@ -287,7 +292,7 @@ def _decode_config(obj, path: str) -> ReachConfig:
     for key, decode in (
         ("step", _number), ("mode", _string), ("strategy", _string),
         ("bloat_policy", _string), ("bad_set", decode_set), ("template", _matrix),
-        ("max_steps", lambda v, p: int(_number(v, p))), ("state_bound", _number),
+        ("max_steps", _number), ("state_bound", _number),
     ):
         if key in obj:
             kw[key] = _field(obj, key, path, decode)
@@ -435,23 +440,21 @@ def parse_model(doc: dict) -> ParsedModel:
     if name is not None and not isinstance(name, str):
         raise ModelError("name: must be a string")
     config = _field(doc, "config", "", _decode_config, optional=True)
-    sha = model_sha256(doc)
 
     if kind in (KIND_LINEAR_DISCRETE, KIND_LINEAR_CONTINUOUS):
-        system = _decode_linear(doc, kind)
-        return ParsedModel(kind, doc, sha, name=name, config=config, system=system)
-    if kind == KIND_HYBRID:
+        built = {"system": _decode_linear(doc, kind)}
+    elif kind == KIND_HYBRID:
         auto, init_mode, x0 = _decode_hybrid(doc)
         if x0.dim != auto.dim:
             raise ModelError("x0: dimension does not match the automaton")
-        return ParsedModel(
-            kind, doc, sha, name=name, config=config,
-            automaton=auto, init_mode=init_mode, x0=x0,
-        )
-    system, x0 = _decode_nonlinear(doc)
-    if x0.dim != system.dim:
-        raise ModelError("x0: dimension does not match the variables")
-    return ParsedModel(kind, doc, sha, name=name, config=config, nonlinear=system, x0=x0)
+        built = {"automaton": auto, "init_mode": init_mode, "x0": x0}
+    else:
+        system, x0 = _decode_nonlinear(doc)
+        if x0.dim != system.dim:
+            raise ModelError("x0: dimension does not match the variables")
+        built = {"nonlinear": system, "x0": x0}
+    # hashed once every number is known to be finite, as canonical JSON needs
+    return ParsedModel(kind, doc, model_sha256(doc), name=name, config=config, **built)
 
 
 def load_model(path) -> ParsedModel:

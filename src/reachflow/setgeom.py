@@ -1,13 +1,16 @@
 """Convex set representations and the geometric operations on them.
 
-Five representations: Box, HPolytope, VPolytope, Zonotope and Empty.  All
-values are immutable after construction.  Operations that cannot produce an
-exact result return a set with ``exact=False``; such results are always
-supersets of the true set, never subsets.
+Four representations: Box, HPolytope, VPolytope and Zonotope.  All values
+are immutable after construction.  Operations that cannot produce an exact
+result return a set with ``exact=False``; such results are always
+supersets of the true set, never subsets.  No type stands for the empty
+set: an infeasible H-polytope is one, and ``meets`` is the test for a
+common point.
 
-Yes/no queries try a closed form before the simplex and give the LP's
-answer either way.  ``meets(s1, s2)``, the test ``not is_empty(intersect(s1,
-s2))``, takes both sets as ``intersect`` stacks them and says "disjoint"
+Yes/no queries try a closed form before the simplex.  ``meets(s1, s2)``
+answers two boxes exactly from their corners.  Any other pair gets the
+LP's answer to ``not is_empty(intersect(s1, s2))``, but ``meets`` first
+takes both sets as ``intersect`` stacks them and says "disjoint"
 when a row (n, b) of either lies beyond the other: b < -U(-n), where U
 bounds the other's support from its own rows (a box exactly, an H-polytope
 by a row with the same normal or, for a parallelotope, by one n x n
@@ -49,19 +52,6 @@ def _is_frozen(a: np.ndarray) -> bool:
     return not a.flags.writeable and not (
         isinstance(base, np.ndarray) and base.flags.writeable
     )
-
-
-class Empty:
-    """The empty set, tagged with its ambient dimension."""
-
-    __slots__ = ("dim", "exact")
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-        self.exact = True
-
-    def __repr__(self):
-        return f"Empty(dim={self.dim})"
 
 
 class Box:
@@ -208,7 +198,7 @@ class Zonotope:
         return f"Zonotope(dim={self.dim}, order={self.order})"
 
 
-SetRep = Box | HPolytope | VPolytope | Zonotope | Empty
+SetRep = Box | HPolytope | VPolytope | Zonotope
 
 
 def _check_dim(s: SetRep, x: np.ndarray, what: str) -> None:
@@ -219,8 +209,6 @@ def _check_dim(s: SetRep, x: np.ndarray, what: str) -> None:
 def member(s: SetRep, x, tol: float = TOL) -> bool:
     """Membership test, boundary-inclusive within tol."""
     x = as_vector(x)
-    if isinstance(s, Empty):
-        return False
     _check_dim(s, x, "member")
     if isinstance(s, (Box, HPolytope)):
         return bool(_member_rows(s, tol)(x[None])[0])
@@ -268,8 +256,6 @@ def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
     d = as_vector(d)
     if np.all(d == 0.0):
         raise ValueError("support direction must be nonzero")
-    if isinstance(s, Empty):
-        raise ValueError("support of the empty set is undefined")
     _check_dim(s, d, "support")
     if isinstance(s, Box):
         witness = np.where(d > 0.0, s.upper, s.lower)
@@ -297,8 +283,6 @@ def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:
     Values only, no witnesses; zero columns yield 0 (the supremum of the
     zero functional over a nonempty set).
     """
-    if isinstance(s, Empty):
-        raise ValueError("support of the empty set is undefined")
     dmat = np.asarray(dmat, dtype=float)
     if dmat.shape[0] != s.dim:
         raise ValueError("direction matrix rows do not match the set dimension")
@@ -351,8 +335,6 @@ def _relaxed_offsets(s: HPolytope) -> np.ndarray:
 def translate(s: SetRep, v) -> SetRep:
     """Exact translate s + {v}."""
     v = as_vector(v)
-    if isinstance(s, Empty):
-        return s
     _check_dim(s, v, "translate")
     if isinstance(s, Box):
         return Box(s.lower + v, s.upper + v, exact=s.exact)
@@ -379,8 +361,6 @@ def linear_map(a, s: SetRep) -> SetRep:
     a = as_matrix(a)
     if a.shape[1] != s.dim:
         raise ValueError(f"map with {a.shape[1]} columns applied to set of dimension {s.dim}")
-    if isinstance(s, Empty):
-        return Empty(a.shape[0])
     if isinstance(s, Box):
         if _is_diagonal(a):
             lo, hi = a @ s.lower, a @ s.upper
@@ -448,8 +428,6 @@ def minkowski_sum(s1: SetRep, s2: SetRep) -> SetRep:
     """
     if s1.dim != s2.dim:
         raise ValueError(f"minkowski sum of sets with dimensions {s1.dim} and {s2.dim}")
-    if isinstance(s1, Empty) or isinstance(s2, Empty):
-        return Empty(s1.dim)
     pair = (s1, s2)
     for x, y in (pair, pair[::-1]):
         if isinstance(x, Box) and isinstance(y, Box):
@@ -504,23 +482,21 @@ def zonotope_vertices_2d(z: Zonotope) -> np.ndarray:
 
 
 def intersect(s1: SetRep, s2: SetRep) -> SetRep:
-    """Intersection of any two sets: a box when both are boxes, else H-form.
+    """Intersection of any two sets: a box when both are boxes that share
+    a point, else H-form.
 
-    Each other operand enters by its facet rows: a box by its own, any
+    Each operand enters the H-form by its facet rows: a box by its own, any
     other set by its exact facet form, or else by the facet rows of its
     bounding box, flagged inexact, so the result always contains the true
-    intersection.
+    intersection.  Emptiness is left to ``meets``: two disjoint boxes give
+    their stacked rows, an infeasible H-polytope.
     """
     if s1.dim != s2.dim:
         raise ValueError(f"intersection of sets with dimensions {s1.dim} and {s2.dim}")
-    if isinstance(s1, Empty) or isinstance(s2, Empty):
-        return Empty(s1.dim)
     if isinstance(s1, Box) and isinstance(s2, Box):
-        lo = np.maximum(s1.lower, s2.lower)
-        hi = np.minimum(s1.upper, s2.upper)
-        if np.any(lo > hi):
-            return Empty(s1.dim)
-        return Box(lo, hi, exact=s1.exact and s2.exact)
+        corners = _box_overlap(s1, s2)
+        if corners is not None:
+            return Box(*corners, exact=s1.exact and s2.exact)
     # box bad sets and guards meet every segment: stack their facet rows
     # directly rather than build an HPolytope for them on each call
     normals, offsets, exact = [], [], True
@@ -545,8 +521,6 @@ _REFINE_BAND = 1e-6
 
 def is_empty(s: SetRep) -> bool:
     """Emptiness check; H-polytopes are decided by LP feasibility."""
-    if isinstance(s, Empty):
-        return True
     if isinstance(s, (Box, VPolytope, Zonotope)):
         return False
     if isinstance(s, HPolytope):
@@ -576,6 +550,14 @@ _PRECHECK_MARGIN = 1e-6
 # a parallelotope whose normals are worse conditioned than this gets no
 # closed-form support bound
 _MAX_COND = 1e8
+
+
+def _box_overlap(b1: Box, b2: Box) -> tuple[np.ndarray, np.ndarray] | None:
+    """Corners ``(lower, upper)`` of the box b1 and b2 share, or None when
+    an axis separates them; touching boxes share a flat box."""
+    lo = np.maximum(b1.lower, b2.lower)
+    hi = np.minimum(b1.upper, b2.upper)
+    return None if np.any(lo > hi) else (lo, hi)
 
 
 def _box_rows(b: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -651,18 +633,20 @@ def _antiparallel_pairs(h: HPolytope):
 
 
 def meets(s1: SetRep, s2: SetRep) -> bool:
-    """True when s1 and s2 share a point: ``not is_empty(intersect(s1, s2))``.
+    """True when s1 and s2 share a point.
 
-    Both sets enter as ``intersect`` stacks them: a box by its own rows,
-    any other set by ``_hform_enclosure``.  A row (n, b) of either one
-    that the other's support bound U places beyond it, b < -U(-n) by
-    ``_PRECHECK_MARGIN``, separates the two and answers "no" without the
-    simplex.  Otherwise the intersection's LP decides.
+    Two boxes are answered exactly from their corners.  Any other pair
+    gets ``not is_empty(intersect(s1, s2))``: both sets enter as
+    ``intersect`` stacks them, a box by its own rows, any other set by
+    ``_hform_enclosure``.  A row (n, b) of either one that the other's
+    support bound U places beyond it, b < -U(-n) by ``_PRECHECK_MARGIN``,
+    separates the two and answers "no" without the simplex.  Otherwise the
+    intersection's LP decides.
     """
     if s1.dim != s2.dim:
         raise ValueError(f"intersection of sets with dimensions {s1.dim} and {s2.dim}")
-    if isinstance(s1, Empty) or isinstance(s2, Empty):
-        return False
+    if isinstance(s1, Box) and isinstance(s2, Box):
+        return _box_overlap(s1, s2) is not None
     # the closed-form support of a zonotope or vertex set is no bound for
     # its facet form as the LP sees it: on a sliver the pivot tolerance
     # admits points well outside the set
@@ -880,8 +864,6 @@ def template_hull(s: SetRep, directions) -> HPolytope:
     which s is unbounded contribute no constraint.
     """
     dirs = as_matrix(directions)
-    if isinstance(s, Empty):
-        raise ValueError("template hull of the empty set is undefined")
     if dirs.shape[1] != s.dim:
         raise ValueError("template directions do not match the set dimension")
     if np.any(np.all(dirs == 0.0, axis=1)):
@@ -900,7 +882,7 @@ def bloat(s: SetRep, eps: float) -> SetRep:
     """
     if eps < 0.0:
         raise ValueError("bloat radius must be nonnegative")
-    if isinstance(s, Empty) or eps == 0.0:
+    if eps == 0.0:
         return s
     n = s.dim
     if isinstance(s, Box):
@@ -986,23 +968,24 @@ def _vform_enclosure(s: SetRep) -> VPolytope:
 
 def _box_difference(p: Box, b: Box) -> list[Box]:
     """p minus b as a disjoint list of boxes (empty list when b covers p)."""
-    inter = intersect(p, b)
-    if isinstance(inter, Empty):
+    corners = _box_overlap(p, b)
+    if corners is None:
         return [p]
+    cut_lo, cut_hi = corners
     out = []
     lo = p.lower.copy()
     hi = p.upper.copy()
     for i in range(p.dim):
-        if inter.lower[i] > lo[i] + TOL:
+        if cut_lo[i] > lo[i] + TOL:
             nhi = hi.copy()
-            nhi[i] = inter.lower[i]
+            nhi[i] = cut_lo[i]
             out.append(Box(lo.copy(), nhi))
-            lo[i] = inter.lower[i]
-        if inter.upper[i] < hi[i] - TOL:
+            lo[i] = cut_lo[i]
+        if cut_hi[i] < hi[i] - TOL:
             nlo = lo.copy()
-            nlo[i] = inter.upper[i]
+            nlo[i] = cut_hi[i]
             out.append(Box(nlo, hi.copy()))
-            hi[i] = inter.upper[i]
+            hi[i] = cut_hi[i]
     return out
 
 
@@ -1013,24 +996,19 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
     decided exactly through their facet form (support of p vs offsets).
     Box unions against a box p use successive set difference (sifting);
     other unions use the sound one-sided test "p inside some single
-    member", which may answer False for a genuinely covered p.
+    member", which may answer False for a genuinely covered p.  An empty
+    list covers nothing.  p must be nonempty: an infeasible H-polytope p
+    has no supports, and an LP row test on it raises ``ValueError``.
     """
-    if isinstance(p, Empty):
-        return True
     if isinstance(q, (list, tuple)):
-        members = [m for m in q if not isinstance(m, Empty)]
-        if not members:
-            return False
-        if isinstance(p, Box) and all(isinstance(m, Box) for m in members):
+        if isinstance(p, Box) and all(isinstance(m, Box) for m in q):
             pieces = [p]
-            for b in members:
+            for b in q:
                 pieces = [frag for piece in pieces for frag in _box_difference(piece, b)]
                 if not pieces:
                     return True
             return False
-        return any(contains_set(m, p, tol) for m in members)
-    if isinstance(q, Empty):
-        return False
+        return any(contains_set(m, p, tol) for m in q)
     h = _exact_hform(q)
     if h is None:
         raise UnsupportedCheck(
@@ -1051,8 +1029,6 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
 
 def axis_bounds(s: SetRep) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise bounds (tight bounding box) via axis supports."""
-    if isinstance(s, Empty):
-        raise ValueError("the empty set has no bounding box")
     if isinstance(s, Box):
         return s.lower.copy(), s.upper.copy()
     if isinstance(s, Zonotope):
@@ -1081,10 +1057,6 @@ def hull_union(s1: SetRep, s2: SetRep) -> SetRep:
     Zonotope or box pairs use the symmetric enclosing zonotope; anything
     else takes the componentwise-max support template (flagged).
     """
-    if isinstance(s1, Empty):
-        return s2
-    if isinstance(s2, Empty):
-        return s1
     if s1.dim != s2.dim:
         raise ValueError("hull of sets with different dimensions")
     if s1.dim == 1:
@@ -1120,8 +1092,6 @@ def hull_union(s1: SetRep, s2: SetRep) -> SetRep:
 
 def sample_points(s: SetRep, count: int, rng: np.random.Generator) -> np.ndarray:
     """Random points of s, one per row (test and simulation helper)."""
-    if isinstance(s, Empty):
-        raise ValueError("cannot sample the empty set")
     if isinstance(s, Box):
         return rng.uniform(s.lower, s.upper, size=(count, s.dim))
     if isinstance(s, Zonotope):

@@ -17,7 +17,6 @@ import numpy as np
 
 from .setgeom import (
     Box,
-    Empty,
     HPolytope,
     SetRep,
     VPolytope,
@@ -69,8 +68,6 @@ def _fan_polygon(s: HPolytope, i: int, j: int) -> np.ndarray:
 
 def projection_polygon(s: SetRep, dims: Sequence[int]) -> np.ndarray:
     """Ordered vertices (rows) of the projection of ``s`` onto two axes."""
-    if isinstance(s, Empty):
-        raise ValueError("cannot plot an empty set")
     i, j = _check_dims(dims, s.dim)
     if isinstance(s, Box):
         lo = np.array([s.lower[i], s.lower[j]])

@@ -138,6 +138,36 @@ class TestReach:
         assert len(doc["segments"]) == 101
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize("doc, message", [
+        (doubling_doc(mode="fixpoint", max_steps=float("inf")),
+         "config.max_steps: must be a finite number"),
+        (rotation_doc(horizon=float("nan")), "config.horizon: must be a finite number"),
+        (rotation_doc(bloat_policy="error_ball", state_bound=float("nan")),
+         "config.state_bound: must be a finite number"),
+        ({**cubic_doc(), "hessian_bound": float("inf")}, "hessian_bound: must be a finite number"),
+        ({**doubling_doc(), "x0": {"type": "box", "lower": [1.0, -float("inf")],
+                                   "upper": [1.1, 1.1]}},
+         "x0.lower[1]: must be a finite number"),
+        (doubling_doc(mode="fixpoint", max_steps=10 ** 400),
+         "config.max_steps: must be a finite number"),
+        (doubling_doc(mode="fixpoint", max_steps=2.7),
+         "config: max_steps must be a nonnegative integer"),
+        (doubling_doc(mode="fixpoint", max_steps=-3),
+         "config: max_steps must be a nonnegative integer"),
+        (rotation_doc(bloat_policy="error_ball", state_bound=-0.2),
+         "config: state_bound must be a nonnegative finite number"),
+        (rotation_doc(bloat_policy="error_ball", state_bound=-5),
+         "config: state_bound must be a nonnegative finite number"),
+    ])
+    def test_reach_names_the_field(self, tmp_path, capsys, doc, message):
+        # json.dumps writes inf and nan as Infinity and NaN, as json.load reads them
+        model = write_model(tmp_path, doc)
+        assert main(["reach", model, "-o", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestCheck:
     def test_safe_exits_zero(self, tmp_path, capsys):
         bad = {"type": "hpolytope", "normals": [[-1.0, 0.0]], "offsets": [-5.0]}

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 private top-level helper is referenced somewhere in the package, every
 parameter of a package function is read in its body, every parameter with
-a default is set by some call, and every function the benchmark's tracer
-wraps still exists.
+a default is set by some call, every function the benchmark's tracer
+wraps still exists, and every name the package exports in ``__all__``
+resolves, so ``from reachflow import *`` works.
 
 Refactors that delete call sites tend to leave imports behind; no linter
 is a dependency, so this walks the syntax trees with the standard library.
@@ -13,6 +14,7 @@ module (annotations included) or is listed in the module's ``__all__``.
 import ast
 import importlib
 import math
+import types
 from pathlib import Path
 
 import pytest
@@ -298,3 +300,23 @@ def test_traced_functions_resolve(module, attr):
         assert hasattr(obj, part), f"reachflow.{module} has no {attr}"
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def _unresolved(module):
+    """Names in ``module.__all__`` that the module does not define."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+def test_public_names_resolve():
+    pkg = importlib.import_module("reachflow")
+    assert _unresolved(pkg) == []
+    namespace = {}
+    exec("from reachflow import *", namespace)
+    assert set(pkg.__all__) <= namespace.keys()
+
+
+def test_detects_a_stale_public_name():
+    stale = types.ModuleType("stale")
+    stale.__all__ = ["Box", "Empty"]
+    stale.Box = object
+    assert _unresolved(stale) == ["Empty"]

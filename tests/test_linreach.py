@@ -212,10 +212,10 @@ class TestLazyReachSet:
         assert s.support([1.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_empty_base_and_mismatch(self):
-        from reachflow.setgeom import Empty
-
-        with pytest.raises(ValueError):
-            LazyReachSet(Empty(2), np.eye(2))
+        # x <= 0 and x >= 1: the base has no support to pull back
+        empty = HPolytope([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0])
+        with pytest.raises(ValueError, match="empty polytope"):
+            LazyReachSet(empty, np.eye(2)).concretize()
         with pytest.raises(ValueError):
             LazyReachSet(unit_box(2), np.eye(3))
         with pytest.raises(ValueError):
@@ -432,6 +432,24 @@ class TestReachModes:
             )
         with pytest.raises(ValueError, match="nonzero"):
             ReachConfig(horizon=1, template=[[0.0, 0.0]])
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_steps", 2.7), ("max_steps", -3), ("max_steps", math.inf),
+        ("max_steps", math.nan), ("state_bound", -0.2), ("state_bound", -5),
+        ("state_bound", math.inf), ("state_bound", math.nan),
+        ("horizon", math.inf), ("horizon", math.nan), ("horizon", -1.0),
+        ("step", math.inf), ("step", math.nan), ("step", 0.0),
+    ])
+    def test_config_rejects_bad_numbers(self, field, value):
+        kw = {"horizon": 3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ReachConfig(**kw)
+
+    def test_whole_max_steps_is_kept_as_an_int(self):
+        cfg = ReachConfig(horizon=3, mode="fixpoint", max_steps=4.0)
+        assert type(cfg.max_steps) is int and cfg.max_steps == 4
+        sys = LinearSystem(0.5 * np.eye(2), unit_box(2), input_set=unit_box(2))
+        assert len(reach(sys, cfg).segments) == 5
 
 
 class TestReachStrategies:

@@ -27,7 +27,7 @@ from reachflow.modelio import (
     save_model,
     save_result,
 )
-from reachflow.setgeom import Box, Empty, HPolytope, VPolytope, Zonotope, axis_bounds
+from reachflow.setgeom import Box, HPolytope, VPolytope, Zonotope, axis_bounds
 
 
 def linear_doc(**extra):
@@ -319,10 +319,6 @@ class TestSetCodec:
     def test_missing_field(self):
         with pytest.raises(ModelError, match=r"set\.offsets: missing"):
             decode_set({"type": "hpolytope", "normals": [[1.0]]})
-
-    def test_empty_set_cannot_be_encoded(self):
-        with pytest.raises(ModelError, match="empty set"):
-            encode_set(Empty(2))
 
 
 class TestModelParsing:

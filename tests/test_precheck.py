@@ -3,7 +3,8 @@
 phase one of ``support_batch`` on an H-polytope.
 
 Every shortcut must give the answer of the exact LP path: ``meets`` says
-"disjoint" only when ``is_empty(intersect(...))`` does, the containment
+"disjoint" only when ``is_empty(intersect(...))`` does (two boxes only
+when their corners are apart), the containment
 precheck settles a row only when the LP row test passes it, and a batch of
 supports equals one cold solve per direction, bit for bit.
 """
@@ -93,8 +94,39 @@ def set_pairs(draw):
     return draw(sets(n)), draw(sets(n))
 
 
+def boxes_apart(b1, b2):
+    """The exact corner test: some axis separates the two boxes."""
+    return bool(np.any(np.maximum(b1.lower, b2.lower) > np.minimum(b1.upper, b2.upper)))
+
+
 def lp_empty(s1, s2):
+    # two boxes are decided from their corners, before any LP
+    if isinstance(s1, Box) and isinstance(s2, Box):
+        return boxes_apart(s1, s2)
     return sg.is_empty(sg.intersect(s1, s2))
+
+
+# where the second box of a pair starts past the first's upper face along
+# one axis: inside it, on it, and apart by gaps below, near and above the
+# simplex's FEAS_TOL (1e-9)
+GAPS = (-0.5, 0.0, 1e-12, 1e-10, 1e-6)
+
+
+@st.composite
+def box_pairs(draw):
+    """``(b1, b2, gap)``: two boxes that share the lower corner of the first
+    on every axis but one, where the second starts ``gap`` past the
+    first's upper face; either box may come first."""
+    n = draw(st.integers(1, 3))
+    a = draw(boxes(n))
+    axis = draw(st.integers(0, n - 1))
+    gap = draw(st.sampled_from(GAPS))
+    ext = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=2 * n, max_size=2 * n)))
+    lo, hi = a.lower - ext[:n], a.lower + ext[n:]
+    lo[axis] = a.upper[axis] + gap
+    hi[axis] = a.upper[axis] + 0.5 + ext[n + axis]
+    pair = (a, Box(lo, hi))
+    return (*(pair[::-1] if draw(st.booleans()) else pair), gap)
 
 
 def stacked(s1, s2):
@@ -118,14 +150,14 @@ class TestMeetsAgreesWithTheLp:
     @given(set_pairs())
     def test_disjoint_only_without_a_feasible_vertex(self, pair):
         # the vertex-enumeration oracle finds no point of the stacked facet
-        # form whenever meets says "disjoint"
+        # form whenever meets says "disjoint"; two boxes are told apart
+        # exactly, so their axis rows are checked without a tolerance
         s1, s2 = pair
         if sg.meets(s1, s2):
             return
         h = stacked(s1, s2)
-        if isinstance(h, sg.Empty):
-            return
-        assert lp_vertex_enum(np.zeros(h.dim), h.normals, h.offsets) is None
+        tol = 0.0 if isinstance(s1, Box) and isinstance(s2, Box) else 1e-9
+        assert lp_vertex_enum(np.zeros(h.dim), h.normals, h.offsets, tol) is None
 
     @PROPERTY
     @given(st.integers(1, 3).flatmap(
@@ -186,7 +218,38 @@ class TestMeetsAgreesWithTheLp:
     def test_dimension_mismatch_and_empty(self):
         with pytest.raises(ValueError):
             sg.meets(Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1.0]))
-        assert not sg.meets(sg.Empty(2), Box([0.0, 0.0], [1.0, 1.0]))
+        # x <= 0 and x >= 1: an empty H-polytope meets nothing
+        empty = HPolytope([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0])
+        assert not sg.meets(empty, Box([0.0, 0.0], [1.0, 1.0]))
+
+
+class TestBoxPairs:
+    @PROPERTY
+    @given(box_pairs())
+    def test_meets_is_the_corner_test(self, case):
+        b1, b2, gap = case
+        apart = boxes_apart(b1, b2)
+        assert apart == (gap > 0.0)
+        assert sg.meets(b1, b2) == sg.meets(b2, b1) == (not apart)
+
+    @PROPERTY
+    @given(box_pairs())
+    def test_intersect_is_a_box_or_the_stacked_rows(self, case):
+        b1, b2, gap = case
+        c = sg.intersect(b1, b2)
+        if not boxes_apart(b1, b2):
+            assert isinstance(c, Box) and not sg.is_empty(c)
+            np.testing.assert_array_equal(c.lower, np.maximum(b1.lower, b2.lower))
+            np.testing.assert_array_equal(c.upper, np.minimum(b1.upper, b2.upper))
+            return
+        assert isinstance(c, HPolytope)
+        want = [b.to_hpolytope() for b in (b1, b2)]
+        np.testing.assert_array_equal(c.normals, np.vstack([h.normals for h in want]))
+        np.testing.assert_array_equal(c.offsets, np.concatenate([h.offsets for h in want]))
+        # a gap below FEAS_TOL is within the simplex's rounding: there the
+        # rows above are the proof of emptiness, and meets the test of it
+        if gap >= 1e-6:
+            assert sg.is_empty(c)
 
 
 class TestContainmentPrecheck:

@@ -7,8 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from reachflow import setgeom as sg
-from reachflow.setgeom import (Box, Empty, HPolytope, UnsupportedCheck,
-                               VPolytope, Zonotope)
+from reachflow.setgeom import Box, HPolytope, UnsupportedCheck, VPolytope, Zonotope
 
 from oracles import box_support, gift_wrap_hull, lp_vertex_enum
 
@@ -54,9 +53,6 @@ class TestMember:
         assert sg.member(z, [2.0, 0.0])
         assert sg.member(z, [0.0, 2.0])
         assert not sg.member(z, [1.5, 1.5])
-
-    def test_empty_never_contains(self):
-        assert not sg.member(Empty(2), [0.0, 0.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -193,9 +189,6 @@ class TestMinkowskiSum:
         for p, q in zip(pts, dev):
             assert sg.member(s, p + q)
 
-    def test_empty_absorbs(self):
-        assert isinstance(sg.minkowski_sum(Empty(2), unit_box()), Empty)
-
 
 class TestIntersect:
     def test_rectangle_overlap_componentwise(self):
@@ -207,8 +200,14 @@ class TestIntersect:
         assert np.allclose(c.lower, [1.0, 1.0]) and np.allclose(c.upper, [2.0, 2.0])
 
     def test_disjoint_boxes_give_empty(self):
-        c = sg.intersect(Box([0.0], [1.0]), Box([2.0], [3.0]))
-        assert isinstance(c, Empty)
+        # no box holds the result: it is the stacked facet rows, infeasible
+        a, b = Box([0.0], [1.0]), Box([2.0], [3.0])
+        c = sg.intersect(a, b)
+        assert isinstance(c, HPolytope)
+        np.testing.assert_array_equal(c.normals, [[1.0], [-1.0], [1.0], [-1.0]])
+        np.testing.assert_array_equal(c.offsets, [1.0, 0.0, 3.0, -2.0])
+        assert sg.is_empty(c)
+        assert not sg.meets(a, b)
 
     def test_touching_boxes_give_degenerate_box(self):
         c = sg.intersect(Box([0.0], [1.0]), Box([1.0], [2.0]))
@@ -278,10 +277,6 @@ class TestSupport:
         with pytest.raises(ValueError):
             sg.support(unit_box(), [0.0, 0.0])
 
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            sg.support(Empty(2), [1.0, 0.0])
-
 
 class TestContainsSet:
     def test_diamond_inside_box(self):
@@ -307,9 +302,6 @@ class TestContainsSet:
         q = VPolytope(np.vstack([np.eye(4), -np.eye(4)]))  # 4-d cross polytope
         with pytest.raises(UnsupportedCheck):
             sg.contains_set(q, Box([0.0] * 4, [0.1] * 4))
-
-    def test_empty_contained_everywhere(self):
-        assert sg.contains_set(unit_box(), Empty(2))
 
 
 class TestExactHform:
@@ -524,7 +516,6 @@ class TestIsEmpty:
     def test_nonempty(self):
         assert not sg.is_empty(unit_box())
         assert not sg.is_empty(unit_box().to_hpolytope())
-        assert sg.is_empty(Empty(3))
 
     def test_single_point_hform_is_nonempty(self):
         h = HPolytope([[1.0], [-1.0]], [0.5, -0.5])
@@ -767,7 +758,6 @@ class TestExactVform:
         assert sg._exact_vform(many) is None  # 8192 sign patterns
         assert sg._exact_vform(Box(np.zeros(4), np.ones(4)).to_hpolytope()) is None
         assert sg._exact_vform(HPolytope([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])) is None
-        assert sg._exact_vform(Empty(2)) is None
 
     def test_enclosure_takes_bounding_box_corners(self):
         many = Zonotope(np.zeros(3), np.random.default_rng(0).normal(size=(3, 13)))
