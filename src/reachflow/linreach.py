@@ -341,6 +341,52 @@ def step_input_facets(p: HPolytope, v: SetRep, a: np.ndarray) -> HPolytope:
 # ---------------------------------------------------------------------------
 # lazy strategy
 
+# most runs a folded template may take to copy back.  Each run is one numpy
+# call: the octagon templates of dimensions 2-4 take 5, 11 and 20, and
+# their products are too small for the halving to pay that (1000 steps of
+# the 4-d octagon take 40 ms unfolded and 110 ms folded)
+_MAX_RUNS = 4
+
+
+def _fold_pairs(dirs: np.ndarray):
+    """The template up to sign: ``(keep, runs)``, or None when it does not
+    fold.
+
+    A row that equals an earlier row or its negation, compared as values
+    (so 0.0 and -0.0 match), folds onto that row.  ``keep`` indexes the
+    rows that do not; each run ``[start, stop, src, sign]`` says that rows
+    start..stop-1 are ``sign`` times kept rows src, src+1, ... in order.
+    A template folds only when that takes at most ``_MAX_RUNS`` runs and
+    leaves two rows or more: numpy takes a product with one column by its
+    matrix-vector routine, which rounds differently from the matrix-matrix
+    one.
+    """
+    keep, runs, seen = [], [], {}
+    for i, row in enumerate(dirs):
+        key = (row + 0.0).tobytes()  # adding 0.0 turns -0.0 into 0.0
+        j, sign = seen.get(key), 1.0
+        if j is None:
+            j, sign = seen.get((-row + 0.0).tobytes()), -1.0
+        if j is None:
+            j, sign = len(keep), 1.0
+            seen[key] = j
+            keep.append(i)
+        if runs and runs[-1][3] == sign and runs[-1][2] + i - runs[-1][0] == j:
+            runs[-1][1] += 1  # row i continues the last run
+        else:
+            runs.append([i, i + 1, j, sign])
+    if len(keep) == len(dirs) or len(keep) < 2 or len(runs) > _MAX_RUNS:
+        return None
+    return keep, runs
+
+
+def _unfold(basis: np.ndarray, runs, m: int) -> np.ndarray:
+    """The m template columns, copied run by run from the kept ones."""
+    full = np.empty((basis.shape[0], m))
+    for start, stop, src, sign in runs:
+        np.multiply(basis[:, src:src + stop - start], sign, out=full[:, start:stop])
+    return full
+
 
 class LazyReachSet:
     """Reach set at step k, represented by its support function.
@@ -348,16 +394,21 @@ class LazyReachSet:
     Holds the initial set X0, the step matrix A, the per-step input
     summands, and one evolving matrix: the template directions pulled back
     to step 0, ``(A^T)^k D^T``, with their accumulated input supports.  The
-    set it denotes is ``A^k X0 + sum_{i<k} A^i U``.  Advancing costs one
-    n x n by n x m product, and every concretization answers the template
-    from that matrix alone.  The template is scaled to unit rows once and
-    kept read-only, so all segments of one flowpipe share one normals
-    buffer.  Any other direction is answered from scratch in O(k) products.
+    set it denotes is ``A^k X0 + sum_{i<k} A^i U``.  The product advances
+    the template only up to sign: a direction and its negation (or a
+    repeat) share one column, so advancing costs one n x n by n x m'
+    product, m' the number of directions up to sign (n for the box
+    template ``[I; -I]``; m for a template ``_fold_pairs`` leaves as it
+    is), and the m columns the supports read are copied from those m'.
+    Every concretization answers the template from these columns alone.
+    The template is scaled to unit rows once and kept read-only, so all
+    segments of one flowpipe share one normals buffer.  Any other
+    direction is answered from scratch in O(k) products.
     Advancing returns a new object and never feeds a concretization back
     into the recurrence, so repeated over-approximation cannot compound.
     """
 
-    __slots__ = ("base", "a", "channel", "k", "dirs", "_cur", "_acc")
+    __slots__ = ("base", "a", "channel", "k", "dirs", "_runs", "_basis", "_cur", "_acc")
 
     def __init__(
         self,
@@ -388,7 +439,11 @@ class LazyReachSet:
         dirs.flags.writeable = False
         self.k = 0
         self.dirs = dirs
+        fold = _fold_pairs(dirs)
+        self._runs = None if fold is None else fold[1]
         self._cur = dirs.T  # columns: (A^T)^k d
+        # the columns the product advances: the template up to sign
+        self._basis = self._cur if fold is None else dirs[fold[0]].T
         self._acc = np.zeros(dirs.shape[0])
 
     @property
@@ -401,12 +456,18 @@ class LazyReachSet:
         new.a = self.a
         new.channel = self.channel
         new.dirs = self.dirs
+        new._runs = self._runs
         new.k = self.k + 1
         if self.channel:
             new._acc = self._acc + self.channel.support_batch(self._cur)
         else:
             new._acc = self._acc
-        new._cur = self.a.T @ self._cur
+        # each column of the product has the same bits with or without the
+        # folded columns beside it, so the supports read the unfolded
+        # matrix bit for bit
+        new._basis = self.a.T @ self._basis
+        new._cur = (new._basis if self._runs is None
+                    else _unfold(new._basis, self._runs, self.dirs.shape[0]))
         return new
 
     def support(self, d) -> float:
@@ -433,7 +494,7 @@ class LazyReachSet:
         """
         if directions is None:
             vals = support_batch(self.base, self._cur) + self._acc
-            return HPolytope(self.dirs, vals, exact=False)
+            return HPolytope._trusted(self.dirs, vals, exact=False)
         directions = as_matrix(directions)
         if directions.shape[1] != self.dim:
             raise ValueError("direction dimension mismatch")

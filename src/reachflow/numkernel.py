@@ -249,6 +249,13 @@ def lp_max_batch(objectives, a, b) -> list[LpResult]:
         raise ValueError(
             f"right-hand side length {b.shape[0]} does not match "
             f"constraint matrix with {m} rows")
+    return _lp_solve_batch(objectives, a, b)
+
+
+def _lp_solve_batch(objectives: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[LpResult]:
+    """``lp_max_batch`` on arrays that are already checked: finite floats,
+    ``objectives`` (k, n), ``a`` (m, n) and ``b`` (m,)."""
+    m, n = a.shape
     if m == 0:
         return [LpResult(UNBOUNDED) if np.any(np.abs(c) > FEAS_TOL)
                 else LpResult(OPTIMAL, 0.0, np.zeros(n)) for c in objectives]

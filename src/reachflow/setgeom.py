@@ -28,8 +28,8 @@ import itertools
 
 import numpy as np
 
-from .numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, as_matrix, as_vector,
-                        lp_max, lp_max_batch)
+from .numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _lp_solve_batch, as_matrix,
+                        as_vector, lp_max)
 
 TOL = 1e-9
 # a row whose norm is this close to 1 counts as unit: rounding after a
@@ -131,6 +131,19 @@ class HPolytope:
             self.normals = _freeze(a / norms[:, None])
             self.offsets = _freeze(b / norms)
         self.exact = exact
+
+    @classmethod
+    def _trusted(cls, normals: np.ndarray, offsets: np.ndarray, exact: bool) -> "HPolytope":
+        """An H-polytope over rows the engine built: ``normals`` read-only
+        with unit rows, shared as given, and ``offsets`` a fresh vector of
+        matching length that the set takes over.  Only the offsets are
+        checked, for finiteness, so an overflow raises what the public
+        constructor raises."""
+        h = object.__new__(cls)
+        h.normals = normals
+        h.offsets = _freeze(as_vector(offsets))
+        h.exact = exact
+        return h
 
     @property
     def dim(self) -> int:
@@ -270,7 +283,10 @@ def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
         i = int(np.argmax(vals))
         return float(vals[i]), s.vertices[i].copy()
     if isinstance(s, HPolytope):
-        (res,) = _hpolytope_solves(s, d[:, None])[1]
+        results = _hpolytope_solves(s, d[:, None])[1]
+        if results is None:
+            raise ValueError("support of an empty polytope is undefined")
+        (res,) = results
         if res.status == UNBOUNDED:
             return float("inf"), None
         return res.value, res.x
@@ -286,36 +302,52 @@ def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:
     dmat = np.asarray(dmat, dtype=float)
     if dmat.shape[0] != s.dim:
         raise ValueError("direction matrix rows do not match the set dimension")
-    if isinstance(s, Box):
-        return dmat.T @ s.center + np.abs(dmat.T) @ s.radii
-    if isinstance(s, Zonotope):
-        return dmat.T @ s.center + np.abs(s.generators.T @ dmat).sum(axis=0)
+    if isinstance(s, (Box, Zonotope)):
+        # the even part, which the sign of a direction leaves alone, plus
+        # the odd part, which a set centered at the origin does not have
+        even = (np.abs(dmat.T) @ s.radii if isinstance(s, Box)
+                else np.abs(s.generators.T @ dmat).sum(axis=0))
+        center = s.center
+        return dmat.T @ center + even if center.any() else even
     if isinstance(s, VPolytope):
         return (s.vertices @ dmat).max(axis=0)
     if isinstance(s, HPolytope):
-        out = np.zeros(dmat.shape[1])
-        live, results = _hpolytope_solves(s, dmat)
-        out[live] = [np.inf if res.status == UNBOUNDED else res.value for res in results]
+        out = _hpolytope_supports(s, dmat)
+        if out is None:
+            raise ValueError("support of an empty polytope is undefined")
         return out
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
 
-def _hpolytope_solves(h: HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, list[LpResult]]:
+def _hpolytope_solves(h: HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, list[LpResult] | None]:
     """The nonzero columns of ``dmat`` and the simplex's result for each
     over ``h``, from one phase one: the directions share the constraints.
 
     Solves again on ``_relaxed_offsets`` when the simplex calls ``h``
-    infeasible, and raises when ``h`` is empty.
+    infeasible; the results are None when ``h`` is empty.  ``h`` was
+    checked when it was built, so only the directions are checked here.
     """
     live = np.flatnonzero(np.any(dmat != 0.0, axis=0))
     if live.size == 0:
         return live, []
-    results = lp_max_batch(dmat[:, live].T, h.normals, h.offsets)
+    objectives = as_matrix(dmat[:, live].T)
+    results = _lp_solve_batch(objectives, h.normals, h.offsets)
     if results[0].status == INFEASIBLE:
-        results = lp_max_batch(dmat[:, live].T, h.normals, _relaxed_offsets(h))
+        results = _lp_solve_batch(objectives, h.normals, _relaxed_offsets(h))
     if results[0].status == INFEASIBLE:
-        raise ValueError("support of an empty polytope is undefined")
+        return live, None
     return live, results
+
+
+def _hpolytope_supports(h: HPolytope, dmat: np.ndarray) -> np.ndarray | None:
+    """Support values of ``h`` along the columns of ``dmat`` (0 on a zero
+    column, inf where ``h`` is unbounded), or None when ``h`` is empty."""
+    live, results = _hpolytope_solves(h, dmat)
+    if results is None:
+        return None
+    out = np.zeros(dmat.shape[1])
+    out[live] = [np.inf if res.status == UNBOUNDED else res.value for res in results]
+    return out
 
 
 def _relaxed_offsets(s: HPolytope) -> np.ndarray:
@@ -329,7 +361,7 @@ def _relaxed_offsets(s: HPolytope) -> np.ndarray:
     """
     if is_empty(s):
         return s.offsets
-    return s.offsets + TOL * (1.0 + np.abs(s.offsets))
+    return as_vector(s.offsets + TOL * (1.0 + np.abs(s.offsets)))
 
 
 def translate(s: SetRep, v) -> SetRep:
@@ -526,7 +558,7 @@ def is_empty(s: SetRep) -> bool:
     if isinstance(s, HPolytope):
         if s.nrows == 0:
             return False
-        res = lp_max(np.zeros(s.dim), s.normals, s.offsets)
+        (res,) = _lp_solve_batch(np.zeros((1, s.dim)), s.normals, s.offsets)
         if res.status != INFEASIBLE:
             return False
         # phase one can misjudge a flat set by its own rounding: "empty"
@@ -997,8 +1029,9 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
     Box unions against a box p use successive set difference (sifting);
     other unions use the sound one-sided test "p inside some single
     member", which may answer False for a genuinely covered p.  An empty
-    list covers nothing.  p must be nonempty: an infeasible H-polytope p
-    has no supports, and an LP row test on it raises ``ValueError``.
+    list covers nothing.  An infeasible H-polytope p is the empty set, so
+    every single set contains it: the precheck or the first LP row test
+    answers True.
     """
     if isinstance(q, (list, tuple)):
         if isinstance(p, Box) and all(isinstance(m, Box) for m in q):
@@ -1022,7 +1055,13 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
         rows = zip(h.normals[open_rows], h.offsets[open_rows])
     # one row at a time: an H-form p costs one LP per row, so stop early
     for a_row, b_row in rows:
-        if support_batch(p, a_row[:, None])[0] > b_row + tol:
+        if isinstance(p, HPolytope):
+            value = _hpolytope_supports(p, a_row[:, None])
+            if value is None:
+                return True  # p is empty
+        else:
+            value = support_batch(p, a_row[:, None])
+        if value[0] > b_row + tol:
             return False
     return True
 

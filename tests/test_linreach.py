@@ -1,11 +1,14 @@
 """Flowpipe engine tests: stepping strategies, discretization, modes."""
 
+import hashlib
 import logging
 import math
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reachflow.linreach import (
     BAD_REACHED,
@@ -21,6 +24,7 @@ from reachflow.linreach import (
     LinearSystem,
     ReachConfig,
     _flow_steps,
+    _InputChannel,
     discretize_continuous,
     reach,
     simulate,
@@ -41,6 +45,7 @@ from reachflow.setgeom import (
     member,
     sample_points,
     support,
+    support_batch,
 )
 
 from oracles import eager_zonotope_support, matvec_loops
@@ -279,6 +284,174 @@ class TestLazyReachSet:
                         for d in unit]
                 np.testing.assert_allclose(h.offsets, want, rtol=0, atol=1e-9)
             s = s.advance()
+
+
+# ---------------------------------------------------------------------------
+# the lazy recurrence on a template folded up to sign
+
+
+def unfolded_offsets(base, a, parts, dirs, steps):
+    """Template offsets at steps 0..steps by the recurrence on every
+    template column: supports of the base along ``(A^T)^k D^T`` plus the
+    accumulated input supports."""
+    cur = dirs.T
+    acc = np.zeros(dirs.shape[0])
+    out = []
+    for _ in range(steps + 1):
+        out.append(support_batch(base, cur) + acc)
+        total = np.zeros(dirs.shape[0])
+        for p in parts:
+            total += support_batch(p, cur)
+        acc = acc + total
+        cur = a.T @ cur
+    return out
+
+
+def from_scratch(base, a, parts, dmat, k):
+    """Supports along the columns of ``dmat`` after k steps, each pulled
+    back through the map one step at a time."""
+    acc = np.zeros(dmat.shape[1])
+    for _ in range(k):
+        total = np.zeros(dmat.shape[1])
+        for p in parts:
+            total += support_batch(p, dmat)
+        acc += total
+        dmat = a.T @ dmat
+    return support_batch(base, dmat) + acc
+
+
+# no magnitudes so small that a template row's norm underflows
+ENTRY = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+         | st.floats(-2.0, 2.0).filter(lambda x: abs(x) >= 1e-3))
+
+
+@st.composite
+def folded_cases(draw):
+    n = draw(st.integers(1, 5))
+
+    def matrix(rows, cols, scale=1.0):
+        vals = draw(st.lists(ENTRY, min_size=rows * cols, max_size=rows * cols))
+        return scale * np.array(vals).reshape(rows, cols)
+
+    rows = matrix(draw(st.integers(1, 4)), n)
+    rows[np.all(rows == 0.0, axis=1), 0] = 1.0  # template rows are nonzero
+    # the negations, written with +0.0 where a row has a zero of either sign
+    neg = np.where(rows == 0.0, 0.0, -rows)
+    kind = draw(st.sampled_from(["paired", "unpaired", "mixed", "duplicates", "signed zeros"]))
+    if kind == "paired":
+        t = np.vstack([rows, -rows])
+    elif kind == "unpaired":
+        t = rows
+    elif kind == "mixed":
+        t = np.vstack([rows, matrix(2, n) + 3.0, -rows[::-1][:2]])
+    elif kind == "duplicates":
+        t = np.vstack([rows, rows, -rows[:1], rows[:1]])
+    else:
+        t = np.vstack([neg, rows, np.where(rows == 0.0, -0.0, rows)])
+    c = matrix(1, n)[0]
+    w = np.abs(matrix(1, n)[0])
+    base = draw(st.sampled_from(["box", "zonotope", "hpolytope", "vpolytope"]))
+    if base == "box":
+        x0 = Box(c - w, c + w)
+    elif base == "zonotope":
+        x0 = Zonotope(c, matrix(n, 2))
+    elif base == "hpolytope":
+        extra = matrix(2, n)
+        eye = np.eye(n)
+        # box rows and two more rows that keep the center, so the set is never empty
+        x0 = HPolytope(np.vstack([eye, -eye, extra]),
+                       np.concatenate([c + w, w - c, extra @ c + np.abs(extra) @ w * 0.5]))
+    else:
+        x0 = VPolytope(c + matrix(3, n))
+    parts = [Box(c * 0.1 - 0.2 * w, c * 0.1 + 0.1 * w), Zonotope(0.1 * c, matrix(n, 2, 0.1))]
+    parts = draw(st.sampled_from([[], parts[:1], parts[1:], parts]))
+    return matrix(n, n, 0.6), x0, parts, t
+
+
+class TestFoldedTemplate:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(folded_cases(), st.integers(0, 20))
+    def test_offsets_match_the_unfolded_recurrence_bit_for_bit(self, case, k):
+        a, x0, parts, t = case
+        dirs = t / np.linalg.norm(t, axis=1)[:, None]
+        want = unfolded_offsets(x0, a, parts, dirs, 20)
+        s = LazyReachSet(x0, a, _InputChannel(parts), t)
+        for step in range(21):
+            assert s.concretize().offsets.tobytes() == want[step].tobytes(), step
+            if step == k:
+                d = t[0] + 0.5
+                assert s.support(d) == from_scratch(x0, a, parts, d[:, None], k)[0]
+                got = s.concretize(t[::-1])
+                vals = from_scratch(x0, a, parts, t[::-1].T, k)
+                assert got.offsets.tobytes() == HPolytope(t[::-1], vals).offsets.tobytes()
+            s = s.advance()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    def test_box_template_advances_n_columns(self, n):
+        s = LazyReachSet(unit_box(n), 0.9 * np.eye(n), directions=np.vstack([np.eye(n), -np.eye(n)]))
+        want = 2 * n if n == 1 else n  # one column goes by numpy's vector routine: not folded
+        assert s.advance()._basis.shape == (n, want)
+
+    def test_which_templates_fold(self):
+        u = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+        v = np.array([[3.0, 0.0, 1.0]])
+        cases = [(u, 2), (np.vstack([u, -u, v, -v]), 3), (np.vstack([u, u[::-1]]), 2),
+                 (default_template(3), 18)]  # the octagon copies back in 11 runs
+        for t, cols in cases:
+            assert LazyReachSet(unit_box(3), np.eye(3), directions=t)._basis.shape == (3, cols)
+
+    @staticmethod
+    def _stable(rng, n, radius):
+        a = rng.normal(size=(n, n)) / math.sqrt(n)
+        return a * (radius / float(np.max(np.abs(np.linalg.eigvals(a)))))
+
+    @staticmethod
+    def _digest(pipe):
+        h = hashlib.sha256()
+        for seg in pipe.segments:
+            h.update(seg.set_rep.offsets.tobytes())
+        return h.hexdigest()
+
+    def test_box_template_offsets_are_pinned(self):
+        # digest of the offsets the unfolded recurrence gave for this run
+        n = 20
+        rng = np.random.default_rng(20)
+        c = rng.uniform(-1.0, 1.0, size=n)
+        system = LinearSystem(self._stable(rng, n, 0.98), Box(c - 0.5, c + 0.5),
+                              input_set=Box(-0.05 * np.ones(n), 0.05 * np.ones(n)))
+        pipe = reach(system, ReachConfig(horizon=100, template=np.vstack([np.eye(n), -np.eye(n)])))
+        assert self._digest(pipe) == (
+            "7ac79af66a877bf9a4395b564d6c54737c7ab21a489ae927cdce845276078b3c")
+
+    def test_octagon_offsets_over_a_zonotope_are_pinned(self):
+        # digest of the offsets the unfolded recurrence gave for this run
+        n = 4
+        rng = np.random.default_rng(4)
+        x0 = Zonotope(rng.uniform(-1.0, 1.0, size=n), 0.3 * rng.normal(size=(n, 3)))
+        system = LinearSystem(self._stable(rng, n, 0.99), x0,
+                              input_set=Box([-0.02, -0.01, 0.0, -0.03], [0.02, 0.03, 0.01, 0.0]))
+        pipe = reach(system, ReachConfig(horizon=200))
+        assert self._digest(pipe) == (
+            "1f4e4b142f7a9fabf283656bb9ba99fe2b8589999cd87c812869f6e89e405a25")
+
+    @pytest.mark.parametrize("template", [True, False])
+    def test_overflowing_offsets_are_rejected(self, template):
+        n = 3
+        system = LinearSystem(1e200 * np.eye(n), Box(np.ones(n), 2.0 * np.ones(n)),
+                              input_set=Box(-np.ones(n), np.ones(n)))
+        config = ReachConfig(horizon=5, template=np.vstack([np.eye(n), -np.eye(n)]) if template else None)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="vector has non-finite entries"):
+            reach(system, config)
+
+    def test_writable_template_is_not_aliased(self):
+        t = np.vstack([np.eye(2), -np.eye(2)])
+        s = LazyReachSet(unit_box(2), rot(0.3), directions=t)
+        segs = [s.concretize(), s.advance().concretize()]
+        t[:] = 5.0
+        for h in segs:
+            assert not np.shares_memory(h.normals, t) and not h.normals.flags.writeable
+            np.testing.assert_array_equal(h.normals, [[1, 0], [0, 1], [-1, 0], [0, -1]])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reachflow.numkernel import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max, mat_exp
+from reachflow.numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, _lp_solve_batch, lp_max,
+                                 lp_max_batch, mat_exp)
 
 from oracles import lp_vertex_enum, taylor_exp
 
@@ -128,6 +129,30 @@ class TestLpMax:
             lp_max([1.0, 2.0], np.eye(3), np.ones(3))
         with pytest.raises(ValueError):
             lp_max([1.0, 2.0, 3.0], np.eye(3), np.ones(4))
+
+    @pytest.mark.parametrize("c, a, b, message", [
+        ([[np.nan, 0.0]], np.eye(2), np.ones(2), "matrix has non-finite entries"),
+        ([[1.0, 0.0]], [[np.inf, 0.0], [0.0, 1.0]], np.ones(2), "matrix has non-finite entries"),
+        ([[1.0, 0.0]], np.eye(2), [1.0, np.nan], "vector has non-finite entries"),
+        ([[1.0, 0.0]], np.ones(2), np.ones(2), "expected a matrix"),
+        ([[1.0, 0.0]], np.eye(2), np.ones((2, 1)), "expected a vector"),
+        ([[1.0, 0.0, 0.0]], np.eye(2), np.ones(2), "objective length 3"),
+        ([[1.0, 0.0]], np.eye(2), np.ones(3), "right-hand side length 3"),
+    ])
+    def test_batch_entry_checks_its_arrays(self, c, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            lp_max_batch(c, a, b)
+        with pytest.raises(ValueError):
+            lp_max(np.asarray(c)[0], a, b)
+
+    def test_checked_solve_is_the_batch_entry(self):
+        rng = np.random.default_rng(7)
+        a = np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(4, 3))])
+        b = np.concatenate([np.ones(6), np.ones(4) * 2.0])
+        objs = rng.normal(size=(5, 3))
+        for got, want in zip(_lp_solve_batch(objs, a, b), lp_max_batch(objs, a, b)):
+            assert got.status == want.status and got.value == want.value
+            np.testing.assert_array_equal(got.x, want.x)
 
     def test_no_constraints(self):
         res = lp_max([0.0, 0.0], np.zeros((0, 2)), np.zeros(0))

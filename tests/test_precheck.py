@@ -381,7 +381,7 @@ class TestCounters:
         solves = count_calls(monkeypatch, numkernel, "_phase_one")
         # the names setgeom calls: no solve of any kind runs
         lp_calls = count_calls(monkeypatch, sg, "lp_max")
-        batch_calls = count_calls(monkeypatch, sg, "lp_max_batch")
+        batch_calls = count_calls(monkeypatch, sg, "_lp_solve_batch")
         pipe = reach(system, ReachConfig(horizon=1000, mode="bad_set", bad_set=Box(lo, hi)))
         assert pipe.status == "horizon" and len(pipe.segments) == 1001
         assert solves == [0] and lp_calls == [0] and batch_calls == [0]

@@ -303,6 +303,14 @@ class TestContainsSet:
         with pytest.raises(UnsupportedCheck):
             sg.contains_set(q, Box([0.0] * 4, [0.1] * 4))
 
+    def test_empty_hpolytope_is_contained_on_both_paths(self):
+        # x <= 0 and x >= 1: the precheck settles every row of the large
+        # box, while a row of the unit box goes to the LP
+        p = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, -1.0, 1.0, 0.0])
+        assert sg.is_empty(p)
+        assert sg.contains_set(Box([-5.0, -5.0], [5.0, 5.0]), p)
+        assert sg.contains_set(Box([0.0, 0.0], [1.0, 1.0]), p)
+
 
 class TestExactHform:
     def test_exact_forms_keep_the_flag_and_the_set(self):
@@ -650,6 +658,30 @@ class TestHPolytopeArrays:
         np.testing.assert_allclose(h.normals, [[1.0, 0.0], [0.0, -1.0]])
         np.testing.assert_allclose(h.offsets, [2.0, 2.0])
         np.testing.assert_array_equal(a, [[2.0, 0.0], [0.0, -0.5]])
+
+    @pytest.mark.parametrize("normals, offsets, message", [
+        ([[1.0, np.nan]], [1.0], "matrix has non-finite entries"),
+        ([[1.0, 0.0]], [np.inf], "vector has non-finite entries"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0], "normal count does not match offset count"),
+        ([[0.0, 0.0]], [-1.0], "zero normal with negative offset"),
+    ])
+    def test_public_constructor_rejects(self, normals, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            HPolytope(normals, offsets)
+        # the same with rows that are read-only and unit, which it shares
+        a = np.array(normals, dtype=float)
+        a.flags.writeable = False
+        with pytest.raises(ValueError, match=message):
+            HPolytope(a, offsets)
+
+    def test_engine_constructor_rejects_non_finite_offsets(self):
+        a = np.vstack([np.eye(2), -np.eye(2)])
+        a.flags.writeable = False
+        h = HPolytope._trusted(a, np.ones(4), exact=False)
+        assert h.normals is a and not h.offsets.flags.writeable and not h.exact
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="vector has non-finite entries"):
+                HPolytope._trusted(a, np.array([1.0, bad, 1.0, 1.0]), exact=False)
 
     def test_read_only_view_of_writable_array_is_copied(self):
         base = np.vstack([np.eye(2), -np.eye(2)])
