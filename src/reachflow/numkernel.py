@@ -1,6 +1,13 @@
 """Dense numeric kernel: the matrix exponential and a small dense LP
 solver.  Everything else in the package sits on top of these two
-primitives."""
+primitives.
+
+The solver is a two-phase simplex with Bland's rule.  Phase one over
+{a x <= b} runs once into an ``_LpStart``; phase two walks the tableaux
+reached from it, shared by every objective over the same constraints and
+kept up to a byte budget (``_START_BYTES_CAP``), and each objective
+carries only its own objective row, so every result equals a cold solve
+bit for bit.  An H-polytope keeps its start for its lifetime."""
 
 from __future__ import annotations
 
@@ -119,22 +126,30 @@ def _bland(t: np.ndarray, basis: list[int], nvars: int, tol: float) -> str:
         if candidates.size == 0:
             return OPTIMAL
         enter = int(candidates[0])
-        best_ratio = None
-        leave = -1
-        for i in range(rows):
-            aij = t[i, enter]
-            if aij > tol:
-                ratio = t[i, -1] / aij
-                if (best_ratio is None or ratio < best_ratio - tol
-                        or (abs(ratio - best_ratio) <= tol and basis[i] < basis[leave])):
-                    best_ratio = ratio
-                    leave = i
+        leave = _leaving_row(t, basis, rows, enter, tol)
         if leave < 0:
             return UNBOUNDED
         nonbasic[basis[leave]] = True
         nonbasic[enter] = False
         _pivot(t, basis, leave, enter)
     raise RuntimeError("simplex iteration limit exceeded")
+
+
+def _leaving_row(t: np.ndarray, basis: list[int], rows: int, enter: int, tol: float) -> int:
+    """Bland's leaving row for column ``enter`` among the first ``rows``
+    rows of ``t``: the smallest basic index among the minimum-ratio rows,
+    or -1 when no row bounds the column."""
+    best_ratio = None
+    leave = -1
+    for i in range(rows):
+        aij = t[i, enter]
+        if aij > tol:
+            ratio = t[i, -1] / aij
+            if (best_ratio is None or ratio < best_ratio - tol
+                    or (abs(ratio - best_ratio) <= tol and basis[i] < basis[leave])):
+                best_ratio = ratio
+                leave = i
+    return leave
 
 
 def _basic_point(t: np.ndarray, basis: list[int], n: int) -> np.ndarray:
@@ -158,7 +173,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray, tol: float):
     Returns the tableau, columns x+ (n), x- (n), slacks (m) and the
     right-hand side, with the objective row left for phase two, and its
     basis.  Only ``(a, b)`` are read, so every objective over the same
-    constraints can start phase two from a copy of one result.
+    constraints starts phase two from one result: an ``_LpStart``.
     """
     m, n = a.shape
     neg = b < 0.0
@@ -211,23 +226,137 @@ def _phase_one(a: np.ndarray, b: np.ndarray, tol: float):
     return np.delete(t[keep + [m]], np.s_[nreal:ncols], axis=1), [basis[i] for i in keep]
 
 
-def _phase_two(c: np.ndarray, t: np.ndarray, basis: list[int], tol: float) -> LpResult:
-    """Maximize c.(x+ - x-) from a feasible basis of ``_phase_one``; the
-    tableau and basis are overwritten."""
-    n = c.shape[0]
-    # objective row priced out against the basis
-    t[-1, :] = 0.0
-    t[-1, :n] = c
-    t[-1, n:2 * n] = -c
-    for i in range(len(basis)):
-        cb = t[-1, basis[i]]
-        if cb != 0.0:
-            t[-1] -= cb * t[i]
-    status = _bland(t, basis, t.shape[1] - 1, tol)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED)
-    x = _basic_point(t, basis, n)
-    return LpResult(OPTIMAL, float(c @ x), x)
+# Bytes of phase-two tableaux one ``_LpStart`` keeps.  Past it a walk
+# pivots a private copy of the last kept tableau, as a cold solve does.
+_START_BYTES_CAP = 1 << 20
+
+
+class _Node:
+    """A phase-two tableau reached from a start: its constraint rows with
+    the right-hand side (``t``), its basis, the mask of the columns that
+    may enter (the nonbasic ones, not the right-hand side), and the steps
+    taken from it, by entering column: the normalized pivot row and the
+    tableau it leads to, or None for an unbounded column.  ``steps`` is
+    None on a private tableau, which is pivoted in place."""
+
+    __slots__ = ("t", "basis", "may_enter", "steps", "x")
+
+    def __init__(self, t: np.ndarray, basis: list[int], private: bool = False):
+        self.t = t
+        self.basis = basis
+        self.may_enter = np.ones(t.shape[1], dtype=bool)
+        self.may_enter[basis] = False
+        self.may_enter[-1] = False
+        self.steps = None if private else {}
+        self.x = None
+
+
+class _LpStart:
+    """Phase one of {a x <= b} run once, and the phase-two tableaux that
+    Bland's rule has reached from it, keyed by pivot path.
+
+    A pivot's constraint rows depend on the pivot sequence alone, never on
+    the objective, so every objective walks the shared tableaux and
+    carries only its own objective row: the pricing, the entering and
+    leaving choices and the row update that ``_pivot`` would make.  Each
+    result is therefore that of a cold solve, bit for bit.  The kept
+    tableaux stay within ``_START_BYTES_CAP`` bytes (``nbytes`` counts
+    them); ``a`` and ``b`` are checked arrays the start never writes.
+    ``infeasible`` is phase one's result when it found no feasible basis,
+    and every objective gets it.
+    """
+
+    __slots__ = ("n", "root", "priced", "infeasible", "nbytes")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.n = a.shape[1]
+        self.root = self.infeasible = None
+        self.priced = []
+        self.nbytes = 0
+        if a.shape[0] == 0:
+            return
+        start = _phase_one(a, b, FEAS_TOL)
+        if isinstance(start, LpResult):
+            self.infeasible = start
+            return
+        t, basis = start
+        self.root = _Node(t[:-1], basis)
+        # a basic column is a unit column, so only the rows whose basic
+        # variable is an x column, the only ones with a cost, price out
+        self.priced = [(i, j) for i, j in enumerate(basis) if j < 2 * self.n]
+        self.nbytes = self.root.t.nbytes
+
+    @property
+    def within_budget(self) -> bool:
+        """Whether the kept tableaux fit in ``_START_BYTES_CAP``: false only
+        when phase one's tableau alone is larger."""
+        return self.nbytes <= _START_BYTES_CAP
+
+    def solve(self, objectives: np.ndarray) -> list[LpResult]:
+        """Maximize c.x for every row c of the checked ``objectives``."""
+        if self.infeasible is not None:
+            return [self.infeasible for _ in objectives]
+        if self.root is None:  # no rows
+            return [LpResult(UNBOUNDED) if np.any(np.abs(c) > FEAS_TOL)
+                    else LpResult(OPTIMAL, 0.0, np.zeros(self.n)) for c in objectives]
+        return [self._walk(c) for c in objectives]
+
+    def _walk(self, c: np.ndarray) -> LpResult:
+        n, node = self.n, self.root
+        t = node.t
+        nvars = t.shape[1] - 1
+        # objective row priced out against the start basis
+        obj = np.zeros(t.shape[1])
+        obj[:n] = c
+        obj[n:2 * n] = -c
+        for i, j in self.priced:
+            cb = obj[j]
+            if cb != 0.0:
+                obj -= cb * t[i]
+        for _ in range(500 * (nvars + t.shape[0] + 10)):
+            # Bland's entering column: the first that may enter and prices
+            # above the tolerance
+            candidates = (obj > FEAS_TOL) & node.may_enter
+            enter = int(candidates.argmax())
+            if not candidates[enter]:
+                if node.x is None:
+                    node.x = _basic_point(node.t, node.basis, n)
+                x = node.x.copy()
+                return LpResult(OPTIMAL, float(c @ x), x)
+            step = self._step(node, enter)
+            if step is None:
+                return LpResult(UNBOUNDED)
+            pivot_row, node = step
+            obj -= obj[enter] * pivot_row
+            obj[enter] = 0.0
+        raise RuntimeError("simplex iteration limit exceeded")
+
+    def _step(self, node: _Node, enter: int):
+        """The pivot on column ``enter`` from ``node``: (normalized pivot
+        row, next tableau), or None when the column is unbounded."""
+        steps = node.steps
+        if steps is not None and enter in steps:
+            return steps[enter]
+        t, basis = node.t, node.basis
+        leave = _leaving_row(t, basis, t.shape[0], enter, FEAS_TOL)
+        if leave < 0:
+            if steps is not None:
+                steps[enter] = None
+            return None
+        pivot_row = t[leave] / t[leave, enter]
+        if steps is None:
+            nxt = node
+        elif self.nbytes + t.nbytes + pivot_row.nbytes > _START_BYTES_CAP:
+            nxt = _Node(t.copy(), list(basis), private=True)
+        else:
+            nxt = _Node(t.copy(), list(basis))
+            self.nbytes += t.nbytes + pivot_row.nbytes
+            steps[enter] = pivot_row, nxt
+        nxt.may_enter[nxt.basis[leave]] = True
+        nxt.may_enter[enter] = False
+        _pivot(nxt.t, nxt.basis, leave, enter)
+        nxt.x = None
+        return pivot_row, nxt
 
 
 def lp_max_batch(objectives, a, b) -> list[LpResult]:
@@ -235,9 +364,11 @@ def lp_max_batch(objectives, a, b) -> list[LpResult]:
     from one phase one.
 
     Each result's ``x`` is the simplex's optimal vertex; Bland's rule makes
-    it deterministic.  Phase one never reads the objective, so each phase
-    two starts from a copy of one feasible tableau and makes the same
-    pivots, with the same values, as a solve of its objective alone.
+    it deterministic.  Phase one never reads the objective, and a phase-two
+    pivot's constraint rows never do either: the objectives share one
+    ``_LpStart``, whose tableaux each objective walks with its own
+    objective row, and every result equals a solve of its objective alone,
+    bit for bit.
     """
     objectives, a, b = as_matrix(objectives), as_matrix(a), as_vector(b)
     m, n = a.shape
@@ -254,16 +385,9 @@ def lp_max_batch(objectives, a, b) -> list[LpResult]:
 
 def _lp_solve_batch(objectives: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[LpResult]:
     """``lp_max_batch`` on arrays that are already checked: finite floats,
-    ``objectives`` (k, n), ``a`` (m, n) and ``b`` (m,)."""
-    m, n = a.shape
-    if m == 0:
-        return [LpResult(UNBOUNDED) if np.any(np.abs(c) > FEAS_TOL)
-                else LpResult(OPTIMAL, 0.0, np.zeros(n)) for c in objectives]
-    start = _phase_one(a, b, FEAS_TOL)
-    if isinstance(start, LpResult):
-        return [start for _ in objectives]
-    t, basis = start
-    return [_phase_two(c, t.copy(), list(basis), FEAS_TOL) for c in objectives]
+    ``objectives`` (k, n), ``a`` (m, n) and ``b`` (m,).  The start is
+    built for this batch and dropped after it."""
+    return _LpStart(a, b).solve(objectives)
 
 
 def lp_max(objective, a, b) -> LpResult:

@@ -28,8 +28,8 @@ import itertools
 
 import numpy as np
 
-from .numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _lp_solve_batch, as_matrix,
-                        as_vector, lp_max)
+from .numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _lp_solve_batch, _LpStart,
+                        as_matrix, as_vector, lp_max)
 
 TOL = 1e-9
 # a row whose norm is this close to 1 counts as unit: rounding after a
@@ -108,10 +108,13 @@ class HPolytope:
 
     Normals that are already read-only with unit rows are kept as given,
     so sets built over one shared template share one normals buffer.
-    The caller's arrays are never frozen: writable input is copied.
+    The caller's arrays are never frozen: writable input is copied.  The
+    set's own arrays are read-only, so it keeps the simplex start its
+    first LP builds: phase one and the pivot paths taken from it, within
+    the start budget.
     """
 
-    __slots__ = ("normals", "offsets", "exact")
+    __slots__ = ("normals", "offsets", "exact", "_start")
 
     def __init__(self, normals, offsets, exact: bool = True):
         a = as_matrix(normals)
@@ -131,6 +134,7 @@ class HPolytope:
             self.normals = _freeze(a / norms[:, None])
             self.offsets = _freeze(b / norms)
         self.exact = exact
+        self._start = None
 
     @classmethod
     def _trusted(cls, normals: np.ndarray, offsets: np.ndarray, exact: bool) -> "HPolytope":
@@ -143,7 +147,19 @@ class HPolytope:
         h.normals = normals
         h.offsets = _freeze(as_vector(offsets))
         h.exact = exact
+        h._start = None
         return h
+
+    def _lp_start(self) -> _LpStart:
+        """The simplex start every LP over this set's rows solves from.  A
+        start whose phase-one tableau alone is over the start budget is not
+        kept: each call builds its own, so no set holds more than that."""
+        if self._start is not None:
+            return self._start
+        start = _LpStart(self.normals, self.offsets)
+        if start.within_budget:
+            self._start = start
+        return start
 
     @property
     def dim(self) -> int:
@@ -323,15 +339,16 @@ def _hpolytope_solves(h: HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, list[
     """The nonzero columns of ``dmat`` and the simplex's result for each
     over ``h``, from one phase one: the directions share the constraints.
 
-    Solves again on ``_relaxed_offsets`` when the simplex calls ``h``
-    infeasible; the results are None when ``h`` is empty.  ``h`` was
-    checked when it was built, so only the directions are checked here.
+    Solves from ``h``'s kept start, and again, from a start of its own, on
+    ``_relaxed_offsets`` when the simplex calls ``h`` infeasible; the
+    results are None when ``h`` is empty.  ``h`` was checked when it was
+    built, so only the directions are checked here.
     """
     live = np.flatnonzero(np.any(dmat != 0.0, axis=0))
     if live.size == 0:
         return live, []
     objectives = as_matrix(dmat[:, live].T)
-    results = _lp_solve_batch(objectives, h.normals, h.offsets)
+    results = h._lp_start().solve(objectives)
     if results[0].status == INFEASIBLE:
         results = _lp_solve_batch(objectives, h.normals, _relaxed_offsets(h))
     if results[0].status == INFEASIBLE:
@@ -558,8 +575,8 @@ def is_empty(s: SetRep) -> bool:
     if isinstance(s, HPolytope):
         if s.nrows == 0:
             return False
-        (res,) = _lp_solve_batch(np.zeros((1, s.dim)), s.normals, s.offsets)
-        if res.status != INFEASIBLE:
+        res = s._lp_start().infeasible
+        if res is None:
             return False
         # phase one can misjudge a flat set by its own rounding: "empty"
         # stands only when its last basic point misses some row, and so does

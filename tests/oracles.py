@@ -62,6 +62,61 @@ def lp_vertex_enum(c, a, b, tol=1e-9):
     return best_val, best_pts[0]
 
 
+def cold_phase_two(c, t, basis, tol=1e-9):
+    """Bland's-rule phase two on a full copy of a feasible tableau, the way
+    a single solve runs it: a reference for solves that share tableaux.
+
+    ``t`` and ``basis`` are a phase-one result (constraint rows, objective
+    row last, right-hand side last column; split columns x+ then x-); both
+    are left untouched.  Returns (status, value, x), value and x None when
+    unbounded.
+    """
+    t = np.array(t, dtype=float)
+    basis = list(basis)
+    n = len(c)
+    rows, nvars = t.shape[0] - 1, t.shape[1] - 1
+    t[-1, :] = 0.0
+    t[-1, :n] = c
+    t[-1, n:2 * n] = -np.asarray(c)
+    for i in range(rows):
+        cb = t[-1, basis[i]]
+        if cb != 0.0:
+            t[-1] -= cb * t[i]
+    nonbasic = np.ones(t.shape[1], dtype=bool)
+    nonbasic[basis] = False
+    while True:
+        candidates = np.flatnonzero((t[-1, :nvars] > tol) & nonbasic[:nvars])
+        if candidates.size == 0:
+            break
+        enter = int(candidates[0])
+        best_ratio, leave = None, -1
+        for i in range(rows):
+            aij = t[i, enter]
+            if aij > tol:
+                ratio = t[i, -1] / aij
+                if (best_ratio is None or ratio < best_ratio - tol
+                        or (abs(ratio - best_ratio) <= tol and basis[i] < basis[leave])):
+                    best_ratio, leave = ratio, i
+        if leave < 0:
+            return "unbounded", None, None
+        nonbasic[basis[leave]] = True
+        nonbasic[enter] = False
+        t[leave] /= t[leave, enter]
+        colvals = t[:, enter].copy()
+        colvals[leave] = 0.0
+        t -= np.outer(colvals, t[leave])
+        t[:, enter] = 0.0
+        t[leave, enter] = 1.0
+        basis[leave] = enter
+    x = np.zeros(n)
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] += t[i, -1]
+        elif j < 2 * n:
+            x[j - n] -= t[i, -1]
+    return "optimal", float(np.asarray(c) @ x), x
+
+
 def gift_wrap_hull(points, tol=1e-12):
     """Planar convex hull by gift wrapping (independent of monotone chain)."""
     pts = np.asarray(points, dtype=float)

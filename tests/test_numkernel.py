@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from reachflow.numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, _lp_solve_batch, lp_max,
-                                 lp_max_batch, mat_exp)
+from reachflow import numkernel
+from reachflow.numkernel import (FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _LpStart,
+                                 _lp_solve_batch, _phase_one, lp_max, lp_max_batch, mat_exp)
 
-from oracles import lp_vertex_enum, taylor_exp
+from oracles import cold_phase_two, lp_vertex_enum, taylor_exp
 
 
 class TestMatExp:
@@ -159,3 +162,62 @@ class TestLpMax:
         assert res.status == OPTIMAL and res.value == 0.0
         res = lp_max([1.0, 0.0], np.zeros((0, 2)), np.zeros(0))
         assert res.status == UNBOUNDED
+
+
+@st.composite
+def lp_batches(draw):
+    """Constraints {a x <= b} with 1-8 rows and 1-12 objectives over them,
+    and an order to solve them in.  Integer data makes degenerate ties;
+    few rows leave objectives unbounded, negative offsets sets empty."""
+    n, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    num = draw(st.sampled_from([st.integers(-2, 2).map(float), st.floats(-3.0, 3.0)]))
+
+    def matrix(rows):
+        return np.array(draw(st.lists(num, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+
+    a, objs = matrix(m), matrix(k)
+    b = np.array(draw(st.lists(num, min_size=m, max_size=m)))
+    return a, b, objs, draw(st.permutations(range(k)))
+
+
+def cold_solve(c, a, b):
+    """One objective alone: phase one, then the reference phase two on a
+    full copy of its tableau."""
+    start = _phase_one(a, b, FEAS_TOL)
+    if isinstance(start, LpResult):
+        return start.status, start.value, start.x
+    return cold_phase_two(c, *start)
+
+
+def bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+def same_result(got, want):
+    status, value, x = want
+    assert got.status == status and bits(got.value) == bits(value)
+    assert (got.x is None and x is None) or got.x.tobytes() == x.tobytes()
+
+
+class TestSharedPaths:
+    @pytest.mark.parametrize("budget", ["default", "one tableau"])
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(lp_batches())
+    @example((np.array([[-1.0]]), np.array([0.0]), np.array([[1.0], [-1.0]]), [1, 0]))
+    @example((np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]), np.array([[1.0]]), [0]))
+    @example((np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 1.0, 0.0, 0.0]),
+              np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]), [3, 1, 0, 2]))
+    def test_every_result_is_the_cold_solve_bit_for_bit(self, budget, case):
+        a, b, objs, order = case
+        want = [cold_solve(c, a, b) for c in objs]
+        start = _LpStart(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            if budget == "one tableau":
+                mp.setattr(numkernel, "_START_BYTES_CAP", start.nbytes)
+            # shuffled, then the same order again over the kept paths, then
+            # the given order with each objective twice in a row
+            twice = [i for i in range(len(objs)) for _ in range(2)]
+            for idx in (order, order, twice):
+                for got, i in zip(start.solve(objs[idx]), idx):
+                    same_result(got, want[i])
+            assert start.within_budget or start.nbytes == start.root.t.nbytes

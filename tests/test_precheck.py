@@ -1,6 +1,7 @@
 """Yes/no geometry without the simplex: the separation precheck of
-``meets``, the containment precheck of ``contains_set`` and the shared
-phase one of ``support_batch`` on an H-polytope.
+``meets``, the containment precheck of ``contains_set``, and the simplex
+start an H-polytope keeps: one phase one, and the pivot paths every LP
+over its rows shares.
 
 Every shortcut must give the answer of the exact LP path: ``meets`` says
 "disjoint" only when ``is_empty(intersect(...))`` does (two boxes only
@@ -9,15 +10,19 @@ precheck settles a row only when the LP row test passes it, and a batch of
 supports equals one cold solve per direction, bit for bit.
 """
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from reachflow import numkernel
 from reachflow import setgeom as sg
+from reachflow.hybridize import NonlinearSystem, dynamic_hybridize_reach
+from reachflow.hybridreach import HybridAutomaton, Mode, Transition, hybrid_reach
 from reachflow.linreach import LinearSystem, ReachConfig, reach
 from reachflow.numkernel import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max, lp_max_batch
 from reachflow.setgeom import Box, HPolytope, VPolytope, Zonotope
@@ -252,11 +257,23 @@ class TestBoxPairs:
             assert sg.is_empty(c)
 
 
+def point_parallelotope(coupling, point):
+    """A parallelotopes() draw with every width 0: {point <= M x <= point}
+    for M = 3 I + coupling."""
+    m = 3.0 * np.eye(len(point)) + np.array(coupling)
+    return HPolytope(np.vstack([m, -m]), np.concatenate([point, -np.array(point)]))
+
+
 class TestContainmentPrecheck:
     @PROPERTY
     @given(st.integers(1, 3).flatmap(
         lambda n: st.tuples(st.one_of(boxes(n), template_hpolytopes(n), parallelotopes(n)),
                             st.one_of(template_hpolytopes(n), parallelotopes(n)))))
+    # phase one on this flat point calls its rows infeasible; the row test
+    # contains_set runs solves again on relaxed offsets and passes them
+    @example((Box([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+              point_parallelotope([[0.0, 0.0, 1.5], [-0.5, 0.0, 0.0], [1.5, 3.2e-8, -1.0]],
+                                  [3.0, 2.0, 0.0])))
     def test_settled_rows_pass_the_lp_row_test(self, pair):
         q, p = pair
         if sg.is_empty(p):
@@ -265,8 +282,7 @@ class TestContainmentPrecheck:
         bound, mag = sg._support_bound(p, h.normals.T)
         settled = sg._clears(bound - h.offsets - sg.TOL, h.offsets, mag)
         for a_row, b_row in zip(h.normals[settled], h.offsets[settled]):
-            res = lp_max(a_row, p.normals, p.offsets)
-            assert res.status == OPTIMAL and res.value <= b_row + sg.TOL
+            assert sg.support_batch(p, a_row[:, None])[0] <= b_row + sg.TOL
         lp_rows = all(sg.support_batch(p, a[:, None])[0] <= b + sg.TOL
                       for a, b in zip(h.normals, h.offsets))
         assert sg.contains_set(q, p) == lp_rows
@@ -369,6 +385,145 @@ class TestSharedPhaseOne:
         assert pivots[0] - batch_pivots > batch_pivots
 
 
+def offsets_digest(segments):
+    h = hashlib.sha256()
+    for seg in segments:
+        h.update(seg.set_rep.offsets.tobytes())
+    return h.hexdigest()
+
+
+class TestKeptStart:
+    """An H-polytope runs phase one once and keeps the pivot paths taken
+    from it.  The digests were recorded before the start was kept, when
+    every batch ran its own phase one and pivoted a copy of its tableau."""
+
+    @staticmethod
+    def octagon_segment():
+        dirs = sg.default_template(2)
+        return HPolytope(dirs, np.abs(dirs) @ np.array([1.0, 2.0]) - 0.3 * dirs[:, 0])
+
+    def test_two_batches_run_one_phase_one(self, monkeypatch):
+        h = self.octagon_segment()
+        calls = count_calls(monkeypatch, numkernel, "_phase_one")
+        first = sg.support_batch(h, h.normals.T)
+        second = sg.support_batch(h, np.array([[1.0, 0.5], [-2.0, 1.0]]))
+        assert not sg.is_empty(h)
+        assert calls == [1]
+        assert first.tolist() == [lp_max(d, h.normals, h.offsets).value for d in h.normals]
+        assert second.tolist() == [lp_max(d, h.normals, h.offsets).value
+                                   for d in ([1.0, -2.0], [0.5, 1.0])]
+
+    def test_repeated_objective_pivots_once(self, monkeypatch):
+        h = self.octagon_segment()
+        d = np.array([0.3, 1.0])
+        once = count_calls(monkeypatch, numkernel, "_pivot")
+        sg.support_batch(h, d[:, None])
+        alone = once[0]
+        assert alone > 0
+        h = self.octagon_segment()
+        once[0] = 0
+        vals = sg.support_batch(h, np.column_stack([d, d, d]))
+        assert once == [alone] and vals[0] == vals[1] == vals[2]
+
+    @pytest.mark.parametrize("budget", ["default", "root only"])
+    def test_kept_paths_are_not_pivoted_again(self, monkeypatch, budget):
+        a = np.vstack([np.eye(3), -np.eye(3)])
+        b = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        objs = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 1.0, 0.0]])
+        start = numkernel._LpStart(a, b)
+        root = start.nbytes
+        if budget == "root only":
+            monkeypatch.setattr(numkernel, "_START_BYTES_CAP", root)
+        pivots = count_calls(monkeypatch, numkernel, "_pivot")
+        first = start.solve(objs)
+        per_round = pivots[0]
+        again = start.solve(objs)
+        assert per_round > 0
+        if budget == "default":
+            assert pivots[0] == per_round and start.nbytes > root
+        else:
+            # nothing past the root is kept: every round pivots again
+            assert pivots[0] == 2 * per_round and start.nbytes == root
+        for got, want in zip(again, first):
+            assert got.status == want.status and got.value == want.value
+            assert got.x.tobytes() == want.x.tobytes()
+
+    def test_equal_sets_do_not_share_a_start(self, monkeypatch):
+        p, q = self.octagon_segment(), self.octagon_segment()
+        calls = count_calls(monkeypatch, numkernel, "_phase_one")
+        sg.support_batch(p, np.eye(2))
+        sg.support_batch(q, np.eye(2))
+        assert calls == [2] and p._start is not q._start
+
+    def test_start_over_the_budget_is_not_kept(self, monkeypatch):
+        h = self.octagon_segment()
+        monkeypatch.setattr(numkernel, "_START_BYTES_CAP", 64)
+        calls = count_calls(monkeypatch, numkernel, "_phase_one")
+        first = sg.support_batch(h, h.normals.T)
+        second = sg.support_batch(h, h.normals.T)
+        assert calls == [2] and h._start is None
+        assert first.tolist() == second.tolist() == [
+            lp_max(d, h.normals, h.offsets).value for d in h.normals]
+
+    def test_start_stays_within_its_budget(self):
+        # a 10-d base with 30 random facets: the directions of 20 lazy
+        # steps reach more tableaux than the budget holds
+        n = 10
+        rng = np.random.default_rng(10)
+        normals = rng.normal(size=(3 * n, n))
+        x0 = HPolytope(normals, np.linalg.norm(normals, axis=1) * rng.uniform(0.5, 1.0, size=3 * n))
+        q, r = np.linalg.qr(rng.normal(size=(n, n)))
+        system = LinearSystem(0.95 * q * np.sign(np.diag(r)), x0,
+                              input_set=Box(-0.01 * np.ones(n), 0.01 * np.ones(n)))
+        pipe = reach(system, ReachConfig(horizon=20))
+        assert numkernel._START_BYTES_CAP // 2 < x0._start.nbytes <= numkernel._START_BYTES_CAP
+        assert offsets_digest(pipe.segments) == (
+            "8ba3baac030c02eae8e6ca0a1ebf9e73d384e8e63ba7e7f2efb41bdea6c8ba97")
+
+    def test_lazy_octagon_base_offsets_are_pinned(self):
+        t = sg.default_template(2)
+        x0 = HPolytope(t, np.abs(t) @ np.array([0.3, 0.2]) + t @ np.array([1.0, -0.5])
+                       + np.array([0.0, 0.05, 0.1, 0.0, 0.02, 0.0, 0.0, 0.07]))
+        c, s = math.cos(0.05), math.sin(0.05)
+        system = LinearSystem(0.995 * np.array([[c, -s], [s, c]]), x0,
+                              input_set=Box([-0.01, 0.0], [0.01, 0.02]))
+        pipe = reach(system, ReachConfig(horizon=300))
+        assert len(pipe.segments) == 301
+        assert offsets_digest(pipe.segments) == (
+            "3a92511d4c418e6420fec15d24f5ab03f75fa73b7666dd3c584045895bc9fa1a")
+
+    def test_van_der_pol_offsets_are_pinned(self):
+        mu = 0.2
+        system = NonlinearSystem(
+            f=lambda x: np.array([x[1], -x[0] + mu * (1.0 - x[0] ** 2) * x[1]]), dim=2,
+            jac=lambda x: np.array([[0.0, 1.0],
+                                    [-1.0 - 2.0 * mu * x[0] * x[1], mu * (1.0 - x[0] ** 2)]]),
+            hessian_bound=lambda lo, hi: np.array([0.0, 2.0 * mu * (np.abs(lo) + np.abs(hi)).sum()]))
+        pipe = dynamic_hybridize_reach(system, Box([0.98, -0.02], [1.02, 0.02]),
+                                       ReachConfig(horizon=0.5, step=0.01))
+        assert pipe.status == "horizon" and len(pipe.segments) == 51
+        assert offsets_digest(pipe.segments) == (
+            "55fbf8375781d35b00fbe6c3ce2856c8f01f569e9e108241482096e3a9d96f37")
+
+    def test_post_jump_flow_offsets_are_pinned(self):
+        # a spiral bouncing between two walls; every entry after a jump is
+        # an H-polytope, so each of its flow's steps is an LP batch
+        a = np.array([[-0.1, 1.0], [-1.0, -0.1]])
+        noise = Box([0.0, -0.02], [0.0, 0.02])
+        flip = [[-1.0, 0.0], [0.0, 0.9]]
+        right = Mode("right", a, input_set=noise, invariant=HPolytope([[1.0, 0.0]], [0.6]))
+        left = Mode("left", a, input_set=noise, invariant=HPolytope([[-1.0, 0.0]], [0.6]))
+        automaton = HybridAutomaton((right, left), (
+            Transition("right", "left", guard=HPolytope([[-1.0, 0.0]], [-0.55]), reset_matrix=flip),
+            Transition("left", "right", guard=HPolytope([[1.0, 0.0]], [-0.55]), reset_matrix=flip)))
+        pipe = hybrid_reach(automaton, "right", Box([0.0, 0.8], [0.1, 0.9]),
+                            ReachConfig(horizon=2.5, step=0.02), jump_depth=3)
+        assert len(pipe.flows) == 4
+        assert all(isinstance(j.post, HPolytope) for j in pipe.jumps)
+        assert offsets_digest([seg for flow in pipe.flows for seg in flow.segments]) == (
+            "3899a0282d2744dc46626ec618997df54c0138999eff403e6d1f32e3cdc61cf6")
+
+
 class TestCounters:
     def test_far_bad_set_needs_no_lp(self, monkeypatch):
         rng = np.random.default_rng(404)
@@ -382,9 +537,10 @@ class TestCounters:
         # the names setgeom calls: no solve of any kind runs
         lp_calls = count_calls(monkeypatch, sg, "lp_max")
         batch_calls = count_calls(monkeypatch, sg, "_lp_solve_batch")
+        starts = count_calls(monkeypatch, sg, "_LpStart")
         pipe = reach(system, ReachConfig(horizon=1000, mode="bad_set", bad_set=Box(lo, hi)))
         assert pipe.status == "horizon" and len(pipe.segments) == 1001
-        assert solves == [0] and lp_calls == [0] and batch_calls == [0]
+        assert solves == [0] and lp_calls == [0] and batch_calls == [0] and starts == [0]
 
 
 class TestDistinctCorners:
