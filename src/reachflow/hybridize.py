@@ -194,9 +194,10 @@ class StaticHybridization:
             log.warning(
                 "initial set overhangs cell %s: clipping to the cell", name
             )
-        if not meets(x0, cell):
+        entry = intersect(x0, cell)
+        if entry is None:
             raise ValueError("initial set does not intersect its center cell")
-        return name, intersect(x0, cell)
+        return name, entry
 
 
 def static_hybridize(

@@ -224,8 +224,10 @@ def mode_reach(
     The step recurrence itself is never clipped (trajectories that left
     the invariant are dropped from the output but stay in the recurrence,
     which only over-approximates).  Segments are recorded clipped; the
-    run stops early once the clipped set is empty, since no trajectory
-    can still be flowing inside the invariant.
+    run stops early once ``intersect`` finds nothing of a segment inside
+    the invariant, since no trajectory can still be flowing there.  Each
+    question, invariant or guard, is one ``intersect`` call: its piece, or
+    None when the sets are disjoint.
 
     Returns ``(segments, hits, status, status_step)`` where hits lists,
     for each transition in order, its per-step guard pieces
@@ -243,15 +245,16 @@ def mode_reach(
         k = seg.k
         # a segment of the stepping core is never empty, so only an
         # invariant can end the flow
-        if inv is not None and not meets(seg.set_rep, inv):
+        clipped = seg.set_rep if inv is None else intersect(seg.set_rep, inv)
+        if clipped is None:
             # nothing remains inside the invariant: the flow is over
             status, status_step = COMPLETED, k
             break
-        clipped = seg.set_rep if inv is None else intersect(seg.set_rep, inv)
         segments.append(replace(seg, set_rep=clipped))
         for i, tr in enumerate(transitions):
-            if meets(clipped, tr.guard):
-                hits[i].append((k, intersect(clipped, tr.guard)))
+            piece = intersect(clipped, tr.guard)
+            if piece is not None:
+                hits[i].append((k, piece))
         if bad_set is not None and meets(clipped, bad_set):
             status, status_step = BAD_REACHED, k
             break
@@ -368,9 +371,9 @@ def hybrid_reach(
                 continue
             for k_lo, k_hi, pre, post in guard_cross(tr_hits, tr):
                 target_inv = automaton.mode(tr.target).invariant
-                if target_inv is not None and not meets(post, target_inv):
-                    continue
                 entry_next = post if target_inv is None else intersect(post, target_inv)
+                if entry_next is None:
+                    continue
                 jumps.append(Jump(tr, flow_idx, None, k_lo, k_hi, pre, entry_next))
                 if depth + 1 > jump_depth:
                     status = INCOMPLETE

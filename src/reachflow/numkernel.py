@@ -2,12 +2,15 @@
 solver.  Everything else in the package sits on top of these two
 primitives.
 
-The solver is a two-phase simplex with Bland's rule.  Phase one over
-{a x <= b} runs once into an ``_LpStart``; phase two walks the tableaux
-reached from it, shared by every objective over the same constraints and
-kept up to a byte budget (``_START_BYTES_CAP``), and each objective
-carries only its own objective row, so every result equals a cold solve
-bit for bit.  An H-polytope keeps its start for its lifetime."""
+The solver is a two-phase simplex with Bland's rule, and both phases walk
+one loop (``_walk``): the entering choice, the ratio test and the
+objective-row update exist once.  Phase one over {a x <= b} runs once
+into an ``_LpStart``, on a private tableau it pivots in place; phase two
+walks the tableaux reached from it, shared by every objective over the
+same constraints and kept up to a byte budget (``_START_BYTES_CAP``), and
+each objective carries only its own objective row, so every result
+equals a cold solve bit for bit.  An H-polytope keeps its start for its
+lifetime.  ``lp_max`` is the one checked entry."""
 
 from __future__ import annotations
 
@@ -109,44 +112,18 @@ def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland(t: np.ndarray, basis: list[int], nvars: int, tol: float) -> str:
-    """Run simplex on a canonical maximisation tableau with Bland's rule.
-
-    Row layout: constraint rows then the objective row; the last column is
-    the right-hand side.  Entering variable: smallest index with reduced
-    cost above tol.  Leaving variable: smallest basic index among the
-    minimum-ratio rows.  Bland's rule cannot cycle, the iteration cap is a
-    safety net only.
-    """
-    rows = t.shape[0] - 1
-    nonbasic = np.ones(t.shape[1], dtype=bool)
-    nonbasic[basis] = False
-    for _ in range(500 * (nvars + rows + 10)):
-        candidates = np.flatnonzero((t[-1, :nvars] > tol) & nonbasic[:nvars])
-        if candidates.size == 0:
-            return OPTIMAL
-        enter = int(candidates[0])
-        leave = _leaving_row(t, basis, rows, enter, tol)
-        if leave < 0:
-            return UNBOUNDED
-        nonbasic[basis[leave]] = True
-        nonbasic[enter] = False
-        _pivot(t, basis, leave, enter)
-    raise RuntimeError("simplex iteration limit exceeded")
-
-
-def _leaving_row(t: np.ndarray, basis: list[int], rows: int, enter: int, tol: float) -> int:
-    """Bland's leaving row for column ``enter`` among the first ``rows``
-    rows of ``t``: the smallest basic index among the minimum-ratio rows,
-    or -1 when no row bounds the column."""
+def _leaving_row(t: np.ndarray, basis: list[int], enter: int) -> int:
+    """Bland's leaving row for column ``enter`` among the constraint rows
+    ``t``: the smallest basic index among the minimum-ratio rows, or -1
+    when no row bounds the column."""
     best_ratio = None
     leave = -1
-    for i in range(rows):
+    for i in range(t.shape[0]):
         aij = t[i, enter]
-        if aij > tol:
+        if aij > FEAS_TOL:
             ratio = t[i, -1] / aij
-            if (best_ratio is None or ratio < best_ratio - tol
-                    or (abs(ratio - best_ratio) <= tol and basis[i] < basis[leave])):
+            if (best_ratio is None or ratio < best_ratio - FEAS_TOL
+                    or (abs(ratio - best_ratio) <= FEAS_TOL and basis[i] < basis[leave])):
                 best_ratio = ratio
                 leave = i
     return leave
@@ -163,12 +140,12 @@ def _basic_point(t: np.ndarray, basis: list[int], n: int) -> np.ndarray:
     return x
 
 
-def _phase_one(a: np.ndarray, b: np.ndarray, tol: float):
+def _phase_one(a: np.ndarray, b: np.ndarray):
     """A feasible basis of {a x <= b} (m > 0 rows) on the split-variable
     standard form, or an infeasible ``LpResult`` when phase one ends with
-    artificials above tol.  Its ``x`` is the last basic point: on a flat
-    set the tableau's rounding can leave that residue although the point
-    meets every row.
+    artificials above FEAS_TOL.  Its ``x`` is the last basic point: on a
+    flat set the tableau's rounding can leave that residue although the
+    point meets every row.
 
     Returns the tableau, columns x+ (n), x- (n), slacks (m) and the
     right-hand side, with the objective row left for phase two, and its
@@ -203,10 +180,12 @@ def _phase_one(a: np.ndarray, b: np.ndarray, tol: float):
     for i in range(m):
         if basis[i] >= nreal:
             t[-1] += t[i]
-    status = _bland(t, basis, ncols, tol)
-    assert status == OPTIMAL  # phase one is always bounded
+    # the walk pivots the constraint rows t[:-1] and the basis in place and
+    # updates the objective row t[-1], a view of t as well
+    node = _walk(None, _Node(t[:-1], basis, private=True), t[-1])
+    assert node is not None  # phase one is always bounded
     # the tableau keeps the negated objective value in the corner
-    if t[-1, -1] > tol:
+    if t[-1, -1] > FEAS_TOL:
         return LpResult(INFEASIBLE, x=_basic_point(t, basis, n))
     # drive leftover artificials out of the basis, drop redundant rows
     keep = []
@@ -214,7 +193,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray, tol: float):
         if basis[i] >= nreal:
             piv = -1
             for j in range(nreal):
-                if abs(t[i, j]) > tol:
+                if abs(t[i, j]) > FEAS_TOL:
                     piv = j
                     break
             if piv < 0:
@@ -232,9 +211,9 @@ _START_BYTES_CAP = 1 << 20
 
 
 class _Node:
-    """A phase-two tableau reached from a start: its constraint rows with
-    the right-hand side (``t``), its basis, the mask of the columns that
-    may enter (the nonbasic ones, not the right-hand side), and the steps
+    """A tableau Bland's rule reaches: its constraint rows with the
+    right-hand side (``t``), its basis, the mask of the columns that may
+    enter (the nonbasic ones, not the right-hand side), and the steps
     taken from it, by entering column: the normalized pivot row and the
     tableau it leads to, or None for an unbounded column.  ``steps`` is
     None on a private tableau, which is pivoted in place."""
@@ -249,6 +228,61 @@ class _Node:
         self.may_enter[-1] = False
         self.steps = None if private else {}
         self.x = None
+
+
+def _walk(start: _LpStart | None, node: _Node, obj: np.ndarray) -> _Node | None:
+    """Bland's rule from ``node`` on the objective row ``obj``, which is
+    updated in place as ``_pivot`` would update it: the optimal tableau,
+    or None when the objective is unbounded.
+
+    Entering column: the first that may enter and prices above FEAS_TOL.
+    Leaving row: ``_leaving_row``.  Bland's rule cannot cycle; the
+    iteration cap is a safety net only.  ``start`` holds the shared
+    tableaux and their budget; phase one passes None and a private node.
+    """
+    t = node.t
+    for _ in range(500 * (t.shape[1] - 1 + t.shape[0] + 10)):
+        candidates = (obj > FEAS_TOL) & node.may_enter
+        enter = int(candidates.argmax())
+        if not candidates[enter]:
+            return node
+        step = _step(start, node, enter)
+        if step is None:
+            return None
+        pivot_row, node = step
+        obj -= obj[enter] * pivot_row
+        obj[enter] = 0.0
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def _step(start: _LpStart | None, node: _Node, enter: int):
+    """The pivot on column ``enter`` from ``node``: (normalized pivot row,
+    next tableau), or None when the column is unbounded.  A private node
+    is pivoted in place; a shared one keeps the step, within the budget
+    of ``start``."""
+    steps = node.steps
+    if steps is not None and enter in steps:
+        return steps[enter]
+    t, basis = node.t, node.basis
+    leave = _leaving_row(t, basis, enter)
+    if leave < 0:
+        if steps is not None:
+            steps[enter] = None
+        return None
+    pivot_row = t[leave] / t[leave, enter]
+    if steps is None:
+        nxt = node
+    elif start.nbytes + t.nbytes + pivot_row.nbytes > _START_BYTES_CAP:
+        nxt = _Node(t.copy(), list(basis), private=True)
+    else:
+        nxt = _Node(t.copy(), list(basis))
+        start.nbytes += t.nbytes + pivot_row.nbytes
+        steps[enter] = pivot_row, nxt
+    nxt.may_enter[nxt.basis[leave]] = True
+    nxt.may_enter[enter] = False
+    _pivot(nxt.t, nxt.basis, leave, enter)
+    nxt.x = None
+    return pivot_row, nxt
 
 
 class _LpStart:
@@ -275,7 +309,7 @@ class _LpStart:
         self.nbytes = 0
         if a.shape[0] == 0:
             return
-        start = _phase_one(a, b, FEAS_TOL)
+        start = _phase_one(a, b)
         if isinstance(start, LpResult):
             self.infeasible = start
             return
@@ -296,98 +330,30 @@ class _LpStart:
         """Maximize c.x for every row c of the checked ``objectives``."""
         if self.infeasible is not None:
             return [self.infeasible for _ in objectives]
+        n = self.n
         if self.root is None:  # no rows
             return [LpResult(UNBOUNDED) if np.any(np.abs(c) > FEAS_TOL)
-                    else LpResult(OPTIMAL, 0.0, np.zeros(self.n)) for c in objectives]
-        return [self._walk(c) for c in objectives]
-
-    def _walk(self, c: np.ndarray) -> LpResult:
-        n, node = self.n, self.root
-        t = node.t
-        nvars = t.shape[1] - 1
-        # objective row priced out against the start basis
-        obj = np.zeros(t.shape[1])
-        obj[:n] = c
-        obj[n:2 * n] = -c
-        for i, j in self.priced:
-            cb = obj[j]
-            if cb != 0.0:
-                obj -= cb * t[i]
-        for _ in range(500 * (nvars + t.shape[0] + 10)):
-            # Bland's entering column: the first that may enter and prices
-            # above the tolerance
-            candidates = (obj > FEAS_TOL) & node.may_enter
-            enter = int(candidates.argmax())
-            if not candidates[enter]:
-                if node.x is None:
-                    node.x = _basic_point(node.t, node.basis, n)
-                x = node.x.copy()
-                return LpResult(OPTIMAL, float(c @ x), x)
-            step = self._step(node, enter)
-            if step is None:
-                return LpResult(UNBOUNDED)
-            pivot_row, node = step
-            obj -= obj[enter] * pivot_row
-            obj[enter] = 0.0
-        raise RuntimeError("simplex iteration limit exceeded")
-
-    def _step(self, node: _Node, enter: int):
-        """The pivot on column ``enter`` from ``node``: (normalized pivot
-        row, next tableau), or None when the column is unbounded."""
-        steps = node.steps
-        if steps is not None and enter in steps:
-            return steps[enter]
-        t, basis = node.t, node.basis
-        leave = _leaving_row(t, basis, t.shape[0], enter, FEAS_TOL)
-        if leave < 0:
-            if steps is not None:
-                steps[enter] = None
-            return None
-        pivot_row = t[leave] / t[leave, enter]
-        if steps is None:
-            nxt = node
-        elif self.nbytes + t.nbytes + pivot_row.nbytes > _START_BYTES_CAP:
-            nxt = _Node(t.copy(), list(basis), private=True)
-        else:
-            nxt = _Node(t.copy(), list(basis))
-            self.nbytes += t.nbytes + pivot_row.nbytes
-            steps[enter] = pivot_row, nxt
-        nxt.may_enter[nxt.basis[leave]] = True
-        nxt.may_enter[enter] = False
-        _pivot(nxt.t, nxt.basis, leave, enter)
-        nxt.x = None
-        return pivot_row, nxt
-
-
-def lp_max_batch(objectives, a, b) -> list[LpResult]:
-    """Maximize c.x over {x : a x <= b} for every row c of ``objectives``,
-    from one phase one.
-
-    Each result's ``x`` is the simplex's optimal vertex; Bland's rule makes
-    it deterministic.  Phase one never reads the objective, and a phase-two
-    pivot's constraint rows never do either: the objectives share one
-    ``_LpStart``, whose tableaux each objective walks with its own
-    objective row, and every result equals a solve of its objective alone,
-    bit for bit.
-    """
-    objectives, a, b = as_matrix(objectives), as_matrix(a), as_vector(b)
-    m, n = a.shape
-    if objectives.shape[1] != n:
-        raise ValueError(
-            f"objective length {objectives.shape[1]} does not match "
-            f"constraint matrix with {n} columns")
-    if b.shape[0] != m:
-        raise ValueError(
-            f"right-hand side length {b.shape[0]} does not match "
-            f"constraint matrix with {m} rows")
-    return _lp_solve_batch(objectives, a, b)
-
-
-def _lp_solve_batch(objectives: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[LpResult]:
-    """``lp_max_batch`` on arrays that are already checked: finite floats,
-    ``objectives`` (k, n), ``a`` (m, n) and ``b`` (m,).  The start is
-    built for this batch and dropped after it."""
-    return _LpStart(a, b).solve(objectives)
+                    else LpResult(OPTIMAL, 0.0, np.zeros(n)) for c in objectives]
+        t = self.root.t
+        out = []
+        for c in objectives:
+            # objective row priced out against the start basis
+            obj = np.zeros(t.shape[1])
+            obj[:n] = c
+            obj[n:2 * n] = -c
+            for i, j in self.priced:
+                cb = obj[j]
+                if cb != 0.0:
+                    obj -= cb * t[i]
+            node = _walk(self, self.root, obj)
+            if node is None:
+                out.append(LpResult(UNBOUNDED))
+                continue
+            if node.x is None:
+                node.x = _basic_point(node.t, node.basis, n)
+            x = node.x.copy()
+            out.append(LpResult(OPTIMAL, float(c @ x), x))
+        return out
 
 
 def lp_max(objective, a, b) -> LpResult:
@@ -395,5 +361,17 @@ def lp_max(objective, a, b) -> LpResult:
 
     The returned point is the simplex's optimal vertex, which Bland's rule
     makes deterministic; it satisfies the constraints within FEAS_TOL.
+    The arrays are checked here; the package's own solves build an
+    ``_LpStart`` on arrays it has checked already.
     """
-    return lp_max_batch(as_vector(objective)[None, :], a, b)[0]
+    c, a, b = as_vector(objective), as_matrix(a), as_vector(b)
+    m, n = a.shape
+    if c.shape[0] != n:
+        raise ValueError(
+            f"objective length {c.shape[0]} does not match "
+            f"constraint matrix with {n} columns")
+    if b.shape[0] != m:
+        raise ValueError(
+            f"right-hand side length {b.shape[0]} does not match "
+            f"constraint matrix with {m} rows")
+    return _LpStart(a, b).solve(c[None])[0]

@@ -4,22 +4,22 @@ Four representations: Box, HPolytope, VPolytope and Zonotope.  All values
 are immutable after construction.  Operations that cannot produce an exact
 result return a set with ``exact=False``; such results are always
 supersets of the true set, never subsets.  No type stands for the empty
-set: an infeasible H-polytope is one, and ``meets`` is the test for a
-common point.
+set: ``intersect`` returns None for two sets that share no point, and
+``meets`` is that test.
 
-Yes/no queries try a closed form before the simplex.  ``meets(s1, s2)``
-answers two boxes exactly from their corners.  Any other pair gets the
-LP's answer to ``not is_empty(intersect(s1, s2))``, but ``meets`` first
-takes both sets as ``intersect`` stacks them and says "disjoint"
+Yes/no queries try a closed form before the simplex.  ``intersect(s1,
+s2)`` decides two boxes exactly from their corners.  Any other pair
+enters as stacked facet rows, and ``intersect`` first says "disjoint"
 when a row (n, b) of either lies beyond the other: b < -U(-n), where U
 bounds the other's support from its own rows (a box exactly, an H-polytope
 by a row with the same normal or, for a parallelotope, by one n x n
-solve).  ``contains_set`` skips the LP for a row of the outer set that
-such a bound of an inner H-polytope already satisfies.  Both demand a
-margin of ``_PRECHECK_MARGIN`` relative to the magnitudes involved, a
-thousand times the simplex's FEAS_TOL, so rounding cannot flip an
-answer.  The supports of an H-polytope share one phase one of the simplex
-per ``support_batch`` call.
+solve); otherwise the LP of ``is_empty`` on the stacked rows decides.
+``contains_set`` skips the LP for a row of the outer set that such a
+bound of an inner H-polytope already satisfies.  Both demand a margin of
+``_PRECHECK_MARGIN`` relative to the magnitudes involved, a thousand
+times the simplex's FEAS_TOL, so rounding cannot flip an answer.  The
+supports of an H-polytope share one phase one of the simplex per
+``support_batch`` call.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import itertools
 
 import numpy as np
 
-from .numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _lp_solve_batch, _LpStart,
-                        as_matrix, as_vector, lp_max)
+from .numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _LpStart, as_matrix, as_vector,
+                        lp_max)
 
 TOL = 1e-9
 # a row whose norm is this close to 1 counts as unit: rounding after a
@@ -236,17 +236,20 @@ def _check_dim(s: SetRep, x: np.ndarray, what: str) -> None:
 
 
 def member(s: SetRep, x, tol: float = TOL) -> bool:
-    """Membership test, boundary-inclusive within tol."""
+    """Membership test, boundary-inclusive within tol: a point counts when
+    it lies within tol of the set on each axis (so along each facet normal
+    of a box or an H-polytope).  Vertex sets and zonotopes solve an LP
+    whose rows pin the point, relaxed by tol on each axis."""
     x = as_vector(x)
     _check_dim(s, x, "member")
     if isinstance(s, (Box, HPolytope)):
         return bool(_member_rows(s, tol)(x[None])[0])
     if isinstance(s, VPolytope):
-        # feasibility of sum(l_i v_i) = x, sum(l_i) = 1, l >= 0
+        # feasibility of |sum(l_i v_i) - x| <= tol, sum(l_i) = 1, l >= 0
         v = s.vertices
         m = v.shape[0]
         rows = [v.T, -v.T, np.ones((1, m)), -np.ones((1, m)), -np.eye(m)]
-        rhs = np.concatenate([x, -x, [1.0], [-1.0], np.zeros(m)])
+        rhs = np.concatenate([x + tol, tol - x, [1.0], [-1.0], np.zeros(m)])
         res = lp_max(np.zeros(m), np.vstack(rows), rhs)
         return res.status == OPTIMAL
     if isinstance(s, Zonotope):
@@ -254,8 +257,9 @@ def member(s: SetRep, x, tol: float = TOL) -> bool:
         p = g.shape[1]
         if p == 0:
             return bool(np.all(np.abs(x - s.center) <= tol))
+        # feasibility of |c + G xi - x| <= tol, |xi| <= 1
         rows = [g, -g, np.eye(p), -np.eye(p)]
-        rhs = np.concatenate([x - s.center, s.center - x, np.ones(p), np.ones(p)])
+        rhs = np.concatenate([x - s.center + tol, s.center - x + tol, np.ones(p), np.ones(p)])
         res = lp_max(np.zeros(p), np.vstack(rows), rhs)
         return res.status == OPTIMAL
     raise TypeError(f"unknown set representation {type(s).__name__}")
@@ -350,7 +354,7 @@ def _hpolytope_solves(h: HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, list[
     objectives = as_matrix(dmat[:, live].T)
     results = h._lp_start().solve(objectives)
     if results[0].status == INFEASIBLE:
-        results = _lp_solve_batch(objectives, h.normals, _relaxed_offsets(h))
+        results = _LpStart(h.normals, _relaxed_offsets(h)).solve(objectives)
     if results[0].status == INFEASIBLE:
         return live, None
     return live, results
@@ -530,36 +534,42 @@ def zonotope_vertices_2d(z: Zonotope) -> np.ndarray:
     return convex_hull_2d(pts).vertices
 
 
-def intersect(s1: SetRep, s2: SetRep) -> SetRep:
-    """Intersection of any two sets: a box when both are boxes that share
-    a point, else H-form.
+def intersect(s1: SetRep, s2: SetRep) -> SetRep | None:
+    """The common part of s1 and s2, or None when they share no point.
 
-    Each operand enters the H-form by its facet rows: a box by its own, any
-    other set by its exact facet form, or else by the facet rows of its
-    bounding box, flagged inexact, so the result always contains the true
-    intersection.  Emptiness is left to ``meets``: two disjoint boxes give
-    their stacked rows, an infeasible H-polytope.
+    Two boxes are decided exactly from their corners and share a box.  Any
+    other pair gives an H-polytope of the stacked facet rows of both: a box
+    by its own, any other set by ``_hform_enclosure`` (its exact facet
+    form, or else its bounding box's rows, flagged inexact), so the result
+    always contains the true intersection.  A row (n, b) of either operand
+    that the other's support bound U places beyond it, b < -U(-n) by
+    ``_PRECHECK_MARGIN``, separates the two without the simplex; otherwise
+    ``is_empty`` on the stacked rows decides, so an intersection pays its
+    emptiness LP.  The result carries no simplex start: a clipped segment
+    outlives the run.
     """
     if s1.dim != s2.dim:
         raise ValueError(f"intersection of sets with dimensions {s1.dim} and {s2.dim}")
     if isinstance(s1, Box) and isinstance(s2, Box):
         corners = _box_overlap(s1, s2)
-        if corners is not None:
-            return Box(*corners, exact=s1.exact and s2.exact)
+        return None if corners is None else Box(*corners, exact=s1.exact and s2.exact)
+    # the closed-form support of a zonotope or vertex set is no bound for
+    # its facet form as the LP sees it: on a sliver the pivot tolerance
+    # admits points well outside the set
+    ops = [s if isinstance(s, Box) else _hform_enclosure(s) for s in (s1, s2)]
     # box bad sets and guards meet every segment: stack their facet rows
     # directly rather than build an HPolytope for them on each call
-    normals, offsets, exact = [], [], True
-    for s in (s1, s2):
-        if isinstance(s, Box):
-            a, b = _box_rows(s)
-            normals.append(a)
-            offsets.append(b)
-        else:
-            s = _hform_enclosure(s)
-            normals.append(s.normals)
-            offsets.append(s.offsets)
-        exact = exact and s.exact
-    return HPolytope(np.vstack(normals), np.concatenate(offsets), exact=exact)
+    rows = [_box_rows(x) if isinstance(x, Box) else (x.normals, x.offsets) for x in ops]
+    for (normals, offsets), y in zip(rows, ops[::-1]):
+        bound, mag = _support_bound(y, -normals.T)
+        if np.any(_clears(offsets + bound, offsets, mag)):
+            return None
+    h = HPolytope(np.vstack([a for a, _ in rows]), np.concatenate([b for _, b in rows]),
+                  exact=ops[0].exact and ops[1].exact)
+    if is_empty(h):
+        return None
+    h._start = None
+    return h
 
 
 # rows within this distance of phase one's basic point count as tight when
@@ -682,30 +692,9 @@ def _antiparallel_pairs(h: HPolytope):
 
 
 def meets(s1: SetRep, s2: SetRep) -> bool:
-    """True when s1 and s2 share a point.
-
-    Two boxes are answered exactly from their corners.  Any other pair
-    gets ``not is_empty(intersect(s1, s2))``: both sets enter as
-    ``intersect`` stacks them, a box by its own rows, any other set by
-    ``_hform_enclosure``.  A row (n, b) of either one that the other's
-    support bound U places beyond it, b < -U(-n) by ``_PRECHECK_MARGIN``,
-    separates the two and answers "no" without the simplex.  Otherwise the
-    intersection's LP decides.
-    """
-    if s1.dim != s2.dim:
-        raise ValueError(f"intersection of sets with dimensions {s1.dim} and {s2.dim}")
-    if isinstance(s1, Box) and isinstance(s2, Box):
-        return _box_overlap(s1, s2) is not None
-    # the closed-form support of a zonotope or vertex set is no bound for
-    # its facet form as the LP sees it: on a sliver the pivot tolerance
-    # admits points well outside the set
-    ops = [s if isinstance(s, Box) else _hform_enclosure(s) for s in (s1, s2)]
-    for x, y in (ops, ops[::-1]):
-        normals, offsets = _box_rows(x) if isinstance(x, Box) else (x.normals, x.offsets)
-        bound, mag = _support_bound(y, -normals.T)
-        if np.any(_clears(offsets + bound, offsets, mag)):
-            return False
-    return not is_empty(intersect(*ops))
+    """True when s1 and s2 share a point: ``intersect`` decides it, and a
+    caller that needs the common part calls ``intersect`` alone."""
+    return intersect(s1, s2) is not None
 
 
 def convex_hull_2d(points) -> VPolytope:
@@ -1015,8 +1004,9 @@ def _vform_enclosure(s: SetRep) -> VPolytope:
     return Box(*axis_bounds(s), exact=False).to_vpolytope() if v is None else v
 
 
-def _box_difference(p: Box, b: Box) -> list[Box]:
-    """p minus b as a disjoint list of boxes (empty list when b covers p)."""
+def _box_difference(p: Box, b: Box, tol: float) -> list[Box]:
+    """p minus b as a disjoint list of boxes (empty list when b covers p);
+    a piece no wider than tol is dropped."""
     corners = _box_overlap(p, b)
     if corners is None:
         return [p]
@@ -1025,12 +1015,12 @@ def _box_difference(p: Box, b: Box) -> list[Box]:
     lo = p.lower.copy()
     hi = p.upper.copy()
     for i in range(p.dim):
-        if cut_lo[i] > lo[i] + TOL:
+        if cut_lo[i] > lo[i] + tol:
             nhi = hi.copy()
             nhi[i] = cut_lo[i]
             out.append(Box(lo.copy(), nhi))
             lo[i] = cut_lo[i]
-        if cut_hi[i] < hi[i] - TOL:
+        if cut_hi[i] < hi[i] - tol:
             nlo = lo.copy()
             nlo[i] = cut_hi[i]
             out.append(Box(nlo, hi.copy()))
@@ -1043,7 +1033,8 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
 
     q may be a single set or a list of sets (a union).  Single sets are
     decided exactly through their facet form (support of p vs offsets).
-    Box unions against a box p use successive set difference (sifting);
+    Box unions against a box p use successive set difference (sifting),
+    dropping pieces no wider than tol;
     other unions use the sound one-sided test "p inside some single
     member", which may answer False for a genuinely covered p.  An empty
     list covers nothing.  An infeasible H-polytope p is the empty set, so
@@ -1054,7 +1045,7 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
         if isinstance(p, Box) and all(isinstance(m, Box) for m in q):
             pieces = [p]
             for b in q:
-                pieces = [frag for piece in pieces for frag in _box_difference(piece, b)]
+                pieces = [frag for piece in pieces for frag in _box_difference(piece, b, tol)]
                 if not pieces:
                     return True
             return False

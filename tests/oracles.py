@@ -62,6 +62,110 @@ def lp_vertex_enum(c, a, b, tol=1e-9):
     return best_val, best_pts[0]
 
 
+def _cold_pivot(t, basis, row, col):
+    t[row] /= t[row, col]
+    colvals = t[:, col].copy()
+    colvals[row] = 0.0
+    t -= np.outer(colvals, t[row])
+    t[:, col] = 0.0
+    t[row, col] = 1.0
+    basis[row] = col
+
+
+def _cold_bland(t, basis, nvars, tol):
+    """Bland's rule on a full tableau, objective row last, pivoted in place;
+    returns "optimal" or "unbounded"."""
+    rows = t.shape[0] - 1
+    nonbasic = np.ones(t.shape[1], dtype=bool)
+    nonbasic[basis] = False
+    for _ in range(500 * (nvars + rows + 10)):
+        candidates = np.flatnonzero((t[-1, :nvars] > tol) & nonbasic[:nvars])
+        if candidates.size == 0:
+            return "optimal"
+        enter = int(candidates[0])
+        best_ratio, leave = None, -1
+        for i in range(rows):
+            aij = t[i, enter]
+            if aij > tol:
+                ratio = t[i, -1] / aij
+                if (best_ratio is None or ratio < best_ratio - tol
+                        or (abs(ratio - best_ratio) <= tol and basis[i] < basis[leave])):
+                    best_ratio, leave = ratio, i
+        if leave < 0:
+            return "unbounded"
+        nonbasic[basis[leave]] = True
+        nonbasic[enter] = False
+        _cold_pivot(t, basis, leave, enter)
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def _cold_basic_point(t, basis, n):
+    x = np.zeros(n)
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] += t[i, -1]
+        elif j < 2 * n:
+            x[j - n] -= t[i, -1]
+    return x
+
+
+def cold_phase_one(a, b, tol=1e-9):
+    """Phase one of {a x <= b} (m > 0 rows) on the split-variable standard
+    form, with its own Bland loop over the full tableau: a reference for a
+    phase one that shares its loop with phase two.
+
+    Returns ``(t, basis, None)`` for a feasible system: the tableau with
+    columns x+ (n), x- (n), slacks (m) and the right-hand side, objective
+    row last, artificials and redundant rows removed.  Returns
+    ``(None, None, x)`` for an infeasible one, x the last basic point.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    neg = b < 0.0
+    n_art = int(np.count_nonzero(neg))
+    nreal = 2 * n + m
+    ncols = nreal + n_art
+    t = np.zeros((m + 1, ncols + 1))
+    basis = [0] * m
+    art_col = nreal
+    for i in range(m):
+        sign = -1.0 if neg[i] else 1.0
+        t[i, :n] = sign * a[i]
+        t[i, n:2 * n] = -sign * a[i]
+        t[i, 2 * n + i] = sign
+        t[i, -1] = sign * b[i]
+        if neg[i]:
+            t[i, art_col] = 1.0
+            basis[i] = art_col
+            art_col += 1
+        else:
+            basis[i] = 2 * n + i
+    if not n_art:
+        return t, basis, None
+    t[-1, nreal:ncols] = -1.0
+    for i in range(m):
+        if basis[i] >= nreal:
+            t[-1] += t[i]
+    status = _cold_bland(t, basis, ncols, tol)
+    assert status == "optimal"  # phase one is always bounded
+    if t[-1, -1] > tol:
+        return None, None, _cold_basic_point(t, basis, n)
+    keep = []
+    for i in range(m):
+        if basis[i] >= nreal:
+            piv = -1
+            for j in range(nreal):
+                if abs(t[i, j]) > tol:
+                    piv = j
+                    break
+            if piv < 0:
+                continue
+            _cold_pivot(t, basis, i, piv)
+        keep.append(i)
+    return np.delete(t[keep + [m]], np.s_[nreal:ncols], axis=1), [basis[i] for i in keep], None
+
+
 def cold_phase_two(c, t, basis, tol=1e-9):
     """Bland's-rule phase two on a full copy of a feasible tableau, the way
     a single solve runs it: a reference for solves that share tableaux.

@@ -672,7 +672,7 @@ class TestEmptinessChecks:
         assert len(calls) == 0
 
     def test_no_emptiness_lp_for_a_jump_without_a_target_invariant(self, monkeypatch):
-        # the reset of guard pieces that meets() found non-empty is never
+        # the reset of guard pieces that intersect() found non-empty is never
         # empty: only a target invariant can block the jump
         real = setgeom.is_empty
         calls = []

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, every
-private top-level helper is referenced somewhere in the package, every
+private top-level helper and private method is referenced somewhere in
+the package, every
 parameter of a package function is read in its body, every parameter with
 a default is set by some call, every function the benchmark's tracer
 wraps still exists, and every name the package exports in ``__all__``
@@ -79,8 +80,15 @@ def test_detects_an_unused_import():
 
 
 def _private_definitions(tree):
-    """(name, line) of each private top-level function, class or constant."""
+    """(name, line) of each private top-level function, class or constant,
+    and (``Class.name``, line) of each private method of a top-level
+    class."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and item.name.startswith("_") and not item.name.startswith("__")):
+                    yield f"{node.name}.{item.name}", item.lineno
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -95,20 +103,23 @@ def _private_definitions(tree):
 
 
 def _leftovers(trees):
-    """Private top-level names of ``{module: tree}`` that no module reads,
-    as a name or as an attribute."""
-    read = set()
+    """Private top-level names and private methods of ``{module: tree}``
+    that no module reads: a top-level name as a name or as an attribute, a
+    method only as an attribute, so a module-level function of the same
+    name does not hide a stale method."""
+    names, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attrs.add(node.attr)
     return [
         f"{module}: {name} (line {line})"
         for module, tree in sorted(trees.items())
         for name, line in _private_definitions(tree)
-        if name not in read
+        if ("." in name and name.rpartition(".")[2] not in attrs)
+        or ("." not in name and name not in names | attrs)
     ]
 
 
@@ -122,17 +133,23 @@ def test_private_helpers_are_referenced():
 
 
 def test_detects_a_leftover_private_helper():
-    used = ast.parse("from .a import _helper\n\nprint(_helper(), _CAP)\n")
+    used = ast.parse("from .a import _helper, _step\n\n"
+                     "print(_helper(), _CAP, Start()._walk(), _step())\n")
     defs = ast.parse(
         "_CAP = 3\n_STALE = 4\n\n"
         "def _helper():\n    return 1\n\n"
         "def _left_behind():\n    return _helper()\n\n"
-        "class _Unused:\n    pass\n"
+        "class _Unused:\n    pass\n\n"
+        "class Start:\n"
+        "    def __init__(self):\n        pass\n\n"
+        "    def _walk(self):\n        return 1\n\n"
+        "    def _step(self):\n        return 2\n"
     )
     assert _leftovers({"a.py": defs, "b.py": used}) == [
         "a.py: _STALE (line 2)",
         "a.py: _left_behind (line 7)",
         "a.py: _Unused (line 10)",
+        "a.py: Start._step (line 20)",
     ]
 
 

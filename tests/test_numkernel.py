@@ -6,10 +6,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from reachflow import numkernel
-from reachflow.numkernel import (FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _LpStart,
-                                 _lp_solve_batch, _phase_one, lp_max, lp_max_batch, mat_exp)
+from reachflow.numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _LpStart, _phase_one,
+                                 lp_max, mat_exp)
 
-from oracles import cold_phase_two, lp_vertex_enum, taylor_exp
+from oracles import cold_phase_one, cold_phase_two, lp_vertex_enum, taylor_exp
 
 
 class TestMatExp:
@@ -134,26 +134,28 @@ class TestLpMax:
             lp_max([1.0, 2.0, 3.0], np.eye(3), np.ones(4))
 
     @pytest.mark.parametrize("c, a, b, message", [
-        ([[np.nan, 0.0]], np.eye(2), np.ones(2), "matrix has non-finite entries"),
-        ([[1.0, 0.0]], [[np.inf, 0.0], [0.0, 1.0]], np.ones(2), "matrix has non-finite entries"),
-        ([[1.0, 0.0]], np.eye(2), [1.0, np.nan], "vector has non-finite entries"),
-        ([[1.0, 0.0]], np.ones(2), np.ones(2), "expected a matrix"),
-        ([[1.0, 0.0]], np.eye(2), np.ones((2, 1)), "expected a vector"),
-        ([[1.0, 0.0, 0.0]], np.eye(2), np.ones(2), "objective length 3"),
-        ([[1.0, 0.0]], np.eye(2), np.ones(3), "right-hand side length 3"),
+        ([1.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]], np.ones(2), "matrix has non-finite entries"),
+        ([1.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], np.ones(2), "matrix has non-finite entries"),
+        ([1.0, 0.0], np.eye(2), [1.0, np.nan], "vector has non-finite entries"),
+        ([1.0, 0.0], np.ones(2), np.ones(2), "expected a matrix"),
+        ([1.0, 0.0], np.eye(2), np.ones((2, 1)), "expected a vector"),
+        ([1.0, 0.0, 0.0], np.eye(2), np.ones(2), "objective length 3"),
+        ([1.0, 0.0], np.eye(2), np.ones(3), "right-hand side length 3"),
+        ([np.nan, 0.0], np.eye(2), np.ones(2), "vector has non-finite entries"),
     ])
     def test_batch_entry_checks_its_arrays(self, c, a, b, message):
+        # lp_max is the one checked entry, in front of every batch of solves
         with pytest.raises(ValueError, match=message):
-            lp_max_batch(c, a, b)
-        with pytest.raises(ValueError):
-            lp_max(np.asarray(c)[0], a, b)
+            lp_max(c, a, b)
 
     def test_checked_solve_is_the_batch_entry(self):
+        # a checked solve equals the unchecked batch over one start
         rng = np.random.default_rng(7)
         a = np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(4, 3))])
         b = np.concatenate([np.ones(6), np.ones(4) * 2.0])
         objs = rng.normal(size=(5, 3))
-        for got, want in zip(_lp_solve_batch(objs, a, b), lp_max_batch(objs, a, b)):
+        for got, c in zip(_LpStart(a, b).solve(objs), objs):
+            want = lp_max(c, a, b)
             assert got.status == want.status and got.value == want.value
             np.testing.assert_array_equal(got.x, want.x)
 
@@ -181,12 +183,12 @@ def lp_batches(draw):
 
 
 def cold_solve(c, a, b):
-    """One objective alone: phase one, then the reference phase two on a
-    full copy of its tableau."""
-    start = _phase_one(a, b, FEAS_TOL)
-    if isinstance(start, LpResult):
-        return start.status, start.value, start.x
-    return cold_phase_two(c, *start)
+    """One objective alone: the reference phase one, then the reference
+    phase two on a full copy of its tableau."""
+    t, basis, x = cold_phase_one(a, b)
+    if t is None:
+        return INFEASIBLE, None, x
+    return cold_phase_two(c, t, basis)
 
 
 def bits(value):
@@ -207,9 +209,20 @@ class TestSharedPaths:
     @example((np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]), np.array([[1.0]]), [0]))
     @example((np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 1.0, 0.0, 0.0]),
               np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]), [3, 1, 0, 2]))
+    @example((np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                        [1e-12, 0.0, 1.1920929e-07], [-0.5, 0.0, 1.0]]),
+              np.array([0.0, -1.0, 0.0, -1.0, 0.0]), np.eye(3), [2, 0, 1]))
     def test_every_result_is_the_cold_solve_bit_for_bit(self, budget, case):
         a, b, objs, order = case
-        want = [cold_solve(c, a, b) for c in objs]
+        try:
+            want = [cold_solve(c, a, b) for c in objs]
+        except AssertionError:
+            # a column that prices above the tolerance with no entry above
+            # it ends the reference's phase one unbounded: the start's phase
+            # one, on the same loop, stops at the same column
+            with pytest.raises(AssertionError):
+                _LpStart(a, b)
+            return
         start = _LpStart(a, b)
         with pytest.MonkeyPatch.context() as mp:
             if budget == "one tableau":
@@ -221,3 +234,52 @@ class TestSharedPaths:
                 for got, i in zip(start.solve(objs[idx]), idx):
                     same_result(got, want[i])
             assert start.within_budget or start.nbytes == start.root.t.nbytes
+
+
+@st.composite
+def phase_one_systems(draw):
+    """{a x <= b} with 1-8 rows: integer or float data, negative offsets
+    that put artificials in the start basis (and can make the system
+    infeasible), and repeated rows, which leave an artificial basic at
+    zero and so a redundant row for phase one to drop."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    num = draw(st.sampled_from([st.integers(-3, 3).map(float), st.floats(-3.0, 3.0)]))
+    a = np.array(draw(st.lists(num, min_size=m * n, max_size=m * n))).reshape(m, n)
+    b = np.array(draw(st.lists(num, min_size=m, max_size=m)))
+    repeats = draw(st.lists(st.integers(0, m - 1), max_size=2))
+    return np.vstack([a, a[repeats]]), np.concatenate([b, b[repeats]])
+
+
+class TestPhaseOne:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(phase_one_systems())
+    # x <= -1 and x >= 0: infeasible
+    @example((np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0])))
+    # x + y >= 1 twice: the second artificial stays basic at zero, its row
+    # is redundant
+    @example((np.array([[-1.0, -1.0], [-1.0, -1.0], [1.0, 0.0]]), np.array([-1.0, -1.0, 2.0])))
+    # the column of x3 prices at 1.2e-7 but holds no entry above the
+    # tolerance: both loops end phase one unbounded
+    @example((np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                        [1e-12, 0.0, 1.1920929e-07], [-0.5, 0.0, 1.0]]),
+              np.array([0.0, -1.0, 0.0, -1.0, 0.0])))
+    # every offset nonnegative: no phase one pivots at all
+    @example((np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 1.0, 0.0, 0.0])))
+    def test_is_the_reference_phase_one_bit_for_bit(self, system):
+        a, b = system
+        try:
+            t, basis, x = cold_phase_one(a, b)
+        except AssertionError:
+            # a reduced cost above the tolerance over a column whose entries
+            # are all below it: both loops call phase one unbounded
+            with pytest.raises(AssertionError):
+                _phase_one(a, b)
+            return
+        got = _phase_one(a, b)
+        if t is None:
+            assert isinstance(got, LpResult) and got.status == INFEASIBLE
+            assert got.x.tobytes() == x.tobytes()
+            return
+        got_t, got_basis = got
+        assert got_basis == basis
+        assert got_t.shape == t.shape and got_t.tobytes() == t.tobytes()

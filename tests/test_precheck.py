@@ -1,11 +1,11 @@
 """Yes/no geometry without the simplex: the separation precheck of
-``meets``, the containment precheck of ``contains_set``, and the simplex
-start an H-polytope keeps: one phase one, and the pivot paths every LP
-over its rows shares.
+``intersect`` (and so of ``meets``), the containment precheck of
+``contains_set``, and the simplex start an H-polytope keeps: one phase
+one, and the pivot paths every LP over its rows shares.
 
-Every shortcut must give the answer of the exact LP path: ``meets`` says
-"disjoint" only when ``is_empty(intersect(...))`` does (two boxes only
-when their corners are apart), the containment
+Every shortcut must give the answer of the exact LP path: ``intersect``
+says "disjoint" only when ``is_empty`` of the two operands' stacked facet
+rows does (two boxes only when their corners are apart), the containment
 precheck settles a row only when the LP row test passes it, and a batch of
 supports equals one cold solve per direction, bit for bit.
 """
@@ -24,7 +24,7 @@ from reachflow import setgeom as sg
 from reachflow.hybridize import NonlinearSystem, dynamic_hybridize_reach
 from reachflow.hybridreach import HybridAutomaton, Mode, Transition, hybrid_reach
 from reachflow.linreach import LinearSystem, ReachConfig, reach
-from reachflow.numkernel import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max, lp_max_batch
+from reachflow.numkernel import INFEASIBLE, OPTIMAL, UNBOUNDED, _LpStart, lp_max
 from reachflow.setgeom import Box, HPolytope, VPolytope, Zonotope
 
 from oracles import box_support, lp_vertex_enum
@@ -104,11 +104,20 @@ def boxes_apart(b1, b2):
     return bool(np.any(np.maximum(b1.lower, b2.lower) > np.minimum(b1.upper, b2.upper)))
 
 
+def stacked(s1, s2):
+    """Both operands' own facet rows, stacked in order: a box by its axis
+    rows, any other set by its H-form enclosure, flagged exact when both
+    are."""
+    hs = [s.to_hpolytope() if isinstance(s, Box) else sg._hform_enclosure(s) for s in (s1, s2)]
+    return HPolytope(np.vstack([h.normals for h in hs]), np.concatenate([h.offsets for h in hs]),
+                     exact=hs[0].exact and hs[1].exact)
+
+
 def lp_empty(s1, s2):
     # two boxes are decided from their corners, before any LP
     if isinstance(s1, Box) and isinstance(s2, Box):
         return boxes_apart(s1, s2)
-    return sg.is_empty(sg.intersect(s1, s2))
+    return sg.is_empty(stacked(s1, s2))
 
 
 # where the second box of a pair starts past the first's upper face along
@@ -134,13 +143,6 @@ def box_pairs(draw):
     return (*(pair[::-1] if draw(st.booleans()) else pair), gap)
 
 
-def stacked(s1, s2):
-    h = sg.intersect(s1, s2)
-    if isinstance(h, Box):
-        h = h.to_hpolytope()
-    return h
-
-
 class TestMeetsAgreesWithTheLp:
     @PROPERTY
     @given(set_pairs())
@@ -150,6 +152,21 @@ class TestMeetsAgreesWithTheLp:
         s1, s2 = pair
         assert sg.meets(s1, s2) == (not lp_empty(s1, s2))
         assert sg.meets(s2, s1) == (not lp_empty(s2, s1))
+
+    @PROPERTY
+    @given(set_pairs())
+    def test_intersect_is_none_or_the_stacked_rows(self, pair):
+        # None exactly when the LP on the stacked rows finds them empty;
+        # otherwise those rows bit for bit, with no simplex start kept
+        s1, s2 = pair
+        c = sg.intersect(s1, s2)
+        assert (c is None) == lp_empty(s1, s2)
+        if not isinstance(c, HPolytope):
+            return
+        want = stacked(s1, s2)
+        assert c.normals.tobytes() == want.normals.tobytes()
+        assert c.offsets.tobytes() == want.offsets.tobytes()
+        assert c.exact == want.exact and c._start is None
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(set_pairs())
@@ -240,6 +257,8 @@ class TestBoxPairs:
     @PROPERTY
     @given(box_pairs())
     def test_intersect_is_a_box_or_the_stacked_rows(self, case):
+        # two boxes share a box, or intersect says None; their stacked rows
+        # are the proof of emptiness
         b1, b2, gap = case
         c = sg.intersect(b1, b2)
         if not boxes_apart(b1, b2):
@@ -247,14 +266,11 @@ class TestBoxPairs:
             np.testing.assert_array_equal(c.lower, np.maximum(b1.lower, b2.lower))
             np.testing.assert_array_equal(c.upper, np.minimum(b1.upper, b2.upper))
             return
-        assert isinstance(c, HPolytope)
-        want = [b.to_hpolytope() for b in (b1, b2)]
-        np.testing.assert_array_equal(c.normals, np.vstack([h.normals for h in want]))
-        np.testing.assert_array_equal(c.offsets, np.concatenate([h.offsets for h in want]))
+        assert c is None
         # a gap below FEAS_TOL is within the simplex's rounding: there the
-        # rows above are the proof of emptiness, and meets the test of it
+        # corners, not the LP on the stacked rows, tell the boxes apart
         if gap >= 1e-6:
-            assert sg.is_empty(c)
+            assert sg.is_empty(stacked(b1, b2))
 
 
 def point_parallelotope(coupling, point):
@@ -343,7 +359,7 @@ class TestSharedPhaseOne:
         b = rng.uniform(-0.5, 1.0, size=9)
         objs = rng.normal(size=(5, 3))
         objs[2] = 0.0
-        for got, c in zip(lp_max_batch(objs, a, b), objs):
+        for got, c in zip(_LpStart(a, b).solve(objs), objs):
             want = lp_max(c, a, b)
             assert got.status == want.status and got.value == want.value
             assert (got.x is None and want.x is None) or np.array_equal(got.x, want.x)
@@ -355,7 +371,7 @@ class TestSharedPhaseOne:
         # zero columns need no solve, so an all-zero batch is 0 even here
         assert sg.support_batch(empty, np.zeros((2, 3))).tolist() == [0.0, 0.0, 0.0]
         assert all(r.status == INFEASIBLE for r in
-                   lp_max_batch(np.eye(2), empty.normals, empty.offsets))
+                   _LpStart(empty.normals, empty.offsets).solve(np.eye(2)))
         half = HPolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0])
         dmat = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
         got = sg.support_batch(half, dmat)
@@ -363,7 +379,7 @@ class TestSharedPhaseOne:
         assert self.cold(half, np.array([-1.0, 0.0])).status == UNBOUNDED
 
     def test_no_rows(self):
-        res = lp_max_batch([[0.0, 0.0], [1.0, 0.0]], np.zeros((0, 2)), np.zeros(0))
+        res = _LpStart(np.zeros((0, 2)), np.zeros(0)).solve(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert [r.status for r in res] == [OPTIMAL, UNBOUNDED]
         assert res[0].value == 0.0
 
@@ -524,6 +540,32 @@ class TestKeptStart:
             "3899a0282d2744dc46626ec618997df54c0138999eff403e6d1f32e3cdc61cf6")
 
 
+class TestNoStartOnIntersections:
+    """``intersect`` decides emptiness by an LP on the stacked rows, but the
+    set it returns keeps no simplex start: a clipped segment outlives the
+    run, and a start holds up to its byte budget of tableaux."""
+
+    def test_intersection_holds_no_start(self, monkeypatch):
+        seg = TestKeptStart.octagon_segment()
+        calls = count_calls(monkeypatch, numkernel, "_phase_one")
+        c = sg.intersect(seg, Box([0.0, -1.0], [3.0, 1.0]))
+        assert isinstance(c, HPolytope) and calls == [1] and c._start is None
+
+    def test_hybrid_segments_hold_no_start(self):
+        n = 6
+        rng = np.random.default_rng(6)
+        q, r = np.linalg.qr(rng.normal(size=(n, n)))
+        ones = np.ones(n)
+        mode = Mode("m", 0.3 * q * np.sign(np.diag(r)) - 0.2 * np.eye(n),
+                    input_set=Box(-0.01 * ones, 0.01 * ones), invariant=Box(-2.0 * ones, 2.0 * ones))
+        pipe = hybrid_reach(HybridAutomaton((mode,), ()), "m", Box(0.9 * ones, 1.1 * ones),
+                            ReachConfig(horizon=1.0, step=0.01))
+        (flow,) = pipe.flows
+        assert len(flow.segments) == 101
+        assert all(isinstance(seg.set_rep, HPolytope) for seg in flow.segments)
+        assert all(seg.set_rep._start is None for seg in flow.segments)
+
+
 class TestCounters:
     def test_far_bad_set_needs_no_lp(self, monkeypatch):
         rng = np.random.default_rng(404)
@@ -534,13 +576,12 @@ class TestCounters:
         system = LinearSystem(a, Box(np.full(4, -0.1), np.full(4, 0.1)),
                               input_set=Box(np.full(4, -0.05), np.full(4, 0.05)))
         solves = count_calls(monkeypatch, numkernel, "_phase_one")
-        # the names setgeom calls: no solve of any kind runs
+        # the names setgeom solves through: no solve of any kind runs
         lp_calls = count_calls(monkeypatch, sg, "lp_max")
-        batch_calls = count_calls(monkeypatch, sg, "_lp_solve_batch")
         starts = count_calls(monkeypatch, sg, "_LpStart")
         pipe = reach(system, ReachConfig(horizon=1000, mode="bad_set", bad_set=Box(lo, hi)))
         assert pipe.status == "horizon" and len(pipe.segments) == 1001
-        assert solves == [0] and lp_calls == [0] and batch_calls == [0] and starts == [0]
+        assert solves == [0] and lp_calls == [0] and starts == [0]
 
 
 class TestDistinctCorners:

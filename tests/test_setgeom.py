@@ -58,6 +58,23 @@ class TestMember:
         with pytest.raises(ValueError):
             sg.member(unit_box(), [0.1, 0.2, 0.3])
 
+    @pytest.mark.parametrize("kind", ["box", "zonotope", "vpolytope", "hpolytope"])
+    @pytest.mark.parametrize("offset", [1e-8, 1e-3])
+    @pytest.mark.parametrize("tol", [1e-6, 0.1])
+    def test_tol_is_a_band_on_each_axis_for_every_type(self, kind, offset, tol):
+        # the segment [0, 1] x {0} in each representation, and a point
+        # above its middle: inside the band exactly when offset <= tol
+        segment = {
+            "box": Box([0.0, 0.0], [1.0, 0.0]),
+            "zonotope": Zonotope([0.5, 0.0], [[0.5], [0.0]]),
+            "vpolytope": VPolytope([[0.0, 0.0], [1.0, 0.0]]),
+            "hpolytope": Box([0.0, 0.0], [1.0, 0.0]).to_hpolytope(),
+        }[kind]
+        assert sg.member(segment, [0.5, offset], tol=tol) == (offset <= tol)
+        # at an end the band reaches past it along the segment too
+        assert sg.member(segment, [1.0 + 0.5 * tol, 0.0], tol=tol)
+        assert not sg.member(segment, [1.0 + 2.0 * tol, 0.0], tol=tol)
+
 
 class TestLinearMap:
     def test_rotation_of_square_permutes_corners(self):
@@ -200,13 +217,9 @@ class TestIntersect:
         assert np.allclose(c.lower, [1.0, 1.0]) and np.allclose(c.upper, [2.0, 2.0])
 
     def test_disjoint_boxes_give_empty(self):
-        # no box holds the result: it is the stacked facet rows, infeasible
+        # the corners tell them apart: there is no common set
         a, b = Box([0.0], [1.0]), Box([2.0], [3.0])
-        c = sg.intersect(a, b)
-        assert isinstance(c, HPolytope)
-        np.testing.assert_array_equal(c.normals, [[1.0], [-1.0], [1.0], [-1.0]])
-        np.testing.assert_array_equal(c.offsets, [1.0, 0.0, 3.0, -2.0])
-        assert sg.is_empty(c)
+        assert sg.intersect(a, b) is None and sg.intersect(b, a) is None
         assert not sg.meets(a, b)
 
     def test_touching_boxes_give_degenerate_box(self):
@@ -225,10 +238,21 @@ class TestIntersect:
         assert sg.member(c, [0.4, 0.9])
         assert not sg.member(c, [0.6, 0.5])
 
-    def test_empty_result_detected_by_is_empty(self):
-        c = sg.intersect(unit_box().to_hpolytope(), HPolytope([[-1.0, 0.0]], [-2.0]))
-        assert isinstance(c, HPolytope)  # non-canonical, emptiness not eagerly decided
-        assert sg.is_empty(c)
+    def test_empty_result_detected_by_is_empty(self, monkeypatch):
+        # no row bound separates the triangle from the half-plane 2x + y >= 3
+        # (a lone row has no equal normal, and neither set is a
+        # parallelotope): the LP on the stacked rows finds them disjoint
+        tri = HPolytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
+        half = HPolytope([[-2.0, -1.0]], [-3.0])
+        real, verdicts = sg.is_empty, []
+
+        def recorded(s):
+            verdicts.append(real(s))
+            return verdicts[-1]
+
+        monkeypatch.setattr(sg, "is_empty", recorded)
+        assert sg.intersect(tri, half) is None
+        assert verdicts == [True]
 
 
 class TestSupport:
@@ -290,6 +314,15 @@ class TestContainsSet:
         # a gap in the cover is found
         q_gap = [Box([0.0, 0.0], [0.9, 2.0]), Box([1.0, 0.0], [2.0, 2.0])]
         assert not sg.contains_set(q_gap, Box([0.0, 0.0], [2.0, 2.0]))
+
+    def test_box_union_honours_tol(self):
+        # the members widened by 0.1 cover p; a single member is decided
+        # with the same band
+        q = [Box([0.0], [1.0]), Box([1.05], [2.0])]
+        p = Box([0.0], [2.0])
+        assert sg.contains_set(q, p, tol=0.1)
+        assert not sg.contains_set(q, p)
+        assert sg.contains_set(Box([0.0], [1.95]), p, tol=0.1)
 
     def test_union_one_sided_fallback(self):
         q = [diamond_h(), Box([-2.0, -2.0], [2.0, 2.0])]
