@@ -112,23 +112,6 @@ def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _leaving_row(t: np.ndarray, basis: list[int], enter: int) -> int:
-    """Bland's leaving row for column ``enter`` among the constraint rows
-    ``t``: the smallest basic index among the minimum-ratio rows, or -1
-    when no row bounds the column."""
-    best_ratio = None
-    leave = -1
-    for i in range(t.shape[0]):
-        aij = t[i, enter]
-        if aij > FEAS_TOL:
-            ratio = t[i, -1] / aij
-            if (best_ratio is None or ratio < best_ratio - FEAS_TOL
-                    or (abs(ratio - best_ratio) <= FEAS_TOL and basis[i] < basis[leave])):
-                best_ratio = ratio
-                leave = i
-    return leave
-
-
 def _basic_point(t: np.ndarray, basis: list[int], n: int) -> np.ndarray:
     """The point x = x+ - x- of a tableau's basic solution."""
     x = np.zeros(n)
@@ -181,9 +164,11 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
         if basis[i] >= nreal:
             t[-1] += t[i]
     # the walk pivots the constraint rows t[:-1] and the basis in place and
-    # updates the objective row t[-1], a view of t as well
-    node = _walk(None, _Node(t[:-1], basis, private=True), t[-1])
-    assert node is not None  # phase one is always bounded
+    # updates the objective row t[-1], a view of t as well.  Phase one's
+    # objective is bounded by zero, so a column that prices above FEAS_TOL
+    # while no entry bounds it is the tableau's rounding: the walk stops
+    # there and the corner test below judges the tableau it stopped on
+    _walk(None, _Node(t[:-1], basis, private=True), t[-1])
     # the tableau keeps the negated objective value in the corner
     if t[-1, -1] > FEAS_TOL:
         return LpResult(INFEASIBLE, x=_basic_point(t, basis, n))
@@ -236,9 +221,9 @@ def _walk(start: _LpStart | None, node: _Node, obj: np.ndarray) -> _Node | None:
     or None when the objective is unbounded.
 
     Entering column: the first that may enter and prices above FEAS_TOL.
-    Leaving row: ``_leaving_row``.  Bland's rule cannot cycle; the
-    iteration cap is a safety net only.  ``start`` holds the shared
-    tableaux and their budget; phase one passes None and a private node.
+    Bland's rule cannot cycle; the iteration cap is a safety net only.
+    ``start`` owns the shared tableaux and their budget (None in phase
+    one, whose node is private); see ``_step``.
     """
     t = node.t
     for _ in range(500 * (t.shape[1] - 1 + t.shape[0] + 10)):
@@ -257,14 +242,26 @@ def _walk(start: _LpStart | None, node: _Node, obj: np.ndarray) -> _Node | None:
 
 def _step(start: _LpStart | None, node: _Node, enter: int):
     """The pivot on column ``enter`` from ``node``: (normalized pivot row,
-    next tableau), or None when the column is unbounded.  A private node
-    is pivoted in place; a shared one keeps the step, within the budget
-    of ``start``."""
+    next tableau), or None when no row bounds the column.  A private node
+    is pivoted in place and ``start`` is not read; a shared one keeps the
+    step, within the budget of ``start``.
+
+    Leaving row: the smallest basic index among the rows of minimum ratio
+    whose entry is above FEAS_TOL."""
     steps = node.steps
     if steps is not None and enter in steps:
         return steps[enter]
     t, basis = node.t, node.basis
-    leave = _leaving_row(t, basis, enter)
+    best_ratio = None
+    leave = -1
+    for i in range(t.shape[0]):
+        aij = t[i, enter]
+        if aij > FEAS_TOL:
+            ratio = t[i, -1] / aij
+            if (best_ratio is None or ratio < best_ratio - FEAS_TOL
+                    or (abs(ratio - best_ratio) <= FEAS_TOL and basis[i] < basis[leave])):
+                best_ratio = ratio
+                leave = i
     if leave < 0:
         if steps is not None:
             steps[enter] = None

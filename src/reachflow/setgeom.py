@@ -236,10 +236,12 @@ def _check_dim(s: SetRep, x: np.ndarray, what: str) -> None:
 
 
 def member(s: SetRep, x, tol: float = TOL) -> bool:
-    """Membership test, boundary-inclusive within tol: a point counts when
-    it lies within tol of the set on each axis (so along each facet normal
-    of a box or an H-polytope).  Vertex sets and zonotopes solve an LP
-    whose rows pin the point, relaxed by tol on each axis."""
+    """Membership test, boundary-inclusive within tol.  A box or an
+    H-polytope relaxes each facet row by tol, so along each unit normal.
+    A vertex set or a zonotope counts a point within tol of it on each
+    axis: it solves an LP whose rows pin the point, each relaxed by tol.
+    The two bands agree on axis-aligned facets only; along a slanted unit
+    normal the per-axis band reaches further (up to sqrt(dim) tol)."""
     x = as_vector(x)
     _check_dim(s, x, "member")
     if isinstance(s, (Box, HPolytope)):

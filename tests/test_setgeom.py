@@ -61,7 +61,7 @@ class TestMember:
     @pytest.mark.parametrize("kind", ["box", "zonotope", "vpolytope", "hpolytope"])
     @pytest.mark.parametrize("offset", [1e-8, 1e-3])
     @pytest.mark.parametrize("tol", [1e-6, 0.1])
-    def test_tol_is_a_band_on_each_axis_for_every_type(self, kind, offset, tol):
+    def test_types_agree_on_an_axis_aligned_segment(self, kind, offset, tol):
         # the segment [0, 1] x {0} in each representation, and a point
         # above its middle: inside the band exactly when offset <= tol
         segment = {
@@ -74,6 +74,22 @@ class TestMember:
         # at an end the band reaches past it along the segment too
         assert sg.member(segment, [1.0 + 0.5 * tol, 0.0], tol=tol)
         assert not sg.member(segment, [1.0 + 2.0 * tol, 0.0], tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.1])
+    def test_band_is_per_facet_or_per_axis_on_a_slanted_facet(self, tol):
+        # the diamond |x| + |y| <= 1: its H-form relaxes the unit normal
+        # (1, 1)/sqrt(2) by tol, so x + y may reach 1 + sqrt(2) tol; a
+        # vertex set or a zonotope takes tol on each axis, up to 1 + 2 tol
+        hform = HPolytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
+                          np.ones(4))
+        per_axis = [VPolytope([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                    Zonotope([0.0, 0.0], [[0.5, 0.5], [0.5, -0.5]])]
+        for excess, in_hform, in_per_axis in ((1.2, True, True), (1.8, False, True),
+                                              (2.2, False, False)):
+            p = [0.5 + 0.5 * excess * tol] * 2  # x + y = 1 + excess tol
+            assert sg.member(hform, p, tol=tol) == in_hform
+            for s in per_axis:
+                assert sg.member(s, p, tol=tol) == in_per_axis
 
 
 class TestLinearMap:
