@@ -37,10 +37,11 @@ from .numkernel import as_matrix, as_vector
 from .setgeom import (
     Box,
     SetRep,
+    _Prepared,
+    _drop_start,
     bounding_box,
     contains_set,
     intersect,
-    meets,
     member,
 )
 
@@ -314,7 +315,10 @@ def dynamic_hybridize_reach(
     bound, and hence the enclosure, valid.  A step that leaves the domain
     is undone and the domain rebuilt around the last good segment.  Two
     consecutive rebuilds without progress, or 10000 rebuilds in all, stall
-    the run; the truncated pipe is returned with status ``stalled``.
+    the run; the truncated pipe is returned with status ``stalled``.  The
+    bad set, and each epoch's domain for the containment test, are
+    prepared once (``setgeom._Prepared``), and no returned segment keeps a
+    simplex start.
     """
     r, total = _lattice(config, CONTINUOUS, system.dim)
     if config.mode == FIXPOINT:
@@ -324,7 +328,7 @@ def dynamic_hybridize_reach(
             "hybridized reachability requires the dense bloat policy: "
             "lattice semantics could step across a domain face unseen"
         )
-    bad = config.bad_set
+    bad = None if config.bad_set is None else _Prepared(config.bad_set)
 
     segments = []
     domains = []
@@ -340,6 +344,7 @@ def dynamic_hybridize_reach(
             break
         domain = _inflate(bounding_box(entry), _PAD_FRACTION, min_pad)
         domains.append(domain)
+        inside = _Prepared(domain)
         lin = linearize(system, domain)
         rigorous = rigorous and lin.rigorous
         affine = LinearSystem(
@@ -348,12 +353,12 @@ def dynamic_hybridize_reach(
         progressed = 0
         for seg in _flow_steps(affine, config):
             current = seg.set_rep
-            if not contains_set(domain, current):
+            if not inside.contains(current):
                 break  # rebuild around the last good segment
             segments.append(Segment(k, k * r, (k + 1) * r, current))
             progressed += 1
             k += 1
-            if bad is not None and meets(current, bad):
+            if bad is not None and bad.meets(current):
                 status, status_step = BAD_REACHED, k - 1
                 break
             if k > total:
@@ -371,6 +376,10 @@ def dynamic_hybridize_reach(
         stall = 0
         entry = segments[-1].set_rep
 
+    # an epoch starts from a returned segment, whose supports set the
+    # epoch up from a simplex start it keeps; the segments outlive the run
+    for seg in segments:
+        _drop_start(seg.set_rep)
     return DynamicFlowpipe(
         tuple(segments),
         status,

@@ -38,11 +38,10 @@ from .setgeom import (
     SetRep,
     _exact_hform,
     _member_rows,
+    _Prepared,
     contains_set,
     hull_union,
-    intersect,
     linear_map,
-    meets,
     sample_points,
     translate,
 )
@@ -226,14 +225,20 @@ def mode_reach(
     which only over-approximates).  Segments are recorded clipped; the
     run stops early once ``intersect`` finds nothing of a segment inside
     the invariant, since no trajectory can still be flowing there.  Each
-    question, invariant or guard, is one ``intersect`` call: its piece, or
-    None when the sets are disjoint.
+    question, invariant or guard, is one ``intersect``: its piece, or None
+    when the sets are disjoint.  The invariant, each guard and the bad set
+    are prepared once per call (``setgeom._Prepared``): the segments share
+    one template and the clipped pieces one stacked template, so a step's
+    questions cost arithmetic on its offsets unless one of them needs the
+    emptiness LP.
 
     Returns ``(segments, hits, status, status_step)`` where hits lists,
     for each transition in order, its per-step guard pieces
     ``[(k, piece), ...]``.
     """
-    inv = mode.invariant
+    inv = None if mode.invariant is None else _Prepared(mode.invariant)
+    guards = [_Prepared(tr.guard) for tr in transitions]
+    bad = None if bad_set is None else _Prepared(bad_set)
     hits = [[] for _ in transitions]
     segments = []
     status, status_step = HORIZON, None
@@ -245,17 +250,17 @@ def mode_reach(
         k = seg.k
         # a segment of the stepping core is never empty, so only an
         # invariant can end the flow
-        clipped = seg.set_rep if inv is None else intersect(seg.set_rep, inv)
+        clipped = seg.set_rep if inv is None else inv.intersect(seg.set_rep)
         if clipped is None:
             # nothing remains inside the invariant: the flow is over
             status, status_step = COMPLETED, k
             break
         segments.append(replace(seg, set_rep=clipped))
-        for i, tr in enumerate(transitions):
-            piece = intersect(clipped, tr.guard)
+        for i, guard in enumerate(guards):
+            piece = guard.intersect(clipped)
             if piece is not None:
                 hits[i].append((k, piece))
-        if bad_set is not None and meets(clipped, bad_set):
+        if bad is not None and bad.meets(clipped):
             status, status_step = BAD_REACHED, k
             break
         if k >= nsteps:
@@ -325,6 +330,9 @@ def hybrid_reach(
     # would prune successors that reach states outside it
     explored = []
     queue = deque([(init_mode, init_set, 0, 0, 0, None)])
+    # the invariants jumps enter, prepared once per run
+    invariants = {m.name: _Prepared(m.invariant) for m in automaton.modes
+                  if m.invariant is not None}
     status = COMPLETED
     bad_flow = None
 
@@ -370,8 +378,8 @@ def hybrid_reach(
             if not tr_hits:
                 continue
             for k_lo, k_hi, pre, post in guard_cross(tr_hits, tr):
-                target_inv = automaton.mode(tr.target).invariant
-                entry_next = post if target_inv is None else intersect(post, target_inv)
+                inv = invariants.get(tr.target)
+                entry_next = post if inv is None else inv.intersect(post)
                 if entry_next is None:
                     continue
                 jumps.append(Jump(tr, flow_idx, None, k_lo, k_hi, pre, entry_next))

@@ -31,6 +31,7 @@ from .setgeom import (
     VPolytope,
     Zonotope,
     _hform_enclosure,
+    _Prepared,
     _pullback,
     _vform_enclosure,
     axis_bounds,
@@ -39,7 +40,6 @@ from .setgeom import (
     default_template,
     hull_union,
     linear_map,
-    meets,
     member,
     minkowski_sum,
     support_batch,
@@ -641,7 +641,9 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     Takes segments from the stepping core until the horizon (or, in
     fixpoint mode, ``max_steps``).  Early exit on bad-set contact
     (bad_set mode) or on inclusion in an already-seen segment (fixpoint
-    mode, decided by template domination).
+    mode, decided by template domination).  The bad set is prepared once
+    per run (``setgeom._Prepared``): segments over one template then pay
+    only for their offsets in the contact test.
     """
     r, nsteps = _lattice(config, system.time_kind, system.dim)
     limit = nsteps
@@ -652,12 +654,12 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
             else (10 * nsteps if nsteps > 0 else 10000)
         )
 
-    bad = config.bad_set
+    bad = None if config.bad_set is None else _Prepared(config.bad_set)
     segments = []
     status, status_step = HORIZON, None
     for seg in _flow_steps(system, config):
         segments.append(seg)
-        if bad is not None and meets(seg.set_rep, bad):
+        if bad is not None and bad.meets(seg.set_rep):
             status, status_step = BAD_REACHED, seg.k
             break
         if config.mode == FIXPOINT and any(

@@ -13,13 +13,20 @@ enters as stacked facet rows, and ``intersect`` first says "disjoint"
 when a row (n, b) of either lies beyond the other: b < -U(-n), where U
 bounds the other's support from its own rows (a box exactly, an H-polytope
 by a row with the same normal or, for a parallelotope, by one n x n
-solve); otherwise the LP of ``is_empty`` on the stacked rows decides.
-``contains_set`` skips the LP for a row of the outer set that such a
-bound of an inner H-polytope already satisfies.  Both demand a margin of
-``_PRECHECK_MARGIN`` relative to the magnitudes involved, a thousand
-times the simplex's FEAS_TOL, so rounding cannot flip an answer.  The
-supports of an H-polytope share one phase one of the simplex per
-``support_batch`` call.
+solve).  Stacked rows that are all axis rows bound a box, and its corners
+say "not disjoint" when they meet on every axis; otherwise the LP of
+``is_empty`` on the stacked rows decides.  ``contains_set`` skips the LP
+for a row of the outer set that such a bound of an inner H-polytope
+already satisfies.  Both prechecks demand a margin of ``_PRECHECK_MARGIN``
+relative to the magnitudes involved, a thousand times the simplex's
+FEAS_TOL, so rounding cannot flip an answer.  The supports of an
+H-polytope share one phase one of the simplex per ``support_batch`` call.
+
+A run asks these questions of a few fixed sets (a bad set, guards,
+invariants, a domain) at every step.  The drivers hold each as a
+``_Prepared`` operand, which builds its facet rows once and keeps what
+the other operand's normals alone decide, so a step over a shared
+template costs arithmetic on the segment's offsets.
 """
 
 from __future__ import annotations
@@ -171,6 +178,14 @@ class HPolytope:
 
     def __repr__(self):
         return f"HPolytope({self.nrows} halfspaces, dim={self.dim})"
+
+
+def _drop_start(s: SetRep) -> None:
+    """Drop the simplex start an H-polytope keeps, for a set that outlives
+    the LPs the start served: a start holds up to its byte budget of
+    tableaux."""
+    if isinstance(s, HPolytope):
+        s._start = None
 
 
 class VPolytope:
@@ -545,33 +560,17 @@ def intersect(s1: SetRep, s2: SetRep) -> SetRep | None:
     form, or else its bounding box's rows, flagged inexact), so the result
     always contains the true intersection.  A row (n, b) of either operand
     that the other's support bound U places beyond it, b < -U(-n) by
-    ``_PRECHECK_MARGIN``, separates the two without the simplex; otherwise
-    ``is_empty`` on the stacked rows decides, so an intersection pays its
-    emptiness LP.  The result carries no simplex start: a clipped segment
-    outlives the run.
+    ``_PRECHECK_MARGIN``, separates the two without the simplex.  When
+    every stacked row is an axis row (+-e_i) the common part is a box, and
+    corners that meet on every axis give a point on every row: the answer
+    is "not disjoint" without the simplex.  Otherwise ``is_empty`` on the
+    stacked rows decides.  The result carries no simplex start: a clipped
+    segment outlives the run.
+
+    This is ``_Prepared(s2).intersect(s1)``; a driver that checks many
+    sets against one fixed s2 keeps the ``_Prepared`` operand.
     """
-    if s1.dim != s2.dim:
-        raise ValueError(f"intersection of sets with dimensions {s1.dim} and {s2.dim}")
-    if isinstance(s1, Box) and isinstance(s2, Box):
-        corners = _box_overlap(s1, s2)
-        return None if corners is None else Box(*corners, exact=s1.exact and s2.exact)
-    # the closed-form support of a zonotope or vertex set is no bound for
-    # its facet form as the LP sees it: on a sliver the pivot tolerance
-    # admits points well outside the set
-    ops = [s if isinstance(s, Box) else _hform_enclosure(s) for s in (s1, s2)]
-    # box bad sets and guards meet every segment: stack their facet rows
-    # directly rather than build an HPolytope for them on each call
-    rows = [_box_rows(x) if isinstance(x, Box) else (x.normals, x.offsets) for x in ops]
-    for (normals, offsets), y in zip(rows, ops[::-1]):
-        bound, mag = _support_bound(y, -normals.T)
-        if np.any(_clears(offsets + bound, offsets, mag)):
-            return None
-    h = HPolytope(np.vstack([a for a, _ in rows]), np.concatenate([b for _, b in rows]),
-                  exact=ops[0].exact and ops[1].exact)
-    if is_empty(h):
-        return None
-    h._start = None
-    return h
+    return _Prepared(s2).intersect(s1)
 
 
 # rows within this distance of phase one's basic point count as tight when
@@ -647,22 +646,42 @@ def _support_bound(s: Box | HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, np
     if isinstance(s, Box):
         return (support_batch(s, dmat),
                 np.abs(dmat.T) @ (1.0 + np.maximum(np.abs(s.lower), np.abs(s.upper))))
-    bound = np.full(dmat.shape[1], np.inf)
-    rows, cols = _equal_rows(s.normals, dmat.T)
-    np.minimum.at(bound, cols, s.offsets[rows])
-    mag = 1.0 + np.abs(bound)
-    if np.all(np.isfinite(bound)):
-        return bound, mag
-    pairs = _antiparallel_pairs(s)
-    if pairs is None:
-        return bound, mag
-    first, second = pairs
-    lam = np.linalg.solve(s.normals[first].T, dmat)  # d = sum_i lam_i n_i
-    hi, lo = s.offsets[first][:, None], s.offsets[second][:, None]
-    para = np.where(lam > 0.0, lam * hi, -lam * lo).sum(axis=0)
-    para_mag = (np.abs(lam) * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))).sum(axis=0)
-    tighter = para < bound
-    return np.where(tighter, para, bound), np.where(tighter, para_mag, mag)
+    return _RowBound(s.normals, dmat)(s.offsets)
+
+
+class _RowBound:
+    """What ``_support_bound`` of an H-polytope takes from its normals
+    alone, for the unit columns of ``dmat``: the rows equal to a column,
+    and, when those leave a column unbounded and the normals form a
+    parallelotope, its row pairs and the coefficients ``lam`` of each
+    column in their first rows.  Called with the set's offsets, it gives
+    the bounds and magnitudes ``_support_bound`` gives."""
+
+    __slots__ = ("width", "rows", "cols", "pairs", "lam")
+
+    def __init__(self, normals: np.ndarray, dmat: np.ndarray):
+        self.width = dmat.shape[1]
+        self.rows, self.cols = _equal_rows(normals, dmat.T)
+        self.pairs = self.lam = None
+        if np.unique(self.cols).shape[0] < self.width:
+            self.pairs = _antiparallel_pairs(normals)
+            if self.pairs is not None:
+                # d = sum_i lam_i n_i
+                self.lam = np.linalg.solve(normals[self.pairs[0]].T, dmat)
+
+    def __call__(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bound = np.full(self.width, np.inf)
+        np.minimum.at(bound, self.cols, offsets[self.rows])
+        mag = 1.0 + np.abs(bound)
+        if self.lam is None:
+            return bound, mag
+        first, second = self.pairs
+        lam = self.lam
+        hi, lo = offsets[first][:, None], offsets[second][:, None]
+        para = np.where(lam > 0.0, lam * hi, -lam * lo).sum(axis=0)
+        para_mag = (np.abs(lam) * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))).sum(axis=0)
+        tighter = para < bound
+        return np.where(tighter, para, bound), np.where(tighter, para_mag, mag)
 
 
 def _equal_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -676,18 +695,18 @@ def _equal_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i[same], j[same]
 
 
-def _antiparallel_pairs(h: HPolytope):
+def _antiparallel_pairs(normals: np.ndarray):
     """Row indices ``(first, second)`` with normals[second] == -normals[first]
-    when h is a well-conditioned parallelotope (its 2n rows pair up), else
-    None."""
-    n = h.dim
-    if h.nrows != 2 * n:
+    when the rows form a well-conditioned parallelotope (their 2n rows pair
+    up), else None."""
+    n = normals.shape[1]
+    if normals.shape[0] != 2 * n:
         return None
-    i, j = _equal_rows(h.normals, -h.normals)
+    i, j = _equal_rows(normals, -normals)
     if i.shape[0] != 2 * n or not np.array_equal(i, np.arange(2 * n)):
         return None
     first = i < j
-    sv = np.linalg.svd(h.normals[i[first]], compute_uv=False)
+    sv = np.linalg.svd(normals[i[first]], compute_uv=False)
     if sv[-1] * _MAX_COND <= sv[0]:
         return None
     return i[first], j[first]
@@ -697,6 +716,167 @@ def meets(s1: SetRep, s2: SetRep) -> bool:
     """True when s1 and s2 share a point: ``intersect`` decides it, and a
     caller that needs the common part calls ``intersect`` alone."""
     return intersect(s1, s2) is not None
+
+
+class _Stack:
+    """The stacked rows [n1; n2] of ``intersect``, normalised once as the
+    ``HPolytope`` constructor would: the read-only unit normals every
+    result over these rows shares, the row norms its offsets are divided
+    by, and, when every row is an axis row (+-e_i), which rows bound each
+    axis from above and from below.  The operands' rows are unit rows, so
+    no row is degenerate."""
+
+    __slots__ = ("normals", "norms", "upper", "lower")
+
+    def __init__(self, n1: np.ndarray, n2: np.ndarray):
+        a = np.vstack([n1, n2])
+        self.norms = np.linalg.norm(a, axis=1)
+        self.normals = _freeze(a / self.norms[:, None])
+        self.upper = self.lower = None
+        nonzero = self.normals != 0.0
+        if np.all(nonzero.sum(axis=1) == 1) and np.all(np.abs(self.normals[nonzero]) == 1.0):
+            self.upper = (self.normals == 1.0).T
+            self.lower = (self.normals == -1.0).T
+
+    def corners_meet(self, offsets: np.ndarray) -> bool:
+        """True when the rows are axis rows and, on every axis, the least
+        upper offset is at least the greatest lower bound: then the box's
+        lower corner meets every row exactly, so the set is not empty."""
+        if self.upper is None:
+            return False
+        hi = np.where(self.upper, offsets, np.inf).min(axis=1)
+        lo = np.where(self.lower, -offsets, -np.inf).max(axis=1)
+        return bool(np.all(lo <= hi))
+
+
+class _Memo:
+    """What the questions against a prepared set take from the other
+    operand's normals alone, filled as they are asked: the prepared set's
+    support bound along the negated normals (``beyond``), the other's row
+    bound along the prepared set's negated normals (``facing``) and along
+    its normals (``inside``), and the stacked rows (``stack``)."""
+
+    __slots__ = ("normals", "beyond", "facing", "inside", "stack")
+
+    def __init__(self, normals: np.ndarray):
+        self.normals = normals
+        self.beyond = self.facing = self.inside = self.stack = None
+
+
+class _Prepared:
+    """A set that stays fixed while a run asks many questions of it: a bad
+    set, a guard, an invariant or a domain.
+
+    Its facet rows are built once: ``_box_rows`` for a box, else
+    ``_hform_enclosure``, whose rows are also ``_exact_hform``'s when that
+    form exists (``exact_form``).  What a question takes from the other
+    operand's normals alone is kept in a one-entry memo keyed by the
+    identity of that read-only buffer, which the memo holds; writable
+    normals get no memo.  A flowpipe's segments share one template buffer,
+    and the pieces one prepared set clips share one stacked buffer, so
+    each step costs only arithmetic on the offsets.  ``intersect``,
+    ``meets`` and ``contains_set`` are these methods on a fresh operand.
+    """
+
+    __slots__ = ("set", "op", "rows", "exact_form", "_memo")
+
+    def __init__(self, s: SetRep):
+        self.set = s
+        if isinstance(s, Box):
+            self.op, self.rows, self.exact_form = s, _box_rows(s), True
+        else:
+            h = _exact_hform(s)
+            self.exact_form = h is not None
+            # the closed-form support of a zonotope or vertex set is no
+            # bound for its facet form as the LP sees it: on a sliver the
+            # pivot tolerance admits points well outside the set
+            self.op = h if h is not None else _hform_enclosure(s)
+            self.rows = self.op.normals, self.op.offsets
+        self._memo = None
+
+    def _memo_for(self, normals: np.ndarray) -> _Memo:
+        memo = self._memo
+        if memo is not None and memo.normals is normals:
+            return memo
+        memo = _Memo(normals)
+        if _is_frozen(normals):
+            self._memo = memo
+        return memo
+
+    def intersect(self, s1: SetRep) -> SetRep | None:
+        """``intersect(s1, s)`` for the prepared set s."""
+        s2 = self.set
+        if s1.dim != s2.dim:
+            raise ValueError(f"intersection of sets with dimensions {s1.dim} and {s2.dim}")
+        if isinstance(s1, Box) and isinstance(s2, Box):
+            corners = _box_overlap(s1, s2)
+            return None if corners is None else Box(*corners, exact=s1.exact and s2.exact)
+        op1 = s1 if isinstance(s1, Box) else _hform_enclosure(s1)
+        # a box stacks its facet rows directly rather than build an
+        # HPolytope on each call
+        n1, b1 = _box_rows(op1) if isinstance(op1, Box) else (op1.normals, op1.offsets)
+        n2, b2 = self.rows
+        memo = self._memo_for(n1)
+        if memo.beyond is None:
+            memo.beyond = _support_bound(self.op, -n1.T)
+        bound, mag = memo.beyond
+        if np.any(_clears(b1 + bound, b1, mag)):
+            return None
+        if isinstance(op1, Box):
+            bound, mag = _support_bound(op1, -n2.T)
+        else:
+            if memo.facing is None:
+                memo.facing = _RowBound(n1, -n2.T)
+            bound, mag = memo.facing(b1)
+        if np.any(_clears(b2 + bound, b2, mag)):
+            return None
+        if memo.stack is None:
+            memo.stack = _Stack(n1, n2)
+        stack = memo.stack
+        h = HPolytope._trusted(stack.normals, np.concatenate([b1, b2]) / stack.norms,
+                               exact=op1.exact and self.op.exact)
+        if not stack.corners_meet(h.offsets) and is_empty(h):
+            return None
+        _drop_start(h)
+        return h
+
+    def meets(self, s1: SetRep) -> bool:
+        """``meets(s1, s)`` for the prepared set s."""
+        return self.intersect(s1) is not None
+
+    def contains(self, p: SetRep, tol: float = TOL) -> bool:
+        """``contains_set(s, p, tol)`` for the prepared single set s.  A
+        simplex start its row LPs build on p is dropped: p is a segment
+        that outlives the run."""
+        if not self.exact_form:
+            q = self.set
+            raise UnsupportedCheck(
+                f"no exact facet form for containment against {type(q).__name__} "
+                f"in dimension {q.dim}")
+        normals, offsets = self.rows
+        if not isinstance(p, HPolytope):
+            # one row at a time: stop at the first row p crosses
+            return all(support_batch(p, a_row[:, None])[0] <= b_row + tol
+                       for a_row, b_row in zip(normals, offsets))
+        # a row that p's own rows already bound needs no LP
+        memo = self._memo_for(p.normals)
+        if memo.inside is None:
+            memo.inside = _RowBound(p.normals, normals.T)
+        bound, mag = memo.inside(p.offsets)
+        open_rows = ~_clears(bound - offsets - tol, offsets, mag)
+        fresh = p._start is None
+        try:
+            # one LP per row, so stop early
+            for a_row, b_row in zip(normals[open_rows], offsets[open_rows]):
+                value = _hpolytope_supports(p, a_row[:, None])
+                if value is None:
+                    return True  # p is empty
+                if value[0] > b_row + tol:
+                    return False
+            return True
+        finally:
+            if fresh:
+                _drop_start(p)
 
 
 def convex_hull_2d(points) -> VPolytope:
@@ -1041,7 +1221,12 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
     member", which may answer False for a genuinely covered p.  An empty
     list covers nothing.  An infeasible H-polytope p is the empty set, so
     every single set contains it: the precheck or the first LP row test
-    answers True.
+    answers True.  A row of q that the support bound of an H-polytope p
+    (see ``intersect``) keeps inside by ``_PRECHECK_MARGIN`` needs no LP,
+    and p keeps no simplex start the row LPs build.
+
+    A single q is ``_Prepared(q).contains(p, tol)``; a driver that checks
+    many sets against one fixed q keeps the ``_Prepared`` operand.
     """
     if isinstance(q, (list, tuple)):
         if isinstance(p, Box) and all(isinstance(m, Box) for m in q):
@@ -1052,28 +1237,7 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
                     return True
             return False
         return any(contains_set(m, p, tol) for m in q)
-    h = _exact_hform(q)
-    if h is None:
-        raise UnsupportedCheck(
-            f"no exact facet form for containment against {type(q).__name__} "
-            f"in dimension {q.dim}")
-    rows = zip(h.normals, h.offsets)
-    if isinstance(p, HPolytope):
-        # a row of q that p's own rows already bound needs no LP
-        bound, mag = _support_bound(p, h.normals.T)
-        open_rows = ~_clears(bound - h.offsets - tol, h.offsets, mag)
-        rows = zip(h.normals[open_rows], h.offsets[open_rows])
-    # one row at a time: an H-form p costs one LP per row, so stop early
-    for a_row, b_row in rows:
-        if isinstance(p, HPolytope):
-            value = _hpolytope_supports(p, a_row[:, None])
-            if value is None:
-                return True  # p is empty
-        else:
-            value = support_batch(p, a_row[:, None])
-        if value[0] > b_row + tol:
-            return False
-    return True
+    return _Prepared(q).contains(p, tol)
 
 
 def axis_bounds(s: SetRep) -> tuple[np.ndarray, np.ndarray]:

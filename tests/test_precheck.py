@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from reachflow import numkernel
+from reachflow import hybridreach, numkernel
 from reachflow import setgeom as sg
 from reachflow.hybridize import NonlinearSystem, dynamic_hybridize_reach
 from reachflow.hybridreach import HybridAutomaton, Mode, Transition, hybrid_reach
@@ -127,11 +127,11 @@ GAPS = (-0.5, 0.0, 1e-12, 1e-10, 1e-6)
 
 
 @st.composite
-def box_pairs(draw):
+def box_pairs(draw, max_dim=3):
     """``(b1, b2, gap)``: two boxes that share the lower corner of the first
     on every axis but one, where the second starts ``gap`` past the
     first's upper face; either box may come first."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_dim))
     a = draw(boxes(n))
     axis = draw(st.integers(0, n - 1))
     gap = draw(st.sampled_from(GAPS))
@@ -229,12 +229,18 @@ class TestMeetsAgreesWithTheLp:
     def test_ill_conditioned_parallelotope_gets_no_pairs(self):
         m = np.array([[1.0, 0.0], [1.0, 1e-10]])
         p = HPolytope(np.vstack([m, -m]), np.ones(4))
-        assert sg._antiparallel_pairs(p) is None
+        assert sg._antiparallel_pairs(p.normals) is None
 
-    def test_touching_sets_fall_back_to_the_lp(self, monkeypatch):
-        # a shared face is no separation: the LP decides, and says "meets"
+    def test_touching_sets_meet_by_corners_or_by_the_lp(self, monkeypatch):
+        # a shared face is no separation.  Axis rows alone stack to a box
+        # whose corners meet on the face, so no LP runs; a slanted shared
+        # facet leaves the answer to the LP, which says "meets" as well
         calls = count_calls(monkeypatch, sg, "is_empty")
         assert sg.meets(Box([0.0, 0.0], [1.0, 1.0]).to_hpolytope(), Box([1.0, 0.0], [2.0, 1.0]))
+        assert calls == [0]
+        below = HPolytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
+        above = HPolytope([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 1.0, 1.0])
+        assert sg.meets(below, above)
         assert calls == [1]
 
     def test_dimension_mismatch_and_empty(self):
@@ -314,15 +320,138 @@ class TestContainmentPrecheck:
         assert solves[0] >= 1
 
 
+@st.composite
+def template_runs(draw):
+    """``(s1, s2, segments)``: a set_pairs() draw and a run of segments,
+    each over one of two shared read-only templates in a drawn order, with
+    s1 among them: the questions a driver asks of one prepared s2."""
+    s1, s2 = draw(set_pairs())
+    n = s1.dim
+    m = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)))
+    m = m.reshape(n, n) + 3.0 * np.eye(n)
+    templates = [HPolytope(t, np.ones(t.shape[0])).normals
+                 for t in (sg.default_template(n), np.vstack([m, -m]))]
+    segments = []
+    for i in draw(st.lists(st.integers(0, 1), min_size=2, max_size=6)):
+        t = templates[i]
+        offsets = draw(st.lists(st.floats(-3.0, 6.0), min_size=t.shape[0], max_size=t.shape[0]))
+        segments.append(HPolytope(t, np.array(offsets)))
+    segments.insert(draw(st.integers(0, len(segments))), s1)
+    return s1, s2, segments
+
+
+def assert_same_set(got, want):
+    """None, or the same set bit for bit, keeping no simplex start."""
+    assert type(got) is type(want)
+    if isinstance(want, Box):
+        assert got.lower.tobytes() == want.lower.tobytes()
+        assert got.upper.tobytes() == want.upper.tobytes()
+        assert got.exact == want.exact
+    elif want is not None:
+        assert got.normals.tobytes() == want.normals.tobytes()
+        assert got.offsets.tobytes() == want.offsets.tobytes()
+        assert got.exact == want.exact and got._start is None
+
+
+def containment(q_contains, p):
+    """The answer of a containment question, or the exception it raises."""
+    try:
+        return q_contains(p)
+    except sg.UnsupportedCheck:
+        return sg.UnsupportedCheck
+
+
+class TestPreparedOperand:
+    """A prepared set answers every question as a one-off call does, bit
+    for bit, while it keeps what the other operand's normals alone decide
+    for the last read-only normals buffer it saw."""
+
+    @PROPERTY
+    @given(template_runs())
+    def test_reused_operand_answers_as_one_off_calls(self, run):
+        s1, s2, segments = run
+        fixed, later = sg._Prepared(s2), sg._Prepared(s1)
+        for seg in segments:
+            piece = fixed.intersect(seg)
+            assert_same_set(piece, sg.intersect(seg, s2))
+            assert fixed.meets(seg) == sg.meets(seg, s2)
+            assert (containment(fixed.contains, seg)
+                    == containment(lambda p: sg.contains_set(s2, p), seg))
+            # the pieces of one prepared set share its stacked rows: a
+            # second prepared set asked about them keeps its own memo
+            if piece is not None:
+                assert_same_set(later.intersect(piece), sg.intersect(piece, s1))
+
+    def test_a_shared_template_is_matched_once(self, monkeypatch):
+        fixed = sg._Prepared(HPolytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [3.0, 2.0, 2.0]))
+        t = HPolytope(sg.default_template(2), np.ones(8)).normals
+        first, second = (HPolytope(t, np.abs(t) @ np.array([1.0, 1.0]) + shift * t[:, 0])
+                         for shift in (0.0, 0.25))
+        assert first.normals is second.normals
+        matched = count_calls(monkeypatch, sg, "_equal_rows")
+        assert fixed.intersect(first) is not None and fixed.contains(first)
+        once = matched[0]
+        assert once > 0
+        assert fixed.intersect(second) is not None and fixed.contains(second)
+        assert matched == [once]
+
+    def test_writable_normals_get_no_memo(self):
+        fixed = sg._Prepared(HPolytope(sg.default_template(2), np.ones(8)))
+        rows = np.vstack([np.eye(2), -np.eye(2)])
+        view = rows[:]
+        view.flags.writeable = False  # read-only, but its buffer is not
+        for normals in (rows, view):
+            assert fixed._memo_for(normals) is not fixed._memo_for(normals)
+            assert fixed._memo is None
+        seg = HPolytope(sg.default_template(2), np.full(8, 0.5))
+        memo = fixed._memo_for(seg.normals)
+        assert fixed._memo_for(seg.normals) is memo is fixed._memo
+        # a box enters by facet rows built on each call: no memo
+        assert fixed.intersect(Box([0.0, 0.0], [0.5, 0.5])) is not None
+        assert fixed._memo is memo
+
+    @PROPERTY
+    @given(box_pairs(max_dim=4))
+    def test_corners_meet_only_on_a_feasible_stack(self, case):
+        # two boxes in H-form, flat and touching ones included: the corners
+        # say "not disjoint" exactly when no axis separates them, and the
+        # LP on the same rows then finds them feasible too
+        b1, b2, _ = case
+        h1, h2 = b1.to_hpolytope(), b2.to_hpolytope()
+        stack = sg._Stack(h1.normals, h2.normals)
+        offsets = np.concatenate([h1.offsets, h2.offsets]) / stack.norms
+        meet = stack.corners_meet(offsets)
+        assert meet == (not boxes_apart(b1, b2))
+        if meet:
+            assert not sg.is_empty(HPolytope(stack.normals, offsets))
+
+    def test_slanted_rows_get_no_corner_rule(self):
+        h = HPolytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
+        stack = sg._Stack(h.normals, sg._box_rows(Box([0.0, 0.0], [1.0, 1.0]))[0])
+        assert stack.upper is None and not stack.corners_meet(np.zeros(7))
+
+
 class TestSharedPhaseOne:
     def cold(self, h, d):
-        return lp_max(d, h.normals, h.offsets)
+        """A cold solve of what ``support_batch`` solves: h's own rows, and,
+        where the simplex calls them infeasible, the relaxed offsets it
+        solves again with."""
+        res = lp_max(d, h.normals, h.offsets)
+        if res.status == INFEASIBLE:
+            res = lp_max(d, h.normals, sg._relaxed_offsets(h))
+        return res
 
     @PROPERTY
     @given(st.integers(1, 4).flatmap(
         lambda n: st.tuples(st.one_of(template_hpolytopes(n), parallelotopes(n)),
                             st.lists(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
                                      min_size=1, max_size=6))))
+    # phase one on this flat point calls its rows infeasible, and
+    # support_batch answers from the relaxed re-solve
+    @example((point_parallelotope([[0.0, 0.5, 1e-6, 0.0], [-1.0, 0.0, -2.0, -1.5],
+                                   [0.0, -2.0625, 0.0, 0.0], [0.0, -3.0, -0.75, 0.0]],
+                                  [0.0, 0.0, 1.5, 1.5]),
+              [[0.0, 0.0, 0.0, 1.0]]))
     def test_batch_equals_cold_solves_exactly(self, case):
         h, dirs = case
         dmat = np.array(dirs, dtype=float).T
@@ -340,6 +469,9 @@ class TestSharedPhaseOne:
         lambda n: st.tuples(
             st.one_of(template_hpolytopes(n), parallelotopes(n), flat_parallelotopes(n)),
             st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))))
+    # a coupling can cancel the diagonal: R = [[2, -1], [-2, 1]] is
+    # singular, so this flat set is the line 2x = y, unbounded along e2
+    @example((point_parallelotope([[-1.0, -1.0], [-2.0, -2.0]], [0.0, 0.0]), [0.0, 1.0]))
     def test_support_is_its_batch_value_with_a_witness(self, case):
         h, d = case
         d = np.array(d)
@@ -351,6 +483,9 @@ class TestSharedPhaseOne:
                 sg.support_batch(h, d[:, None])
             return
         assert value == sg.support_batch(h, d[:, None])[0]
+        if witness is None:
+            assert value == np.inf
+            return
         assert abs(d @ witness - value) <= 1e-9
 
     def test_results_match_field_by_field(self):
@@ -520,6 +655,10 @@ class TestKeptStart:
         assert pipe.status == "horizon" and len(pipe.segments) == 51
         assert offsets_digest(pipe.segments) == (
             "55fbf8375781d35b00fbe6c3ce2856c8f01f569e9e108241482096e3a9d96f37")
+        # each of the 6 epochs starts from a returned segment, whose
+        # supports set the epoch up; the run lets go of their starts
+        assert len(pipe.domains) == 6
+        assert all(seg.set_rep._start is None for seg in pipe.segments)
 
     def test_post_jump_flow_offsets_are_pinned(self):
         # a spiral bouncing between two walls; every entry after a jump is
@@ -582,6 +721,37 @@ class TestCounters:
         pipe = reach(system, ReachConfig(horizon=1000, mode="bad_set", bad_set=Box(lo, hi)))
         assert pipe.status == "horizon" and len(pipe.segments) == 1001
         assert solves == [0] and lp_calls == [0] and starts == [0]
+
+
+    def test_thermostat_solves_only_for_its_hulls(self, monkeypatch):
+        # a 1-d automaton: every set question stacks axis rows, so the
+        # corners decide each one, and the only LPs left are the supports
+        # hull_union takes of the guard pieces it merges
+        heat = Mode("heat", [[-0.4]], b=[[0.4]], input_set=Box([30.0], [30.0]),
+                    invariant=Box([0.0], [22.0]))
+        cool = Mode("cool", [[-0.4]], b=[[0.4]], input_set=Box([10.0], [10.0]),
+                    invariant=Box([18.0], [40.0]))
+        automaton = HybridAutomaton((heat, cool), (
+            Transition("heat", "cool", guard=Box([21.5], [40.0])),
+            Transition("cool", "heat", guard=Box([0.0], [18.5]))))
+        solves = count_calls(monkeypatch, numkernel, "_phase_one")
+        empties = count_calls(monkeypatch, sg, "is_empty")
+        in_hulls = [0]
+        hull = hybridreach.hull_union
+
+        def counted_hull(s1, s2):
+            before = solves[0]
+            out = hull(s1, s2)
+            in_hulls[0] += solves[0] - before
+            return out
+
+        monkeypatch.setattr(hybridreach, "hull_union", counted_hull)
+        pipe = hybrid_reach(automaton, "heat", Box([19.5], [20.5]),
+                            ReachConfig(horizon=2.0, step=0.01, mode="bad_set",
+                                        bad_set=Box([25.0], [30.0])))
+        assert pipe.status == "completed" and len(pipe.flows) == 3
+        assert solves == in_hulls == [108]
+        assert empties == [0]
 
 
 class TestDistinctCorners:
