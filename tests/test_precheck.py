@@ -377,6 +377,8 @@ class TestPreparedOperand:
             assert fixed.meets(seg) == sg.meets(seg, s2)
             assert (containment(fixed.contains, seg)
                     == containment(lambda p: sg.contains_set(s2, p), seg))
+            # the row LPs of a containment question leave no start behind
+            assert not isinstance(seg, HPolytope) or seg._start is None
             # the pieces of one prepared set share its stacked rows: a
             # second prepared set asked about them keeps its own memo
             if piece is not None:
