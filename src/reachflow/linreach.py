@@ -30,6 +30,7 @@ from .setgeom import (
     SetRep,
     VPolytope,
     Zonotope,
+    _even_odd,
     _hform_enclosure,
     _Prepared,
     _pullback,
@@ -347,6 +348,15 @@ def step_input_facets(p: HPolytope, v: SetRep, a: np.ndarray) -> HPolytope:
 # the 4-d octagon take 40 ms unfolded and 110 ms folded)
 _MAX_RUNS = 4
 
+# a box's or zonotope's supports are read from the folded columns only when
+# the template and its folded columns both have a multiple of this many
+# rows.  Those supports are matrix-vector products, one row per direction,
+# and OpenBLAS's gemv rounds a row the same way whatever the row count only
+# inside its 4-row blocks: outside them a row of the m' folded columns can
+# differ in the last bit from the same row among all m, so other templates
+# read the copied-back columns
+_GEMV_BLOCK = 4
+
 
 def _fold_pairs(dirs: np.ndarray):
     """The template up to sign: ``(keep, runs)``, or None when it does not
@@ -359,7 +369,8 @@ def _fold_pairs(dirs: np.ndarray):
     A template folds only when that takes at most ``_MAX_RUNS`` runs and
     leaves two rows or more: numpy takes a product with one column by its
     matrix-vector routine, which rounds differently from the matrix-matrix
-    one.
+    one (the same routine, gemv, is why supports are read from the folded
+    columns only on ``_GEMV_BLOCK``-aligned row counts).
     """
     keep, runs, seen = [], [], {}
     for i, row in enumerate(dirs):
@@ -399,7 +410,12 @@ class LazyReachSet:
     repeat) share one column, so advancing costs one n x n by n x m'
     product, m' the number of directions up to sign (n for the box
     template ``[I; -I]``; m for a template ``_fold_pairs`` leaves as it
-    is), and the m columns the supports read are copied from those m'.
+    is).  The supports of a box or zonotope (the base, or an input part)
+    are read from those m' columns too, an even part and an odd part per
+    column, with one ``|B|`` per step shared by every box; the n x m
+    matrix of all template columns is copied back from the m' only when a
+    step asks for it: for an H- or V-polytope, or when the row counts are
+    not ``_GEMV_BLOCK``-aligned.
     Every concretization answers the template from these columns alone.
     The template is scaled to unit rows once and kept read-only, so all
     segments of one flowpipe share one normals buffer.  Any other
@@ -408,7 +424,8 @@ class LazyReachSet:
     into the recurrence, so repeated over-approximation cannot compound.
     """
 
-    __slots__ = ("base", "a", "channel", "k", "dirs", "_runs", "_basis", "_cur", "_acc")
+    __slots__ = ("base", "a", "channel", "k", "dirs", "_runs", "_reads", "_basis", "_full",
+                 "_abs", "_acc")
 
     def __init__(
         self,
@@ -441,14 +458,48 @@ class LazyReachSet:
         self.dirs = dirs
         fold = _fold_pairs(dirs)
         self._runs = None if fold is None else fold[1]
-        self._cur = dirs.T  # columns: (A^T)^k d
+        # whether box and zonotope supports are read from _basis
+        self._reads = fold is None or (len(fold[0]) % _GEMV_BLOCK == 0
+                                       and dirs.shape[0] % _GEMV_BLOCK == 0)
+        self._full = dirs.T  # columns: (A^T)^k d
         # the columns the product advances: the template up to sign
-        self._basis = self._cur if fold is None else dirs[fold[0]].T
+        self._basis = self._full if fold is None else dirs[fold[0]].T
+        self._abs = None
         self._acc = np.zeros(dirs.shape[0])
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def _cur(self) -> np.ndarray:
+        """The m template columns ``(A^T)^k D^T``, copied back from the
+        folded ones on first use."""
+        if self._full is None:
+            self._full = _unfold(self._basis, self._runs, self.dirs.shape[0])
+        return self._full
+
+    def _supports(self, s: SetRep) -> np.ndarray:
+        """``support_batch(s, self._cur)``, bit for bit.
+
+        A box or zonotope is read from the folded columns: each template
+        row takes its column's odd part times the row's sign plus the
+        column's even part.  That is the sum ``support_batch`` takes, and a
+        product has the same bits in a column (and, ``_reads`` ensures, in
+        a row) with or without the others beside it.
+        """
+        if not (self._reads and isinstance(s, (Box, Zonotope))):
+            return support_batch(s, self._cur)
+        if isinstance(s, Box) and self._abs is None:
+            self._abs = np.abs(self._basis.T)
+        even, odd = _even_odd(s, self._basis, self._abs)
+        if self._runs is None:
+            return even if odd is None else odd + even
+        out = np.empty(self.dirs.shape[0])
+        for start, stop, src, sign in self._runs:
+            cols = slice(src, src + stop - start)
+            out[start:stop] = even[cols] if odd is None else sign * odd[cols] + even[cols]
+        return out
 
     def advance(self) -> "LazyReachSet":
         new = object.__new__(LazyReachSet)
@@ -457,17 +508,19 @@ class LazyReachSet:
         new.channel = self.channel
         new.dirs = self.dirs
         new._runs = self._runs
+        new._reads = self._reads
         new.k = self.k + 1
         if self.channel:
-            new._acc = self._acc + self.channel.support_batch(self._cur)
+            # summed from zero, part by part, as _InputChannel.support_batch does
+            new._acc = self._acc + sum(self._supports(p) for p in self.channel.parts)
         else:
             new._acc = self._acc
         # each column of the product has the same bits with or without the
         # folded columns beside it, so the supports read the unfolded
         # matrix bit for bit
         new._basis = self.a.T @ self._basis
-        new._cur = (new._basis if self._runs is None
-                    else _unfold(new._basis, self._runs, self.dirs.shape[0]))
+        new._full = new._basis if self._runs is None else None
+        new._abs = None
         return new
 
     def support(self, d) -> float:
@@ -493,7 +546,7 @@ class LazyReachSet:
         true reach set overall, hence flagged non-exact.
         """
         if directions is None:
-            vals = support_batch(self.base, self._cur) + self._acc
+            vals = self._supports(self.base) + self._acc
             return HPolytope._trusted(self.dirs, vals, exact=False)
         directions = as_matrix(directions)
         if directions.shape[1] != self.dim:
@@ -583,6 +636,41 @@ def _template_dominates(q: SetRep, p: SetRep) -> bool:
     return contains_set(q, p)
 
 
+class _Seen:
+    """The segments a fixpoint run has passed, asked whether one of them
+    dominates the next.
+
+    While every segment is an H-polytope over one normals buffer (every
+    lazy run), their offsets plus ``TOL`` sit in one growing array, and one
+    vectorised comparison per step gives what ``_template_dominates`` gives
+    for each earlier segment, from the same floats.  The first segment off
+    that buffer sends this and every later question to
+    ``_template_dominates``, one earlier segment at a time.
+    """
+
+    def __init__(self):
+        self.sets = []
+        self.bounds = None  # row i: offsets of segment i + TOL
+        self.shared = True
+
+    def dominated(self, p: SetRep) -> bool:
+        """Whether a segment seen so far contains ``p``, which joins them."""
+        k = len(self.sets)
+        self.shared = self.shared and isinstance(p, HPolytope) and (
+            k == 0 or p.normals is self.sets[0].normals)
+        if self.shared:
+            hit = k > 0 and bool(np.any(np.all(p.offsets <= self.bounds[:k], axis=1)))
+            if k == 0:
+                self.bounds = np.empty((16, p.offsets.shape[0]))
+            elif k == self.bounds.shape[0]:
+                self.bounds = np.concatenate([self.bounds, np.empty_like(self.bounds)])
+            self.bounds[k] = p.offsets + TOL
+        else:
+            hit = any(_template_dominates(q, p) for q in self.sets)
+        self.sets.append(p)
+        return hit
+
+
 # ---------------------------------------------------------------------------
 # stepping core and driver
 
@@ -641,7 +729,8 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     Takes segments from the stepping core until the horizon (or, in
     fixpoint mode, ``max_steps``).  Early exit on bad-set contact
     (bad_set mode) or on inclusion in an already-seen segment (fixpoint
-    mode, decided by template domination).  The bad set is prepared once
+    mode, decided by template domination, one vectorised comparison per
+    step over a lazy run's shared template).  The bad set is prepared once
     per run (``setgeom._Prepared``): segments over one template then pay
     only for their offsets in the contact test.
     """
@@ -655,6 +744,7 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
         )
 
     bad = None if config.bad_set is None else _Prepared(config.bad_set)
+    seen = _Seen()
     segments = []
     status, status_step = HORIZON, None
     for seg in _flow_steps(system, config):
@@ -662,9 +752,7 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
         if bad is not None and bad.meets(seg.set_rep):
             status, status_step = BAD_REACHED, seg.k
             break
-        if config.mode == FIXPOINT and any(
-            _template_dominates(old.set_rep, seg.set_rep) for old in segments[:-1]
-        ):
+        if config.mode == FIXPOINT and seen.dominated(seg.set_rep):
             status, status_step = FIXPOINT_REACHED, seg.k
             break
         if seg.k >= limit:

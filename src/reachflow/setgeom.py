@@ -340,12 +340,8 @@ def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:
     if dmat.shape[0] != s.dim:
         raise ValueError("direction matrix rows do not match the set dimension")
     if isinstance(s, (Box, Zonotope)):
-        # the even part, which the sign of a direction leaves alone, plus
-        # the odd part, which a set centered at the origin does not have
-        even = (np.abs(dmat.T) @ s.radii if isinstance(s, Box)
-                else np.abs(s.generators.T @ dmat).sum(axis=0))
-        center = s.center
-        return dmat.T @ center + even if center.any() else even
+        even, odd = _even_odd(s, dmat)
+        return even if odd is None else odd + even
     if isinstance(s, VPolytope):
         return (s.vertices @ dmat).max(axis=0)
     if isinstance(s, HPolytope):
@@ -354,6 +350,23 @@ def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:
             raise ValueError("support of an empty polytope is undefined")
         return out
     raise TypeError(f"unknown set representation {type(s).__name__}")
+
+
+def _even_odd(s: Box | Zonotope, dmat: np.ndarray, abs_t: np.ndarray | None = None):
+    """A box's or zonotope's supports along the columns of ``dmat`` in two
+    parts: ``(even, odd)``.
+
+    The even part, ``|d| . r`` for a box and ``sum |G^T d|`` for a
+    zonotope, is the same for d and -d; the odd part ``d . c`` only changes
+    sign, and is None for a set centered at the origin.  ``abs_t`` is
+    ``np.abs(dmat.T)`` when the caller already has it (boxes only).
+    """
+    if isinstance(s, Box):
+        even = (np.abs(dmat.T) if abs_t is None else abs_t) @ s.radii
+    else:
+        even = np.abs(s.generators.T @ dmat).sum(axis=0)
+    center = s.center
+    return even, (dmat.T @ center if center.any() else None)
 
 
 def _hpolytope_solves(h: HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, list[LpResult] | None]:

@@ -3,11 +3,12 @@
 import hashlib
 import logging
 import math
+import time
 from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from reachflow.linreach import (
@@ -25,12 +26,14 @@ from reachflow.linreach import (
     ReachConfig,
     _flow_steps,
     _InputChannel,
+    _template_dominates,
     discretize_continuous,
     reach,
     simulate,
     step_input_facets,
     step_input_vertices,
 )
+from reachflow import linreach
 from reachflow.numkernel import mat_exp
 from reachflow.setgeom import (
     Box,
@@ -434,6 +437,56 @@ class TestFoldedTemplate:
         assert self._digest(pipe) == (
             "1f4e4b142f7a9fabf283656bb9ba99fe2b8589999cd87c812869f6e89e405a25")
 
+    @pytest.mark.parametrize("cols", range(1, 41))
+    def test_every_row_count_matches_the_unfolded_recurrence(self, cols):
+        # box and zonotope supports are read from the folded columns only on
+        # 4-aligned row counts; on any other count a row of the shorter
+        # matrix-vector product can round differently, so every count of
+        # folded columns m' and of template rows m is checked here
+        rng = np.random.default_rng(cols)
+        rows = rng.normal(size=(cols, 5))
+        templates = [np.vstack([np.eye(cols), -np.eye(cols)]), np.vstack([rows, -rows]),
+                     np.vstack([rows, -rows[:(cols + 1) // 2]])]
+        for t in templates:
+            n, m = t.shape[1], t.shape[0]
+            dirs = t / np.linalg.norm(t, axis=1)[:, None]
+            a = self._stable(rng, n, 0.95)
+            c = rng.uniform(-1.0, 1.0, size=n)
+            inputs = [Box(0.1 * c - 0.05, 0.1 * c + 0.02), Zonotope(0.1 * c, 0.1 * rng.normal(size=(n, 2)))]
+            for base in (Box(c - 0.5, c + 0.4), Zonotope(c, rng.normal(size=(n, 3))),
+                         Zonotope(c, rng.normal(size=(n, 1)))):
+                for parts in ([], inputs[:1], inputs[1:], inputs):
+                    want = unfolded_offsets(base, a, parts, dirs, 8)
+                    s = LazyReachSet(base, a, _InputChannel(parts), t)
+                    if s._runs is not None:
+                        assert s._reads == (cols % 4 == 0 and m % 4 == 0)
+                    for step in range(9):
+                        got = s.concretize().offsets
+                        assert got.tobytes() == want[step].tobytes(), (m, type(base), len(parts), step)
+                        s = s.advance()
+
+    @classmethod
+    def _n200_pipe(cls):
+        # the lazy-highdim shape: n = 200, box template, box X0, box input
+        n = 200
+        rng = np.random.default_rng(200)
+        c = rng.uniform(-1.0, 1.0, size=n)
+        system = LinearSystem(cls._stable(rng, n, 0.98), Box(c - 0.5, c + 0.5),
+                              input_set=Box(-0.05 * np.ones(n), 0.05 * np.ones(n)))
+        return reach(system, ReachConfig(horizon=50, template=np.vstack([np.eye(n), -np.eye(n)])))
+
+    def test_n200_box_template_offsets_are_pinned(self):
+        # digest of the offsets the unfolded recurrence gave for this run
+        assert self._digest(self._n200_pipe()) == (
+            "aeb5d03037dbfbb14d27ad085b71b02755478d7dc5800ca9bb5bf836376d3b08")
+
+    def test_n200_box_template_copies_no_columns_back(self, monkeypatch):
+        copies = []
+        unfold = linreach._unfold
+        monkeypatch.setattr(linreach, "_unfold", lambda *args: copies.append(args) or unfold(*args))
+        assert len(self._n200_pipe()) == 51
+        assert copies == []
+
     @pytest.mark.parametrize("template", [True, False])
     def test_overflowing_offsets_are_rejected(self, template):
         n = 3
@@ -588,6 +641,55 @@ class TestReachModes:
         pipe = reach(sys, ReachConfig(horizon=3, mode="fixpoint"))
         assert pipe.status == HORIZON
         assert len(pipe.segments) == 31
+
+    @staticmethod
+    def pairwise_fixpoint(system, config):
+        """``(status, status_step, segment count)`` of a fixpoint run that
+        asks ``_template_dominates`` of every earlier segment in turn."""
+        limit = config.max_steps
+        segments = []
+        for seg in _flow_steps(system, config):
+            segments.append(seg)
+            if any(_template_dominates(old.set_rep, seg.set_rep) for old in segments[:-1]):
+                return FIXPOINT_REACHED, seg.k, len(segments)
+            if seg.k >= limit:
+                return HORIZON, None, len(segments)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(1, 3), st.sampled_from([0.0, 0.3, math.pi / 2, math.pi / 3]),
+           st.sampled_from([0.5, 0.9, 1.0]), st.booleans(),
+           st.sampled_from(["lazy", "facets", "vertices"]), st.sampled_from(["default", "box", "skew"]),
+           st.integers(0, 30))
+    def test_fixpoint_agrees_with_the_pairwise_loop(self, n, theta, scale, with_input,
+                                                    strategy, template, max_steps):
+        assume(strategy != "vertices" or n < 3)  # 3-d vertex clouds are not thinned
+        a = np.eye(n)
+        if n >= 2:
+            a[:2, :2] = rot(theta)
+        elif theta:
+            a = -a
+        system = LinearSystem(scale * a, Box(np.full(n, 0.5), np.full(n, 1.0)),
+                              input_set=Box(np.full(n, -0.01), np.full(n, 0.02)) if with_input else None)
+        t = {"default": None, "box": np.vstack([np.eye(n), -np.eye(n)]),
+             "skew": np.vstack([np.eye(n), -np.eye(n), np.ones((1, n))])}[template]
+        config = ReachConfig(horizon=1, mode="fixpoint", strategy=strategy, template=t,
+                             max_steps=max_steps)
+        pipe = reach(system, config)
+        assert (pipe.status, pipe.status_step, len(pipe)) == self.pairwise_fixpoint(system, config)
+
+    def test_lazy_fixpoint_answers_in_one_comparison_per_step(self, monkeypatch):
+        # a 2-d rotation with an input box never converges; at 4000 steps
+        # the pairwise loop took 53 s on a 2-core x86 box, this takes 0.5 s
+        def pairwise(q, p):
+            raise AssertionError("a lazy run's segments share one template")
+
+        monkeypatch.setattr(linreach, "_template_dominates", pairwise)
+        system = LinearSystem(rot(0.3), Box([0.9, -0.1], [1.1, 0.1]),
+                              input_set=Box([-0.01, -0.01], [0.01, 0.01]))
+        start = time.perf_counter()
+        pipe = reach(system, ReachConfig(horizon=10, mode="fixpoint", max_steps=4000))
+        assert time.perf_counter() - start < 10.0
+        assert (pipe.status, pipe.status_step, len(pipe)) == (HORIZON, None, 4001)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="mode"):
