@@ -26,6 +26,7 @@ from .linreach import (
     FIXPOINT,
     HORIZON,
     ONCE_HULL,
+    Flowpipe,
     LinearSystem,
     ReachConfig,
     Segment,
@@ -271,20 +272,14 @@ def static_hybridize(
 # dynamic domains
 
 
-@dataclass(frozen=True, eq=False)
-class DynamicFlowpipe:
-    segments: tuple
-    status: str  # horizon | bad_reached | stalled
-    status_step: Optional[int] = None
-    time_step: Optional[float] = None
-    domains: tuple = ()  # the domain used for each rebuild epoch
+@dataclass(frozen=True)
+class DynamicFlowpipe(Flowpipe):
+    """A ``Flowpipe`` whose status may also be ``stalled``, with the domain
+    of each rebuild epoch and whether every linearization was rigorous.
+    Pipes compare by their fields, as a ``Flowpipe`` does."""
+
+    domains: tuple = ()
     rigorous: bool = True
-
-    def __iter__(self):
-        return iter(self.segments)
-
-    def __len__(self):
-        return len(self.segments)
 
 
 # each epoch's domain: the reach set's bounding box padded by this share
@@ -317,8 +312,10 @@ def dynamic_hybridize_reach(
     consecutive rebuilds without progress, or 10000 rebuilds in all, stall
     the run; the truncated pipe is returned with status ``stalled``.  The
     bad set, and each epoch's domain for the containment test, are
-    prepared once (``setgeom._Prepared``), and no returned segment keeps a
-    simplex start.
+    prepared once (``setgeom._Prepared``).  Each epoch's set-up asks the
+    supports of its entry, a returned segment, which keeps the simplex
+    start they solve from; this is the one driver that lets go of such
+    starts, so no returned segment keeps one.
     """
     r, total = _lattice(config, CONTINUOUS, system.dim)
     if config.mode == FIXPOINT:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -254,34 +255,25 @@ class SimTrace:
 
 
 # ---------------------------------------------------------------------------
-# effective per-step input: kept as a list of summands so the lazy
-# strategy can exploit support additivity without folding the sum
+# per-step input: a tuple of summands, whose supports add, so the lazy and
+# facet strategies never fold the sum
 
 
-class _InputChannel:
-    """Minkowski sum of a few simple sets, evaluated lazily."""
+def _summands(v: Union[SetRep, Sequence[SetRep], None]) -> tuple:
+    """The summands of a per-step input: one set, a sequence of sets
+    (their Minkowski sum) or None."""
+    if v is None:
+        return ()
+    return (v,) if isinstance(v, SetRep) else tuple(v)
 
-    def __init__(self, parts: Sequence[SetRep]):
-        self.parts = [p for p in parts if not _is_origin(p)]
 
-    def __bool__(self):
-        return bool(self.parts)
-
-    @property
-    def dim(self):
-        return self.parts[0].dim
-
-    def support_batch(self, dmat: np.ndarray) -> np.ndarray:
-        total = np.zeros(dmat.shape[1])
-        for p in self.parts:
-            total += support_batch(p, dmat)
-        return total
-
-    def as_set(self) -> SetRep:
-        s = self.parts[0]
-        for p in self.parts[1:]:
-            s = minkowski_sum(s, p)
-        return s
+def _summed_supports(parts: Sequence[SetRep], dmat: np.ndarray) -> np.ndarray:
+    """The supports of the sum of ``parts`` along the columns of ``dmat``,
+    summed from zero, part by part."""
+    total = np.zeros(dmat.shape[1])
+    for p in parts:
+        total += support_batch(p, dmat)
+    return total
 
 
 def _is_origin(s: SetRep) -> bool:
@@ -299,25 +291,30 @@ def _is_origin(s: SetRep) -> bool:
 # single-step operators
 
 
-def step_input_vertices(p: SetRep, v: SetRep, a: np.ndarray) -> VPolytope:
-    """``A P + V`` by explicit vertex propagation.
+def step_input_vertices(p: SetRep, v: Optional[SetRep], a: np.ndarray) -> VPolytope:
+    """``A P + V`` by explicit vertex propagation; ``A P`` without an input
+    (v None).
 
     Each operand enters by its exact vertex form, or else by the corners
-    of its bounding box (flagged inexact).  In 2-d the vertex cloud is
-    reduced to its hull after every step, so the count stays bounded by
-    the true facet structure.
+    of its bounding box (flagged inexact).  An input given as several
+    summands is folded into one set by the caller, once per run.  In 2-d
+    the vertex cloud is reduced to its hull after every step, so the count
+    stays bounded by the true facet structure.
     """
     av = linear_map(as_matrix(a), _vform_enclosure(p))
-    return minkowski_sum(av, _vform_enclosure(v))
+    return av if v is None else minkowski_sum(av, _vform_enclosure(v))
 
 
-def step_input_facets(p: HPolytope, v: SetRep, a: np.ndarray) -> HPolytope:
+def step_input_facets(p: HPolytope, v: Union[SetRep, Sequence[SetRep], None],
+                      a: np.ndarray) -> HPolytope:
     """``A P + V`` by pushing facets of P through the map.
 
     Each facet normal of P is pulled back through A, as ``linear_map``
     does, and its offset raised by the input support, so every facet of
-    the result touches the true sum.  The input may add facet directions
-    that P does not have, so with a full-dimensional input the result is a
+    the result touches the true sum.  V is one set, a sequence of sets
+    (their Minkowski sum, whose supports are summed from zero, part by
+    part), or None for no input.  The input may add facet directions that
+    P does not have, so with a full-dimensional input the result is a
     tight superset and is flagged; it is the exact sum when the input is
     absent or a point.  A singular A loses facet correspondence: the step
     takes ``linear_map``'s template over-approximation of A P, raised the
@@ -333,10 +330,9 @@ def step_input_facets(p: HPolytope, v: SetRep, a: np.ndarray) -> HPolytope:
         img = linear_map(a, p)
     if v is None:
         return img
-    v_batch = (
-        v.support_batch if isinstance(v, _InputChannel) else (lambda d: support_batch(v, d))
-    )
-    return HPolytope(img.normals, img.offsets + v_batch(img.normals.T), exact=False)
+    dmat = img.normals.T
+    raised = support_batch(v, dmat) if isinstance(v, SetRep) else _summed_supports(v, dmat)
+    return HPolytope(img.normals, img.offsets + raised, exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +398,16 @@ def _unfold(basis: np.ndarray, runs, m: int) -> np.ndarray:
 class LazyReachSet:
     """Reach set at step k, represented by its support function.
 
-    Holds the initial set X0, the step matrix A, the per-step input
-    summands, and one evolving matrix: the template directions pulled back
-    to step 0, ``(A^T)^k D^T``, with their accumulated input supports.  The
-    set it denotes is ``A^k X0 + sum_{i<k} A^i U``.  The product advances
-    the template only up to sign: a direction and its negation (or a
-    repeat) share one column, so advancing costs one n x n by n x m'
-    product, m' the number of directions up to sign (n for the box
-    template ``[I; -I]``; m for a template ``_fold_pairs`` leaves as it
-    is).  The supports of a box or zonotope (the base, or an input part)
+    Holds the initial set X0, the step matrix A, the per-step input as a
+    tuple of summands (``input_set`` is one set, a sequence of sets
+    meaning their Minkowski sum, or None), and one evolving matrix: the
+    template directions pulled back to step 0, ``(A^T)^k D^T``, with
+    their accumulated input supports.  The set it denotes is
+    ``A^k X0 + sum_{i<k} A^i U``.  The product advances the template only
+    up to sign: a direction and its negation (or a repeat) share one
+    column, so advancing costs one n x n by n x m' product, m' the number
+    of directions up to sign (n for the box template ``[I; -I]``; m for a
+    template ``_fold_pairs`` leaves as it is).  The supports of a box or zonotope (the base, or an input part)
     are read from those m' columns too, an even part and an odd part per
     column, with one ``|B|`` per step shared by every box; the n x m
     matrix of all template columns is copied back from the m' only when a
@@ -424,14 +421,14 @@ class LazyReachSet:
     into the recurrence, so repeated over-approximation cannot compound.
     """
 
-    __slots__ = ("base", "a", "channel", "k", "dirs", "_runs", "_reads", "_basis", "_full",
+    __slots__ = ("base", "a", "inputs", "k", "dirs", "_runs", "_reads", "_basis", "_full",
                  "_abs", "_acc")
 
     def __init__(
         self,
         base: SetRep,
         a: np.ndarray,
-        input_set: Union[SetRep, _InputChannel, None] = None,
+        input_set: Union[SetRep, Sequence[SetRep], None] = None,
         directions: Optional[np.ndarray] = None,
     ):
         self.base = base
@@ -439,13 +436,8 @@ class LazyReachSet:
         n = self.a.shape[0]
         if self.a.shape != (n, n) or base.dim != n:
             raise ValueError("dimension mismatch between map and initial set")
-        if input_set is None:
-            self.channel = _InputChannel([])
-        elif isinstance(input_set, _InputChannel):
-            self.channel = input_set
-        else:
-            self.channel = _InputChannel([input_set])
-        if self.channel and self.channel.dim != n:
+        self.inputs = _summands(input_set)
+        if any(p.dim != n for p in self.inputs):
             raise ValueError("input set dimension does not match the map")
         if directions is None:
             directions = default_template(n)
@@ -505,14 +497,14 @@ class LazyReachSet:
         new = object.__new__(LazyReachSet)
         new.base = self.base
         new.a = self.a
-        new.channel = self.channel
+        new.inputs = self.inputs
         new.dirs = self.dirs
         new._runs = self._runs
         new._reads = self._reads
         new.k = self.k + 1
-        if self.channel:
-            # summed from zero, part by part, as _InputChannel.support_batch does
-            new._acc = self._acc + sum(self._supports(p) for p in self.channel.parts)
+        if self.inputs:
+            # summed from zero, part by part, as _summed_supports sums them
+            new._acc = self._acc + sum(self._supports(p) for p in self.inputs)
         else:
             new._acc = self._acc
         # each column of the product has the same bits with or without the
@@ -534,8 +526,8 @@ class LazyReachSet:
         """Supports in the columns of ``dmat``, pulled back through k steps."""
         acc = np.zeros(dmat.shape[1])
         for _ in range(self.k):
-            if self.channel:
-                acc += self.channel.support_batch(dmat)
+            if self.inputs:
+                acc += _summed_supports(self.inputs, dmat)
             dmat = self.a.T @ dmat
         return support_batch(self.base, dmat) + acc
 
@@ -691,18 +683,19 @@ def _flow_steps(system: LinearSystem, config: ReachConfig) -> Iterator[Segment]:
         a_step, omega0, err = discretize_continuous(system, config)
         dense = config.bloat_policy == ONCE_HULL
         parts = [] if bv is None else [linear_map(r * np.eye(system.dim), bv)]
-        channel = _InputChannel(parts + [err])
+        parts.append(err)
     else:
         a_step, omega0 = system.a, system.x0
         dense = False
-        channel = _InputChannel([] if bv is None else [bv])
+        parts = [] if bv is None else [bv]
+    inputs = tuple(p for p in parts if not _is_origin(p))
 
     if config.strategy == LAZY:
-        lazy = LazyReachSet(omega0, a_step, channel, config.template)
+        lazy = LazyReachSet(omega0, a_step, inputs, config.template)
         current = lazy.concretize()
     elif config.strategy == VERTICES:
         current = _vform_enclosure(omega0)
-        v_in = _vform_enclosure(channel.as_set()) if channel else None
+        v_in = _vform_enclosure(reduce(minkowski_sum, inputs)) if inputs else None
     else:  # facets
         current = _hform_enclosure(omega0)
 
@@ -715,12 +708,9 @@ def _flow_steps(system: LinearSystem, config: ReachConfig) -> Iterator[Segment]:
             lazy = lazy.advance()
             current = lazy.concretize()
         elif config.strategy == VERTICES:
-            if v_in is not None:
-                current = step_input_vertices(current, v_in, a_step)
-            else:
-                current = linear_map(a_step, current)
+            current = step_input_vertices(current, v_in, a_step)
         else:
-            current = step_input_facets(current, channel if channel else None, a_step)
+            current = step_input_facets(current, inputs if inputs else None, a_step)
 
 
 def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:

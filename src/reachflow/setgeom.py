@@ -20,7 +20,9 @@ for a row of the outer set that such a bound of an inner H-polytope
 already satisfies.  Both prechecks demand a margin of ``_PRECHECK_MARGIN``
 relative to the magnitudes involved, a thousand times the simplex's
 FEAS_TOL, so rounding cannot flip an answer.  The supports of an
-H-polytope share one phase one of the simplex per ``support_batch`` call.
+H-polytope share one phase one of the simplex: ``support`` and
+``support_batch`` keep its start on the set, and the yes/no questions
+only read it.
 
 A run asks these questions of a few fixed sets (a bad set, guards,
 invariants, a domain) at every step.  The drivers hold each as a
@@ -116,9 +118,11 @@ class HPolytope:
     Normals that are already read-only with unit rows are kept as given,
     so sets built over one shared template share one normals buffer.
     The caller's arrays are never frozen: writable input is copied.  The
-    set's own arrays are read-only, so it keeps the simplex start its
-    first LP builds: phase one and the pivot paths taken from it, within
-    the start budget.
+    set's own arrays are read-only, so ``support`` and ``support_batch``
+    keep the simplex start their first LP builds: phase one and the pivot
+    paths taken from it, within the start budget.  The yes/no questions
+    (``is_empty``, ``intersect``, ``contains_set``) solve from that start
+    when the set has one and never keep one of their own.
     """
 
     __slots__ = ("normals", "offsets", "exact", "_start")
@@ -158,15 +162,21 @@ class HPolytope:
         return h
 
     def _lp_start(self) -> _LpStart:
-        """The simplex start every LP over this set's rows solves from.  A
-        start whose phase-one tableau alone is over the start budget is not
-        kept: each call builds its own, so no set holds more than that."""
+        """The simplex start the supports of this set solve from, kept for
+        the set's lifetime.  A start whose phase-one tableau alone is over
+        the start budget is not kept: each call builds its own, so no set
+        holds more than that."""
         if self._start is not None:
             return self._start
         start = _LpStart(self.normals, self.offsets)
         if start.within_budget:
             self._start = start
         return start
+
+    def _read_start(self) -> _LpStart:
+        """The kept start, or else one that is not kept: what a yes/no
+        question solves from, so it leaves the set as it found it."""
+        return self._start if self._start is not None else _LpStart(self.normals, self.offsets)
 
     @property
     def dim(self) -> int:
@@ -181,9 +191,9 @@ class HPolytope:
 
 
 def _drop_start(s: SetRep) -> None:
-    """Drop the simplex start an H-polytope keeps, for a set that outlives
-    the LPs the start served: a start holds up to its byte budget of
-    tableaux."""
+    """Drop the simplex start an H-polytope's supports kept, for a set that
+    outlives the LPs the start served: a start holds up to its byte budget
+    of tableaux."""
     if isinstance(s, HPolytope):
         s._start = None
 
@@ -320,7 +330,7 @@ def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
         i = int(np.argmax(vals))
         return float(vals[i]), s.vertices[i].copy()
     if isinstance(s, HPolytope):
-        results = _hpolytope_solves(s, d[:, None])[1]
+        results = _hpolytope_solves(s, d[:, None], s._lp_start())[1]
         if results is None:
             raise ValueError("support of an empty polytope is undefined")
         (res,) = results
@@ -334,7 +344,8 @@ def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:
     """Support values for many directions at once (columns of dmat).
 
     Values only, no witnesses; zero columns yield 0 (the supremum of the
-    zero functional over a nonempty set).
+    zero functional over a nonempty set).  An H-polytope keeps the simplex
+    start its LPs solve from, as ``support`` does.
     """
     dmat = np.asarray(dmat, dtype=float)
     if dmat.shape[0] != s.dim:
@@ -345,7 +356,7 @@ def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:
     if isinstance(s, VPolytope):
         return (s.vertices @ dmat).max(axis=0)
     if isinstance(s, HPolytope):
-        out = _hpolytope_supports(s, dmat)
+        out = _hpolytope_supports(s, dmat, s._lp_start())
         if out is None:
             raise ValueError("support of an empty polytope is undefined")
         return out
@@ -369,31 +380,33 @@ def _even_odd(s: Box | Zonotope, dmat: np.ndarray, abs_t: np.ndarray | None = No
     return even, (dmat.T @ center if center.any() else None)
 
 
-def _hpolytope_solves(h: HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, list[LpResult] | None]:
+def _hpolytope_solves(h: HPolytope, dmat: np.ndarray,
+                      start: _LpStart) -> tuple[np.ndarray, list[LpResult] | None]:
     """The nonzero columns of ``dmat`` and the simplex's result for each
     over ``h``, from one phase one: the directions share the constraints.
 
-    Solves from ``h``'s kept start, and again, from a start of its own, on
-    ``_relaxed_offsets`` when the simplex calls ``h`` infeasible; the
-    results are None when ``h`` is empty.  ``h`` was checked when it was
-    built, so only the directions are checked here.
+    Solves from ``start``, a start over ``h``'s rows, and again, from a
+    start of its own, on ``_relaxed_offsets`` when the simplex calls ``h``
+    infeasible; the results are None when ``h`` is empty.  ``h`` was
+    checked when it was built, so only the directions are checked here.
     """
     live = np.flatnonzero(np.any(dmat != 0.0, axis=0))
     if live.size == 0:
         return live, []
     objectives = as_matrix(dmat[:, live].T)
-    results = h._lp_start().solve(objectives)
+    results = start.solve(objectives)
     if results[0].status == INFEASIBLE:
-        results = _LpStart(h.normals, _relaxed_offsets(h)).solve(objectives)
+        results = _LpStart(h.normals, _relaxed_offsets(h, start)).solve(objectives)
     if results[0].status == INFEASIBLE:
         return live, None
     return live, results
 
 
-def _hpolytope_supports(h: HPolytope, dmat: np.ndarray) -> np.ndarray | None:
+def _hpolytope_supports(h: HPolytope, dmat: np.ndarray, start: _LpStart) -> np.ndarray | None:
     """Support values of ``h`` along the columns of ``dmat`` (0 on a zero
-    column, inf where ``h`` is unbounded), or None when ``h`` is empty."""
-    live, results = _hpolytope_solves(h, dmat)
+    column, inf where ``h`` is unbounded), solved from ``start``, or None
+    when ``h`` is empty."""
+    live, results = _hpolytope_solves(h, dmat, start)
     if results is None:
         return None
     out = np.zeros(dmat.shape[1])
@@ -401,8 +414,10 @@ def _hpolytope_supports(h: HPolytope, dmat: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def _relaxed_offsets(s: HPolytope) -> np.ndarray:
-    """Offsets to solve again with after the simplex called ``s`` infeasible.
+def _relaxed_offsets(s: HPolytope, start: _LpStart | None = None) -> np.ndarray:
+    """Offsets to solve again with after the simplex called ``s`` infeasible
+    from ``start``, a start over its rows (by default the one ``is_empty``
+    reads).
 
     On a flat set phase one's rounding can say "infeasible" although
     ``is_empty`` finds a point meeting every row.  Then every offset is
@@ -410,7 +425,7 @@ def _relaxed_offsets(s: HPolytope) -> np.ndarray:
     those of ``s`` from above, and a witness misses a row of ``s`` by at
     most that much.  An empty ``s`` keeps its offsets and stays infeasible.
     """
-    if is_empty(s):
+    if _empty(s, s._read_start() if start is None else start):
         return s.offsets
     return as_vector(s.offsets + TOL * (1.0 + np.abs(s.offsets)))
 
@@ -577,8 +592,8 @@ def intersect(s1: SetRep, s2: SetRep) -> SetRep | None:
     every stacked row is an axis row (+-e_i) the common part is a box, and
     corners that meet on every axis give a point on every row: the answer
     is "not disjoint" without the simplex.  Otherwise ``is_empty`` on the
-    stacked rows decides.  The result carries no simplex start: a clipped
-    segment outlives the run.
+    stacked rows decides; it keeps no start, so the H-polytope returned
+    keeps no simplex start.
 
     This is ``_Prepared(s2).intersect(s1)``; a driver that checks many
     sets against one fixed s2 keeps the ``_Prepared`` operand.
@@ -593,25 +608,30 @@ _REFINE_BAND = 1e-6
 
 
 def is_empty(s: SetRep) -> bool:
-    """Emptiness check; H-polytopes are decided by LP feasibility."""
+    """Emptiness check; H-polytopes are decided by LP feasibility.  Phase
+    one runs from the simplex start ``support_batch`` kept on the set, if
+    any, or else from one that is not kept: the set keeps no start."""
     if isinstance(s, (Box, VPolytope, Zonotope)):
         return False
     if isinstance(s, HPolytope):
-        if s.nrows == 0:
-            return False
-        res = s._lp_start().infeasible
-        if res is None:
-            return False
-        # phase one can misjudge a flat set by its own rounding: "empty"
-        # stands only when its last basic point misses some row, and so does
-        # that point re-solved, by least squares, on the rows it nearly meets
-        gap = s.normals @ res.x - s.offsets
-        if np.all(gap <= TOL):
-            return False
-        near = gap >= -_REFINE_BAND
-        x = res.x - np.linalg.lstsq(s.normals[near], gap[near], rcond=None)[0]
-        return not np.all(s.normals @ x <= s.offsets + TOL)
+        return _empty(s, s._read_start())
     raise TypeError(f"unknown set representation {type(s).__name__}")
+
+
+def _empty(h: HPolytope, start: _LpStart) -> bool:
+    """``is_empty(h)``, read from ``start``, a start over h's rows."""
+    res = start.infeasible
+    if res is None:
+        return False
+    # phase one can misjudge a flat set by its own rounding: "empty"
+    # stands only when its last basic point misses some row, and so does
+    # that point re-solved, by least squares, on the rows it nearly meets
+    gap = h.normals @ res.x - h.offsets
+    if np.all(gap <= TOL):
+        return False
+    near = gap >= -_REFINE_BAND
+    x = res.x - np.linalg.lstsq(h.normals[near], gap[near], rcond=None)[0]
+    return not np.all(h.normals @ x <= h.offsets + TOL)
 
 
 # a facet row decides a yes/no query without the simplex only when it
@@ -850,7 +870,6 @@ class _Prepared:
                                exact=op1.exact and self.op.exact)
         if not stack.corners_meet(h.offsets) and is_empty(h):
             return None
-        _drop_start(h)
         return h
 
     def meets(self, s1: SetRep) -> bool:
@@ -858,9 +877,9 @@ class _Prepared:
         return self.intersect(s1) is not None
 
     def contains(self, p: SetRep, tol: float = TOL) -> bool:
-        """``contains_set(s, p, tol)`` for the prepared single set s.  A
-        simplex start its row LPs build on p is dropped: p is a segment
-        that outlives the run."""
+        """``contains_set(s, p, tol)`` for the prepared single set s.  The
+        row LPs of one call solve from one start: p's kept start, or else
+        one that p does not keep."""
         if not self.exact_form:
             q = self.set
             raise UnsupportedCheck(
@@ -877,19 +896,17 @@ class _Prepared:
             memo.inside = _RowBound(p.normals, normals.T)
         bound, mag = memo.inside(p.offsets)
         open_rows = ~_clears(bound - offsets - tol, offsets, mag)
-        fresh = p._start is None
-        try:
-            # one LP per row, so stop early
-            for a_row, b_row in zip(normals[open_rows], offsets[open_rows]):
-                value = _hpolytope_supports(p, a_row[:, None])
-                if value is None:
-                    return True  # p is empty
-                if value[0] > b_row + tol:
-                    return False
+        if not open_rows.any():
             return True
-        finally:
-            if fresh:
-                _drop_start(p)
+        start = p._read_start()
+        # one LP per row, so stop early
+        for a_row, b_row in zip(normals[open_rows], offsets[open_rows]):
+            value = _hpolytope_supports(p, a_row[:, None], start)
+            if value is None:
+                return True  # p is empty
+            if value[0] > b_row + tol:
+                return False
+        return True
 
 
 def convex_hull_2d(points) -> VPolytope:
@@ -1199,9 +1216,9 @@ def _vform_enclosure(s: SetRep) -> VPolytope:
     return Box(*axis_bounds(s), exact=False).to_vpolytope() if v is None else v
 
 
-def _box_difference(p: Box, b: Box, tol: float) -> list[Box]:
-    """p minus b as a disjoint list of boxes (empty list when b covers p);
-    a piece no wider than tol is dropped."""
+def _box_difference(p: Box, b: Box) -> list[Box]:
+    """p minus b as a list of boxes that meet only on their faces (empty
+    when b covers p), cut exactly at b's faces."""
     corners = _box_overlap(p, b)
     if corners is None:
         return [p]
@@ -1210,12 +1227,12 @@ def _box_difference(p: Box, b: Box, tol: float) -> list[Box]:
     lo = p.lower.copy()
     hi = p.upper.copy()
     for i in range(p.dim):
-        if cut_lo[i] > lo[i] + tol:
+        if cut_lo[i] > lo[i]:
             nhi = hi.copy()
             nhi[i] = cut_lo[i]
             out.append(Box(lo.copy(), nhi))
             lo[i] = cut_lo[i]
-        if cut_hi[i] < hi[i] - tol:
+        if cut_hi[i] < hi[i]:
             nlo = lo.copy()
             nlo[i] = cut_hi[i]
             out.append(Box(nlo, hi.copy()))
@@ -1228,15 +1245,17 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
 
     q may be a single set or a list of sets (a union).  Single sets are
     decided exactly through their facet form (support of p vs offsets).
-    Box unions against a box p use successive set difference (sifting),
-    dropping pieces no wider than tol;
-    other unions use the sound one-sided test "p inside some single
-    member", which may answer False for a genuinely covered p.  An empty
+    Box unions against a box p use successive set difference (sifting)
+    from each member widened by tol on every axis, the band a single box
+    gives each of its facet rows; other unions use the sound one-sided
+    test "p inside some single member", which may answer False for a
+    genuinely covered p.  An empty
     list covers nothing.  An infeasible H-polytope p is the empty set, so
     every single set contains it: the precheck or the first LP row test
     answers True.  A row of q that the support bound of an H-polytope p
-    (see ``intersect``) keeps inside by ``_PRECHECK_MARGIN`` needs no LP,
-    and p keeps no simplex start the row LPs build.
+    (see ``intersect``) keeps inside by ``_PRECHECK_MARGIN`` needs no LP;
+    the row LPs solve from p's kept simplex start, if any, and p keeps no
+    start they build.
 
     A single q is ``_Prepared(q).contains(p, tol)``; a driver that checks
     many sets against one fixed q keeps the ``_Prepared`` operand.
@@ -1245,7 +1264,8 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
         if isinstance(p, Box) and all(isinstance(m, Box) for m in q):
             pieces = [p]
             for b in q:
-                pieces = [frag for piece in pieces for frag in _box_difference(piece, b, tol)]
+                wide = Box(b.lower - tol, b.upper + tol)
+                pieces = [frag for piece in pieces for frag in _box_difference(piece, wide)]
                 if not pieces:
                     return True
             return False

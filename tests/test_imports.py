@@ -2,8 +2,9 @@
 private top-level helper and private method is referenced somewhere in
 the package, every
 parameter of a package function is read in its body, every parameter with
-a default is set by some call, every function the benchmark's tracer
-wraps still exists, and every name the package exports in ``__all__``
+a default is set by some call, no annotation of a public function or
+method names a private type, every function the benchmark's tracer wraps
+still exists, and every name the package exports in ``__all__``
 resolves, so ``from reachflow import *`` works.
 
 Refactors that delete call sites tend to leave imports behind; no linter
@@ -295,6 +296,66 @@ def test_detects_a_never_set_parameter():
         "a.py: m(y) (line 5)",
         "a.py: g(unset) (line 11)",
         "a.py: g(kw) (line 11)",
+    ]
+
+
+def _annotation_names(ann):
+    """Every identifier an annotation names, quoted parts included."""
+    for node in ast.walk(ann):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from _annotation_names(ast.parse(node.value, mode="eval"))
+
+
+def _private_in_signatures(tree):
+    """``name: private names (line n)`` for each public top-level function,
+    and each public method or ``__init__`` of a public top-level class,
+    whose annotations name a private (underscore) name."""
+    functions = [(node.name, node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            functions += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body
+                          if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and (fn.name == "__init__" or not fn.name.startswith("_"))]
+    for name, fn in functions:
+        if name.startswith("_"):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        anns = [a.annotation for a in params if a.annotation is not None]
+        anns += [fn.returns] if fn.returns is not None else []
+        private = sorted({n for ann in anns for n in _annotation_names(ann) if n.startswith("_")})
+        if private:
+            yield f"{name}: {', '.join(private)} (line {fn.lineno})"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_public_signatures_name_no_private_type(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = list(_private_in_signatures(tree))
+    assert not named, f"{path.name} has public signatures naming private names: {', '.join(named)}"
+
+
+def test_detects_a_private_type_in_a_public_signature():
+    tree = ast.parse(
+        "class _Wrap:\n    pass\n\n"
+        "class Set:\n"
+        "    def __init__(self, parts: Union[Box, _Wrap]):\n        pass\n\n"
+        "    def grow(self) -> \"_Wrap\":\n        pass\n\n"
+        "    def _inner(self, w: _Wrap):\n        pass\n\n"
+        "def step(v: mod._Wrap, k: int = 0) -> Box:\n    pass\n\n"
+        "def _helper(w: _Wrap):\n    pass\n\n"
+        "def fine(v: Box) -> Optional[Box]:\n    pass\n"
+    )
+    assert list(_private_in_signatures(tree)) == [
+        "step: _Wrap (line 14)",
+        "Set.__init__: _Wrap (line 5)",
+        "Set.grow: _Wrap (line 8)",
     ]
 
 

@@ -25,7 +25,6 @@ from reachflow.linreach import (
     LinearSystem,
     ReachConfig,
     _flow_steps,
-    _InputChannel,
     _template_dominates,
     discretize_continuous,
     reach,
@@ -378,7 +377,7 @@ class TestFoldedTemplate:
         a, x0, parts, t = case
         dirs = t / np.linalg.norm(t, axis=1)[:, None]
         want = unfolded_offsets(x0, a, parts, dirs, 20)
-        s = LazyReachSet(x0, a, _InputChannel(parts), t)
+        s = LazyReachSet(x0, a, parts, t)
         for step in range(21):
             assert s.concretize().offsets.tobytes() == want[step].tobytes(), step
             if step == k:
@@ -457,7 +456,7 @@ class TestFoldedTemplate:
                          Zonotope(c, rng.normal(size=(n, 1)))):
                 for parts in ([], inputs[:1], inputs[1:], inputs):
                     want = unfolded_offsets(base, a, parts, dirs, 8)
-                    s = LazyReachSet(base, a, _InputChannel(parts), t)
+                    s = LazyReachSet(base, a, parts, t)
                     if s._runs is not None:
                         assert s._reads == (cols % 4 == 0 and m % 4 == 0)
                     for step in range(9):

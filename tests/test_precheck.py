@@ -662,6 +662,14 @@ class TestKeptStart:
         assert len(pipe.domains) == 6
         assert all(seg.set_rep._start is None for seg in pipe.segments)
 
+    def test_van_der_pol_solve_counts_are_pinned(self, monkeypatch):
+        # the run above solves from the starts its entries' supports keep:
+        # with no start kept it takes 76 phase ones and 766 pivots
+        phase_ones = count_calls(monkeypatch, numkernel, "_phase_one")
+        pivots = count_calls(monkeypatch, numkernel, "_pivot")
+        self.test_van_der_pol_offsets_are_pinned()
+        assert phase_ones == [20] and pivots == [185]
+
     def test_post_jump_flow_offsets_are_pinned(self):
         # a spiral bouncing between two walls; every entry after a jump is
         # an H-polytope, so each of its flow's steps is an LP batch
@@ -705,6 +713,57 @@ class TestNoStartOnIntersections:
         assert len(flow.segments) == 101
         assert all(isinstance(seg.set_rep, HPolytope) for seg in flow.segments)
         assert all(seg.set_rep._start is None for seg in flow.segments)
+
+
+@st.composite
+def question_pairs(draw):
+    """Two H-polytopes or boxes of one dimension, flat, touching and empty
+    ones included; each box may enter in H-form, and each H-polytope may
+    hold the simplex start its supports keep."""
+    pair = draw(st.one_of(
+        box_pairs().map(lambda case: case[:2]),
+        st.integers(1, 3).flatmap(lambda n: st.tuples(
+            *[st.one_of(boxes(n), template_hpolytopes(n), parallelotopes(n),
+                        flat_parallelotopes(n))] * 2))))
+    out = []
+    for s in pair:
+        if isinstance(s, Box) and draw(st.booleans()):
+            s = s.to_hpolytope()
+        if isinstance(s, HPolytope) and draw(st.booleans()):
+            s._lp_start()
+        out.append(s)
+    return out
+
+
+class TestQuestionsKeepNoStart:
+    """Only ``support`` and ``support_batch`` keep an H-polytope's simplex
+    start; ``intersect``, ``meets``, ``contains_set`` and ``is_empty`` read
+    a kept start and leave none of their own, one-off or through a reused
+    prepared operand."""
+
+    @PROPERTY
+    @given(question_pairs())
+    def test_operands_are_left_as_they_were_found(self, pair):
+        starts = [s._start if isinstance(s, HPolytope) else None for s in pair]
+        for p, q in (pair, pair[::-1]):
+            fixed = sg._Prepared(q)
+            want = (sg.intersect(p, q), sg.meets(p, q),
+                    containment(lambda s: sg.contains_set(q, s), p))
+            for _ in range(2):
+                assert_same_set(fixed.intersect(p), want[0])
+                assert fixed.meets(p) == want[1]
+                assert containment(fixed.contains, p) == want[2]
+        for s, start in zip(pair, starts):
+            if isinstance(s, HPolytope):
+                # a kept start answers as a fresh one does
+                assert sg.is_empty(s) == sg.is_empty(HPolytope(s.normals, s.offsets))
+                assert s._start is start
+
+    def test_is_empty_solves_from_a_kept_start(self, monkeypatch):
+        h = TestKeptStart.octagon_segment()
+        start = h._lp_start()
+        calls = count_calls(monkeypatch, numkernel, "_phase_one")
+        assert not sg.is_empty(h) and calls == [0] and h._start is start
 
 
 class TestCounters:

@@ -29,6 +29,24 @@ def same_set(a, b, tol=1e-9):
     return sg.contains_set(a, b, tol) and sg.contains_set(b, a, tol)
 
 
+@st.composite
+def dyadic_boxes(draw, n):
+    """Boxes whose corners are multiples of 1/8, flat axes included."""
+    lo = np.array(draw(st.lists(st.integers(-32, 32), min_size=n, max_size=n))) / 8.0
+    wide = np.array(draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))) / 8.0
+    return Box(lo, lo + wide)
+
+
+@st.composite
+def dyadic_box_pairs(draw):
+    """``(q, p)``: dyadic boxes where p's corners lie within 1/2 of q's."""
+    n = draw(st.integers(1, 3))
+    q = draw(dyadic_boxes(n))
+    lo, hi = (corner + np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))) / 8.0
+              for corner in (q.lower, q.upper))
+    return q, Box(lo, np.maximum(lo, hi))
+
+
 class TestMember:
     def test_box_interior_and_near_boundary(self):
         b = unit_box()
@@ -339,6 +357,17 @@ class TestContainsSet:
         assert sg.contains_set(q, p, tol=0.1)
         assert not sg.contains_set(q, p)
         assert sg.contains_set(Box([0.0], [1.95]), p, tol=0.1)
+
+    def test_box_union_widens_a_member_that_does_not_overlap(self):
+        assert sg.contains_set([Box([0.0], [1.0])], Box([1.05], [1.06]), tol=0.1)
+        assert not sg.contains_set([Box([0.0], [1.0])], Box([1.05], [1.06]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_box_pairs(), st.integers(0, 8).map(lambda k: k / 16.0))
+    def test_one_member_union_answers_as_the_single_set(self, pair, tol):
+        # dyadic corners and tolerances: both paths compute exactly
+        q, p = pair
+        assert sg.contains_set([q], p, tol=tol) == sg.contains_set(q, p, tol=tol)
 
     def test_union_one_sided_fallback(self):
         q = [diamond_h(), Box([-2.0, -2.0], [2.0, 2.0])]
