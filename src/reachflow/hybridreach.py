@@ -36,6 +36,7 @@ from .setgeom import (
     Box,
     HPolytope,
     SetRep,
+    _drop_start,
     _exact_hform,
     _member_rows,
     _Prepared,
@@ -230,7 +231,9 @@ def mode_reach(
     are prepared once per call (``setgeom._Prepared``): the segments share
     one template and the clipped pieces one stacked template, so a step's
     questions cost arithmetic on its offsets unless one of them needs the
-    emptiness LP.
+    emptiness LP.  Setting the flow up asks the entry's supports, which
+    keep a simplex start on an H-polytope entry; the entry is handed back
+    as a jump's post, so the call lets go of that start before it returns.
 
     Returns ``(segments, hits, status, status_step)`` where hits lists,
     for each transition in order, its per-step guard pieces
@@ -266,6 +269,7 @@ def mode_reach(
         if k >= nsteps:
             break
 
+    _drop_start(entry)
     return tuple(segments), hits, status, status_step
 
 

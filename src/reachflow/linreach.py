@@ -330,18 +330,18 @@ def step_input_facets(p: HPolytope, v: Union[SetRep, Sequence[SetRep], None],
         img = linear_map(a, p)
     if v is None:
         return img
-    dmat = img.normals.T
-    raised = support_batch(v, dmat) if isinstance(v, SetRep) else _summed_supports(v, dmat)
+    raised = _summed_supports(_summands(v), img.normals.T)
     return HPolytope(img.normals, img.offsets + raised, exact=False)
 
 
 # ---------------------------------------------------------------------------
 # lazy strategy
 
-# most runs a folded template may take to copy back.  Each run is one numpy
-# call: the octagon templates of dimensions 2-4 take 5, 11 and 20, and
-# their products are too small for the halving to pay that (1000 steps of
-# the 4-d octagon take 40 ms unfolded and 110 ms folded)
+# most runs a folded template may take: a run is a stretch of rows whose
+# sources are consecutive kept rows under one sign.  The octagon templates
+# of dimensions 2-4 take 5, 11 and 20, and their products are too small for
+# the halving to pay for the gathers (1000 steps of the 4-d octagon take
+# 40 ms unfolded and 110 ms folded)
 _MAX_RUNS = 4
 
 # a box's or zonotope's supports are read from the folded columns only when
@@ -350,49 +350,42 @@ _MAX_RUNS = 4
 # and OpenBLAS's gemv rounds a row the same way whatever the row count only
 # inside its 4-row blocks: outside them a row of the m' folded columns can
 # differ in the last bit from the same row among all m, so other templates
-# read the copied-back columns
+# read the gathered columns
 _GEMV_BLOCK = 4
 
 
 def _fold_pairs(dirs: np.ndarray):
-    """The template up to sign: ``(keep, runs)``, or None when it does not
-    fold.
+    """The template up to sign: ``(keep, src, sign)``, or None when it does
+    not fold.
 
     A row that equals an earlier row or its negation, compared as values
     (so 0.0 and -0.0 match), folds onto that row.  ``keep`` indexes the
-    rows that do not; each run ``[start, stop, src, sign]`` says that rows
-    start..stop-1 are ``sign`` times kept rows src, src+1, ... in order.
-    A template folds only when that takes at most ``_MAX_RUNS`` runs and
-    leaves two rows or more: numpy takes a product with one column by its
-    matrix-vector routine, which rounds differently from the matrix-matrix
-    one (the same routine, gemv, is why supports are read from the folded
-    columns only on ``_GEMV_BLOCK``-aligned row counts).
+    rows that do not; row i of the template is ``sign[i]`` (+-1.0) times
+    kept row ``src[i]``.  A template folds only when it takes at most
+    ``_MAX_RUNS`` runs and leaves two rows or more: numpy takes a product
+    with one column by its matrix-vector routine, which rounds differently
+    from the matrix-matrix one (the same routine, gemv, is why supports are
+    read from the folded columns only on ``_GEMV_BLOCK``-aligned row
+    counts).
     """
-    keep, runs, seen = [], [], {}
+    keep, src, sign, seen = [], [], [], {}
     for i, row in enumerate(dirs):
         key = (row + 0.0).tobytes()  # adding 0.0 turns -0.0 into 0.0
-        j, sign = seen.get(key), 1.0
+        j, s = seen.get(key), 1.0
         if j is None:
-            j, sign = seen.get((-row + 0.0).tobytes()), -1.0
+            j, s = seen.get((-row + 0.0).tobytes()), -1.0
         if j is None:
-            j, sign = len(keep), 1.0
+            j, s = len(keep), 1.0
             seen[key] = j
             keep.append(i)
-        if runs and runs[-1][3] == sign and runs[-1][2] + i - runs[-1][0] == j:
-            runs[-1][1] += 1  # row i continues the last run
-        else:
-            runs.append([i, i + 1, j, sign])
-    if len(keep) == len(dirs) or len(keep) < 2 or len(runs) > _MAX_RUNS:
+        src.append(j)
+        sign.append(s)
+    src, sign = np.array(src), np.array(sign)
+    # a run starts at row 0 and wherever the sign flips or the source jumps
+    runs = 1 + np.count_nonzero((sign[1:] != sign[:-1]) | (src[1:] != src[:-1] + 1))
+    if len(keep) == len(dirs) or len(keep) < 2 or runs > _MAX_RUNS:
         return None
-    return keep, runs
-
-
-def _unfold(basis: np.ndarray, runs, m: int) -> np.ndarray:
-    """The m template columns, copied run by run from the kept ones."""
-    full = np.empty((basis.shape[0], m))
-    for start, stop, src, sign in runs:
-        np.multiply(basis[:, src:src + stop - start], sign, out=full[:, start:stop])
-    return full
+    return keep, src, sign
 
 
 class LazyReachSet:
@@ -407,12 +400,14 @@ class LazyReachSet:
     up to sign: a direction and its negation (or a repeat) share one
     column, so advancing costs one n x n by n x m' product, m' the number
     of directions up to sign (n for the box template ``[I; -I]``; m for a
-    template ``_fold_pairs`` leaves as it is).  The supports of a box or zonotope (the base, or an input part)
-    are read from those m' columns too, an even part and an odd part per
-    column, with one ``|B|`` per step shared by every box; the n x m
-    matrix of all template columns is copied back from the m' only when a
-    step asks for it: for an H- or V-polytope, or when the row counts are
-    not ``_GEMV_BLOCK``-aligned.
+    template ``_fold_pairs`` leaves as it is); the fold is two per-row
+    maps, each template row's source column and sign.  The supports of a
+    box or zonotope (the base, or an input part) are read from those m'
+    columns too, an even part and an odd part per column, with one ``|B|``
+    per step shared by every box; the n x m matrix of all template columns
+    is gathered from the m' through the maps only when a step asks for it:
+    for an H- or V-polytope, or when the row counts are not
+    ``_GEMV_BLOCK``-aligned.
     Every concretization answers the template from these columns alone.
     The template is scaled to unit rows once and kept read-only, so all
     segments of one flowpipe share one normals buffer.  Any other
@@ -421,8 +416,8 @@ class LazyReachSet:
     into the recurrence, so repeated over-approximation cannot compound.
     """
 
-    __slots__ = ("base", "a", "inputs", "k", "dirs", "_runs", "_reads", "_basis", "_full",
-                 "_abs", "_acc")
+    __slots__ = ("base", "a", "inputs", "k", "dirs", "_src", "_sign", "_reads", "_basis",
+                 "_full", "_abs", "_acc")
 
     def __init__(
         self,
@@ -449,7 +444,7 @@ class LazyReachSet:
         self.k = 0
         self.dirs = dirs
         fold = _fold_pairs(dirs)
-        self._runs = None if fold is None else fold[1]
+        self._src, self._sign = (None, None) if fold is None else fold[1:]
         # whether box and zonotope supports are read from _basis
         self._reads = fold is None or (len(fold[0]) % _GEMV_BLOCK == 0
                                        and dirs.shape[0] % _GEMV_BLOCK == 0)
@@ -465,10 +460,11 @@ class LazyReachSet:
 
     @property
     def _cur(self) -> np.ndarray:
-        """The m template columns ``(A^T)^k D^T``, copied back from the
-        folded ones on first use."""
+        """The m template columns ``(A^T)^k D^T``, gathered from the folded
+        ones on first use."""
         if self._full is None:
-            self._full = _unfold(self._basis, self._runs, self.dirs.shape[0])
+            self._full = np.multiply(self._basis[:, self._src], self._sign,
+                                     out=np.empty((self.dim, self.dirs.shape[0])))
         return self._full
 
     def _supports(self, s: SetRep) -> np.ndarray:
@@ -485,13 +481,10 @@ class LazyReachSet:
         if isinstance(s, Box) and self._abs is None:
             self._abs = np.abs(self._basis.T)
         even, odd = _even_odd(s, self._basis, self._abs)
-        if self._runs is None:
+        if self._src is None:
             return even if odd is None else odd + even
-        out = np.empty(self.dirs.shape[0])
-        for start, stop, src, sign in self._runs:
-            cols = slice(src, src + stop - start)
-            out[start:stop] = even[cols] if odd is None else sign * odd[cols] + even[cols]
-        return out
+        src = self._src
+        return even[src] if odd is None else self._sign * odd[src] + even[src]
 
     def advance(self) -> "LazyReachSet":
         new = object.__new__(LazyReachSet)
@@ -499,7 +492,8 @@ class LazyReachSet:
         new.a = self.a
         new.inputs = self.inputs
         new.dirs = self.dirs
-        new._runs = self._runs
+        new._src = self._src
+        new._sign = self._sign
         new._reads = self._reads
         new.k = self.k + 1
         if self.inputs:
@@ -511,7 +505,7 @@ class LazyReachSet:
         # folded columns beside it, so the supports read the unfolded
         # matrix bit for bit
         new._basis = self.a.T @ self._basis
-        new._full = new._basis if self._runs is None else None
+        new._full = new._basis if self._src is None else None
         new._abs = None
         return new
 

@@ -10,9 +10,9 @@ walks the tableaux reached from it, shared by every objective over the
 same constraints and kept up to a byte budget (``_START_BYTES_CAP``), and
 each objective carries only its own objective row, so every result
 equals a cold solve bit for bit.  An H-polytope's ``support`` and
-``support_batch`` keep their start for the set's lifetime, and its yes/no
-questions (emptiness, containment rows) only read it.  ``lp_max`` is the
-one checked entry."""
+``support_batch`` keep their start for the set's lifetime; its yes/no
+questions (emptiness, containment rows) solve from starts they do not
+keep.  ``lp_max`` is the one checked entry."""
 
 from __future__ import annotations
 

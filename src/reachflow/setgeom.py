@@ -21,8 +21,8 @@ already satisfies.  Both prechecks demand a margin of ``_PRECHECK_MARGIN``
 relative to the magnitudes involved, a thousand times the simplex's
 FEAS_TOL, so rounding cannot flip an answer.  The supports of an
 H-polytope share one phase one of the simplex: ``support`` and
-``support_batch`` keep its start on the set, and the yes/no questions
-only read it.
+``support_batch`` keep its start on the set, nothing else reads it, and
+each yes/no question solves from a start of its own.
 
 A run asks these questions of a few fixed sets (a bad set, guards,
 invariants, a domain) at every step.  The drivers hold each as a
@@ -120,9 +120,9 @@ class HPolytope:
     The caller's arrays are never frozen: writable input is copied.  The
     set's own arrays are read-only, so ``support`` and ``support_batch``
     keep the simplex start their first LP builds: phase one and the pivot
-    paths taken from it, within the start budget.  The yes/no questions
-    (``is_empty``, ``intersect``, ``contains_set``) solve from that start
-    when the set has one and never keep one of their own.
+    paths taken from it, within the start budget.  Nothing else reads it:
+    the yes/no questions (``is_empty``, ``intersect``, ``contains_set``)
+    each solve from a start of their own that they do not keep.
     """
 
     __slots__ = ("normals", "offsets", "exact", "_start")
@@ -172,11 +172,6 @@ class HPolytope:
         if start.within_budget:
             self._start = start
         return start
-
-    def _read_start(self) -> _LpStart:
-        """The kept start, or else one that is not kept: what a yes/no
-        question solves from, so it leaves the set as it found it."""
-        return self._start if self._start is not None else _LpStart(self.normals, self.offsets)
 
     @property
     def dim(self) -> int:
@@ -416,8 +411,8 @@ def _hpolytope_supports(h: HPolytope, dmat: np.ndarray, start: _LpStart) -> np.n
 
 def _relaxed_offsets(s: HPolytope, start: _LpStart | None = None) -> np.ndarray:
     """Offsets to solve again with after the simplex called ``s`` infeasible
-    from ``start``, a start over its rows (by default the one ``is_empty``
-    reads).
+    from ``start``, a start over its rows (by default a fresh one, as
+    ``is_empty`` builds).
 
     On a flat set phase one's rounding can say "infeasible" although
     ``is_empty`` finds a point meeting every row.  Then every offset is
@@ -425,7 +420,7 @@ def _relaxed_offsets(s: HPolytope, start: _LpStart | None = None) -> np.ndarray:
     those of ``s`` from above, and a witness misses a row of ``s`` by at
     most that much.  An empty ``s`` keeps its offsets and stays infeasible.
     """
-    if _empty(s, s._read_start() if start is None else start):
+    if _empty(s, _LpStart(s.normals, s.offsets) if start is None else start):
         return s.offsets
     return as_vector(s.offsets + TOL * (1.0 + np.abs(s.offsets)))
 
@@ -608,13 +603,12 @@ _REFINE_BAND = 1e-6
 
 
 def is_empty(s: SetRep) -> bool:
-    """Emptiness check; H-polytopes are decided by LP feasibility.  Phase
-    one runs from the simplex start ``support_batch`` kept on the set, if
-    any, or else from one that is not kept: the set keeps no start."""
+    """Emptiness check; H-polytopes are decided by LP feasibility, phase
+    one run from a simplex start that the set does not keep."""
     if isinstance(s, (Box, VPolytope, Zonotope)):
         return False
     if isinstance(s, HPolytope):
-        return _empty(s, s._read_start())
+        return _empty(s, _LpStart(s.normals, s.offsets))
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
 
@@ -878,8 +872,7 @@ class _Prepared:
 
     def contains(self, p: SetRep, tol: float = TOL) -> bool:
         """``contains_set(s, p, tol)`` for the prepared single set s.  The
-        row LPs of one call solve from one start: p's kept start, or else
-        one that p does not keep."""
+        row LPs of one call solve from one start that p does not keep."""
         if not self.exact_form:
             q = self.set
             raise UnsupportedCheck(
@@ -898,7 +891,7 @@ class _Prepared:
         open_rows = ~_clears(bound - offsets - tol, offsets, mag)
         if not open_rows.any():
             return True
-        start = p._read_start()
+        start = _LpStart(p.normals, p.offsets)
         # one LP per row, so stop early
         for a_row, b_row in zip(normals[open_rows], offsets[open_rows]):
             value = _hpolytope_supports(p, a_row[:, None], start)
@@ -1254,8 +1247,7 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
     every single set contains it: the precheck or the first LP row test
     answers True.  A row of q that the support bound of an H-polytope p
     (see ``intersect``) keeps inside by ``_PRECHECK_MARGIN`` needs no LP;
-    the row LPs solve from p's kept simplex start, if any, and p keeps no
-    start they build.
+    the row LPs share one simplex start that p does not keep.
 
     A single q is ``_Prepared(q).contains(p, tol)``; a driver that checks
     many sets against one fixed q keeps the ``_Prepared`` operand.

@@ -4,7 +4,8 @@ the package, every
 parameter of a package function is read in its body, every parameter with
 a default is set by some call, no annotation of a public function or
 method names a private type, every function the benchmark's tracer wraps
-still exists, and every name the package exports in ``__all__``
+still exists, only ``setgeom`` keeps or reads a simplex start (``numkernel``
+defines the start type), and every name the package exports in ``__all__``
 resolves, so ``from reachflow import *`` works.
 
 Refactors that delete call sites tend to leave imports behind; no linter
@@ -398,3 +399,61 @@ def test_detects_a_stale_public_name():
     stale.__all__ = ["Box", "Empty"]
     stale.Box = object
     assert _unresolved(stale) == ["Empty"]
+
+
+# the names through which a simplex start is built, kept or read, and the
+# modules that may name each: setgeom owns the rule for starts, numkernel
+# defines the start type; any other module reaches a start only through
+# setgeom._drop_start
+_START_NAMES = {"_LpStart": {"setgeom.py", "numkernel.py"},
+                "_start": {"setgeom.py"}, "_lp_start": {"setgeom.py"}}
+
+
+def _start_uses(module, tree):
+    """``module: name (line n)`` for each place ``tree`` names a start
+    name it may not: as a name, an attribute, an import, a definition or a
+    string (as ``getattr`` would take it)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        for name in names:
+            if module not in _START_NAMES.get(name, {module}):
+                yield f"{module}: {name} (line {node.lineno})"
+
+
+def test_only_setgeom_keeps_and_reads_starts():
+    found = sorted(
+        use for path in PACKAGE.glob("*.py")
+        for use in _start_uses(path.name, ast.parse(path.read_text(), filename=str(path))))
+    assert not found, f"start names outside setgeom: {', '.join(found)}"
+
+
+def test_detects_a_start_read_outside_setgeom():
+    tree = ast.parse(
+        "from .numkernel import _LpStart\n"
+        "from .setgeom import _drop_start\n\n"
+        "def f(h, start):\n"
+        "    _drop_start(h)\n"
+        "    s = h._start or h._lp_start()\n"
+        "    return getattr(h, '_start'), _LpStart(h.normals, h.offsets), start\n"
+    )
+    assert sorted(_start_uses("linreach.py", tree)) == [
+        "linreach.py: _LpStart (line 1)",
+        "linreach.py: _LpStart (line 7)",
+        "linreach.py: _lp_start (line 6)",
+        "linreach.py: _start (line 6)",
+        "linreach.py: _start (line 7)",
+    ]
+    assert list(_start_uses("numkernel.py", ast.parse("class _LpStart:\n    pass\n"))) == []
+    assert list(_start_uses("numkernel.py", ast.parse("x._start = 1\n"))) == [
+        "numkernel.py: _start (line 1)"]

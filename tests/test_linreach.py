@@ -402,6 +402,33 @@ class TestFoldedTemplate:
         for t, cols in cases:
             assert LazyReachSet(unit_box(3), np.eye(3), directions=t)._basis.shape == (3, cols)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_maps_rebuild_every_template_row(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        rows = rng.normal(size=(int(rng.integers(2, 6)), n))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        m = len(rows)
+        for t, kept in ((np.vstack([rows, -rows]), m),
+                        (np.vstack([rows, rng.normal(size=(2, n)) + 3.0, -rows[::-1][:2]]), m + 2),
+                        (np.vstack([rows, rows, -rows[:1], rows[:1]]), m),
+                        (np.vstack([rows, np.where(rows == 0.0, -0.0, rows)]), m)):
+            dirs = t / np.linalg.norm(t, axis=1)[:, None]
+            keep, src, sign = linreach._fold_pairs(dirs)
+            assert len(keep) == kept
+            assert set(sign.tolist()) <= {1.0, -1.0}
+            # compared as values: a -0.0 in a row matches the kept 0.0
+            assert np.all(dirs == sign[:, None] * dirs[keep][src])
+
+    def test_default_templates_fold_from_five_dimensions(self):
+        for n in range(1, 9):
+            fold = linreach._fold_pairs(default_template(n))
+            # the octagons of dimensions 2-4 take more runs than _MAX_RUNS
+            if n <= 4:
+                assert fold is None, n
+            else:
+                assert len(fold[0]) == n, n
+
     @staticmethod
     def _stable(rng, n, radius):
         a = rng.normal(size=(n, n)) / math.sqrt(n)
@@ -457,7 +484,7 @@ class TestFoldedTemplate:
                 for parts in ([], inputs[:1], inputs[1:], inputs):
                     want = unfolded_offsets(base, a, parts, dirs, 8)
                     s = LazyReachSet(base, a, parts, t)
-                    if s._runs is not None:
+                    if s._src is not None:
                         assert s._reads == (cols % 4 == 0 and m % 4 == 0)
                     for step in range(9):
                         got = s.concretize().offsets
@@ -480,11 +507,13 @@ class TestFoldedTemplate:
             "aeb5d03037dbfbb14d27ad085b71b02755478d7dc5800ca9bb5bf836376d3b08")
 
     def test_n200_box_template_copies_no_columns_back(self, monkeypatch):
-        copies = []
-        unfold = linreach._unfold
-        monkeypatch.setattr(linreach, "_unfold", lambda *args: copies.append(args) or unfold(*args))
+        # steps whose full n x m matrix is gathered from the folded columns
+        gathers = []
+        cur = LazyReachSet._cur
+        monkeypatch.setattr(LazyReachSet, "_cur", property(
+            lambda s: (s._full is None and gathers.append(s.k)) or cur.fget(s)))
         assert len(self._n200_pipe()) == 51
-        assert copies == []
+        assert gathers == []
 
     @pytest.mark.parametrize("template", [True, False])
     def test_overflowing_offsets_are_rejected(self, template):
