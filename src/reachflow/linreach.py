@@ -331,42 +331,34 @@ def step_input_facets(p: HPolytope, v: Union[SetRep, Sequence[SetRep], None],
     if v is None:
         return img
     raised = _summed_supports(_summands(v), img.normals.T)
-    return HPolytope(img.normals, img.offsets + raised, exact=False)
+    # img's normals are frozen unit rows: only the new offsets need checks
+    return HPolytope._trusted(img.normals, img.offsets + raised, exact=False)
 
 
 # ---------------------------------------------------------------------------
 # lazy strategy
 
-# most runs a folded template may take: a run is a stretch of rows whose
-# sources are consecutive kept rows under one sign.  The octagon templates
-# of dimensions 2-4 take 5, 11 and 20, and their products are too small for
-# the halving to pay for the gathers (1000 steps of the 4-d octagon take
-# 40 ms unfolded and 110 ms folded)
-_MAX_RUNS = 4
-
-# a box's or zonotope's supports are read from the folded columns only when
-# the template and its folded columns both have a multiple of this many
-# rows.  Those supports are matrix-vector products, one row per direction,
-# and OpenBLAS's gemv rounds a row the same way whatever the row count only
-# inside its 4-row blocks: outside them a row of the m' folded columns can
-# differ in the last bit from the same row among all m, so other templates
-# read the gathered columns
+# a template is folded exactly when some row repeats up to sign and both its
+# row count m and its folded column count m' are multiples of this many
+# rows; a folded template reads the supports of a box or zonotope from its
+# m' columns.  Those supports are matrix-vector products, one row per
+# direction, and OpenBLAS's gemv rounds a row the same way whatever the row
+# count only inside its 4-row blocks: outside them a row of the m' folded
+# columns can differ in the last bit from the same row among all m.  Such a
+# template would have to gather its m columns every step to keep the bits,
+# which costs more than the smaller product saves, so it runs unfolded
 _GEMV_BLOCK = 4
 
 
 def _fold_pairs(dirs: np.ndarray):
-    """The template up to sign: ``(keep, src, sign)``, or None when it does
-    not fold.
+    """The template up to sign: ``(keep, src, sign)``, or None when no row
+    repeats up to sign.
 
     A row that equals an earlier row or its negation, compared as values
     (so 0.0 and -0.0 match), folds onto that row.  ``keep`` indexes the
     rows that do not; row i of the template is ``sign[i]`` (+-1.0) times
-    kept row ``src[i]``.  A template folds only when it takes at most
-    ``_MAX_RUNS`` runs and leaves two rows or more: numpy takes a product
-    with one column by its matrix-vector routine, which rounds differently
-    from the matrix-matrix one (the same routine, gemv, is why supports are
-    read from the folded columns only on ``_GEMV_BLOCK``-aligned row
-    counts).
+    kept row ``src[i]``.  Whether the fold is used is ``LazyReachSet``'s
+    call (``_GEMV_BLOCK``).
     """
     keep, src, sign, seen = [], [], [], {}
     for i, row in enumerate(dirs):
@@ -380,12 +372,9 @@ def _fold_pairs(dirs: np.ndarray):
             keep.append(i)
         src.append(j)
         sign.append(s)
-    src, sign = np.array(src), np.array(sign)
-    # a run starts at row 0 and wherever the sign flips or the source jumps
-    runs = 1 + np.count_nonzero((sign[1:] != sign[:-1]) | (src[1:] != src[:-1] + 1))
-    if len(keep) == len(dirs) or len(keep) < 2 or runs > _MAX_RUNS:
+    if len(keep) == len(dirs):
         return None
-    return keep, src, sign
+    return keep, np.array(src), np.array(sign)
 
 
 class LazyReachSet:
@@ -396,18 +385,18 @@ class LazyReachSet:
     meaning their Minkowski sum, or None), and one evolving matrix: the
     template directions pulled back to step 0, ``(A^T)^k D^T``, with
     their accumulated input supports.  The set it denotes is
-    ``A^k X0 + sum_{i<k} A^i U``.  The product advances the template only
-    up to sign: a direction and its negation (or a repeat) share one
-    column, so advancing costs one n x n by n x m' product, m' the number
-    of directions up to sign (n for the box template ``[I; -I]``; m for a
-    template ``_fold_pairs`` leaves as it is); the fold is two per-row
-    maps, each template row's source column and sign.  The supports of a
-    box or zonotope (the base, or an input part) are read from those m'
-    columns too, an even part and an odd part per column, with one ``|B|``
-    per step shared by every box; the n x m matrix of all template columns
-    is gathered from the m' through the maps only when a step asks for it:
-    for an H- or V-polytope, or when the row counts are not
-    ``_GEMV_BLOCK``-aligned.
+    ``A^k X0 + sum_{i<k} A^i U``.  On a template whose rows repeat up to
+    sign, with m rows and m' rows up to sign both multiples of
+    ``_GEMV_BLOCK``, the product advances the template only up to sign: a
+    direction and its negation (or a repeat) share one column, so
+    advancing costs one n x n by n x m' product (n x n for the box
+    template ``[I; -I]`` when 4 divides n); the fold is two per-row maps,
+    each template row's source column and sign.  Every other template
+    advances all m columns.  The supports of a box or zonotope (the base,
+    or an input part) are read from the advanced columns, an even part and
+    an odd part per column, with one ``|B|`` per step shared by every box;
+    the n x m matrix of all template columns is gathered from folded ones
+    only for an H- or V-polytope operand.
     Every concretization answers the template from these columns alone.
     The template is scaled to unit rows once and kept read-only, so all
     segments of one flowpipe share one normals buffer.  Any other
@@ -416,8 +405,8 @@ class LazyReachSet:
     into the recurrence, so repeated over-approximation cannot compound.
     """
 
-    __slots__ = ("base", "a", "inputs", "k", "dirs", "_src", "_sign", "_reads", "_basis",
-                 "_full", "_abs", "_acc")
+    __slots__ = ("base", "a", "inputs", "k", "dirs", "_src", "_sign", "_basis", "_full",
+                 "_abs", "_acc")
 
     def __init__(
         self,
@@ -444,12 +433,11 @@ class LazyReachSet:
         self.k = 0
         self.dirs = dirs
         fold = _fold_pairs(dirs)
+        if fold is not None and (len(fold[0]) % _GEMV_BLOCK or len(dirs) % _GEMV_BLOCK):
+            fold = None
         self._src, self._sign = (None, None) if fold is None else fold[1:]
-        # whether box and zonotope supports are read from _basis
-        self._reads = fold is None or (len(fold[0]) % _GEMV_BLOCK == 0
-                                       and dirs.shape[0] % _GEMV_BLOCK == 0)
         self._full = dirs.T  # columns: (A^T)^k d
-        # the columns the product advances: the template up to sign
+        # the columns the product advances: the template, up to sign if folded
         self._basis = self._full if fold is None else dirs[fold[0]].T
         self._abs = None
         self._acc = np.zeros(dirs.shape[0])
@@ -470,13 +458,13 @@ class LazyReachSet:
     def _supports(self, s: SetRep) -> np.ndarray:
         """``support_batch(s, self._cur)``, bit for bit.
 
-        A box or zonotope is read from the folded columns: each template
+        A box or zonotope is read from the advanced columns: each template
         row takes its column's odd part times the row's sign plus the
-        column's even part.  That is the sum ``support_batch`` takes, and a
-        product has the same bits in a column (and, ``_reads`` ensures, in
-        a row) with or without the others beside it.
+        column's even part.  That is the sum ``support_batch`` takes, and
+        on a ``_GEMV_BLOCK``-aligned fold a matrix-vector product has the
+        same bits in a row with or without the other rows beside it.
         """
-        if not (self._reads and isinstance(s, (Box, Zonotope))):
+        if not isinstance(s, (Box, Zonotope)):
             return support_batch(s, self._cur)
         if isinstance(s, Box) and self._abs is None:
             self._abs = np.abs(self._basis.T)
@@ -494,16 +482,17 @@ class LazyReachSet:
         new.dirs = self.dirs
         new._src = self._src
         new._sign = self._sign
-        new._reads = self._reads
         new.k = self.k + 1
         if self.inputs:
             # summed from zero, part by part, as _summed_supports sums them
             new._acc = self._acc + sum(self._supports(p) for p in self.inputs)
         else:
             new._acc = self._acc
-        # each column of the product has the same bits with or without the
-        # folded columns beside it, so the supports read the unfolded
-        # matrix bit for bit
+        # a column of the product keeps its bits with or without the other
+        # columns beside it for every template up to 96 dimensions and for
+        # box templates whose n is a multiple of 8, so the supports read
+        # the unfolded matrix bit for bit there; box templates with n = 4
+        # (mod 8) from n = 196 on round some columns differently
         new._basis = self.a.T @ self._basis
         new._full = new._basis if self._src is None else None
         new._abs = None

@@ -122,6 +122,11 @@ class TestReach:
         assert main(["reach", str(bad), "-o", str(tmp_path / "r.json")]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_malformed_model_names_the_entry(self, tmp_path, capsys):
+        model = write_model(tmp_path, {**doubling_doc(), "a": []})
+        assert main(["check", model]) == 1
+        assert "a: must be a non-empty array of rows" in capsys.readouterr().err
+
     def test_hybrid_reach(self, tmp_path):
         model = write_model(tmp_path, thermostat_doc())
         out = tmp_path / "r.json"

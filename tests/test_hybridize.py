@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from reachflow import hybridize
 from reachflow.hybridize import (
     STALLED,
     NonlinearSystem,
@@ -381,6 +382,23 @@ class TestDynamicHybridize:
         pipe = dynamic_hybridize_reach(sys, Box([1.0], [1.0]), cfg(1.0, 0.01))
         assert pipe.status == STALLED
         assert len(pipe.segments) <= 2
+
+    def test_stalls_at_the_rebuild_cap(self, monkeypatch):
+        # the fast decay outruns its first domain; with room for two domains
+        # the run stops where the third would be built
+        r = 0.005
+        args = (cubic_decay(), Box([1.45], [1.5]), cfg(0.5, r))
+        full = dynamic_hybridize_reach(*args, min_pad=0.15)
+        assert len(full.domains) > 2
+        monkeypatch.setattr(hybridize, "_MAX_REBUILDS", 2)
+        pipe = dynamic_hybridize_reach(*args, min_pad=0.15)
+        assert pipe.status == STALLED
+        assert len(pipe.domains) == 2
+        for got, want in zip(pipe.domains, full.domains):
+            assert np.array_equal(got.lower, want.lower) and np.array_equal(got.upper, want.upper)
+        assert pipe.status_step == len(pipe.segments)
+        for seg, want in zip(pipe.segments, full.segments):
+            assert seg.set_rep.offsets.tobytes() == want.set_rep.offsets.tobytes()
 
     def test_sampled_linearization_marks_result(self):
         sys = NonlinearSystem(

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reachflow import hybridreach, setgeom
+from reachflow import hybridreach, linreach, setgeom
 from reachflow.hybridreach import (
     DELAYED,
     INCOMPLETE,
@@ -34,6 +34,7 @@ from reachflow.linreach import (
     ReachConfig,
     _flow_steps,
 )
+from reachflow.numkernel import _exp_integral, mat_exp
 from reachflow.setgeom import (Box, HPolytope, VPolytope, Zonotope, axis_bounds,
                                intersect, member)
 
@@ -319,6 +320,19 @@ class TestHybridReach:
         with pytest.raises(ValueError, match="time step"):
             hybrid_reach(auto, "heat", Box([19.0], [20.0]), ReachConfig(horizon=2.0))
 
+    def test_reset_outside_the_target_invariant_records_no_jump(self):
+        # the guard cluster x = 3..5 lands at 103..105, outside frozen's x <= 10
+        count = Mode("count", [[1.0]], b=[[1.0]], input_set=Box([1.0], [1.0]),
+                     invariant=le(5.0))
+        frozen = Mode("frozen", [[1.0]], invariant=le(10.0))
+        tr = Transition("count", "frozen", guard=ge(3.0), reset_offset=[100.0])
+        auto = HybridAutomaton((count, frozen), (tr,), time_kind=DISCRETE)
+        pipe = hybrid_reach(auto, "count", Box([0.0], [0.0]), ReachConfig(horizon=8))
+        assert pipe.status == COMPLETED
+        assert pipe.jumps == ()
+        (flow,) = pipe.flows
+        assert flow.mode == "count" and len(flow.segments) == 6
+
 
 class TestHybridSimulate:
     def test_deterministic_under_seed(self):
@@ -398,6 +412,43 @@ class TestHybridSimulate:
         )
         assert tr.truncated
         assert tr.states[-1][0] == pytest.approx(22.0, abs=1e-6)
+
+    def test_discrete_step_out_of_the_invariant_jumps_from_the_pre_step_state(self):
+        # x+ = x + 1 under x <= 5: the step to 6 leaves the invariant, so the
+        # trace jumps at x = 5, where the guard x >= 3 holds, without a clamp
+        count = Mode("count", [[1.0]], b=[[1.0]], input_set=Box([1.0], [1.0]),
+                     invariant=le(5.0))
+        frozen = Mode("frozen", [[1.0]])
+        auto = HybridAutomaton((count, frozen), (Transition("count", "frozen", guard=ge(3.0)),),
+                               time_kind=DISCRETE)
+        tr = hybrid_simulate(auto, "count", [0.0], 8.0, rng=np.random.default_rng(0),
+                             jump_policy=DELAYED)
+        assert not tr.truncated
+        np.testing.assert_array_equal(tr.states.ravel(), [0, 1, 2, 3, 4, 5, 5, 5, 5, 5])
+        np.testing.assert_array_equal(tr.times, [0, 1, 2, 3, 4, 5, 5, 6, 7, 8])
+        assert tr.modes == ("count",) * 6 + ("frozen",) * 4
+
+    def test_step_matrix_cache_clears_at_its_cap(self, monkeypatch):
+        # the bisection asks many step lengths: with room for two, the cache
+        # is cleared again and again, and the traces keep their bits
+        def run():
+            return hybrid_simulate(thermostat(), "heat", [[19.5], [19.0]], 1.0, step=0.01,
+                                   rng=np.random.default_rng(3))
+        monkeypatch.setattr(linreach, "_STEP_MATS", {})
+        want = run()
+        monkeypatch.setattr(linreach, "_STEP_MATS", {})
+        monkeypatch.setattr(linreach, "_STEP_MATS_CAP", 2)
+        got = run()
+        assert 1 <= len(linreach._STEP_MATS) <= 2
+        for g, w in zip(got, want):
+            assert g.states.tobytes() == w.states.tobytes()
+            assert g.times.tobytes() == w.times.tobytes()
+        a, b = np.array([[-1.0, 0.5], [0.0, -2.0]]), np.array([[1.0], [0.5]])
+        for tau in (0.1, 0.2, 0.3, 0.1):
+            a_step, b_step = linreach._step_matrices(a, b, tau)
+            assert a_step.tobytes() == mat_exp(a, tau).tobytes()
+            assert b_step.tobytes() == (_exp_integral(a, tau) @ b).tobytes()
+            assert len(linreach._STEP_MATS) <= 2
 
     def test_rejects_bad_start(self):
         auto = thermostat()

@@ -1,6 +1,7 @@
 """Flowpipe engine tests: stepping strategies, discretization, modes."""
 
 import hashlib
+import itertools
 import logging
 import math
 import time
@@ -388,17 +389,20 @@ class TestFoldedTemplate:
                 assert got.offsets.tobytes() == HPolytope(t[::-1], vals).offsets.tobytes()
             s = s.advance()
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 20])
     def test_box_template_advances_n_columns(self, n):
         s = LazyReachSet(unit_box(n), 0.9 * np.eye(n), directions=np.vstack([np.eye(n), -np.eye(n)]))
-        want = 2 * n if n == 1 else n  # one column goes by numpy's vector routine: not folded
+        want = n if n % 4 == 0 else 2 * n  # folded only when n and 2n are multiples of 4
         assert s.advance()._basis.shape == (n, want)
 
     def test_which_templates_fold(self):
         u = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
         v = np.array([[3.0, 0.0, 1.0]])
-        cases = [(u, 2), (np.vstack([u, -u, v, -v]), 3), (np.vstack([u, u[::-1]]), 2),
-                 (default_template(3), 18)]  # the octagon copies back in 11 runs
+        w = np.array([[1.0, 1.0, 1.0]])
+        # an aligned template folds however its pairs are placed
+        pairs = np.vstack([r for row in np.vstack([u, v, w]) for r in (row, -row)])
+        cases = [(u, 2), (np.vstack([u, -u, v, -v]), 6), (np.vstack([u, u[::-1]]), 4),
+                 (default_template(3), 18), (pairs, 4)]
         for t, cols in cases:
             assert LazyReachSet(unit_box(3), np.eye(3), directions=t)._basis.shape == (3, cols)
 
@@ -420,14 +424,15 @@ class TestFoldedTemplate:
             # compared as values: a -0.0 in a row matches the kept 0.0
             assert np.all(dirs == sign[:, None] * dirs[keep][src])
 
-    def test_default_templates_fold_from_five_dimensions(self):
+    def test_default_templates_fold_on_aligned_dimensions(self):
+        # the 2-d and 4-d octagons have 8 and 32 rows, 4 and 16 up to sign;
+        # the box template [I; -I] of five dimensions on folds when 4 divides n
         for n in range(1, 9):
-            fold = linreach._fold_pairs(default_template(n))
-            # the octagons of dimensions 2-4 take more runs than _MAX_RUNS
-            if n <= 4:
-                assert fold is None, n
+            s = LazyReachSet(unit_box(n), np.eye(n))
+            if n in (2, 4, 8):
+                assert s._basis.shape == (n, len(default_template(n)) // 2), n
             else:
-                assert len(fold[0]) == n, n
+                assert s._src is None and s._basis.shape == (n, len(default_template(n))), n
 
     @staticmethod
     def _stable(rng, n, radius):
@@ -484,8 +489,8 @@ class TestFoldedTemplate:
                 for parts in ([], inputs[:1], inputs[1:], inputs):
                     want = unfolded_offsets(base, a, parts, dirs, 8)
                     s = LazyReachSet(base, a, parts, t)
-                    if s._src is not None:
-                        assert s._reads == (cols % 4 == 0 and m % 4 == 0)
+                    paired = linreach._fold_pairs(dirs) is not None
+                    assert (s._src is not None) == (paired and cols % 4 == 0 and m % 4 == 0)
                     for step in range(9):
                         got = s.concretize().offsets
                         assert got.tobytes() == want[step].tobytes(), (m, type(base), len(parts), step)
@@ -515,6 +520,47 @@ class TestFoldedTemplate:
         assert len(self._n200_pipe()) == 51
         assert gathers == []
 
+    @pytest.mark.parametrize("n", [64, 96, 100, 128, 200])
+    def test_wide_box_templates_match_the_unfolded_recurrence(self, n):
+        # aligned box templates fold; these sizes keep the unfolded bits
+        rng = np.random.default_rng(n)
+        a = self._stable(rng, n, 0.98)
+        c = rng.uniform(-1.0, 1.0, size=n)
+        t = np.vstack([np.eye(n), -np.eye(n)])
+        cases = [(Box(c - 0.5, c + 0.5), [Box(-0.05 * np.ones(n), 0.05 * np.ones(n))]),
+                 (Zonotope(c, rng.normal(size=(n, 3))),
+                  [Zonotope(0.1 * c, 0.1 * rng.normal(size=(n, 2)))])]
+        for base, parts in cases:
+            want = unfolded_offsets(base, a, parts, t, 12)
+            s = LazyReachSet(base, a, parts, t)
+            assert s._src is not None
+            for step in range(13):
+                assert s.concretize().offsets.tobytes() == want[step].tobytes(), (type(base), step)
+                s = s.advance()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
+    def test_box_and_zonotope_operands_gather_no_columns(self, n, monkeypatch):
+        # steps whose full n x m matrix is gathered from the folded columns
+        gathers = []
+        cur = LazyReachSet._cur
+        monkeypatch.setattr(LazyReachSet, "_cur", property(
+            lambda s: (s._full is None and gathers.append(s.k)) or cur.fget(s)))
+        rng = np.random.default_rng(n)
+        a = self._stable(rng, n, 0.95)
+        c = rng.uniform(-1.0, 1.0, size=n)
+        parts = [Box(0.1 * c - 0.05, 0.1 * c + 0.02), Zonotope(0.1 * c, 0.1 * rng.normal(size=(n, 2)))]
+        for t in (None, np.vstack([np.eye(n), -np.eye(n)])):
+            for base in (Box(c - 0.5, c + 0.4), Zonotope(c, rng.normal(size=(n, 3)))):
+                s = LazyReachSet(base, a, parts, t)
+                for _ in range(4):
+                    s = s.advance()
+                    s.concretize()
+        assert gathers == []
+        # an H-polytope operand does gather on a folded template
+        s = LazyReachSet(unit_box(4).to_hpolytope(), 0.9 * np.eye(4)).advance()
+        s.concretize()
+        assert gathers == [1]
+
     @pytest.mark.parametrize("template", [True, False])
     def test_overflowing_offsets_are_rejected(self, template):
         n = 3
@@ -533,6 +579,49 @@ class TestFoldedTemplate:
         for h in segs:
             assert not np.shares_memory(h.normals, t) and not h.normals.flags.writeable
             np.testing.assert_array_equal(h.normals, [[1, 0], [0, 1], [-1, 0], [0, -1]])
+
+
+# ---------------------------------------------------------------------------
+# H- and V-polytope inputs through the stepping core
+
+
+def polytope_input(kind, n, rng):
+    """A per-step input set in H- or V-form, and points of it that include
+    its vertices: the cross-polytope ``sum |x_i| <= 0.05`` for ``h``, a
+    cloud of n + 2 points for ``v``."""
+    if kind == "h":
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+        return (HPolytope(signs, np.full(len(signs), 0.05)),
+                np.vstack([0.05 * np.eye(n), -0.05 * np.eye(n)]))
+    pts = 0.05 * rng.normal(size=(n + 2, n))
+    return VPolytope(pts), pts
+
+
+class TestPolytopeInputs:
+    @pytest.mark.parametrize("kind", ["h", "v"])
+    @pytest.mark.parametrize("strategy, n", [("lazy", 4), ("lazy", 3), ("lazy", 5),
+                                             ("facets", 3), ("vertices", 2)])
+    def test_flowpipe_covers_trajectories_at_input_vertices(self, strategy, n, kind):
+        rng = np.random.default_rng(10 * n + len(strategy))
+        a = 0.95 * np.linalg.qr(rng.normal(size=(n, n)))[0]
+        x0 = Box(-0.5 * np.ones(n), 0.5 * np.ones(n))
+        v, points = polytope_input(kind, n, rng)
+        system = LinearSystem(a, x0, input_set=v)
+        pipe = reach(system, ReachConfig(horizon=20, strategy=strategy))
+        assert len(pipe) == 21
+        for _ in range(10):
+            corner = np.where(rng.random(n) < 0.5, x0.lower, x0.upper)
+            trace = simulate(system, corner, inputs=points[rng.integers(len(points), size=20)])
+            for seg, x in zip(pipe.segments, trace.states):
+                assert member(seg.set_rep, x), (seg.k, x)
+        if strategy == "lazy":
+            t = default_template(n)
+            # the 4-d octagon folds; the 3-d octagon and the 5-d box template do not
+            assert (LazyReachSet(x0, a, [v], t)._src is not None) == (n == 4)
+            dirs = t / np.linalg.norm(t, axis=1)[:, None]
+            want = unfolded_offsets(x0, a, [linear_map(np.eye(n), v)], dirs, 20)
+            for seg, w in zip(pipe.segments, want):
+                assert seg.set_rep.offsets.tobytes() == w.tobytes(), seg.k
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,64 @@ class TestModelParsing:
             parse_model(nonlinear_doc(hessian_bound=-1.0))
 
 
+def _with(doc, path, value):
+    """``doc`` with the entry at ``path`` (a tuple of keys and indices) set."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+BOX_2D = {"type": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+
+# (document, or the text of a result file; the message with its dotted path)
+MALFORMED = {
+    "document": ([linear_doc()], "document: must be a JSON object"),
+    "name": (linear_doc(name=3), "name: must be a string"),
+    "config": (linear_doc(config=[1.0]), "config: must be an object"),
+    "empty rows": (linear_doc(a=[]), "a: must be a non-empty array of rows"),
+    "empty numbers": (linear_doc(x0={"type": "box", "lower": [], "upper": [1.0]}),
+                      "x0.lower: must be a non-empty array of numbers"),
+    "number": (linear_doc(a=[[1.0, "0"], [0.0, 1.0]]), "a[0][1]: must be a number"),
+    "set object": (linear_doc(x0=[1.0, 1.0]), "x0: must be an object"),
+    "generators": (linear_doc(x0={"type": "zonotope", "center": [0.0, 0.0],
+                                  "generators": [[1.0, 0.0, 0.0]]}),
+                   "x0.generators: generator length does not match the center"),
+    "modes": (thermostat_doc(modes=[]), "modes: must be a non-empty array"),
+    "transitions": (thermostat_doc(transitions={}), "transitions: must be an array"),
+    "time": (thermostat_doc(time="hybrid"), "time: must be 'continuous' or 'discrete'"),
+    "mode name": (_with(thermostat_doc(), ("modes", 1, "name"), ""),
+                  "modes[1].name: must be a non-empty string"),
+    "transition endpoint": (_with(thermostat_doc(), ("transitions", 1, "target"), 3),
+                            "transitions[1].target: must be a string"),
+    "string": (thermostat_doc(init_mode=3), "init_mode: must be a string"),
+    "guard type": (_with(thermostat_doc(), ("transitions", 0, "guard"),
+                         {"type": "vpolytope", "vertices": [[22.0], [25.0]]}),
+                   "transitions[0]: guard must be a Box or HPolytope"),
+    "automaton x0": (thermostat_doc(x0=BOX_2D), "x0: dimension does not match the automaton"),
+    "variables": (nonlinear_doc(variables=["x", 1]), "variables: must be an array of strings"),
+    "rhs": (nonlinear_doc(rhs="-x**3"), "rhs: must be an array of expression strings"),
+    "variables x0": (nonlinear_doc(x0=BOX_2D), "x0: dimension does not match the variables"),
+    "result json": ("{not json", "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_documents_are_refused_with_their_path(case, tmp_path):
+    doc, message = MALFORMED[case]
+    if isinstance(doc, str):
+        path = tmp_path / "result.json"
+        path.write_text(doc)
+        with pytest.raises(ModelError) as err:
+            load_result(path)
+        message = f"{path}: {message}"
+    else:
+        with pytest.raises(ModelError) as err:
+            parse_model(doc)
+    assert str(err.value).startswith(message)
+
+
 class TestModelFiles:
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "model.json"
