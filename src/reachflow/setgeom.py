@@ -8,7 +8,11 @@ set: ``intersect`` returns None for two sets that share no point, and
 ``meets`` is that test.
 
 Yes/no queries try a closed form before the simplex.  ``intersect(s1,
-s2)`` decides two boxes exactly from their corners.  Any other pair
+s2)`` decides two boxes exactly from their corners.  A vertex set s1 up
+to 3-d is first read by its own supports along s2's facet normals: a row
+of s2 that every vertex lies beyond says "disjoint" without building
+s1's facet form, by a margin stretched by the cloud's aspect, so a
+sliver leaves the question to the LP, as before.  Any other pair
 enters as stacked facet rows, and ``intersect`` first says "disjoint"
 when a row (n, b) of either lies beyond the other: b < -U(-n), where U
 bounds the other's support from its own rows (a box exactly, an H-polytope
@@ -577,11 +581,14 @@ def zonotope_vertices_2d(z: Zonotope) -> np.ndarray:
 def intersect(s1: SetRep, s2: SetRep) -> SetRep | None:
     """The common part of s1 and s2, or None when they share no point.
 
-    Two boxes are decided exactly from their corners and share a box.  Any
-    other pair gives an H-polytope of the stacked facet rows of both: a box
-    by its own, any other set by ``_hform_enclosure`` (its exact facet
-    form, or else its bounding box's rows, flagged inexact), so the result
-    always contains the true intersection.  A row (n, b) of either operand
+    Two boxes are decided exactly from their corners and share a box.  A
+    vertex set s1 up to 3-d whose every vertex lies beyond one facet row of
+    s2, by ``_cloud_beyond``'s stretched margin, is disjoint from it before
+    its facet form is built.  Any other pair gives an H-polytope of the
+    stacked facet rows of both: a box by its own, any other set by
+    ``_hform_enclosure`` (its exact facet form, or else its bounding box's
+    rows, flagged inexact), so the result always contains the true
+    intersection.  A row (n, b) of either operand
     that the other's support bound U places beyond it, b < -U(-n) by
     ``_PRECHECK_MARGIN``, separates the two without the simplex.  When
     every stacked row is an axis row (+-e_i) the common part is a box, and
@@ -657,6 +664,74 @@ def _clears(gap: np.ndarray, offsets: np.ndarray, mag: np.ndarray) -> np.ndarray
     """Where ``gap`` is negative by the precheck margin, so the sign of the
     exact LP's gap is not in doubt."""
     return gap < -_PRECHECK_MARGIN * (1.0 + np.abs(offsets) + mag)
+
+
+def _cloud_beyond(v: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> bool:
+    """True when some row (n, b) has every point of the cloud ``v`` beyond
+    it, so conv(v) and the rows' set share no point.
+
+    The cloud's exact support along -n is -min n.v, one product for all
+    rows, and a row decides by the precheck margin (magnitudes as for a
+    box: ``|n| . (1 + max |v|)``) stretched by the cloud's aspect
+    ``1 + R / r``, for a ball B(c, r) inside conv(v) and R the farthest
+    point's distance from c.  The stretch covers what the facet form and
+    its LP can add to the cloud: relaxing every facet row by e keeps the
+    set inside c + (1 + e/r) (conv(v) - c), and a facet too small for the
+    3-d conversion to see leaves its neighbours' planes, which meet at a
+    distance its size times about R / r.  On a sliver or a needle, where r
+    is tiny, the LP path admits points far beyond the cloud, and the cloud
+    decides only what that path decides too.  A flat cloud (r = 0, or
+    nearly) decides nothing.
+    """
+    low = (v @ normals.T).min(axis=0)
+    gap = offsets - low
+    mag = np.abs(normals) @ (1.0 + np.abs(v).max(axis=0))
+    if not np.any(_clears(gap, offsets, mag)):
+        return False
+    center, radius = _inner_ball(v)
+    if radius <= 0.0:
+        return False
+    far = float(np.sqrt(((v - center) ** 2).sum(axis=1).max()))
+    # gap / (1 + R/r), which no tiny r can overflow
+    return bool(np.any(_clears(gap * (radius / (radius + far)), offsets, mag)))
+
+
+def _inner_ball(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Center and radius of a ball inside conv(v), v in dimension n <= 3:
+    the inscribed ball of a simplex on n + 1 points of v picked far apart,
+    each the farthest from the affine hull of those before it.  On a flat
+    cloud the radius is 0, or a few ulps from rounding.
+
+    With w_i the content of the facet opposite point i (times (n-1)!: 1,
+    an edge length, twice a triangle's area), the radius is n! times the
+    simplex's volume over sum w_i and the center sum w_i p_i / sum w_i.
+    """
+    n = v.shape[1]
+    first = int(np.argmax(((v - v.mean(axis=0)) ** 2).sum(axis=1)))
+    rest = v - v[first]
+    picks, volume = [first], 1.0  # n! times the simplex's volume
+    for _ in range(n):
+        far = int(np.argmax((rest * rest).sum(axis=1)))
+        h = float(np.linalg.norm(rest[far]))
+        if h == 0.0:
+            return v[first], 0.0
+        u = rest[far] / h
+        rest = rest - np.outer(rest @ u, u)
+        picks.append(far)
+        volume *= h
+    simplex = v[picks]
+    # the facet opposite point i holds the points after it, cyclically
+    p1, p2, p3 = (np.roll(simplex, -k, axis=0) for k in (1, 2, 3))
+    if n == 1:
+        w = np.ones(2)
+    elif n == 2:
+        w = np.linalg.norm(p2 - p1, axis=1)
+    else:
+        w = np.linalg.norm(np.cross(p2 - p1, p3 - p1), axis=1)
+    total = w.sum()
+    if total == 0.0:  # picks that only rounding kept apart
+        return v[first], 0.0
+    return w @ simplex / total, volume / total
 
 
 def _support_bound(s: Box | HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -801,8 +876,12 @@ class _Prepared:
     identity of that read-only buffer, which the memo holds; writable
     normals get no memo.  A flowpipe's segments share one template buffer,
     and the pieces one prepared set clips share one stacked buffer, so
-    each step costs only arithmetic on the offsets.  ``intersect``,
-    ``meets`` and ``contains_set`` are these methods on a fresh operand.
+    each step costs only arithmetic on the offsets.  A vertex set up to
+    3-d, whose exact facet form costs a hull (2-d) or a walk over every
+    vertex triple (3-d), is first asked by its own supports along these
+    rows, one product; only a question that leaves undecided builds its
+    facet form.  ``intersect``, ``meets`` and ``contains_set`` are these
+    methods on a fresh operand.
     """
 
     __slots__ = ("set", "op", "rows", "exact_form", "_memo")
@@ -838,11 +917,15 @@ class _Prepared:
         if isinstance(s1, Box) and isinstance(s2, Box):
             corners = _box_overlap(s1, s2)
             return None if corners is None else Box(*corners, exact=s1.exact and s2.exact)
+        n2, b2 = self.rows
+        # a vertex set up to 3-d has an exact facet form, so its own
+        # supports decide what that form's LP would, without building it
+        if isinstance(s1, VPolytope) and s1.dim <= 3 and _cloud_beyond(s1.vertices, n2, b2):
+            return None
         op1 = s1 if isinstance(s1, Box) else _hform_enclosure(s1)
         # a box stacks its facet rows directly rather than build an
         # HPolytope on each call
         n1, b1 = _box_rows(op1) if isinstance(op1, Box) else (op1.normals, op1.offsets)
-        n2, b2 = self.rows
         memo = self._memo_for(n1)
         if memo.beyond is None:
             memo.beyond = _support_bound(self.op, -n1.T)
@@ -903,10 +986,13 @@ class _Prepared:
 
 
 def convex_hull_2d(points) -> VPolytope:
-    """Planar convex hull (monotone chain): minimal CCW vertex cycle.
+    """Planar convex hull (Andrew's monotone chain): minimal CCW vertex
+    cycle.
 
     Collinear points are removed; degenerate inputs yield a single point
-    or a two-point segment.
+    or a two-point segment (collinear input keeps its two ends).  The
+    chain walks Python floats, which round as numpy's float64 scalars do,
+    so the hull is the same bit for bit at a fraction of the cost.
     """
     pts = as_matrix(points)
     if pts.shape[1] != 2:
@@ -918,28 +1004,26 @@ def convex_hull_2d(points) -> VPolytope:
     pts = pts[np.sort(idx)]
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
-    if pts.shape[0] == 1:
-        return VPolytope(pts)
-    if pts.shape[0] == 2:
+    if pts.shape[0] <= 2:
         return VPolytope(pts)
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[np.ndarray] = []
-    for p in pts:
+    rows = pts.tolist()
+    lower: list[list[float]] = []
+    for p in rows:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= tol:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
+    upper: list[list[float]] = []
+    for p in reversed(rows):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= tol:
             upper.pop()
         upper.append(p)
-    hull = np.asarray(lower[:-1] + upper[:-1])
-    if hull.shape[0] == 0:  # all points collinear
-        return VPolytope(np.asarray([pts[0], pts[-1]]))
-    return VPolytope(hull)
+    # the first point never leaves the lower chain, so the cycle is never
+    # empty: collinear points leave their two ends
+    return VPolytope(lower[:-1] + upper[:-1])
 
 
 def vrep_to_hrep(p: VPolytope) -> HPolytope:

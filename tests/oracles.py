@@ -255,6 +255,33 @@ def gift_wrap_hull(points, tol=1e-12):
     return pts[hull]
 
 
+def monotone_chain_numpy(points):
+    """Planar hull by the monotone chain on numpy float64 scalars, with the
+    de-duplication grid and cross-product tolerance of
+    ``setgeom.convex_hull_2d``: the reference its Python-float chain must
+    match bit for bit.  Returns the CCW vertex cycle as an array."""
+    pts = np.asarray(points, dtype=float)
+    scale = max(1.0, float(np.abs(pts).max()))
+    tol = 1e-12 * scale * scale
+    _, idx = np.unique(np.round(pts / (1e-12 * scale)).astype(np.int64),
+                       axis=0, return_index=True)
+    pts = pts[np.sort(idx)]
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    if pts.shape[0] <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for chain, seq in ((lower, pts), (upper, pts[::-1])):
+        for p in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= tol:
+                chain.pop()
+            chain.append(p)
+    return np.asarray(lower[:-1] + upper[:-1])
+
+
 def box_support(lower, upper, d):
     """Closed-form support value of an axis box."""
     lower = np.asarray(lower, dtype=float)

@@ -13,6 +13,7 @@ supports equals one cold solve per direction, bit for bit.
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -776,6 +777,204 @@ class TestQuestionsKeepNoStart:
                 # a kept start answers as a fresh one does
                 assert sg.is_empty(s) == sg.is_empty(HPolytope(s.normals, s.offsets))
                 assert s._start is start
+
+
+def unit(draw, n):
+    d = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    assume(np.linalg.norm(d) > 0.1)
+    return d / np.linalg.norm(d)
+
+
+@st.composite
+def clouds(draw, n):
+    """Vertex sets in dimension n: scattered points, repeated vertices,
+    flat ones (squeezed to nothing along one to n directions) and slivers
+    (squeezed to a width down to 1e-10 along them)."""
+    k = draw(st.integers(1, 8))
+    v = np.array(draw(st.lists(coord, min_size=n * k, max_size=n * k))).reshape(k, n)
+    kind = draw(st.sampled_from(["scattered", "repeated", "flat", "sliver"]))
+    if kind == "repeated":
+        v = np.vstack([v, v[draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4))]])
+    elif kind != "scattered":
+        keep = 0.0 if kind == "flat" else draw(st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4]))
+        for _ in range(draw(st.integers(1, n))):
+            u = unit(draw, n)
+            v = v - np.outer(((v - v.mean(axis=0)) @ u) * (1.0 - keep), u)
+    return VPolytope(v)
+
+
+@st.composite
+def sets_beside(draw, v):
+    """A box or a parallelotope past the support of the cloud v along an
+    axis or a slanted direction, by a gap from overlap through touching
+    and gaps near the precheck margin to clear separation."""
+    n = v.shape[1]
+    gap = draw(st.sampled_from([-0.5, 0.0, 1e-9, 1e-7, 1e-5, 1e-3, 0.5]))
+    if draw(st.booleans()):
+        d = np.zeros(n)
+        d[draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, -1.0]))
+    else:
+        d = unit(draw, n)
+    m = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)))
+    m = m.reshape(n, n) + 3.0 * np.eye(n)
+    m[0] = d
+    assume(np.linalg.svd(m, compute_uv=False)[-1] > 1e-3)
+    lo = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    hi = lo + np.array(draw(st.lists(width, min_size=n, max_size=n)))
+    lo[0] = (v @ d).max() + gap
+    hi[0] = lo[0] + draw(st.floats(0.0, 3.0))
+    if np.count_nonzero(d) == 1 and not np.any(m[1:] @ d):
+        # axis-aligned and the other rows square to it: a box
+        axis = int(np.flatnonzero(d)[0])
+        b_lo, b_hi = np.full(n, -6.0), np.full(n, 6.0)
+        b_lo[axis], b_hi[axis] = (lo[0], hi[0]) if d[axis] > 0 else (-hi[0], -lo[0])
+        return Box(b_lo, b_hi)
+    return HPolytope(np.vstack([m, -m]), np.concatenate([hi, -lo]))
+
+
+@st.composite
+def cloud_questions(draw):
+    """``(v, q)``: a 1-d to 3-d vertex set and the set a driver prepares: a
+    set beside it, or a box, an H-polytope or a vertex set drawn freely."""
+    n = draw(st.integers(1, 3))
+    v = draw(clouds(n))
+    q = draw(st.one_of(sets_beside(v.vertices), boxes(n), parallelotopes(n),
+                       template_hpolytopes(n), vpolytopes(n)))
+    return v, q
+
+
+@st.composite
+def sliver_questions(draw):
+    """``(v, q)``: a 2-d or 3-d cloud up to 6 long along a drawn direction
+    and 1e-10 to 1e-4 thick across it, and a point or a small box just
+    past its tip along that direction, where the LP's tolerance on the
+    sliver's long facets reaches."""
+    n = draw(st.integers(2, 3))
+    u = unit(draw, n)
+    k = draw(st.integers(n + 1, 6))
+    along = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k)))
+    across = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k * n, max_size=k * n)))
+    across = across.reshape(k, n) * draw(st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4]))
+    center = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    v = center + np.outer(along, u) + across - np.outer(across @ u, u)
+    tip = v[np.argmax(v @ u)]
+    p = tip + draw(st.sampled_from([1e-7, 1e-5, 1e-3, 1e-1, 1.0])) * u
+    r = draw(st.sampled_from([0.0, 0.0, 1e-3]))
+    return VPolytope(v), Box(p - r, p + r)
+
+
+class TestVertexPrecheck:
+    """A vertex set up to 3-d is asked a bad-set question by its own
+    supports along the prepared set's normals first; whatever that decides
+    is the verdict its exact facet form gets from the LP path."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(cloud_questions(), sliver_questions()))
+    # a needle: its 1e-8 cap is too small for the 3-d conversion to keep,
+    # so the facet form runs on above it, and the point 1e-5 over the cap
+    # meets that form; the needle's aspect leaves the question to it
+    @example((VPolytope([[0.0, 0.0, 0.0], [1e-8, 0.0, 0.0], [0.0, 1e-8, 0.0], [0.0, 0.0, -1.0]]),
+              Box([0.0, 0.0, 1e-5], [0.0, 0.0, 1e-5])))
+    def test_verdict_is_the_facet_form_verdict(self, case):
+        v, q = case
+        fixed = sg._Prepared(q)
+        try:
+            h = sg._hform_enclosure(v)
+        except ValueError:
+            # the 3-d conversion finds no facet on a cloud whose triangles
+            # are all below its area test; there is no old verdict to keep
+            assume(False)
+        disjoint = fixed.intersect(v) is None
+        assert disjoint == (fixed.intersect(h) is None)
+        if sg._cloud_beyond(v.vertices, *fixed.rows):
+            # decided by the cloud: no point of the stacked facet rows
+            assert disjoint
+            normals = np.vstack([h.normals, fixed.rows[0]])
+            offsets = np.concatenate([h.offsets, fixed.rows[1]])
+            assert lp_vertex_enum(np.zeros(v.dim), normals, offsets, 1e-9) is None
+
+    def test_a_far_cloud_is_not_converted(self, monkeypatch):
+        converted = count_calls(monkeypatch, sg, "_hform_enclosure")
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3):
+            cloud = VPolytope(rng.normal(size=(40, n)))
+            bad = Box(np.full(n, 5.0), np.full(n, 6.0))
+            assert not sg.meets(cloud, bad)
+        assert converted == [0]
+        # a vertex set above 3-d keeps its bounding-box enclosure
+        assert not sg.meets(VPolytope(rng.normal(size=(40, 4))), Box(np.full(4, 5.0), np.full(4, 6.0)))
+        assert converted == [1]
+
+    @pytest.mark.parametrize("height, x, meets, decided", [
+        # every vertex of this triangle, 1e-6 high and 2 long, lies 1e-3
+        # short of the point's row x >= 2.001, yet the LP's tolerance on
+        # its two long, nearly parallel facets admits the point; the cloud
+        # stretches its margin by 2e6 and leaves every question to the LP
+        (1e-6, 2.001, True, False),
+        (1e-6, 2.01, False, False),
+        (1e-6, 1e4, False, False),
+        # 1e-2 high, the stretch is about 200: a point 1e-3 away is still
+        # the LP's, one 1 away the cloud's
+        (1e-2, 2.001, False, False),
+        (1e-2, 3.0, False, True),
+    ])
+    def test_a_sliver_gets_the_lp_verdict(self, height, x, meets, decided):
+        sliver = VPolytope([[0.0, 0.0], [2.0, 0.0], [1.0, height]])
+        fixed = sg._Prepared(Box([x, 0.0], [x, 0.0]))
+        assert fixed.meets(sliver) == fixed.meets(sg._hform_enclosure(sliver)) == meets
+        assert sg._cloud_beyond(sliver.vertices, *fixed.rows) == decided
+
+    def test_a_flat_cloud_decides_nothing(self):
+        flat = VPolytope([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
+        _, radius = sg._inner_ball(flat.vertices)
+        assert radius == 0.0
+        bad = sg._Prepared(Box(np.full(3, 5.0), np.full(3, 6.0)))
+        assert not sg._cloud_beyond(flat.vertices, *bad.rows)
+        assert not bad.meets(flat)
+
+    def test_inner_ball_of_a_simplex_is_its_inscribed_ball(self):
+        tri = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+        center, radius = sg._inner_ball(tri)
+        np.testing.assert_allclose(center, [1.0, 1.0], atol=1e-15)
+        assert radius == pytest.approx(1.0, abs=1e-15)
+        tet = np.vstack([np.zeros(3), np.eye(3)])
+        center, radius = sg._inner_ball(tet)
+        want = 1.0 / (3.0 + math.sqrt(3.0))
+        np.testing.assert_allclose(center, np.full(3, want), atol=1e-15)
+        assert radius == pytest.approx(want, abs=1e-15)
+
+
+class TestVertexCloudsIn3d:
+    """x+ = (0.9 I + 0.1 P) x + u, P the cyclic shift, X0 = [-1, 1]^3 and
+    u in [-0.1, 0.1]^3, propagated by vertices: the cloud holds 8, 64, 504
+    vertices at steps 0-2, and converting it to facets walks every vertex
+    triple."""
+
+    @staticmethod
+    def run(bad, horizon):
+        a = 0.9 * np.eye(3) + 0.1 * np.roll(np.eye(3), 1, axis=1)
+        system = LinearSystem(a, Box(-np.ones(3), np.ones(3)),
+                              input_set=Box(np.full(3, -0.1), np.full(3, 0.1)))
+        return reach(system, ReachConfig(horizon=horizon, strategy="vertices",
+                                         mode="bad_set", bad_set=bad))
+
+    def test_a_far_bad_set_is_answered_without_facets(self, monkeypatch):
+        converted = count_calls(monkeypatch, sg, "_hform_enclosure")
+        start = time.process_time()
+        pipe = self.run(Box(np.full(3, 5.0), np.full(3, 6.0)), 2)
+        assert time.process_time() - start < 1.0
+        assert pipe.status == "horizon"
+        assert [s.set_rep.vertices.shape[0] for s in pipe.segments] == [8, 64, 504]
+        assert converted == [0]
+
+    def test_a_near_bad_set_gets_the_facet_form_verdict(self, monkeypatch):
+        # 1e-7 past the cloud's corner (1.1, 1.1, 1.1) at step 1: too close
+        # for the cloud to decide, so its facet form does, as before
+        converted = count_calls(monkeypatch, sg, "_hform_enclosure")
+        pipe = self.run(Box(np.full(3, 1.1 + 1e-7), np.full(3, 6.0)), 1)
+        assert pipe.status == "horizon"
+        assert [s.set_rep.vertices.shape[0] for s in pipe.segments] == [8, 64]
+        assert converted == [1]
 
 
 class TestCounters:

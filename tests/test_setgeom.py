@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reachflow import setgeom as sg
 from reachflow.setgeom import Box, HPolytope, UnsupportedCheck, VPolytope, Zonotope
 
-from oracles import box_support, gift_wrap_hull, lp_vertex_enum
+from oracles import box_support, gift_wrap_hull, lp_vertex_enum, monotone_chain_numpy
 
 
 def unit_box(n=2):
@@ -413,7 +413,48 @@ class TestExactHform:
         assert sg._exact_hform(VPolytope(np.vstack([np.eye(4), -np.eye(4)]))) is None
 
 
+@st.composite
+def hull_clouds(draw, grid):
+    """Planar clouds with repeated points and points on the segment
+    between two others, 1e-3 off it, or (off the grid) within 1e-14 of it.
+    ``grid`` puts the drawn points on a 0.1 grid, where many are exactly
+    collinear and none are closer than the gift-wrap oracle's merge
+    tolerance without being equal."""
+    k = draw(st.integers(1, 12))
+    coords = (st.integers(-60, 60).map(lambda i: i / 10.0) if grid
+              else st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False))
+    pts = [draw(st.tuples(coords, coords)) for _ in range(k)]
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = (np.array(pts[draw(st.integers(0, k - 1))]) for _ in range(2))
+        off = draw(st.sampled_from([None, 0.0, 1e-3, -1e-3] + ([] if grid else [1e-14, -1e-14])))
+        if off is None:
+            pts.append(tuple(a))
+            continue
+        u = b - a
+        norm = np.linalg.norm(u)
+        perp = np.array([-u[1], u[0]]) / norm if norm > 0.0 else np.zeros(2)
+        pts.append(tuple(a + draw(st.sampled_from([0.25, 0.5])) * u + off * perp))
+    return np.array(pts)
+
+
 class TestConvexHull2d:
+    def test_collinear_input_keeps_its_two_ends(self):
+        hull = sg.convex_hull_2d([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        assert hull.vertices.tolist() == [[0.0, 0.0], [3.0, 3.0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(hull_clouds(grid=False))
+    def test_float_chain_is_the_numpy_chain_bit_for_bit(self, pts):
+        got = sg.convex_hull_2d(pts).vertices
+        want = monotone_chain_numpy(pts)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(hull_clouds(grid=True))
+    def test_matches_gift_wrap_as_sets(self, pts):
+        got = sg.convex_hull_2d(pts).vertices
+        assert set(map(tuple, got)) == set(map(tuple, gift_wrap_hull(pts)))
+
     def test_interior_and_collinear_points_removed(self):
         pts = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0],
                [1.0, 1.0], [1.0, 0.0], [2.0, 1.0]]
