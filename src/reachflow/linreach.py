@@ -38,7 +38,6 @@ from .setgeom import (
     _vform_enclosure,
     axis_bounds,
     bloat,
-    contains_set,
     default_template,
     hull_union,
     linear_map,
@@ -594,21 +593,24 @@ def discretize_continuous(system: LinearSystem, config: ReachConfig):
     return a_step, system.x0, _ball(n, phi * r_x + beta)
 
 
-def _template_dominates(q: SetRep, p: SetRep) -> bool:
-    """P subset of Q, with an O(m) fast path for same-template H-forms."""
+def _template_dominates(q: _Prepared, p: SetRep) -> bool:
+    """P subset of the prepared set Q, with an O(m) fast path for
+    same-template H-forms; any other pair asks ``q.contains(p)``, which is
+    ``contains_set(Q, P)``."""
+    s = q.set
     if (
         isinstance(p, HPolytope)
-        and isinstance(q, HPolytope)
+        and isinstance(s, HPolytope)
         and (
-            p.normals is q.normals
+            p.normals is s.normals
             or (
-                p.normals.shape == q.normals.shape
-                and np.array_equal(p.normals, q.normals)
+                p.normals.shape == s.normals.shape
+                and np.array_equal(p.normals, s.normals)
             )
         )
     ):
-        return bool(np.all(p.offsets <= q.offsets + TOL))
-    return contains_set(q, p)
+        return bool(np.all(p.offsets <= s.offsets + TOL))
+    return q.contains(p)
 
 
 class _Seen:
@@ -620,13 +622,21 @@ class _Seen:
     vectorised comparison per step gives what ``_template_dominates`` gives
     for each earlier segment, from the same floats.  The first segment off
     that buffer sends this and every later question to
-    ``_template_dominates``, one earlier segment at a time.
+    ``_template_dominates``, one earlier segment at a time, each held as
+    one ``_Prepared`` operand made when it is first asked, so a vertex
+    segment's facet form is built once, not once per later segment.
     """
 
     def __init__(self):
         self.sets = []
+        self.prepared = []  # entry i: segment i as a _Prepared, once asked
         self.bounds = None  # row i: offsets of segment i + TOL
         self.shared = True
+
+    def _operand(self, i: int) -> _Prepared:
+        if i == len(self.prepared):
+            self.prepared.append(_Prepared(self.sets[i]))
+        return self.prepared[i]
 
     def dominated(self, p: SetRep) -> bool:
         """Whether a segment seen so far contains ``p``, which joins them."""
@@ -641,7 +651,7 @@ class _Seen:
                 self.bounds = np.concatenate([self.bounds, np.empty_like(self.bounds)])
             self.bounds[k] = p.offsets + TOL
         else:
-            hit = any(_template_dominates(q, p) for q in self.sets)
+            hit = any(_template_dominates(self._operand(i), p) for i in range(k))
         self.sets.append(p)
         return hit
 

@@ -28,6 +28,10 @@ H-polytope share one phase one of the simplex: ``support`` and
 ``support_batch`` keep its start on the set, nothing else reads it, and
 each yes/no question solves from a start of its own.
 
+A vertex set up to 3-d converts to facets one way, ``vrep_to_hrep``: the
+normals come from the hull, and each offset is the cloud's maximum along
+its unit normal, so the facet form holds every vertex by construction.
+
 A run asks these questions of a few fixed sets (a bad set, guards,
 invariants, a domain) at every step.  The drivers hold each as a
 ``_Prepared`` operand, which builds its facet rows once and keeps what
@@ -386,8 +390,13 @@ def _hpolytope_solves(h: HPolytope, dmat: np.ndarray,
 
     Solves from ``start``, a start over ``h``'s rows, and again, from a
     start of its own, on ``_relaxed_offsets`` when the simplex calls ``h``
-    infeasible; the results are None when ``h`` is empty.  ``h`` was
-    checked when it was built, so only the directions are checked here.
+    infeasible; the results are None when ``h`` is empty.  On a sliver
+    only TOL wide the simplex's own tolerances can end the relaxed solve
+    with no start, or at a witness that misses a relaxed row by far (a
+    point set read 0.53 along an axis where its point lies at -0.375);
+    then the offsets are relaxed by ``_REFINE_BAND`` instead, a superset
+    wide enough for those tolerances.  ``h`` was checked when it was
+    built, so only the directions are checked here.
     """
     live = np.flatnonzero(np.any(dmat != 0.0, axis=0))
     if live.size == 0:
@@ -395,7 +404,13 @@ def _hpolytope_solves(h: HPolytope, dmat: np.ndarray,
     objectives = as_matrix(dmat[:, live].T)
     results = start.solve(objectives)
     if results[0].status == INFEASIBLE:
-        results = _LpStart(h.normals, _relaxed_offsets(h, start)).solve(objectives)
+        for band in (TOL, _REFINE_BAND):
+            relaxed = _relaxed_offsets(h, start, band)
+            results = _LpStart(h.normals, relaxed).solve(objectives)
+            slack = relaxed + TOL * (1.0 + np.abs(relaxed))
+            if results[0].status != INFEASIBLE and all(
+                    res.x is None or np.all(h.normals @ res.x <= slack) for res in results):
+                break
     if results[0].status == INFEASIBLE:
         return live, None
     return live, results
@@ -413,20 +428,21 @@ def _hpolytope_supports(h: HPolytope, dmat: np.ndarray, start: _LpStart) -> np.n
     return out
 
 
-def _relaxed_offsets(s: HPolytope, start: _LpStart | None = None) -> np.ndarray:
+def _relaxed_offsets(s: HPolytope, start: _LpStart | None = None,
+                     band: float = TOL) -> np.ndarray:
     """Offsets to solve again with after the simplex called ``s`` infeasible
     from ``start``, a start over its rows (by default a fresh one, as
     ``is_empty`` builds).
 
     On a flat set phase one's rounding can say "infeasible" although
     ``is_empty`` finds a point meeting every row.  Then every offset is
-    relaxed by TOL (1 + |b|): a superset, so its supports still bound
+    relaxed by ``band`` (1 + |b|): a superset, so its supports still bound
     those of ``s`` from above, and a witness misses a row of ``s`` by at
     most that much.  An empty ``s`` keeps its offsets and stays infeasible.
     """
     if _empty(s, _LpStart(s.normals, s.offsets) if start is None else start):
         return s.offsets
-    return as_vector(s.offsets + TOL * (1.0 + np.abs(s.offsets)))
+    return as_vector(s.offsets + band * (1.0 + np.abs(s.offsets)))
 
 
 def translate(s: SetRep, v) -> SetRep:
@@ -877,10 +893,10 @@ class _Prepared:
     normals get no memo.  A flowpipe's segments share one template buffer,
     and the pieces one prepared set clips share one stacked buffer, so
     each step costs only arithmetic on the offsets.  A vertex set up to
-    3-d, whose exact facet form costs a hull (2-d) or a walk over every
-    vertex triple (3-d), is first asked by its own supports along these
-    rows, one product; only a question that leaves undecided builds its
-    facet form.  ``intersect``, ``meets`` and ``contains_set`` are these
+    3-d, whose exact facet form costs a hull (2-d) or a search over vertex
+    triples (3-d), is first asked by its own supports along these rows,
+    one product; only a question that leaves undecided builds its facet
+    form.  ``intersect``, ``meets`` and ``contains_set`` are these
     methods on a fresh operand.
     """
 
@@ -1027,92 +1043,71 @@ def convex_hull_2d(points) -> VPolytope:
 
 
 def vrep_to_hrep(p: VPolytope) -> HPolytope:
-    """Exact facet representation of a vertex polytope, dimensions <= 3."""
+    """Facet form of a vertex polytope, dimensions <= 3, flagged as p is.
+
+    ``_facet_normals`` gives the directions, each made a unit row, and
+    every offset is the cloud's maximum along its row, taken after the
+    normalisation.  So every vertex meets every row with no tolerance, a
+    flat cloud keeps its thickness, and a direction that rounding tilted
+    still gives a superset.
+    """
     if not isinstance(p, VPolytope):
         raise TypeError("vrep_to_hrep expects a VPolytope")
-    n = p.dim
-    if n > 3:
+    if p.dim > 3:
         raise ValueError("exact vertex-to-facet conversion is limited to dimension 3")
     v = p.vertices
+    normals = _facet_normals(v)
+    normals = _freeze(normals / np.linalg.norm(normals, axis=1)[:, None])
+    return HPolytope._trusted(normals, (v @ normals.T).max(axis=0), exact=p.exact)
+
+
+# most floats one product of the 3-d facet search holds (32 MiB)
+_FACET_BLOCK = 1 << 22
+
+
+def _facet_normals(v: np.ndarray) -> np.ndarray:
+    """Outward facet normals of conv(v), v in dimension n <= 3, one nonzero
+    row each; the offsets are ``vrep_to_hrep``'s.
+
+    The cloud is centred and scaled to extent 1 first, so every threshold
+    below is relative to its own size.  A flat cloud gets +- each direction
+    across its affine hull, then the normals of its own hull inside that
+    hull, lifted back.  Up to 2-d it is flat when ``_reduce_vertices``
+    leaves at most n points; in 3-d when a singular value is at most 1e-9.
+    A full cloud gets +-1 in 1-d, its hull's edge normals in 2-d, and in
+    3-d the planes through vertex triples (cross product above 1e-12) with
+    every point on one side, within 1e-9.
+    """
+    n = v.shape[1]
     if n == 1:
-        return HPolytope(np.array([[1.0], [-1.0]]),
-                         np.array([float(v.max()), -float(v.min())]), exact=p.exact)
+        return np.array([[1.0], [-1.0]])
+    centered = v - v.mean(axis=0)
+    extent = float(np.abs(centered).max())
+    pts = _reduce_vertices(centered / extent) if extent else centered[:1]
+    pts = pts - pts.mean(axis=0)
+    _, sv, vt = np.linalg.svd(pts)
+    rank = min(pts.shape[0] - 1, n) if n == 2 else int(np.count_nonzero(sv > 1e-9))
+    if rank < n:
+        inside = vt[:rank]
+        lifted = [_facet_normals(pts @ inside.T) @ inside] if rank else []
+        return np.vstack([vt[rank:], -vt[rank:], *lifted])
     if n == 2:
-        return _vrep_to_hrep_2d(p)
-    return _vrep_to_hrep_3d(p)
-
-
-def _vrep_to_hrep_2d(p: VPolytope) -> HPolytope:
-    hull = convex_hull_2d(p.vertices).vertices
-    m = hull.shape[0]
-    if m == 1:
-        eye = np.eye(2)
-        return HPolytope(np.vstack([eye, -eye]),
-                         np.concatenate([hull[0], -hull[0]]), exact=p.exact)
-    if m == 2:
-        u = hull[1] - hull[0]
-        u = u / np.linalg.norm(u)
-        w = np.array([-u[1], u[0]])
-        rows = np.vstack([w, -w, u, -u])
-        offs = np.array([w @ hull[0], -(w @ hull[0]),
-                         max(u @ hull[0], u @ hull[1]),
-                         -min(u @ hull[0], u @ hull[1])])
-        return HPolytope(rows, offs, exact=p.exact)
-    rows, offs = [], []
-    for i in range(m):
-        a, b = hull[i], hull[(i + 1) % m]
-        edge = b - a
-        normal = np.array([edge[1], -edge[0]])  # outward for a CCW cycle
-        rows.append(normal)
-        offs.append(normal @ a)
-    return HPolytope(np.asarray(rows), np.asarray(offs), exact=p.exact)
-
-
-def _vrep_to_hrep_3d(p: VPolytope) -> HPolytope:
-    v = _reduce_vertices(p.vertices)
-    center = v.mean(axis=0)
-    centered = v - center
-    scale = max(1.0, float(np.abs(v).max()))
-    _, sv, vt = np.linalg.svd(centered, full_matrices=True)
-    sv = np.concatenate([sv, np.zeros(3 - sv.shape[0])])
-    rank = int(np.sum(sv > 1e-9 * scale))
-    if rank < 3:
-        # flat polytope: convert inside the affine subspace, then lift
-        basis = vt[:rank]
-        sub = VPolytope(centered @ basis.T) if rank else None
-        rows, offs = [], []
-        if rank:
-            h = vrep_to_hrep(sub)
-            for a_sub, b_sub in zip(h.normals, h.offsets):
-                a_full = a_sub @ basis
-                rows.append(a_full)
-                offs.append(b_sub + a_full @ center)
-        for u in vt[rank:]:
-            rows.append(u)
-            offs.append(u @ center)
-            rows.append(-u)
-            offs.append(-(u @ center))
-        return HPolytope(np.asarray(rows), np.asarray(offs), exact=p.exact)
-    rows, offs = [], []
-    m = v.shape[0]
-    tol = 1e-9 * scale
-    for i, j, k in itertools.combinations(range(m), 3):
-        normal = np.cross(v[j] - v[i], v[k] - v[i])
-        nn = np.linalg.norm(normal)
-        if nn <= 1e-12 * scale * scale:
-            continue
-        normal = normal / nn
-        d = centered @ normal - (v[i] - center) @ normal
-        for sgn in (1.0, -1.0):
-            if np.all(sgn * d <= tol):
-                rows.append(sgn * normal)
-                offs.append(sgn * normal @ v[i])
-    if not rows:
-        raise ValueError("facet enumeration failed (degenerate vertex set)")
-    rows = np.asarray(rows)
-    offs = np.asarray(offs)
-    facets = _distinct_rows(np.hstack([rows, offs[:, None]]))
-    return HPolytope(facets[:, :-1], facets[:, -1], exact=p.exact)
+        edge = np.roll(pts, -1, axis=0) - pts
+        return np.column_stack([edge[:, 1], -edge[:, 0]])  # outward for a CCW cycle
+    m = pts.shape[0]
+    step = max(1, _FACET_BLOCK // (2 * m))
+    found = []
+    for i in range(m - 2):
+        edge = pts[i + 1:] - pts[i]
+        j, k = np.triu_indices(m - i - 1, 1)
+        for s in range(0, j.shape[0], step):
+            c = np.cross(edge[j[s:s + step]], edge[k[s:s + step]])
+            size = np.linalg.norm(c, axis=1)
+            keep = size > 1e-12
+            c = c[keep] / size[keep, None]
+            c = np.stack([c, -c], axis=1).reshape(-1, 3)  # both sides of each plane
+            found.append(c[np.all((pts - pts[i]) @ c.T <= 1e-9, axis=0)])
+    return _distinct_rows(np.vstack(found))
 
 
 # a candidate vertex is kept when it meets every row within this much

@@ -40,6 +40,7 @@ from reachflow.setgeom import (
     HPolytope,
     VPolytope,
     Zonotope,
+    _Prepared,
     axis_bounds,
     bounding_box,
     contains_set,
@@ -762,12 +763,15 @@ class TestReachModes:
     @staticmethod
     def pairwise_fixpoint(system, config):
         """``(status, status_step, segment count)`` of a fixpoint run that
-        asks ``_template_dominates`` of every earlier segment in turn."""
+        asks ``_template_dominates`` of every earlier segment in turn, each
+        wrapped fresh in a ``_Prepared`` operand: the question
+        ``contains_set`` asks."""
         limit = config.max_steps
         segments = []
         for seg in _flow_steps(system, config):
             segments.append(seg)
-            if any(_template_dominates(old.set_rep, seg.set_rep) for old in segments[:-1]):
+            if any(_template_dominates(_Prepared(old.set_rep), seg.set_rep)
+                   for old in segments[:-1]):
                 return FIXPOINT_REACHED, seg.k, len(segments)
             if seg.k >= limit:
                 return HORIZON, None, len(segments)
@@ -793,6 +797,25 @@ class TestReachModes:
                              max_steps=max_steps)
         pipe = reach(system, config)
         assert (pipe.status, pipe.status_step, len(pipe)) == self.pairwise_fixpoint(system, config)
+
+    def test_vertex_fixpoint_prepares_each_segment_once(self, monkeypatch):
+        # each earlier segment is one prepared operand, not one per later step
+        made = []
+
+        class Counted(_Prepared):
+            __slots__ = ()
+
+            def __init__(self, s):
+                made.append(s)
+                super().__init__(s)
+
+        monkeypatch.setattr(linreach, "_Prepared", Counted)
+        system = LinearSystem(rot(0.3), Box([0.9, -0.1], [1.1, 0.1]),
+                              input_set=Box([-0.01, -0.01], [0.01, 0.01]))
+        pipe = reach(system, ReachConfig(horizon=30, mode="fixpoint", strategy="vertices",
+                                         max_steps=30))
+        assert (pipe.status, len(pipe)) == (HORIZON, 31)
+        assert len(made) in (30, 31)
 
     def test_lazy_fixpoint_answers_in_one_comparison_per_step(self, monkeypatch):
         # a 2-d rotation with an input box never converges; at 4000 steps

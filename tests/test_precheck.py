@@ -280,11 +280,27 @@ class TestBoxPairs:
             assert sg.is_empty(stacked(b1, b2))
 
 
+def parallelotope(coupling, lower, upper):
+    """A parallelotopes() draw: {lower <= M x <= upper} for M = 3 I +
+    coupling."""
+    m = 3.0 * np.eye(len(lower)) + np.array(coupling)
+    return HPolytope(np.vstack([m, -m]), np.concatenate([upper, -np.array(lower)]))
+
+
 def point_parallelotope(coupling, point):
-    """A parallelotopes() draw with every width 0: {point <= M x <= point}
-    for M = 3 I + coupling."""
-    m = 3.0 * np.eye(len(point)) + np.array(coupling)
-    return HPolytope(np.vstack([m, -m]), np.concatenate([point, -np.array(point)]))
+    """A parallelotopes() draw with every width 0."""
+    return parallelotope(coupling, point, point)
+
+
+# a segment and a point on which phase one's rounding says "infeasible" and
+# the solve on offsets relaxed by TOL went wrong: the segment got no start
+# at all, the point a witness 0.9 from it along e1
+RELAXED_SLIVERS = [
+    parallelotope([[-0.5, 2.0, 2.0 ** -23], [0.0, 0.0, -1.0], [2.0, 0.0, 1.0]],
+                  [0.0, 1.0, 2.0], [0.0, 1.0, 2.2]),
+    point_parallelotope([[0.0, 2.0, 2.0 ** -23], [0.0, 0.0, -2.0], [1.0, 0.0, 1.0]],
+                        [0.0, 1.0, 1.0]),
+]
 
 
 class TestContainmentPrecheck:
@@ -297,6 +313,8 @@ class TestContainmentPrecheck:
     @example((Box([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
               point_parallelotope([[0.0, 0.0, 1.5], [-0.5, 0.0, 0.0], [1.5, 3.2e-8, -1.0]],
                                   [3.0, 2.0, 0.0])))
+    @example((Box([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), RELAXED_SLIVERS[0]))
+    @example((Box([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), RELAXED_SLIVERS[1]))
     def test_settled_rows_pass_the_lp_row_test(self, pair):
         q, p = pair
         if sg.is_empty(p):
@@ -309,6 +327,18 @@ class TestContainmentPrecheck:
         lp_rows = all(sg.support_batch(p, a[:, None])[0] <= b + sg.TOL
                       for a, b in zip(h.normals, h.offsets))
         assert sg.contains_set(q, p) == lp_rows
+
+    @pytest.mark.parametrize("p", RELAXED_SLIVERS, ids=["segment", "point"])
+    def test_a_relaxed_sliver_keeps_sound_supports(self, p):
+        # the segment used to read as empty, so the origin "contained" it
+        assert not sg.is_empty(p)
+        assert not sg.contains_set(Box(np.zeros(3), np.zeros(3)), p)
+        # one row pair has width, so the ends solve the upper and the lower rows
+        ends = np.linalg.solve(p.normals[:3], np.array([p.offsets[:3], -p.offsets[3:]]).T).T
+        dirs = np.hstack([np.eye(3), -np.eye(3)])
+        exact = (ends @ dirs).max(axis=0)
+        values = sg.support_batch(p, dirs)
+        assert np.all(exact - 1e-9 <= values) and np.all(values <= exact + 1e-5)
 
     def test_template_segment_inside_a_box_needs_no_lp(self, monkeypatch):
         dirs = sg.default_template(2)

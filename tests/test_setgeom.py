@@ -487,6 +487,28 @@ class TestConvexHull2d:
             assert set(map(tuple, np.round(mine, 9))) == set(map(tuple, np.round(oracle, 9)))
 
 
+@st.composite
+def vertex_clouds(draw):
+    """Clouds in 1-3 d: scattered, with repeated vertices, flat (rounding
+    thick) or near-flat (1e-12 to 1e-4 thick across a random subspace),
+    scaled by 1e-6, 1 or 1e3 and shifted by up to 1e3."""
+    n = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    v = np.array(draw(st.lists(st.tuples(*[unit] * n), min_size=1, max_size=10)))
+    kind = draw(st.sampled_from(["scattered", "repeated", "flat", "near-flat"]))
+    if kind == "repeated":
+        v = v[draw(st.lists(st.integers(0, len(v) - 1), min_size=len(v), max_size=3 * len(v)))]
+    elif kind != "scattered" and n > 1:
+        basis, _ = np.linalg.qr(np.array(draw(st.tuples(*[st.tuples(*[unit] * n)] * n))))
+        kept = draw(st.integers(0, n - 1))
+        coords = v @ basis
+        coords[:, kept:] *= 0.0 if kind == "flat" else draw(st.sampled_from(
+            [1e-12, 1e-10, 1e-8, 1e-6, 1e-4]))
+        v = coords @ basis.T
+    shift = np.array(draw(st.tuples(*[st.floats(-1e3, 1e3)] * n)))
+    return draw(st.sampled_from([1e-6, 1.0, 1e3])) * v + shift
+
+
 class TestConversions:
     def test_square_round_trip(self):
         sq = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -545,6 +567,44 @@ class TestConversions:
         want = {(*row, off) for row, off in zip(np.vstack([eye, -eye]), [1e10] * 3 + [0.0] * 3)}
         assert h.nrows == 6
         assert {(*row, off) for row, off in zip(h.normals, h.offsets)} == want
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(vertex_clouds(), st.integers(0, 2 ** 32 - 1))
+    def test_facet_form_holds_its_cloud(self, v, seed):
+        p = VPolytope(v)
+        h = sg.vrep_to_hrep(p)
+        # offsets are maxima over the cloud, taken on the rows the set keeps
+        assert np.all(p.vertices @ h.normals.T <= h.offsets)
+        assert np.all(np.abs(np.linalg.norm(h.normals, axis=1) - 1.0) <= sg._UNIT_TOL)
+        n = v.shape[1]
+        sv = np.linalg.svd(v - v.mean(axis=0), compute_uv=False)
+        if sv.shape[0] < n or sv[-1] < 1e-3 * sv[0]:
+            return
+        # a round cloud's form is tight: no direction reaches past the cloud
+        size = float(np.abs(v).max())
+        dirs = np.random.default_rng(seed).normal(size=(8, n))
+        for d in dirs / np.linalg.norm(dirs, axis=1)[:, None]:
+            best = lp_vertex_enum(d, h.normals, h.offsets, tol=1e-12 * size)
+            assert best is not None
+            assert best[0] <= (v @ d).max() + 1e-9 * size
+
+    @pytest.mark.parametrize("v", [
+        # the corner 1e-7 off the plane used to miss a row by 2.5e-8
+        [[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0], [1000.0, 1000.0, 1e-7]],
+        [[0.0, 0.0, 0.0], [1.0, 1e-10, 0.0], [2.0, 0.0, 1e-10]],
+        [[0.0, 0.0], [1.0, 1e-13], [2.0, 0.0]],
+    ], ids=["flat-square", "near-collinear-3d", "near-collinear-2d"])
+    def test_a_flat_cloud_meets_every_row(self, v):
+        v = np.array(v)
+        h = sg.vrep_to_hrep(VPolytope(v))
+        assert np.all(v @ h.normals.T <= h.offsets)
+
+    def test_a_tiny_cube_converts(self):
+        corners = 1e-6 * np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+        h = sg.vrep_to_hrep(VPolytope(corners))
+        assert h.nrows == 6
+        assert np.all(corners @ h.normals.T <= h.offsets)
+        assert not sg.member(h, [2e-6, 0.0, 0.0], tol=0.0)
 
     def test_unbounded_rejected(self):
         with pytest.raises(ValueError):
