@@ -388,32 +388,34 @@ def _hpolytope_solves(h: HPolytope, dmat: np.ndarray,
     """The nonzero columns of ``dmat`` and the simplex's result for each
     over ``h``, from one phase one: the directions share the constraints.
 
-    Solves from ``start``, a start over ``h``'s rows, and again, from a
-    start of its own, on ``_relaxed_offsets`` when the simplex calls ``h``
-    infeasible; the results are None when ``h`` is empty.  On a sliver
-    only TOL wide the simplex's own tolerances can end the relaxed solve
-    with no start, or at a witness that misses a relaxed row by far (a
-    point set read 0.53 along an axis where its point lies at -0.375);
-    then the offsets are relaxed by ``_REFINE_BAND`` instead, a superset
-    wide enough for those tolerances.  ``h`` was checked when it was
-    built, so only the directions are checked here.
+    Solves from ``start``, a start over ``h``'s rows; the results are None
+    when ``h`` is empty.  On a flat set phase one's rounding can say
+    "infeasible" although ``is_empty`` finds a point meeting every row;
+    then the offsets are relaxed by each of ``_RELAX_WIDTHS`` in turn, a
+    superset whose supports still bound those of ``h`` from above, until
+    every witness meets the relaxed rows.  A direction that no width
+    answers so gets an unbounded result: an upper bound that cannot be
+    wrong.  ``h`` was checked when it was built, so only the directions
+    are checked here.
     """
     live = np.flatnonzero(np.any(dmat != 0.0, axis=0))
     if live.size == 0:
         return live, []
     objectives = as_matrix(dmat[:, live].T)
     results = start.solve(objectives)
-    if results[0].status == INFEASIBLE:
-        for band in (TOL, _REFINE_BAND):
-            relaxed = _relaxed_offsets(h, start, band)
-            results = _LpStart(h.normals, relaxed).solve(objectives)
-            slack = relaxed + TOL * (1.0 + np.abs(relaxed))
-            if results[0].status != INFEASIBLE and all(
-                    res.x is None or np.all(h.normals @ res.x <= slack) for res in results):
-                break
-    if results[0].status == INFEASIBLE:
+    if results[0].status != INFEASIBLE:
+        return live, results
+    if _empty(h, start):
         return live, None
-    return live, results
+    for width in _RELAX_WIDTHS:
+        relaxed = _relaxed_offsets(h.offsets, width)
+        slack = relaxed + TOL * (1.0 + np.abs(relaxed))
+        results = [res if res.status != INFEASIBLE and (
+                       res.x is None or np.all(h.normals @ res.x <= slack)) else None
+                   for res in _LpStart(h.normals, relaxed).solve(objectives)]
+        if all(res is not None for res in results):
+            break
+    return live, [LpResult(UNBOUNDED) if res is None else res for res in results]
 
 
 def _hpolytope_supports(h: HPolytope, dmat: np.ndarray, start: _LpStart) -> np.ndarray | None:
@@ -428,21 +430,19 @@ def _hpolytope_supports(h: HPolytope, dmat: np.ndarray, start: _LpStart) -> np.n
     return out
 
 
-def _relaxed_offsets(s: HPolytope, start: _LpStart | None = None,
-                     band: float = TOL) -> np.ndarray:
-    """Offsets to solve again with after the simplex called ``s`` infeasible
-    from ``start``, a start over its rows (by default a fresh one, as
-    ``is_empty`` builds).
+# widths, relative to 1 + |b|, that _hpolytope_solves relaxes the offsets
+# of a nonempty set by when phase one calls it infeasible, tried in turn: on
+# a sliver only TOL wide the simplex's own absolute tolerances can end the
+# TOL-wide solve with no start, or at a witness that misses a relaxed row by
+# far (a point set read 0.53 along an axis where its point lies at -0.375)
+_RELAX_WIDTHS = (TOL, 1e-6)
 
-    On a flat set phase one's rounding can say "infeasible" although
-    ``is_empty`` finds a point meeting every row.  Then every offset is
-    relaxed by ``band`` (1 + |b|): a superset, so its supports still bound
-    those of ``s`` from above, and a witness misses a row of ``s`` by at
-    most that much.  An empty ``s`` keeps its offsets and stays infeasible.
-    """
-    if _empty(s, _LpStart(s.normals, s.offsets) if start is None else start):
-        return s.offsets
-    return as_vector(s.offsets + band * (1.0 + np.abs(s.offsets)))
+
+def _relaxed_offsets(offsets: np.ndarray, width: float = TOL) -> np.ndarray:
+    """``offsets`` each relaxed by ``width`` (1 + |b|): the rows of a
+    superset, whose witnesses miss the original rows by at most that
+    much."""
+    return as_vector(offsets + width * (1.0 + np.abs(offsets)))
 
 
 def translate(s: SetRep, v) -> SetRep:

@@ -340,6 +340,20 @@ class TestContainmentPrecheck:
         values = sg.support_batch(p, dirs)
         assert np.all(exact - 1e-9 <= values) and np.all(values <= exact + 1e-5)
 
+    @pytest.mark.parametrize("p", RELAXED_SLIVERS, ids=["segment", "point"])
+    def test_a_sliver_no_width_answers_reads_unbounded(self, p, monkeypatch):
+        # with the TOL width alone, the segment's relaxed solve has no start
+        # and the point's e1 witness misses its rows: those directions read
+        # +inf, never "empty" or a value below the set
+        monkeypatch.setattr(sg, "_RELAX_WIDTHS", (sg.TOL,))
+        dirs = np.hstack([np.eye(3), -np.eye(3)])
+        values = sg.support_batch(p, dirs)
+        assert np.isinf(values).any()
+        ends = np.linalg.solve(p.normals[:3], np.array([p.offsets[:3], -p.offsets[3:]]).T).T
+        assert np.all((ends @ dirs).max(axis=0) - 1e-9 <= values)
+        assert sg.support(p, dirs[:, np.argmax(values)]) == (np.inf, None)
+        assert not sg.contains_set(Box(np.zeros(3), np.zeros(3)), p)
+
     def test_template_segment_inside_a_box_needs_no_lp(self, monkeypatch):
         dirs = sg.default_template(2)
         seg = HPolytope(dirs, np.abs(dirs) @ np.array([1.0, 1.0]))
@@ -470,8 +484,8 @@ class TestSharedPhaseOne:
         where the simplex calls them infeasible, the relaxed offsets it
         solves again with."""
         res = lp_max(d, h.normals, h.offsets)
-        if res.status == INFEASIBLE:
-            res = lp_max(d, h.normals, sg._relaxed_offsets(h))
+        if res.status == INFEASIBLE and not sg.is_empty(h):
+            res = lp_max(d, h.normals, sg._relaxed_offsets(h.offsets))
         return res
 
     @PROPERTY

@@ -744,7 +744,7 @@ class TestIsEmpty:
         r = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 1.0], [1e-7, 1.0, 3.0]])
         y = np.array([1.0, 2.0, 0.0])
         h = HPolytope(np.vstack([r, -r]), np.concatenate([y, -y]))
-        relaxed = HPolytope(h.normals, sg._relaxed_offsets(h))
+        relaxed = HPolytope(h.normals, sg._relaxed_offsets(h.offsets))
         for d in np.hstack([np.eye(3), -np.eye(3)]).T:
             value, witness = sg.support(relaxed, d)
             assert sg.member(relaxed, witness, tol=1e-8)

@@ -4,13 +4,13 @@ Runs every operation of a workload (check-mix by default) from two trees in
 alternating fresh processes: in even rounds the first tree's process runs
 first, in odd rounds the second's.  Each process imports its own tree's
 ``src/reachflow`` and ``perfbench/workloads.py``, runs one checked warm-up
-pass, then ``--passes`` timed passes, and times every operation with
+pass, then ``PASSES`` timed passes, and times every operation with
 ``time.process_time`` under one BLAS thread.  The report gives, per
 operation, the least CPU time over every process and pass of each tree and
 their ratio, then the warm-up fingerprints of both trees side by side.
 
     python3 tools/ab_ops.py PARENT_TREE CHANGE_TREE [--workload check-mix]
-        [--seed 1] [--rounds 4] [--passes 4]
+        [--seed 1]
 
 A tree is a directory holding ``src/reachflow`` and ``perfbench``, such as
 ``git archive COMMIT | tar -x -C DIR``.  The tool only reads the trees; it
@@ -29,13 +29,9 @@ import tempfile
 import time
 from pathlib import Path
 
-# as perfbench/run.py sets for its workers
-CHILD_ENV = {
-    "OPENBLAS_NUM_THREADS": "1",
-    "OMP_NUM_THREADS": "1",
-    "MKL_NUM_THREADS": "1",
-    "PYTHONHASHSEED": "0",
-}
+REPO = Path(__file__).resolve().parents[1]
+ROUNDS = 4  # processes per tree
+PASSES = 4  # timed passes per process
 
 
 def op_name(op) -> str:
@@ -44,7 +40,7 @@ def op_name(op) -> str:
     return str(args[0]) if args else op.__name__
 
 
-def child(tree: Path, workload: str, seed: int, passes: int) -> dict:
+def child(tree: Path, workload: str, seed: int) -> dict:
     """One process: the tree's workload, a warm-up and timed passes."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import reachflow
@@ -62,7 +58,7 @@ def child(tree: Path, workload: str, seed: int, passes: int) -> dict:
         fingerprint = wl.fingerprint(results)
         del results
         cpu = [[] for _ in ops]
-        for _ in range(passes):
+        for _ in range(PASSES):
             for times, op in zip(cpu, ops):
                 t0 = time.process_time()
                 op()
@@ -73,10 +69,10 @@ def child(tree: Path, workload: str, seed: int, passes: int) -> dict:
             "fingerprint": fingerprint, "failed": failed}
 
 
-def run_child(tree: Path, args) -> dict:
+def run_child(tree: Path, args, env: dict) -> dict:
     cmd = [sys.executable, __file__, "--child", str(tree), "--workload", args.workload,
-           "--seed", str(args.seed), "--passes", str(args.passes)]
-    out = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, **CHILD_ENV})
+           "--seed", str(args.seed)]
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env)
     if out.returncode:
         sys.exit(f"{tree}: the operations failed\n{out.stderr}")
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -88,25 +84,28 @@ def main(argv=None) -> int:
     ap.add_argument("trees", nargs="*", type=Path, help="PARENT_TREE CHANGE_TREE")
     ap.add_argument("--workload", default="check-mix")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=4)
-    ap.add_argument("--passes", type=int, default=4)
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(child(args.child.resolve(), args.workload, args.seed, args.passes)))
+        print(json.dumps(child(args.child.resolve(), args.workload, args.seed)))
         return 0
     if len(args.trees) != 2:
         ap.error("give two trees: PARENT_TREE CHANGE_TREE")
+    # the workers' BLAS and hash settings, as perfbench's launcher sets them
+    sys.path.insert(0, str(REPO / "perfbench"))
+    from run import CHILD_ENV
+
+    env = {**os.environ, **CHILD_ENV}
     trees = [t.resolve() for t in args.trees]
     runs = [[], []]
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            runs[side].append(run_child(trees[side], args))
+            runs[side].append(run_child(trees[side], args, env))
     names = runs[0][0]["names"]
     best = [[min(t for run in side for t in run["cpu"][i]) for i in range(len(names))]
             for side in runs]
-    print(f"{args.workload}, seed {args.seed}: {args.rounds} processes per tree, "
-          f"{args.passes} timed passes each, least CPU ms per operation")
+    print(f"{args.workload}, seed {args.seed}: {ROUNDS} processes per tree, "
+          f"{PASSES} timed passes each, least CPU ms per operation")
     print(f"{'operation':<22}{'parent':>10}{'change':>10}{'ratio':>8}")
     for name, a, b in zip(names, *best):
         print(f"{name:<22}{1e3 * a:>10.1f}{1e3 * b:>10.1f}{b / a if a else float('nan'):>8.3f}")
