@@ -339,7 +339,8 @@ def dynamic_hybridize_reach(
         if len(domains) >= _MAX_REBUILDS:
             status, status_step = STALLED, k
             break
-        domain = _inflate(bounding_box(entry), _PAD_FRACTION, min_pad)
+        box = bounding_box(entry)
+        domain = _inflate(box, _PAD_FRACTION, min_pad)
         domains.append(domain)
         inside = _Prepared(domain)
         lin = linearize(system, domain)
@@ -368,7 +369,7 @@ def dynamic_hybridize_reach(
                 status, status_step = STALLED, k
                 break
             # one retry with a wider margin before giving up
-            entry = _inflate(bounding_box(entry), 0.0, min_pad)
+            entry = _inflate(box, 0.0, min_pad)
             continue
         stall = 0
         entry = segments[-1].set_rep

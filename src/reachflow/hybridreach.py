@@ -37,10 +37,8 @@ from .setgeom import (
     HPolytope,
     SetRep,
     _drop_start,
-    _exact_hform,
     _member_rows,
     _Prepared,
-    contains_set,
     hull_union,
     linear_map,
     sample_points,
@@ -315,7 +313,8 @@ def hybrid_reach(
 
     Every worklist item is a (mode, entry set, global step offset, jump
     depth) tuple.  An entry contained in an already-explored entry of the
-    same mode with at least as many remaining steps is pruned.  Exceeding
+    same mode with at least as many remaining steps is pruned; each
+    explored entry is prepared once (``setgeom._Prepared``).  Exceeding
     ``jump_depth`` or ``max_flows`` leaves work unfinished and the result
     is flagged ``incomplete``; a bad-set hit aborts immediately.
     """
@@ -329,7 +328,7 @@ def hybrid_reach(
     # worklist item carries the jump's index, and popping the item settles
     # whether the jump was pruned or which flow it leads to
     jumps = []
-    # (mode name, exact entry H-form, remaining steps); an entry without an
+    # (mode name, prepared entry, remaining steps); an entry without an
     # exact facet form is never pruned against, since an enclosure of it
     # would prune successors that reach states outside it
     explored = []
@@ -344,7 +343,7 @@ def hybrid_reach(
         mode_name, entry, offset, spread, depth, jump = queue.popleft()
         remaining = total_steps - offset
         if any(
-            name == mode_name and remaining <= rem and contains_set(old, entry)
+            name == mode_name and remaining <= rem and old.contains(entry)
             for name, old, rem in explored
         ):
             jumps[jump] = replace(jumps[jump], pruned=True)
@@ -352,9 +351,9 @@ def hybrid_reach(
         if len(flows) >= max_flows:
             status = INCOMPLETE
             break
-        entry_h = _exact_hform(entry)
-        if entry_h is not None:
-            explored.append((mode_name, entry_h, remaining))
+        prepared = _Prepared(entry)
+        if prepared.exact_form:
+            explored.append((mode_name, prepared, remaining))
         mode = automaton.mode(mode_name)
         outgoing = automaton.outgoing(mode_name)
         segments, hits, flow_status, flow_step = mode_reach(

@@ -337,43 +337,13 @@ def step_input_facets(p: HPolytope, v: Union[SetRep, Sequence[SetRep], None],
 # ---------------------------------------------------------------------------
 # lazy strategy
 
-# a template is folded exactly when some row repeats up to sign and both its
-# row count m and its folded column count m' are multiples of this many
-# rows; a folded template reads the supports of a box or zonotope from its
-# m' columns.  Those supports are matrix-vector products, one row per
-# direction, and OpenBLAS's gemv rounds a row the same way whatever the row
-# count only inside its 4-row blocks: outside them a row of the m' folded
-# columns can differ in the last bit from the same row among all m.  Such a
-# template would have to gather its m columns every step to keep the bits,
-# which costs more than the smaller product saves, so it runs unfolded
+# a template [P; -P] folds onto the columns of P when its row count m is a
+# multiple of twice this many rows.  A box's or zonotope's supports are
+# matrix-vector products, one row per direction, and OpenBLAS's gemv rounds a
+# row the same way whatever the row count only inside its 4-row blocks, so
+# on other counts a row among the m/2 folded columns could differ in the last
+# bit from the same row among all m
 _GEMV_BLOCK = 4
-
-
-def _fold_pairs(dirs: np.ndarray):
-    """The template up to sign: ``(keep, src, sign)``, or None when no row
-    repeats up to sign.
-
-    A row that equals an earlier row or its negation, compared as values
-    (so 0.0 and -0.0 match), folds onto that row.  ``keep`` indexes the
-    rows that do not; row i of the template is ``sign[i]`` (+-1.0) times
-    kept row ``src[i]``.  Whether the fold is used is ``LazyReachSet``'s
-    call (``_GEMV_BLOCK``).
-    """
-    keep, src, sign, seen = [], [], [], {}
-    for i, row in enumerate(dirs):
-        key = (row + 0.0).tobytes()  # adding 0.0 turns -0.0 into 0.0
-        j, s = seen.get(key), 1.0
-        if j is None:
-            j, s = seen.get((-row + 0.0).tobytes()), -1.0
-        if j is None:
-            j, s = len(keep), 1.0
-            seen[key] = j
-            keep.append(i)
-        src.append(j)
-        sign.append(s)
-    if len(keep) == len(dirs):
-        return None
-    return keep, np.array(src), np.array(sign)
 
 
 class LazyReachSet:
@@ -384,18 +354,14 @@ class LazyReachSet:
     meaning their Minkowski sum, or None), and one evolving matrix: the
     template directions pulled back to step 0, ``(A^T)^k D^T``, with
     their accumulated input supports.  The set it denotes is
-    ``A^k X0 + sum_{i<k} A^i U``.  On a template whose rows repeat up to
-    sign, with m rows and m' rows up to sign both multiples of
-    ``_GEMV_BLOCK``, the product advances the template only up to sign: a
-    direction and its negation (or a repeat) share one column, so
-    advancing costs one n x n by n x m' product (n x n for the box
-    template ``[I; -I]`` when 4 divides n); the fold is two per-row maps,
-    each template row's source column and sign.  Every other template
-    advances all m columns.  The supports of a box or zonotope (the base,
-    or an input part) are read from the advanced columns, an even part and
-    an odd part per column, with one ``|B|`` per step shared by every box;
-    the n x m matrix of all template columns is gathered from folded ones
-    only for an H- or V-polytope operand.
+    ``A^k X0 + sum_{i<k} A^i U``.  A template in the layout ``[P; -P]``
+    whose m rows are a multiple of ``2 * _GEMV_BLOCK`` is folded: the
+    product advances only the m/2 columns of P (n x n for the box template
+    ``[I; -I]`` when 4 divides n), and every other template advances all m
+    columns.  The supports of a box or zonotope (the base, or an input
+    part) are read from the advanced columns, an even part and an odd part
+    per column, with one ``|B|`` per step shared by every box; the n x m
+    matrix ``[P; -P]^T`` is stacked only for an H- or V-polytope operand.
     Every concretization answers the template from these columns alone.
     The template is scaled to unit rows once and kept read-only, so all
     segments of one flowpipe share one normals buffer.  Any other
@@ -404,8 +370,8 @@ class LazyReachSet:
     into the recurrence, so repeated over-approximation cannot compound.
     """
 
-    __slots__ = ("base", "a", "inputs", "k", "dirs", "_src", "_sign", "_basis", "_full",
-                 "_abs", "_acc")
+    __slots__ = ("base", "a", "inputs", "k", "dirs", "_folded", "_basis", "_full", "_abs",
+                 "_acc")
 
     def __init__(
         self,
@@ -431,13 +397,12 @@ class LazyReachSet:
         dirs.flags.writeable = False
         self.k = 0
         self.dirs = dirs
-        fold = _fold_pairs(dirs)
-        if fold is not None and (len(fold[0]) % _GEMV_BLOCK or len(dirs) % _GEMV_BLOCK):
-            fold = None
-        self._src, self._sign = (None, None) if fold is None else fold[1:]
+        h = len(dirs) // 2
+        # compared as values, so 0.0 and -0.0 match
+        self._folded = len(dirs) % (2 * _GEMV_BLOCK) == 0 and np.array_equal(dirs[h:], -dirs[:h])
         self._full = dirs.T  # columns: (A^T)^k d
-        # the columns the product advances: the template, up to sign if folded
-        self._basis = self._full if fold is None else dirs[fold[0]].T
+        # the columns the product advances: those of P if folded
+        self._basis = dirs[:h].T if self._folded else self._full
         self._abs = None
         self._acc = np.zeros(dirs.shape[0])
 
@@ -447,31 +412,29 @@ class LazyReachSet:
 
     @property
     def _cur(self) -> np.ndarray:
-        """The m template columns ``(A^T)^k D^T``, gathered from the folded
+        """The m template columns ``(A^T)^k D^T``, stacked from the folded
         ones on first use."""
         if self._full is None:
-            self._full = np.multiply(self._basis[:, self._src], self._sign,
-                                     out=np.empty((self.dim, self.dirs.shape[0])))
+            self._full = np.hstack([self._basis, -self._basis])
         return self._full
 
     def _supports(self, s: SetRep) -> np.ndarray:
         """``support_batch(s, self._cur)``, bit for bit.
 
-        A box or zonotope is read from the advanced columns: each template
-        row takes its column's odd part times the row's sign plus the
-        column's even part.  That is the sum ``support_batch`` takes, and
-        on a ``_GEMV_BLOCK``-aligned fold a matrix-vector product has the
-        same bits in a row with or without the other rows beside it.
+        A box or zonotope is read from the advanced columns: a folded
+        template's rows -d take ``even - odd``, which is the sum
+        ``support_batch`` takes along -d, and on a ``_GEMV_BLOCK``-aligned
+        fold a matrix-vector product has the same bits in a row with or
+        without the other rows beside it.
         """
         if not isinstance(s, (Box, Zonotope)):
             return support_batch(s, self._cur)
         if isinstance(s, Box) and self._abs is None:
             self._abs = np.abs(self._basis.T)
         even, odd = _even_odd(s, self._basis, self._abs)
-        if self._src is None:
+        if not self._folded:
             return even if odd is None else odd + even
-        src = self._src
-        return even[src] if odd is None else self._sign * odd[src] + even[src]
+        return np.concatenate((even, even) if odd is None else (odd + even, even - odd))
 
     def advance(self) -> "LazyReachSet":
         new = object.__new__(LazyReachSet)
@@ -479,8 +442,7 @@ class LazyReachSet:
         new.a = self.a
         new.inputs = self.inputs
         new.dirs = self.dirs
-        new._src = self._src
-        new._sign = self._sign
+        new._folded = self._folded
         new.k = self.k + 1
         if self.inputs:
             # summed from zero, part by part, as _summed_supports sums them
@@ -493,7 +455,7 @@ class LazyReachSet:
         # the unfolded matrix bit for bit there; box templates with n = 4
         # (mod 8) from n = 196 on round some columns differently
         new._basis = self.a.T @ self._basis
-        new._full = new._basis if self._src is None else None
+        new._full = None if self._folded else new._basis
         new._abs = None
         return new
 

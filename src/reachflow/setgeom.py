@@ -756,8 +756,8 @@ def _support_bound(s: Box | HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, np
     into each bound (inf where the rows give no bound).
 
     A box answers exactly.  An H-polytope answers by the least offset of a
-    row with the same normal and, when it is a parallelotope (n antiparallel
-    row pairs, independent normals), exactly by one n x n solve.  Only the
+    row with the same normal and, when it is a parallelotope (rows [P; -P],
+    P independent), exactly by one n x n solve.  Only the
     rows an LP over s sees enter, each with a bounded multiplier, so the
     LP's own tolerances move its answer far less than the precheck margin.
     """
@@ -770,22 +770,22 @@ def _support_bound(s: Box | HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, np
 class _RowBound:
     """What ``_support_bound`` of an H-polytope takes from its normals
     alone, for the unit columns of ``dmat``: the rows equal to a column,
-    and, when those leave a column unbounded and the normals form a
-    parallelotope, its row pairs and the coefficients ``lam`` of each
-    column in their first rows.  Called with the set's offsets, it gives
-    the bounds and magnitudes ``_support_bound`` gives."""
+    and, when those leave a column unbounded and the normals are a
+    parallelotope [P; -P], the coefficients ``lam`` of each column in the
+    rows of P.  Called with the set's offsets, it gives the bounds and
+    magnitudes ``_support_bound`` gives."""
 
-    __slots__ = ("width", "rows", "cols", "pairs", "lam")
+    __slots__ = ("width", "rows", "cols", "lam")
 
     def __init__(self, normals: np.ndarray, dmat: np.ndarray):
         self.width = dmat.shape[1]
         self.rows, self.cols = _equal_rows(normals, dmat.T)
-        self.pairs = self.lam = None
+        self.lam = None
         if np.unique(self.cols).shape[0] < self.width:
-            self.pairs = _antiparallel_pairs(normals)
-            if self.pairs is not None:
-                # d = sum_i lam_i n_i
-                self.lam = np.linalg.solve(normals[self.pairs[0]].T, dmat)
+            p = _antiparallel_pairs(normals)
+            if p is not None:
+                # d = sum_i lam_i p_i
+                self.lam = np.linalg.solve(p.T, dmat)
 
     def __call__(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bound = np.full(self.width, np.inf)
@@ -793,9 +793,9 @@ class _RowBound:
         mag = 1.0 + np.abs(bound)
         if self.lam is None:
             return bound, mag
-        first, second = self.pairs
         lam = self.lam
-        hi, lo = offsets[first][:, None], offsets[second][:, None]
+        n = lam.shape[0]
+        hi, lo = offsets[:n, None], offsets[n:, None]
         para = np.where(lam > 0.0, lam * hi, -lam * lo).sum(axis=0)
         para_mag = (np.abs(lam) * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))).sum(axis=0)
         tighter = para < bound
@@ -813,21 +813,17 @@ def _equal_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i[same], j[same]
 
 
-def _antiparallel_pairs(normals: np.ndarray):
-    """Row indices ``(first, second)`` with normals[second] == -normals[first]
-    when the rows form a well-conditioned parallelotope (their 2n rows pair
-    up), else None."""
+def _antiparallel_pairs(normals: np.ndarray) -> np.ndarray | None:
+    """P when the 2n rows are a well-conditioned parallelotope in the layout
+    [P; -P], compared as values (0.0 matches -0.0), so row i pairs with row
+    i + n; else None."""
     n = normals.shape[1]
-    if normals.shape[0] != 2 * n:
+    if normals.shape[0] != 2 * n or not np.array_equal(normals[n:], -normals[:n]):
         return None
-    i, j = _equal_rows(normals, -normals)
-    if i.shape[0] != 2 * n or not np.array_equal(i, np.arange(2 * n)):
-        return None
-    first = i < j
-    sv = np.linalg.svd(normals[i[first]], compute_uv=False)
+    sv = np.linalg.svd(normals[:n], compute_uv=False)
     if sv[-1] * _MAX_COND <= sv[0]:
         return None
-    return i[first], j[first]
+    return normals[:n]
 
 
 def meets(s1: SetRep, s2: SetRep) -> bool:
@@ -1014,7 +1010,9 @@ def convex_hull_2d(points) -> VPolytope:
     if pts.shape[1] != 2:
         raise ValueError("convex_hull_2d expects planar points")
     scale = max(1.0, float(np.abs(pts).max()))
-    tol = 1e-12 * scale * scale
+    # a cross product of differences rounds by about eps max|p| times the
+    # cloud's extent, so the bound shrinks with a small cloud's corners
+    tol = 1e-12 * scale * float(np.ptp(pts, axis=0).max())
     uniq, idx = np.unique(np.round(pts / (1e-12 * scale)).astype(np.int64),
                           axis=0, return_index=True)
     pts = pts[np.sort(idx)]

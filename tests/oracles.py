@@ -262,7 +262,7 @@ def monotone_chain_numpy(points):
     match bit for bit.  Returns the CCW vertex cycle as an array."""
     pts = np.asarray(points, dtype=float)
     scale = max(1.0, float(np.abs(pts).max()))
-    tol = 1e-12 * scale * scale
+    tol = 1e-12 * scale * float(np.ptp(pts, axis=0).max())
     _, idx = np.unique(np.round(pts / (1e-12 * scale)).astype(np.int64),
                        axis=0, return_index=True)
     pts = pts[np.sort(idx)]

@@ -397,43 +397,61 @@ class TestFoldedTemplate:
         assert s.advance()._basis.shape == (n, want)
 
     def test_which_templates_fold(self):
+        # only [P; -P] folds, onto the columns of P, when 8 divides its rows
         u = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
-        v = np.array([[3.0, 0.0, 1.0]])
-        w = np.array([[1.0, 1.0, 1.0]])
-        # an aligned template folds however its pairs are placed
-        pairs = np.vstack([r for row in np.vstack([u, v, w]) for r in (row, -row)])
-        cases = [(u, 2), (np.vstack([u, -u, v, -v]), 6), (np.vstack([u, u[::-1]]), 4),
-                 (default_template(3), 18), (pairs, 4)]
+        v = np.array([[3.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        p = np.vstack([u, v])
+        pairs = np.vstack([r for row in p for r in (row, -row)])
+        # zeros of either sign compare as values
+        cases = [(u, 2), (np.vstack([p, -p]), 4), (np.vstack([p, np.where(p == 0.0, 0.0, -p)]), 4),
+                 (np.vstack([u, -u]), 4), (np.vstack([p, p]), 8), (np.vstack([p, -p[::-1]]), 8),
+                 (pairs, 8), (default_template(2), 8), (default_template(3), 18),
+                 (default_template(4), 32)]
         for t, cols in cases:
-            assert LazyReachSet(unit_box(3), np.eye(3), directions=t)._basis.shape == (3, cols)
+            s = LazyReachSet(unit_box(t.shape[1]), np.eye(t.shape[1]), directions=t)
+            assert s._basis.shape == (t.shape[1], cols)
+            assert s._folded == (cols < len(t))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_maps_rebuild_every_template_row(self, seed):
+        # over random P, [P; -P] folds exactly when 4 divides |P|, and its
+        # stacked columns [P; -P]^T rebuild every template column bit for
+        # bit; [P; P], [P; -P reversed] and interleaved pairs never fold.
+        # Every case gives the unfolded recurrence's offsets bit for bit
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
-        rows = rng.normal(size=(int(rng.integers(2, 6)), n))
-        rows[rng.random(rows.shape) < 0.2] = 0.0
-        m = len(rows)
-        for t, kept in ((np.vstack([rows, -rows]), m),
-                        (np.vstack([rows, rng.normal(size=(2, n)) + 3.0, -rows[::-1][:2]]), m + 2),
-                        (np.vstack([rows, rows, -rows[:1], rows[:1]]), m),
-                        (np.vstack([rows, np.where(rows == 0.0, -0.0, rows)]), m)):
+        h = int(rng.choice([4, 8] if seed % 2 == 0 else [2, 3, 5, 6, 7]))
+        p = rng.normal(size=(h, n))
+        p[rng.random(p.shape) < 0.2] = 0.0
+        p[np.all(p == 0.0, axis=1), 0] = 1.0
+        a = self._stable(rng, n, 0.95)
+        c = rng.uniform(-1.0, 1.0, size=n)
+        base = [Box(c - 0.5, c + 0.4), Zonotope(c, rng.normal(size=(n, 3))),
+                Box(c - 0.5, c + 0.4).to_hpolytope(), VPolytope(c + rng.normal(size=(n + 2, n)))][seed % 4]
+        parts = [Box(0.1 * c - 0.05, 0.1 * c + 0.02), Zonotope(0.1 * c, 0.1 * rng.normal(size=(n, 2)))]
+        interleaved = np.vstack([r for row in p for r in (row, -row)])
+        for t, folds in ((np.vstack([p, -p]), h % 4 == 0), (np.vstack([p, p]), False),
+                         (np.vstack([p, -p[::-1]]), False), (interleaved, False)):
             dirs = t / np.linalg.norm(t, axis=1)[:, None]
-            keep, src, sign = linreach._fold_pairs(dirs)
-            assert len(keep) == kept
-            assert set(sign.tolist()) <= {1.0, -1.0}
-            # compared as values: a -0.0 in a row matches the kept 0.0
-            assert np.all(dirs == sign[:, None] * dirs[keep][src])
+            want = unfolded_offsets(base, a, parts, dirs, 6)
+            s = LazyReachSet(base, a, parts, t)
+            assert s._folded == folds
+            cur = dirs.T
+            for step in range(7):
+                assert s.concretize().offsets.tobytes() == want[step].tobytes(), step
+                assert s._cur.tobytes() == cur.tobytes(), step
+                s, cur = s.advance(), a.T @ cur
 
     def test_default_templates_fold_on_aligned_dimensions(self):
-        # the 2-d and 4-d octagons have 8 and 32 rows, 4 and 16 up to sign;
-        # the box template [I; -I] of five dimensions on folds when 4 divides n
+        # the octagons of two to four dimensions never fold: their pairs are
+        # interleaved; the box template [I; -I] of five dimensions on folds
+        # when 4 divides n
         for n in range(1, 9):
             s = LazyReachSet(unit_box(n), np.eye(n))
-            if n in (2, 4, 8):
-                assert s._basis.shape == (n, len(default_template(n)) // 2), n
+            if n == 8:
+                assert s._folded and s._basis.shape == (n, n)
             else:
-                assert s._src is None and s._basis.shape == (n, len(default_template(n))), n
+                assert not s._folded and s._basis.shape == (n, len(default_template(n))), n
 
     @staticmethod
     def _stable(rng, n, radius):
@@ -490,8 +508,8 @@ class TestFoldedTemplate:
                 for parts in ([], inputs[:1], inputs[1:], inputs):
                     want = unfolded_offsets(base, a, parts, dirs, 8)
                     s = LazyReachSet(base, a, parts, t)
-                    paired = linreach._fold_pairs(dirs) is not None
-                    assert (s._src is not None) == (paired and cols % 4 == 0 and m % 4 == 0)
+                    layout = np.array_equal(t[m // 2:], -t[:m // 2])
+                    assert s._folded == (layout and m % 8 == 0)
                     for step in range(9):
                         got = s.concretize().offsets
                         assert got.tobytes() == want[step].tobytes(), (m, type(base), len(parts), step)
@@ -534,7 +552,7 @@ class TestFoldedTemplate:
         for base, parts in cases:
             want = unfolded_offsets(base, a, parts, t, 12)
             s = LazyReachSet(base, a, parts, t)
-            assert s._src is not None
+            assert s._folded
             for step in range(13):
                 assert s.concretize().offsets.tobytes() == want[step].tobytes(), (type(base), step)
                 s = s.advance()
@@ -558,7 +576,8 @@ class TestFoldedTemplate:
                     s.concretize()
         assert gathers == []
         # an H-polytope operand does gather on a folded template
-        s = LazyReachSet(unit_box(4).to_hpolytope(), 0.9 * np.eye(4)).advance()
+        s = LazyReachSet(unit_box(4).to_hpolytope(), 0.9 * np.eye(4),
+                         directions=np.vstack([np.eye(4), -np.eye(4)])).advance()
         s.concretize()
         assert gathers == [1]
 
@@ -617,8 +636,8 @@ class TestPolytopeInputs:
                 assert member(seg.set_rep, x), (seg.k, x)
         if strategy == "lazy":
             t = default_template(n)
-            # the 4-d octagon folds; the 3-d octagon and the 5-d box template do not
-            assert (LazyReachSet(x0, a, [v], t)._src is not None) == (n == 4)
+            # none of the 3-d and 4-d octagons and the 5-d box template folds
+            assert not LazyReachSet(x0, a, [v], t)._folded
             dirs = t / np.linalg.norm(t, axis=1)[:, None]
             want = unfolded_offsets(x0, a, [linear_map(np.eye(n), v)], dirs, 20)
             for seg, w in zip(pipe.segments, want):

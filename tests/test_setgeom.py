@@ -478,6 +478,15 @@ class TestConvexHull2d:
         seg = sg.convex_hull_2d([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
         assert seg.vertices.shape[0] == 2
 
+    def test_a_small_triangle_keeps_its_apex(self):
+        # the pop bound shrinks with the cloud's extent, so a 1e-6 triangle
+        # keeps all three corners, also through a Minkowski sum with a point
+        tri = [[0.0, 0.0], [1e-6, 0.0], [0.0, 1e-6]]
+        assert sg.convex_hull_2d(tri).vertices.shape[0] == 3
+        total = sg.minkowski_sum(VPolytope(tri), VPolytope([[0.0, 0.0]]))
+        assert total.exact and total.vertices.shape[0] == 3
+        assert set(map(tuple, total.vertices)) == set(map(tuple, tri))
+
     def test_matches_gift_wrap_oracle_on_random_clouds(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
