@@ -25,11 +25,11 @@ from .linreach import (
     CONTINUOUS,
     FIXPOINT,
     HORIZON,
-    ONCE_HULL,
     Flowpipe,
     LinearSystem,
     ReachConfig,
     Segment,
+    _dense_only,
     _flow_steps,
     _lattice,
 )
@@ -320,11 +320,7 @@ def dynamic_hybridize_reach(
     r, total = _lattice(config, CONTINUOUS, system.dim)
     if config.mode == FIXPOINT:
         raise ValueError("fixpoint mode is not supported with hybridization")
-    if config.bloat_policy != ONCE_HULL:
-        raise ValueError(
-            "hybridized reachability requires the dense bloat policy: "
-            "lattice semantics could step across a domain face unseen"
-        )
+    _dense_only(config, "a domain question")
     bad = None if config.bad_set is None else _Prepared(config.bad_set)
 
     segments = []

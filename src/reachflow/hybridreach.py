@@ -26,6 +26,7 @@ from .linreach import (
     HORIZON,
     LinearSystem,
     ReachConfig,
+    _dense_only,
     _dynamics,
     _flow_steps,
     _lattice,
@@ -316,12 +317,16 @@ def hybrid_reach(
     same mode with at least as many remaining steps is pruned; each
     explored entry is prepared once (``setgeom._Prepared``).  Exceeding
     ``jump_depth`` or ``max_flows`` leaves work unfinished and the result
-    is flagged ``incomplete``; a bad-set hit aborts immediately.
+    is flagged ``incomplete``; a bad-set hit aborts immediately.  A
+    continuous automaton's guards are dense-time questions, so it refuses
+    a lattice bloat policy.
     """
     automaton.mode(init_mode)  # raises on unknown name
     if config.mode == FIXPOINT:
         raise ValueError("fixpoint mode is not supported with hybrid automata")
     r, total_steps = _lattice(config, automaton.time_kind, automaton.dim)
+    if automaton.time_kind == CONTINUOUS:
+        _dense_only(config, "a guard question")
 
     flows = []
     # a jump is recorded when its crossing is found; its successor's

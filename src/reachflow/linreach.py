@@ -217,6 +217,17 @@ def _lattice(config: ReachConfig, time_kind: str, dim: int):
     return r, nsteps
 
 
+def _dense_only(config: ReachConfig, question: str) -> None:
+    """Refuse a lattice bloat policy for a dense-time question of a
+    continuous run: its time-point sets at k r let a trajectory cross a
+    thin set between two lattice points unseen."""
+    if config.bloat_policy != ONCE_HULL:
+        raise ValueError(
+            f"{question} in continuous time requires the dense bloat policy: "
+            "lattice semantics could step across a thin set unseen"
+        )
+
+
 @dataclass(frozen=True)
 class Segment:
     """One flowpipe element: the states reachable over one step.
@@ -296,9 +307,9 @@ def step_input_vertices(p: SetRep, v: Optional[SetRep], a: np.ndarray) -> VPolyt
 
     Each operand enters by its exact vertex form, or else by the corners
     of its bounding box (flagged inexact).  An input given as several
-    summands is folded into one set by the caller, once per run.  In 2-d
-    the vertex cloud is reduced to its hull after every step, so the count
-    stays bounded by the true facet structure.
+    summands is folded into one set by the caller, once per run.  Up to
+    3-d the vertex cloud is reduced to its hull after every step, so the
+    count stays bounded by the true facet structure.
     """
     av = linear_map(as_matrix(a), _vform_enclosure(p))
     return av if v is None else minkowski_sum(av, _vform_enclosure(v))
@@ -677,9 +688,12 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     mode, decided by template domination, one vectorised comparison per
     step over a lazy run's shared template).  The bad set is prepared once
     per run (``setgeom._Prepared``): segments over one template then pay
-    only for their offsets in the contact test.
+    only for their offsets in the contact test.  A continuous system's
+    bad-set question needs the dense policy: a lattice one is refused.
     """
     r, nsteps = _lattice(config, system.time_kind, system.dim)
+    if config.mode == BAD_SET and system.time_kind == CONTINUOUS:
+        _dense_only(config, "a bad-set question")
     limit = nsteps
     if config.mode == FIXPOINT:
         limit = (

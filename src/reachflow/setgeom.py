@@ -8,11 +8,7 @@ set: ``intersect`` returns None for two sets that share no point, and
 ``meets`` is that test.
 
 Yes/no queries try a closed form before the simplex.  ``intersect(s1,
-s2)`` decides two boxes exactly from their corners.  A vertex set s1 up
-to 3-d is first read by its own supports along s2's facet normals: a row
-of s2 that every vertex lies beyond says "disjoint" without building
-s1's facet form, by a margin stretched by the cloud's aspect, so a
-sliver leaves the question to the LP, as before.  Any other pair
+s2)`` decides two boxes exactly from their corners.  Any other pair
 enters as stacked facet rows, and ``intersect`` first says "disjoint"
 when a row (n, b) of either lies beyond the other: b < -U(-n), where U
 bounds the other's support from its own rows (a box exactly, an H-polytope
@@ -31,6 +27,9 @@ each yes/no question solves from a start of its own.
 A vertex set up to 3-d converts to facets one way, ``vrep_to_hrep``: the
 normals come from the hull, and each offset is the cloud's maximum along
 its unit normal, so the facet form holds every vertex by construction.
+The 3-d hull is Quickhull on an orientation test that is exact on the
+floats as given, and it also thins every 3-d vertex cloud the engine
+builds to its hull's corners, as ``convex_hull_2d`` does in 2-d.
 
 A run asks these questions of a few fixed sets (a bad set, guards,
 invariants, a domain) at every step.  The drivers hold each as a
@@ -522,12 +521,16 @@ def _distinct_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _reduce_vertices(v: np.ndarray) -> np.ndarray:
-    """Drop duplicate rows (1e-9 grid); in 1-d and 2-d also drop
-    non-extreme points, so an interval keeps its two ends."""
+    """The points of v that its convex hull needs: an interval's two ends
+    in 1-d, ``convex_hull_2d``'s cycle in 2-d, and in 3-d the corners of
+    ``_hull_3d``'s triangles, in the order of v.  A flat 3-d cloud, and
+    any cloud above 3-d, only loses duplicate rows (1e-9 grid)."""
     if v.shape[1] == 2 and v.shape[0] >= 3:
         return convex_hull_2d(v).vertices
     if v.shape[1] == 1:
         v = v[[np.argmin(v[:, 0]), np.argmax(v[:, 0])]]
+    if v.shape[1] == 3 and (faces := _hull_3d(v)) is not None:
+        return v[np.unique(faces)]
     return _distinct_rows(v)
 
 
@@ -597,14 +600,11 @@ def zonotope_vertices_2d(z: Zonotope) -> np.ndarray:
 def intersect(s1: SetRep, s2: SetRep) -> SetRep | None:
     """The common part of s1 and s2, or None when they share no point.
 
-    Two boxes are decided exactly from their corners and share a box.  A
-    vertex set s1 up to 3-d whose every vertex lies beyond one facet row of
-    s2, by ``_cloud_beyond``'s stretched margin, is disjoint from it before
-    its facet form is built.  Any other pair gives an H-polytope of the
-    stacked facet rows of both: a box by its own, any other set by
-    ``_hform_enclosure`` (its exact facet form, or else its bounding box's
-    rows, flagged inexact), so the result always contains the true
-    intersection.  A row (n, b) of either operand
+    Two boxes are decided exactly from their corners and share a box.  Any
+    other pair gives an H-polytope of the stacked facet rows of both: a
+    box by its own, any other set by ``_hform_enclosure`` (its exact facet
+    form, or else its bounding box's rows, flagged inexact), so the result
+    always contains the true intersection.  A row (n, b) of either operand
     that the other's support bound U places beyond it, b < -U(-n) by
     ``_PRECHECK_MARGIN``, separates the two without the simplex.  When
     every stacked row is an axis row (+-e_i) the common part is a box, and
@@ -680,74 +680,6 @@ def _clears(gap: np.ndarray, offsets: np.ndarray, mag: np.ndarray) -> np.ndarray
     """Where ``gap`` is negative by the precheck margin, so the sign of the
     exact LP's gap is not in doubt."""
     return gap < -_PRECHECK_MARGIN * (1.0 + np.abs(offsets) + mag)
-
-
-def _cloud_beyond(v: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> bool:
-    """True when some row (n, b) has every point of the cloud ``v`` beyond
-    it, so conv(v) and the rows' set share no point.
-
-    The cloud's exact support along -n is -min n.v, one product for all
-    rows, and a row decides by the precheck margin (magnitudes as for a
-    box: ``|n| . (1 + max |v|)``) stretched by the cloud's aspect
-    ``1 + R / r``, for a ball B(c, r) inside conv(v) and R the farthest
-    point's distance from c.  The stretch covers what the facet form and
-    its LP can add to the cloud: relaxing every facet row by e keeps the
-    set inside c + (1 + e/r) (conv(v) - c), and a facet too small for the
-    3-d conversion to see leaves its neighbours' planes, which meet at a
-    distance its size times about R / r.  On a sliver or a needle, where r
-    is tiny, the LP path admits points far beyond the cloud, and the cloud
-    decides only what that path decides too.  A flat cloud (r = 0, or
-    nearly) decides nothing.
-    """
-    low = (v @ normals.T).min(axis=0)
-    gap = offsets - low
-    mag = np.abs(normals) @ (1.0 + np.abs(v).max(axis=0))
-    if not np.any(_clears(gap, offsets, mag)):
-        return False
-    center, radius = _inner_ball(v)
-    if radius <= 0.0:
-        return False
-    far = float(np.sqrt(((v - center) ** 2).sum(axis=1).max()))
-    # gap / (1 + R/r), which no tiny r can overflow
-    return bool(np.any(_clears(gap * (radius / (radius + far)), offsets, mag)))
-
-
-def _inner_ball(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Center and radius of a ball inside conv(v), v in dimension n <= 3:
-    the inscribed ball of a simplex on n + 1 points of v picked far apart,
-    each the farthest from the affine hull of those before it.  On a flat
-    cloud the radius is 0, or a few ulps from rounding.
-
-    With w_i the content of the facet opposite point i (times (n-1)!: 1,
-    an edge length, twice a triangle's area), the radius is n! times the
-    simplex's volume over sum w_i and the center sum w_i p_i / sum w_i.
-    """
-    n = v.shape[1]
-    first = int(np.argmax(((v - v.mean(axis=0)) ** 2).sum(axis=1)))
-    rest = v - v[first]
-    picks, volume = [first], 1.0  # n! times the simplex's volume
-    for _ in range(n):
-        far = int(np.argmax((rest * rest).sum(axis=1)))
-        h = float(np.linalg.norm(rest[far]))
-        if h == 0.0:
-            return v[first], 0.0
-        u = rest[far] / h
-        rest = rest - np.outer(rest @ u, u)
-        picks.append(far)
-        volume *= h
-    simplex = v[picks]
-    # the facet opposite point i holds the points after it, cyclically
-    p1, p2, p3 = (np.roll(simplex, -k, axis=0) for k in (1, 2, 3))
-    if n == 1:
-        w = np.ones(2)
-    elif n == 2:
-        w = np.linalg.norm(p2 - p1, axis=1)
-    else:
-        w = np.linalg.norm(np.cross(p2 - p1, p3 - p1), axis=1)
-    total = w.sum()
-    if total == 0.0:  # picks that only rounding kept apart
-        return v[first], 0.0
-    return w @ simplex / total, volume / total
 
 
 def _support_bound(s: Box | HPolytope, dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -888,12 +820,10 @@ class _Prepared:
     identity of that read-only buffer, which the memo holds; writable
     normals get no memo.  A flowpipe's segments share one template buffer,
     and the pieces one prepared set clips share one stacked buffer, so
-    each step costs only arithmetic on the offsets.  A vertex set up to
-    3-d, whose exact facet form costs a hull (2-d) or a search over vertex
-    triples (3-d), is first asked by its own supports along these rows,
-    one product; only a question that leaves undecided builds its facet
-    form.  ``intersect``, ``meets`` and ``contains_set`` are these
-    methods on a fresh operand.
+    each step costs only arithmetic on the offsets.  The other operand
+    enters by its facet rows whatever its type: a vertex set up to 3-d by
+    ``vrep_to_hrep``, one hull.  ``intersect``, ``meets`` and
+    ``contains_set`` are these methods on a fresh operand.
     """
 
     __slots__ = ("set", "op", "rows", "exact_form", "_memo")
@@ -930,10 +860,6 @@ class _Prepared:
             corners = _box_overlap(s1, s2)
             return None if corners is None else Box(*corners, exact=s1.exact and s2.exact)
         n2, b2 = self.rows
-        # a vertex set up to 3-d has an exact facet form, so its own
-        # supports decide what that form's LP would, without building it
-        if isinstance(s1, VPolytope) and s1.dim <= 3 and _cloud_beyond(s1.vertices, n2, b2):
-            return None
         op1 = s1 if isinstance(s1, Box) else _hform_enclosure(s1)
         # a box stacks its facet rows directly rather than build an
         # HPolytope on each call
@@ -1040,6 +966,99 @@ def convex_hull_2d(points) -> VPolytope:
     return VPolytope(lower[:-1] + upper[:-1])
 
 
+# Shewchuk's static bound on the rounding of the float orientation
+# determinant, relative to its permanent, with eps = 2^-53
+_ORIENT_ERR = (7.0 + 56.0 * 2.0 ** -53) * 2.0 ** -53
+
+
+def _orientation(t, d) -> np.ndarray:
+    """Exact signs (-1, 0 or 1) of (d - a) . ((b - a) x (c - a)) for the
+    triangles t, rows a, b, c, and the points d: positive where d lies
+    above its triangle's plane, from where a, b, c run counterclockwise.
+    The triangles (..., 3, 3) and the points (..., 3) broadcast over their
+    leading axes.
+
+    The float determinant decides where Shewchuk's static error bound
+    (DCG 1997) leaves its sign in no doubt; the bound is widened by the
+    smallest normal float, which covers what underflow loses, and an
+    overflow leaves the sign in doubt.  A sign in doubt is the exact
+    determinant's: each float is an integer over a power of two, so the
+    twelve coordinates over their largest denominator are integers, and
+    Python's integers, some ten times faster than ``Fraction``, give it.
+    """
+    t, d = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(d, dtype=float)[..., None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the corner axis first, then the coordinate axis
+        ad, bd, cd = np.moveaxis(t - d, (-2, -1), (0, 1))
+        left, right = bd[[1, 2, 0]] * cd[[2, 0, 1]], bd[[2, 0, 1]] * cd[[1, 2, 0]]
+        # (a - d) . ((b - d) x (c - d)), the sign's negative
+        det = (ad * (left - right)).sum(axis=0)
+        bound = _ORIENT_ERR * (np.abs(ad) * (np.abs(left) + np.abs(right))).sum(axis=0)
+    out = np.array(np.where(det < 0.0, 1, -1))
+    for i in map(tuple, np.argwhere(~(np.abs(det) > bound + np.finfo(float).tiny))):
+        ratios = [x.as_integer_ratio() for x in np.vstack([t[i], d[i]]).ravel().tolist()]
+        den = max(q for _, q in ratios)
+        p = [n * (den // q) for n, q in ratios]
+        u, r, e = ([p[j + k] - p[k] for k in range(3)] for j in (3, 6, 9))
+        exact = sum(e[k] * (u[k - 2] * r[k - 1] - u[k - 1] * r[k - 2]) for k in range(3))
+        out[i] = (exact > 0) - (exact < 0)
+    return out
+
+
+def _hull_3d(v: np.ndarray) -> np.ndarray | None:
+    """The convex hull of the 3-d points v as triangles: rows of three
+    indices into v, counterclockwise seen from outside, so that
+    ``_orientation`` puts no point of v above any triangle.  None when no
+    point lies off the plane of three far-apart points of v: a flat cloud,
+    or one that rounding cannot tell from a line.
+
+    Quickhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) on that exact
+    test.  Each triangle holds the points strictly above it, each point in
+    one triangle.  The highest point of some triangle replaces every
+    triangle it lies strictly above with a cone over their boundary, and
+    their points go to the first new triangle they lie strictly above; a
+    point above none lies in the new hull and is dropped.  A point in a
+    triangle's plane does not replace it, so several triangles may share
+    one plane, and a corner of theirs may be no vertex of the hull.
+    """
+    # the float picks read v scaled to extent 1: no square or cube of it
+    # over- or underflows
+    w = v / (float(np.abs(v).max()) or 1.0)
+
+    def highest(f, pts):  # by the float normal: any point above would do
+        return int(pts[np.argmax(np.abs((w[pts] - w[f[0]]) @ np.cross(*(w[f[1:]] - w[f[0]]))))])
+
+    first = int(np.argmin(w[:, 0]))
+    far = int(np.argmax(((w - w[first]) ** 2).sum(axis=1)))
+    wide = int(np.argmax((np.cross(w[far] - w[first], w - w[first]) ** 2).sum(axis=1)))
+    side = _orientation(v[[first, far, wide]], v)
+    if not side.any():
+        return None
+    apex = highest([first, far, wide], np.flatnonzero(side))
+    # outward when apex lies below the first triangle; reversed rows flip every triangle
+    tri = np.array([(first, far, wide), (far, first, apex), (wide, far, apex),
+                    (first, wide, apex)])[:, ::-side[apex]]
+    held = {}  # triangle -> the points strictly above it, none empty
+
+    def hand_out(pts, faces):
+        above = _orientation(v[faces], v[pts][:, None]) > 0  # points by triangles
+        owner = np.where(above.any(axis=1), above.argmax(axis=1), -1)
+        held.update((tuple(f), pts[owner == j]) for j, f in enumerate(faces.tolist())
+                    if np.any(owner == j))
+
+    hand_out(np.setdiff1d(np.arange(v.shape[0]), tri), tri)
+    while held:
+        face, pts = held.popitem()
+        top = highest(list(face), pts)
+        seen = _orientation(v[tri], v[top]) > 0
+        edges = {e for t in tri[seen].tolist() for e in zip(t, t[1:] + t[:1])}
+        cone = np.array([(i, j, top) for i, j in sorted(edges) if (j, i) not in edges])
+        pts = np.concatenate([pts, *(held.pop(tuple(t), pts[:0]) for t in tri[seen].tolist())])
+        tri = np.vstack([tri[~seen], cone])
+        hand_out(pts[pts != top], cone)
+    return tri
+
+
 def vrep_to_hrep(p: VPolytope) -> HPolytope:
     """Facet form of a vertex polytope, dimensions <= 3, flagged as p is.
 
@@ -1059,10 +1078,6 @@ def vrep_to_hrep(p: VPolytope) -> HPolytope:
     return HPolytope._trusted(normals, (v @ normals.T).max(axis=0), exact=p.exact)
 
 
-# most floats one product of the 3-d facet search holds (32 MiB)
-_FACET_BLOCK = 1 << 22
-
-
 def _facet_normals(v: np.ndarray) -> np.ndarray:
     """Outward facet normals of conv(v), v in dimension n <= 3, one nonzero
     row each; the offsets are ``vrep_to_hrep``'s.
@@ -1073,15 +1088,17 @@ def _facet_normals(v: np.ndarray) -> np.ndarray:
     hull, lifted back.  Up to 2-d it is flat when ``_reduce_vertices``
     leaves at most n points; in 3-d when a singular value is at most 1e-9.
     A full cloud gets +-1 in 1-d, its hull's edge normals in 2-d, and in
-    3-d the planes through vertex triples (cross product above 1e-12) with
-    every point on one side, within 1e-9.
+    3-d the unit normals of ``_hull_3d``'s triangles, less those whose
+    cross product rounds to zero, one row per 1e-9 grid cell.
     """
     n = v.shape[1]
     if n == 1:
         return np.array([[1.0], [-1.0]])
     centered = v - v.mean(axis=0)
     extent = float(np.abs(centered).max())
-    pts = _reduce_vertices(centered / extent) if extent else centered[:1]
+    scaled = centered / extent if extent else centered[:1]
+    # the hull below thins a full 3-d cloud; the rank test needs no thinning
+    pts = _distinct_rows(scaled) if n == 3 else _reduce_vertices(scaled)
     pts = pts - pts.mean(axis=0)
     _, sv, vt = np.linalg.svd(pts)
     rank = min(pts.shape[0] - 1, n) if n == 2 else int(np.count_nonzero(sv > 1e-9))
@@ -1092,20 +1109,10 @@ def _facet_normals(v: np.ndarray) -> np.ndarray:
     if n == 2:
         edge = np.roll(pts, -1, axis=0) - pts
         return np.column_stack([edge[:, 1], -edge[:, 0]])  # outward for a CCW cycle
-    m = pts.shape[0]
-    step = max(1, _FACET_BLOCK // (2 * m))
-    found = []
-    for i in range(m - 2):
-        edge = pts[i + 1:] - pts[i]
-        j, k = np.triu_indices(m - i - 1, 1)
-        for s in range(0, j.shape[0], step):
-            c = np.cross(edge[j[s:s + step]], edge[k[s:s + step]])
-            size = np.linalg.norm(c, axis=1)
-            keep = size > 1e-12
-            c = c[keep] / size[keep, None]
-            c = np.stack([c, -c], axis=1).reshape(-1, 3)  # both sides of each plane
-            found.append(c[np.all((pts - pts[i]) @ c.T <= 1e-9, axis=0)])
-    return _distinct_rows(np.vstack(found))
+    t = pts[_hull_3d(pts)]
+    normals = np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0])
+    size = np.linalg.norm(normals, axis=1)
+    return _distinct_rows(normals[size > 0.0] / size[size > 0.0, None])
 
 
 # a candidate vertex is kept when it meets every row within this much

@@ -7,6 +7,7 @@ and fixed-step integrators.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -253,6 +254,16 @@ def gift_wrap_hull(points, tol=1e-12):
         if len(hull) > pts.shape[0]:
             raise RuntimeError("gift wrapping failed")
     return pts[hull]
+
+
+def fraction_orientation(a, b, c, d):
+    """Sign of (d - a) . ((b - a) x (c - a)) in Fraction arithmetic, on the
+    floats as given: positive when d lies above the triangle a, b, c."""
+    a, b, c, d = ([Fraction(float(x)) for x in p] for p in (a, b, c, d))
+    u, w, e = ([p[i] - a[i] for i in range(3)] for p in (b, c, d))
+    det = (e[0] * (u[1] * w[2] - u[2] * w[1]) + e[1] * (u[2] * w[0] - u[0] * w[2])
+           + e[2] * (u[0] * w[1] - u[1] * w[0]))
+    return (det > 0) - (det < 0)
 
 
 def monotone_chain_numpy(points):

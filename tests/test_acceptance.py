@@ -217,8 +217,9 @@ def assert_points_inside(set_rep, pts, label):
 
 # (n, time kind, stability, input, continuous bloat policy, vertices run)
 # The vertices strategy runs on n <= 3 systems except 3-d ones with a set
-# input: explicit vertex propagation has no 3-d hull reduction, so each
-# Minkowski step would multiply the vertex count.
+# input: each Minkowski step keeps only the hull's corners, but a 3-d
+# zonotope with p generators has up to p (p - 1) + 2 of them, so 20 steps
+# with a 3-d box input reach about 3900 corners from 31000 candidates.
 C1_SPECS = [
     (2, "discrete", "stable", "box", None, True),
     (2, "discrete", "unstable", "box", None, True),

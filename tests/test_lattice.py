@@ -251,3 +251,84 @@ def test_lattice_keeps_step_counts(horizon, step, time_kind, nsteps):
     assert r == (step if time_kind == CONTINUOUS else 1.0)
     pipe = run_reach(time_kind, ReachConfig(horizon=horizon, step=step))
     assert len(pipe.segments) == nsteps + 1
+
+
+# ---------------------------------------------------------------------------
+# lattice policies answer no dense-time question
+
+
+# x1' = 1 from x1 = 0: the trajectory crosses x1 = 0.505 at t = 0.505,
+# between the lattice points 0.50 and 0.51 of r = 0.01
+def thin_bad_set_doc(policy):
+    return {
+        "format": "flowpipe-model/1",
+        "kind": "linear-continuous",
+        "a": [[0.0]],
+        "b": [[1.0]],
+        "input": {"type": "box", "lower": [1.0], "upper": [1.0]},
+        "x0": {"type": "box", "lower": [0.0], "upper": [0.0]},
+        "config": {"horizon": 1.0, "step": 0.01, "bloat_policy": policy,
+                   "mode": "bad_set",
+                   "bad_set": {"type": "box", "lower": [0.505], "upper": [0.505]}},
+    }
+
+
+# the same flow in x1 with x2 = 0; the guard x1 = 0.505 is enabled at
+# t = 0.505 and its reset x2 := 1 enters the bad set x2 in [0.5, 2]
+def thin_guard_doc(policy):
+    still = [[0.0, 0.0], [0.0, 0.0]]
+    return {
+        "format": "flowpipe-model/1",
+        "kind": "hybrid",
+        "init_mode": "go",
+        "x0": {"type": "box", "lower": [0.0, 0.0], "upper": [0.0, 0.0]},
+        "modes": [
+            {"name": "go", "a": still, "b": [[1.0], [0.0]],
+             "input": {"type": "box", "lower": [1.0], "upper": [1.0]}},
+            {"name": "stop", "a": still},
+        ],
+        "transitions": [
+            {"source": "go", "target": "stop",
+             "guard": {"type": "box", "lower": [0.505, -10.0], "upper": [0.505, 10.0]},
+             "reset_matrix": [[1.0, 0.0], [0.0, 0.0]], "reset_offset": [0.0, 1.0]},
+        ],
+        "config": {"horizon": 1.0, "step": 0.01, "bloat_policy": policy,
+                   "mode": "bad_set",
+                   "bad_set": {"type": "box", "lower": [-10.0, 0.5], "upper": [10.0, 2.0]}},
+    }
+
+
+@pytest.mark.parametrize("doc", [thin_bad_set_doc, thin_guard_doc])
+def test_the_dense_policy_finds_the_crossing(tmp_path, capsys, doc):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc("once_hull")))
+    assert main(["check", str(model)]) == 2
+    assert "UNSAFE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("policy", ["small_r", "error_ball"])
+@pytest.mark.parametrize("doc", [thin_bad_set_doc, thin_guard_doc])
+def test_a_lattice_policy_is_refused_a_dense_question(tmp_path, capsys, doc, policy):
+    # the time-point sets at k r miss both crossings, so the check would
+    # print SAFE for a system that reaches its bad set
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc(policy)))
+    assert main(["check", str(model)]) == 1
+    assert "dense bloat policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["small_r", "error_ball"])
+def test_lattice_policies_keep_their_time_point_questions(policy):
+    system = LinearSystem([[0.0]], Box([0.0], [0.0]), b=[[1.0]], input_set=Box([1.0], [1.0]),
+                          time_kind=CONTINUOUS)
+    # a bounded run is the time-point sets the policy promises
+    pipe = reach(system, ReachConfig(horizon=1.0, step=0.01, bloat_policy=policy))
+    assert len(pipe.segments) == 101 and all(s.t0 == s.t1 for s in pipe.segments)
+    # a discrete system has no time between its lattice points
+    discrete = LinearSystem([[1.0]], Box([0.0], [0.0]), input_set=Box([1.0], [1.0]))
+    assert reach(discrete, ReachConfig(horizon=3, mode="bad_set", bad_set=Box([5.0], [6.0]),
+                                       bloat_policy=policy)).status == "horizon"
+    automaton = HybridAutomaton((Mode("go", [[0.0]], b=[[1.0]], input_set=Box([1.0], [1.0])),), ())
+    with pytest.raises(ValueError, match="dense bloat policy"):
+        hybrid_reach(automaton, "go", Box([0.0], [0.0]),
+                     ReachConfig(horizon=1.0, step=0.01, bloat_policy=policy))

@@ -1284,6 +1284,50 @@ class TestVertexStrategyForms:
                 assert member(seg.set_rep, state)
 
 
+def thinning_systems():
+    """3-d discrete systems x+ = A x + u with a box X0 and a box input: the
+    cyclic shift 0.9 I + 0.1 P and three seeded random maps of spectral
+    radius 0.95."""
+    yield (0.9 * np.eye(3) + 0.1 * np.roll(np.eye(3), 1, axis=1),
+           Box(-np.ones(3), np.ones(3)), Box(np.full(3, -0.1), np.full(3, 0.1)))
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3, 3))
+        a *= 0.95 / np.abs(np.linalg.eigvals(a)).max()
+        c0, h0 = rng.uniform(-1.0, 1.0, 3), rng.uniform(0.1, 0.5, 3)
+        cv, hv = rng.uniform(-0.1, 0.1, 3), rng.uniform(0.02, 0.1, 3)
+        yield a, Box(c0 - h0, c0 + h0), Box(cv - hv, cv + hv)
+
+
+class TestVertexThinningIn3d:
+    """Each 3-d vertex step keeps only the hull vertices of its candidate
+    points A v + u: the cloud stays the exact reach set, which is the
+    zonotope A^k X0 + sum A^i U."""
+
+    @pytest.mark.parametrize("a, x0, u", list(thinning_systems()))
+    def test_thinned_clouds_are_the_exact_reach_sets(self, a, x0, u):
+        pipe = reach(LinearSystem(a, x0, input_set=u), ReachConfig(horizon=6, strategy="vertices"))
+        dirs = np.random.default_rng(0).normal(size=(3, 256))
+        prev = None
+        for seg in pipe.segments:
+            v = seg.set_rep.vertices
+            got = (v @ dirs).max(axis=0)
+            want = np.array([eager_zonotope_support(x0.center, np.diag(x0.radii), u.center,
+                                                    np.diag(u.radii), a, seg.k, d)
+                             for d in dirs.T])
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+            if prev is not None:
+                candidates = ((prev @ a.T)[:, None, :] + u.corners()[None]).reshape(-1, 3)
+                # every kept vertex is a candidate, and no support is lost
+                assert set(map(tuple, v.tolist())) <= set(map(tuple, candidates.tolist()))
+                np.testing.assert_array_equal(got, (candidates @ dirs).max(axis=0))
+            # a 3-d zonotope with p generators has at most p (p - 1) + 2
+            # vertices; the unthinned cloud held 8^(k+1) candidates
+            p = 3 * (seg.k + 1)
+            assert v.shape[0] <= p * (p - 1) + 2
+            prev = v
+
+
 class TestOneDimensionalVertexCloud:
     def test_interval_keeps_two_vertices(self):
         # x+ = 0.9 x + v, v in [-0.1, 0.1]: the cloud used to double each step

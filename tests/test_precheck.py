@@ -908,91 +908,56 @@ def sliver_questions(draw):
 
 
 class TestVertexPrecheck:
-    """A vertex set up to 3-d is asked a bad-set question by its own
-    supports along the prepared set's normals first; whatever that decides
-    is the verdict its exact facet form gets from the LP path."""
+    """A vertex set up to 3-d enters a question by its facet form, one
+    hull, whatever its shape: the precheck and the LP read that form's
+    rows, and a sliver gets the LP's verdict on them."""
 
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.one_of(cloud_questions(), sliver_questions()))
-    # a needle: its 1e-8 cap is too small for the 3-d conversion to keep,
-    # so the facet form runs on above it, and the point 1e-5 over the cap
-    # meets that form; the needle's aspect leaves the question to it
+    # a needle: the exact 3-d hull keeps its 1e-8 cap as a facet, so the
+    # point 1e-5 over the cap is disjoint from the facet form
     @example((VPolytope([[0.0, 0.0, 0.0], [1e-8, 0.0, 0.0], [0.0, 1e-8, 0.0], [0.0, 0.0, -1.0]]),
               Box([0.0, 0.0, 1e-5], [0.0, 0.0, 1e-5])))
     def test_verdict_is_the_facet_form_verdict(self, case):
         v, q = case
         fixed = sg._Prepared(q)
-        try:
-            h = sg._hform_enclosure(v)
-        except ValueError:
-            # the 3-d conversion finds no facet on a cloud whose triangles
-            # are all below its area test; there is no old verdict to keep
-            assume(False)
+        h = sg._hform_enclosure(v)
         disjoint = fixed.intersect(v) is None
         assert disjoint == (fixed.intersect(h) is None)
-        if sg._cloud_beyond(v.vertices, *fixed.rows):
-            # decided by the cloud: no point of the stacked facet rows
-            assert disjoint
-            normals = np.vstack([h.normals, fixed.rows[0]])
-            offsets = np.concatenate([h.offsets, fixed.rows[1]])
-            assert lp_vertex_enum(np.zeros(v.dim), normals, offsets, 1e-9) is None
+        if disjoint and isinstance(q, (Box, HPolytope)):
+            # the facet form holds the cloud: no vertex lies in q
+            assert not any(sg.member(q, x, tol=0.0) for x in v.vertices)
 
-    def test_a_far_cloud_is_not_converted(self, monkeypatch):
-        converted = count_calls(monkeypatch, sg, "_hform_enclosure")
-        rng = np.random.default_rng(7)
-        for n in (1, 2, 3):
-            cloud = VPolytope(rng.normal(size=(40, n)))
-            bad = Box(np.full(n, 5.0), np.full(n, 6.0))
-            assert not sg.meets(cloud, bad)
-        assert converted == [0]
-        # a vertex set above 3-d keeps its bounding-box enclosure
-        assert not sg.meets(VPolytope(rng.normal(size=(40, 4))), Box(np.full(4, 5.0), np.full(4, 6.0)))
-        assert converted == [1]
-
-    @pytest.mark.parametrize("height, x, meets, decided", [
+    @pytest.mark.parametrize("height, x, meets", [
         # every vertex of this triangle, 1e-6 high and 2 long, lies 1e-3
         # short of the point's row x >= 2.001, yet the LP's tolerance on
-        # its two long, nearly parallel facets admits the point; the cloud
-        # stretches its margin by 2e6 and leaves every question to the LP
-        (1e-6, 2.001, True, False),
-        (1e-6, 2.01, False, False),
-        (1e-6, 1e4, False, False),
-        # 1e-2 high, the stretch is about 200: a point 1e-3 away is still
-        # the LP's, one 1 away the cloud's
-        (1e-2, 2.001, False, False),
-        (1e-2, 3.0, False, True),
+        # its two long, nearly parallel facets admits the point
+        (1e-6, 2.001, True),
+        (1e-6, 2.01, False),
+        (1e-6, 1e4, False),
+        (1e-2, 2.001, False),
+        (1e-2, 3.0, False),
     ])
-    def test_a_sliver_gets_the_lp_verdict(self, height, x, meets, decided):
+    def test_a_sliver_gets_the_lp_verdict(self, height, x, meets):
         sliver = VPolytope([[0.0, 0.0], [2.0, 0.0], [1.0, height]])
         fixed = sg._Prepared(Box([x, 0.0], [x, 0.0]))
         assert fixed.meets(sliver) == fixed.meets(sg._hform_enclosure(sliver)) == meets
-        assert sg._cloud_beyond(sliver.vertices, *fixed.rows) == decided
 
     def test_a_flat_cloud_decides_nothing(self):
+        # by itself: its facet form, +- the normal across its plane and
+        # the triangle's edges inside it, answers
         flat = VPolytope([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
-        _, radius = sg._inner_ball(flat.vertices)
-        assert radius == 0.0
         bad = sg._Prepared(Box(np.full(3, 5.0), np.full(3, 6.0)))
-        assert not sg._cloud_beyond(flat.vertices, *bad.rows)
         assert not bad.meets(flat)
-
-    def test_inner_ball_of_a_simplex_is_its_inscribed_ball(self):
-        tri = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
-        center, radius = sg._inner_ball(tri)
-        np.testing.assert_allclose(center, [1.0, 1.0], atol=1e-15)
-        assert radius == pytest.approx(1.0, abs=1e-15)
-        tet = np.vstack([np.zeros(3), np.eye(3)])
-        center, radius = sg._inner_ball(tet)
-        want = 1.0 / (3.0 + math.sqrt(3.0))
-        np.testing.assert_allclose(center, np.full(3, want), atol=1e-15)
-        assert radius == pytest.approx(want, abs=1e-15)
+        assert bad.meets(VPolytope(flat.vertices + 5.0))
 
 
 class TestVertexCloudsIn3d:
     """x+ = (0.9 I + 0.1 P) x + u, P the cyclic shift, X0 = [-1, 1]^3 and
-    u in [-0.1, 0.1]^3, propagated by vertices: the cloud holds 8, 64, 504
-    vertices at steps 0-2, and converting it to facets walks every vertex
-    triple."""
+    u in [-0.1, 0.1]^3, propagated by vertices: each step keeps the hull
+    vertices of its candidates, 8, 29, 65 at steps 0-2 (the unthinned
+    clouds held 8, 64, 504), and each bad-set question converts the
+    segment to facets by one hull."""
 
     @staticmethod
     def run(bad, horizon):
@@ -1002,23 +967,24 @@ class TestVertexCloudsIn3d:
         return reach(system, ReachConfig(horizon=horizon, strategy="vertices",
                                          mode="bad_set", bad_set=bad))
 
-    def test_a_far_bad_set_is_answered_without_facets(self, monkeypatch):
+    def test_a_far_bad_set_is_answered_in_under_a_second(self, monkeypatch):
         converted = count_calls(monkeypatch, sg, "_hform_enclosure")
         start = time.process_time()
         pipe = self.run(Box(np.full(3, 5.0), np.full(3, 6.0)), 2)
         assert time.process_time() - start < 1.0
         assert pipe.status == "horizon"
-        assert [s.set_rep.vertices.shape[0] for s in pipe.segments] == [8, 64, 504]
-        assert converted == [0]
+        assert [s.set_rep.vertices.shape[0] for s in pipe.segments] == [8, 29, 65]
+        assert converted == [3]
 
     def test_a_near_bad_set_gets_the_facet_form_verdict(self, monkeypatch):
-        # 1e-7 past the cloud's corner (1.1, 1.1, 1.1) at step 1: too close
-        # for the cloud to decide, so its facet form does, as before
+        # 1e-7 past the cloud's corner (1.1, 1.1, 1.1) at step 1
         converted = count_calls(monkeypatch, sg, "_hform_enclosure")
         pipe = self.run(Box(np.full(3, 1.1 + 1e-7), np.full(3, 6.0)), 1)
         assert pipe.status == "horizon"
-        assert [s.set_rep.vertices.shape[0] for s in pipe.segments] == [8, 64]
-        assert converted == [1]
+        assert [s.set_rep.vertices.shape[0] for s in pipe.segments] == [8, 29]
+        assert converted == [2]
+        # and the corner itself is reached
+        assert self.run(Box(np.full(3, 1.1), np.full(3, 6.0)), 1).status == "bad_reached"
 
 
 class TestCounters:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from reachflow import setgeom as sg
 from reachflow.setgeom import Box, HPolytope, UnsupportedCheck, VPolytope, Zonotope
 
-from oracles import box_support, gift_wrap_hull, lp_vertex_enum, monotone_chain_numpy
+from oracles import (box_support, fraction_orientation, gift_wrap_hull, lp_vertex_enum,
+                     monotone_chain_numpy)
 
 
 def unit_box(n=2):
@@ -632,6 +633,111 @@ class TestConversions:
             h = sg.vrep_to_hrep(v)
             back = sg.hrep_to_vrep(h)
             assert same_set(v, back, tol=1e-7)
+
+
+@st.composite
+def hull3d_clouds(draw):
+    """3-d clouds of 4 to 16 points: scattered, on a coarse grid (exact
+    coplanar and collinear points, repeats), sums of a mapped cube's
+    corners and a small box's (coplanar but for rounding), squeezed to
+    1e-12 to 1e-4 across a direction, or flat; scaled by 1e-150 (products
+    underflow), 1 or 1e150 (products overflow)."""
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["scattered", "grid", "sums", "squeezed", "flat"]))
+    if kind == "grid":
+        v = 0.1 * np.array(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3),
+                                         min_size=4, max_size=16)), dtype=float)
+    elif kind == "sums":
+        a = np.array(draw(st.tuples(*[st.tuples(*[unit] * 3)] * 3)))
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        v = ((corners @ a.T)[:, None] + 0.1 * corners[None, :2]).reshape(-1, 3)
+    else:
+        v = np.array(draw(st.lists(st.tuples(*[unit] * 3), min_size=4, max_size=16)))
+        if kind != "scattered":
+            u = np.array(draw(st.tuples(*[unit] * 3)))
+            assume(np.linalg.norm(u) > 0.1)
+            u /= np.linalg.norm(u)
+            keep = 0.0 if kind == "flat" else draw(st.sampled_from([1e-12, 1e-8, 1e-4]))
+            v = v - np.outer((v @ u) * (1.0 - keep), u)
+    return draw(st.sampled_from([1e-150, 1.0, 1e150])) * v
+
+
+class TestHull3d:
+    """``_hull_3d`` on the exact orientation test, checked in Fraction
+    arithmetic: its triangles close up into one consistently oriented
+    surface, no input point lies above any of them, and the vertices
+    ``_reduce_vertices`` keeps are input points."""
+
+    @staticmethod
+    def check(v):
+        faces = sg._hull_3d(v)
+        kept = sg._reduce_vertices(v)
+        assert set(map(tuple, kept.tolist())) <= set(map(tuple, v.tolist()))
+        if faces is None:
+            # a flat cloud, or one that rounding cannot tell from a line
+            centered = v - v.mean(axis=0)
+            extent = np.abs(centered).max()
+            sv = np.linalg.svd(centered / extent, compute_uv=False) if extent else np.zeros(3)
+            assert sv[-1] <= 1e-9 * sv[0]
+            return
+        np.testing.assert_array_equal(kept, v[np.unique(faces)])
+        edges = [(t[i], t[(i + 1) % 3]) for t in faces.tolist() for i in range(3)]
+        assert len(set(edges)) == len(edges)
+        assert all((w, u) in set(edges) for u, w in edges)
+        for t in faces:
+            assert all(fraction_orientation(*v[t], p) <= 0 for p in v)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(hull3d_clouds())
+    def test_no_point_lies_above_the_hull(self, v):
+        self.check(v)
+
+    def test_a_grid_keeps_its_corners(self):
+        grid = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=3)))
+        self.check(grid)
+        corners = set(itertools.product((0.0, 1.0), repeat=3))
+        kept = set(map(tuple, sg._reduce_vertices(grid).tolist()))
+        # corners, and perhaps points on the cube's faces; never its center
+        assert corners <= kept and (0.5, 0.5, 0.5) not in kept
+
+    @pytest.mark.parametrize("v", [
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]],
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.5, 0.2, 1.0]],
+    ], ids=["three-points", "collinear", "coplanar"])
+    def test_a_flat_cloud_has_no_hull(self, v):
+        v = np.array(v)
+        assert sg._hull_3d(v) is None
+        np.testing.assert_array_equal(sg._reduce_vertices(v), v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=3, max_size=3),
+           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+           st.sampled_from([0.0, 1e-300, 1e-17, 1e-9, 1.0]),
+           st.sampled_from([1e-160, 1.0, 1e150]))
+    def test_orientation_is_exact(self, abc, s, t, lift, scale):
+        # d in the plane of a, b, c but for rounding, then lifted off it
+        abc = np.array(abc)
+        normal = np.cross(abc[1] - abc[0], abc[2] - abc[0])
+        size = np.linalg.norm(normal)
+        a, b, c = scale * abc
+        d = a + s * (b - a) + t * (c - a) + (lift * scale / size * normal if size else 0.0)
+        want = fraction_orientation(a, b, c, d)
+        assert sg._orientation([a, b, c], d) == want
+        # the same sign inside a batch, and in its rotations
+        batch = np.stack([[a, b, c], [b, c, a], [c, a, b]])
+        np.testing.assert_array_equal(sg._orientation(batch, d), [want] * 3)
+        np.testing.assert_array_equal(sg._orientation([a, b, c], np.stack([d, a])), [want, 0])
+
+    def test_the_needle_keeps_its_cap(self):
+        # the cap's triangle is 1e-8 wide: a cross product rounds it to
+        # 1e-16 of the cloud's extent, yet its plane is a facet
+        needle = VPolytope([[0.0, 0.0, 0.0], [1e-8, 0.0, 0.0], [0.0, 1e-8, 0.0], [0.0, 0.0, -1.0]])
+        h = sg.vrep_to_hrep(needle)
+        assert np.all(needle.vertices @ h.normals.T <= h.offsets)
+        cap = np.flatnonzero(np.all(h.normals == [0.0, 0.0, 1.0], axis=1))
+        assert cap.shape == (1,) and h.offsets[cap[0]] == 0.0
+        assert not sg.meets(needle, Box([0.0, 0.0, 1e-5], [0.0, 0.0, 1e-5]))
 
 
 class TestTemplateHull:
