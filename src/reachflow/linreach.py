@@ -307,12 +307,18 @@ def step_input_vertices(p: SetRep, v: Optional[SetRep], a: np.ndarray) -> VPolyt
 
     Each operand enters by its exact vertex form, or else by the corners
     of its bounding box (flagged inexact).  An input given as several
-    summands is folded into one set by the caller, once per run.  Up to
-    3-d the vertex cloud is reduced to its hull after every step, so the
-    count stays bounded by the true facet structure.
+    summands is folded into one set by the caller, once per run.  The
+    candidates A p + v, one per pair of vertices, make one ``VPolytope``:
+    up to 3-d one hull thins them, so the count stays bounded by the true
+    facet structure, and its facet form reads that hull.
     """
-    av = linear_map(as_matrix(a), _vform_enclosure(p))
-    return av if v is None else minkowski_sum(av, _vform_enclosure(v))
+    p = _vform_enclosure(p)
+    pts = p.vertices @ as_matrix(a).T
+    if v is None:
+        return VPolytope(pts, exact=p.exact)
+    v = _vform_enclosure(v)
+    sums = (pts[:, None] + v.vertices).reshape(-1, pts.shape[1])
+    return VPolytope(sums, exact=p.exact and v.exact)
 
 
 def step_input_facets(p: HPolytope, v: Union[SetRep, Sequence[SetRep], None],

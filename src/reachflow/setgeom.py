@@ -24,12 +24,13 @@ H-polytope share one phase one of the simplex: ``support`` and
 ``support_batch`` keep its start on the set, nothing else reads it, and
 each yes/no question solves from a start of its own.
 
-A vertex set up to 3-d converts to facets one way, ``vrep_to_hrep``: the
-normals come from the hull, and each offset is the cloud's maximum along
-its unit normal, so the facet form holds every vertex by construction.
-The 3-d hull is Quickhull on an orientation test that is exact on the
-floats as given, and it also thins every 3-d vertex cloud the engine
-builds to its hull's corners, as ``convex_hull_2d`` does in 2-d.
+A vertex set is its exact hull: ``VPolytope`` thins every point list it
+is given, once, to the corners its hull needs, on orientation tests that
+are exact on the floats as given (a monotone chain in 2-d, Quickhull in
+3-d, which also keeps its triangles).  It converts to facets one way,
+``vrep_to_hrep``: the normals are read from that hull, and each offset is
+the cloud's maximum along its unit normal, so the facet form holds every
+vertex by construction.
 
 A run asks these questions of a few fixed sets (a bad set, guards,
 invariants, a domain) at every step.  The drivers hold each as a
@@ -113,6 +114,8 @@ class Box:
         return Zonotope(self.center, np.diag(self.radii), exact=self.exact)
 
     def to_vpolytope(self) -> "VPolytope":
+        """The corners as a vertex set, thinned as ``VPolytope`` thins: a
+        counterclockwise cycle in 2-d, 2^n order in 3-d."""
         return VPolytope(self.corners(), exact=self.exact)
 
     def __repr__(self):
@@ -201,15 +204,25 @@ def _drop_start(s: SetRep) -> None:
 
 
 class VPolytope:
-    """Convex hull of a finite vertex list (fictitious interior points allowed)."""
+    """Convex hull of a finite point list, thinned to the hull once, here.
 
-    __slots__ = ("vertices", "exact")
+    ``vertices`` keeps the points the hull needs (``_hull``): an interval's
+    ends in 1-d, the counterclockwise cycle from the lexicographically
+    least corner in 2-d, and a full 3-d cloud's hull corners in the order
+    given, with the hull's triangles as rows of indices into them in
+    ``faces`` (None for any other cloud).  A flat 3-d cloud, and any cloud
+    above 3-d, only loses duplicate rows (1e-9 grid).
+    """
+
+    __slots__ = ("vertices", "faces", "exact")
 
     def __init__(self, vertices, exact: bool = True):
         v = as_matrix(vertices)
         if v.shape[0] < 1:
             raise ValueError("a V-polytope needs at least one vertex")
-        self.vertices = _freeze(v.copy())
+        v, faces = _hull(v)
+        self.vertices = _freeze(v)
+        self.faces = faces if faces is None else _freeze(faces)
         self.exact = exact
 
     @property
@@ -482,7 +495,7 @@ def linear_map(a, s: SetRep) -> SetRep:
     if isinstance(s, Zonotope):
         return Zonotope(a @ s.center, a @ s.generators, exact=s.exact)
     if isinstance(s, VPolytope):
-        return VPolytope(_distinct_rows(s.vertices @ a.T), exact=s.exact)
+        return VPolytope(s.vertices @ a.T, exact=s.exact)
     if isinstance(s, HPolytope):
         img = _pullback(a, s) if a.shape[0] == a.shape[1] else None
         if img is not None:
@@ -520,20 +533,6 @@ def _distinct_rows(v: np.ndarray) -> np.ndarray:
     return v[np.sort(order[first])]
 
 
-def _reduce_vertices(v: np.ndarray) -> np.ndarray:
-    """The points of v that its convex hull needs: an interval's two ends
-    in 1-d, ``convex_hull_2d``'s cycle in 2-d, and in 3-d the corners of
-    ``_hull_3d``'s triangles, in the order of v.  A flat 3-d cloud, and
-    any cloud above 3-d, only loses duplicate rows (1e-9 grid)."""
-    if v.shape[1] == 2 and v.shape[0] >= 3:
-        return convex_hull_2d(v).vertices
-    if v.shape[1] == 1:
-        v = v[[np.argmin(v[:, 0]), np.argmax(v[:, 0])]]
-    if v.shape[1] == 3 and (faces := _hull_3d(v)) is not None:
-        return v[np.unique(faces)]
-    return _distinct_rows(v)
-
-
 def minkowski_sum(s1: SetRep, s2: SetRep) -> SetRep:
     """Minkowski sum s1 + s2.
 
@@ -556,7 +555,7 @@ def minkowski_sum(s1: SetRep, s2: SetRep) -> SetRep:
                             exact=x.exact and z.exact)
         if isinstance(x, VPolytope) and isinstance(y, VPolytope):
             sums = (x.vertices[:, None, :] + y.vertices[None, :, :]).reshape(-1, x.dim)
-            return VPolytope(_reduce_vertices(sums), exact=x.exact and y.exact)
+            return VPolytope(sums, exact=x.exact and y.exact)
         if isinstance(x, VPolytope) and isinstance(y, (Box, Zonotope)):
             v = _exact_vform(y)
             if v is not None:
@@ -593,8 +592,7 @@ def zonotope_vertices_2d(z: Zonotope) -> np.ndarray:
         pts.append(pts[-1] + 2.0 * gen)
     for gen in g:  # ...and mirror down the other
         pts.append(pts[-1] - 2.0 * gen)
-    pts = np.asarray(pts[:-1])
-    return convex_hull_2d(pts).vertices
+    return VPolytope(pts[:-1]).vertices
 
 
 def intersect(s1: SetRep, s2: SetRep) -> SetRep | None:
@@ -822,8 +820,8 @@ class _Prepared:
     and the pieces one prepared set clips share one stacked buffer, so
     each step costs only arithmetic on the offsets.  The other operand
     enters by its facet rows whatever its type: a vertex set up to 3-d by
-    ``vrep_to_hrep``, one hull.  ``intersect``, ``meets`` and
-    ``contains_set`` are these methods on a fresh operand.
+    ``vrep_to_hrep``, read from the hull it keeps.  ``intersect``,
+    ``meets`` and ``contains_set`` are these methods on a fresh operand.
     """
 
     __slots__ = ("set", "op", "rows", "exact_form", "_memo")
@@ -923,52 +921,12 @@ class _Prepared:
         return True
 
 
-def convex_hull_2d(points) -> VPolytope:
-    """Planar convex hull (Andrew's monotone chain): minimal CCW vertex
-    cycle.
-
-    Collinear points are removed; degenerate inputs yield a single point
-    or a two-point segment (collinear input keeps its two ends).  The
-    chain walks Python floats, which round as numpy's float64 scalars do,
-    so the hull is the same bit for bit at a fraction of the cost.
-    """
-    pts = as_matrix(points)
-    if pts.shape[1] != 2:
-        raise ValueError("convex_hull_2d expects planar points")
-    scale = max(1.0, float(np.abs(pts).max()))
-    # a cross product of differences rounds by about eps max|p| times the
-    # cloud's extent, so the bound shrinks with a small cloud's corners
-    tol = 1e-12 * scale * float(np.ptp(pts, axis=0).max())
-    uniq, idx = np.unique(np.round(pts / (1e-12 * scale)).astype(np.int64),
-                          axis=0, return_index=True)
-    pts = pts[np.sort(idx)]
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    if pts.shape[0] <= 2:
-        return VPolytope(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    rows = pts.tolist()
-    lower: list[list[float]] = []
-    for p in rows:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= tol:
-            lower.pop()
-        lower.append(p)
-    upper: list[list[float]] = []
-    for p in reversed(rows):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= tol:
-            upper.pop()
-        upper.append(p)
-    # the first point never leaves the lower chain, so the cycle is never
-    # empty: collinear points leave their two ends
-    return VPolytope(lower[:-1] + upper[:-1])
-
-
-# Shewchuk's static bound on the rounding of the float orientation
-# determinant, relative to its permanent, with eps = 2^-53
+# Shewchuk's static bounds on the rounding of the float orientation
+# determinants, relative to their permanents, with eps = 2^-53: in 3-d, and
+# in 2-d relative to |left| + |right|; the smallest normal float, 2^-1022,
+# widens both, which covers what underflow loses
 _ORIENT_ERR = (7.0 + 56.0 * 2.0 ** -53) * 2.0 ** -53
+_ORIENT2_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 
 
 def _orientation(t, d) -> np.ndarray:
@@ -979,12 +937,11 @@ def _orientation(t, d) -> np.ndarray:
     leading axes.
 
     The float determinant decides where Shewchuk's static error bound
-    (DCG 1997) leaves its sign in no doubt; the bound is widened by the
-    smallest normal float, which covers what underflow loses, and an
-    overflow leaves the sign in doubt.  A sign in doubt is the exact
-    determinant's: each float is an integer over a power of two, so the
-    twelve coordinates over their largest denominator are integers, and
-    Python's integers, some ten times faster than ``Fraction``, give it.
+    (DCG 1997) leaves its sign in no doubt; an overflow leaves it in
+    doubt.  A sign in doubt is the exact determinant's: each float is an
+    integer over a power of two, so the twelve coordinates over their
+    largest denominator are integers, and Python's integers, some ten
+    times faster than ``Fraction``, give it.
     """
     t, d = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(d, dtype=float)[..., None, :])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -995,7 +952,7 @@ def _orientation(t, d) -> np.ndarray:
         det = (ad * (left - right)).sum(axis=0)
         bound = _ORIENT_ERR * (np.abs(ad) * (np.abs(left) + np.abs(right))).sum(axis=0)
     out = np.array(np.where(det < 0.0, 1, -1))
-    for i in map(tuple, np.argwhere(~(np.abs(det) > bound + np.finfo(float).tiny))):
+    for i in map(tuple, np.argwhere(~(np.abs(det) > bound + 2.0 ** -1022))):
         ratios = [x.as_integer_ratio() for x in np.vstack([t[i], d[i]]).ravel().tolist()]
         den = max(q for _, q in ratios)
         p = [n * (den // q) for n, q in ratios]
@@ -1059,6 +1016,52 @@ def _hull_3d(v: np.ndarray) -> np.ndarray | None:
     return tri
 
 
+def _hull(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The points of the cloud v that its convex hull needs, and in full
+    3-d the hull's triangles as rows of indices into them (else None): the
+    thinning ``VPolytope`` describes."""
+    n = v.shape[1]
+    if n <= 2:
+        # sorted lexicographically, each repeated point's first copy kept;
+        # in 1-d the first and the last are the ends
+        v = v[np.unique(v, axis=0, return_index=True)[1]]
+        return (v[[0, -1]][:v.shape[0]] if n == 1 else _hull_2d(v)), None
+    if n == 3 and (faces := _hull_3d(v)) is not None:
+        corners = np.unique(faces)
+        return v[corners], np.searchsorted(corners, faces)
+    return _distinct_rows(v), None
+
+
+def _hull_2d(v: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain on the exact orientation test over the
+    distinct planar points v, sorted lexicographically: their corner cycle,
+    counterclockwise from the first.  A point leaves the chain unless the
+    turn onto it is strictly left, so collinear points leave their two
+    ends."""
+    if v.shape[0] <= 2:
+        return v
+    rows = v.tolist()
+    cycle = []
+    for seq in (rows, rows[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and not _left_turn(chain[-2], chain[-1], p):
+                chain.pop()
+            chain.append(p)
+        cycle += chain[:-1]
+    return np.array(cycle)
+
+
+def _left_turn(o: list, a: list, b: list) -> bool:
+    """Whether o, a, b turn strictly left, exactly: Shewchuk's 2-d filter
+    on Python floats, and where it leaves the sign in doubt the 3-d test
+    on the triangle lifted to z = 0 against (o, 1)."""
+    left, right = (a[0] - o[0]) * (b[1] - o[1]), (a[1] - o[1]) * (b[0] - o[0])
+    if abs(left - right) > _ORIENT2_ERR * (abs(left) + abs(right)) + 2.0 ** -1022:
+        return left > right
+    return _orientation([[*o, 0.0], [*a, 0.0], [*b, 0.0]], [*o, 1.0]) > 0
+
+
 def vrep_to_hrep(p: VPolytope) -> HPolytope:
     """Facet form of a vertex polytope, dimensions <= 3, flagged as p is.
 
@@ -1072,47 +1075,47 @@ def vrep_to_hrep(p: VPolytope) -> HPolytope:
         raise TypeError("vrep_to_hrep expects a VPolytope")
     if p.dim > 3:
         raise ValueError("exact vertex-to-facet conversion is limited to dimension 3")
-    v = p.vertices
-    normals = _facet_normals(v)
+    normals = _facet_normals(p)
     normals = _freeze(normals / np.linalg.norm(normals, axis=1)[:, None])
-    return HPolytope._trusted(normals, (v @ normals.T).max(axis=0), exact=p.exact)
+    return HPolytope._trusted(normals, (p.vertices @ normals.T).max(axis=0), exact=p.exact)
 
 
-def _facet_normals(v: np.ndarray) -> np.ndarray:
-    """Outward facet normals of conv(v), v in dimension n <= 3, one nonzero
-    row each; the offsets are ``vrep_to_hrep``'s.
+def _facet_normals(p: VPolytope) -> np.ndarray:
+    """Outward facet normals of p, in dimension n <= 3, one row of nonzero
+    norm each; the offsets are ``vrep_to_hrep``'s.
 
-    The cloud is centred and scaled to extent 1 first, so every threshold
-    below is relative to its own size.  A flat cloud gets +- each direction
-    across its affine hull, then the normals of its own hull inside that
-    hull, lifted back.  Up to 2-d it is flat when ``_reduce_vertices``
-    leaves at most n points; in 3-d when a singular value is at most 1e-9.
-    A full cloud gets +-1 in 1-d, its hull's edge normals in 2-d, and in
-    3-d the unit normals of ``_hull_3d``'s triangles, less those whose
-    cross product rounds to zero, one row per 1e-9 grid cell.
+    They are read from p's own hull, its vertices centred and scaled to
+    extent 1.  A full set gets +-1 in 1-d, the edge normals of its cycle in
+    2-d and the unit normals of its triangles in 3-d, one row per 1e-9
+    grid cell; an edge or triangle whose normal rounds to zero gives none.
+    A flat set (at most two points in 2-d, no triangles in 3-d) gets +-
+    each direction across its affine hull, a singular value above 1e-9
+    counting as one along it, and then the normals of its hull inside that
+    hull, lifted back.
     """
+    v = p.vertices
     n = v.shape[1]
     if n == 1:
         return np.array([[1.0], [-1.0]])
     centered = v - v.mean(axis=0)
     extent = float(np.abs(centered).max())
-    scaled = centered / extent if extent else centered[:1]
-    # the hull below thins a full 3-d cloud; the rank test needs no thinning
-    pts = _distinct_rows(scaled) if n == 3 else _reduce_vertices(scaled)
+    pts = centered / extent if extent else centered[:1]
     pts = pts - pts.mean(axis=0)
-    _, sv, vt = np.linalg.svd(pts)
-    rank = min(pts.shape[0] - 1, n) if n == 2 else int(np.count_nonzero(sv > 1e-9))
-    if rank < n:
+    if (p.faces is None) if n == 3 else v.shape[0] <= 2:
+        _, sv, vt = np.linalg.svd(pts)
+        rank = min(int(np.count_nonzero(sv > 1e-9)), n - 1)
         inside = vt[:rank]
-        lifted = [_facet_normals(pts @ inside.T) @ inside] if rank else []
+        lifted = [_facet_normals(VPolytope(pts @ inside.T)) @ inside] if rank else []
         return np.vstack([vt[rank:], -vt[rank:], *lifted])
     if n == 2:
         edge = np.roll(pts, -1, axis=0) - pts
-        return np.column_stack([edge[:, 1], -edge[:, 0]])  # outward for a CCW cycle
-    t = pts[_hull_3d(pts)]
-    normals = np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0])
+        normals = np.column_stack([edge[:, 1], -edge[:, 0]])  # outward for a CCW cycle
+    else:
+        t = pts[p.faces]
+        normals = np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0])
     size = np.linalg.norm(normals, axis=1)
-    return _distinct_rows(normals[size > 0.0] / size[size > 0.0, None])
+    normals, size = normals[size > 0.0], size[size > 0.0]
+    return normals if n == 2 else _distinct_rows(normals / size[:, None])
 
 
 # a candidate vertex is kept when it meets every row within this much
@@ -1121,10 +1124,13 @@ _VERTEX_TOL = 1e-7
 
 
 def hrep_to_vrep(p: HPolytope) -> VPolytope:
-    """Exact vertex enumeration of a bounded H-polytope, dimensions <= 3.
+    """Vertex enumeration of a bounded H-polytope, dimensions <= 3.
 
     Enumerates all n-subsets of facets, solves each linear system and keeps
-    the feasible intersection points.
+    the intersection points that meet every row within ``_VERTEX_TOL``
+    times max(1, max |b|): not exact, since a kept point may lie that far
+    outside p.  The ``VPolytope`` of the kept points thins them to their
+    exact hull.
     """
     if not isinstance(p, HPolytope):
         raise TypeError("hrep_to_vrep expects an HPolytope")
@@ -1150,7 +1156,7 @@ def hrep_to_vrep(p: HPolytope) -> VPolytope:
             pts.append(x)
     if not pts:
         raise ValueError("vertex enumeration found no vertices (empty polytope?)")
-    return VPolytope(_reduce_vertices(np.asarray(pts)), exact=p.exact)
+    return VPolytope(np.asarray(pts), exact=p.exact)
 
 
 def default_template(n: int) -> np.ndarray:
@@ -1276,7 +1282,7 @@ def _exact_vform(s: SetRep) -> VPolytope | None:
         if 2 ** s.order <= _MAX_VERTICES:
             signs = np.array(list(itertools.product((-1.0, 1.0), repeat=s.order)))
             pts = s.center + signs @ s.generators.T
-            return VPolytope(_reduce_vertices(pts), exact=s.exact)
+            return VPolytope(pts, exact=s.exact)
         return None
     if isinstance(s, HPolytope) and s.dim <= 3:
         try:
@@ -1391,7 +1397,7 @@ def hull_union(s1: SetRep, s2: SetRep) -> SetRep:
         return Box(lo, hi, exact=s1.exact and s2.exact)
     if isinstance(s1, VPolytope) and isinstance(s2, VPolytope):
         v = np.vstack([s1.vertices, s2.vertices])
-        return VPolytope(_reduce_vertices(v), exact=s1.exact and s2.exact)
+        return VPolytope(v, exact=s1.exact and s2.exact)
     if isinstance(s1, (Box, Zonotope)) and isinstance(s2, (Box, Zonotope)):
         z1 = s1.to_zonotope() if isinstance(s1, Box) else s1
         z2 = s2.to_zonotope() if isinstance(s2, Box) else s2

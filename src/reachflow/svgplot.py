@@ -21,7 +21,6 @@ from .setgeom import (
     SetRep,
     VPolytope,
     Zonotope,
-    convex_hull_2d,
     hrep_to_vrep,
     support_batch,
     zonotope_vertices_2d,
@@ -79,11 +78,11 @@ def projection_polygon(s: SetRep, dims: Sequence[int]) -> np.ndarray:
         flat = Zonotope(s.center[[i, j]], s.generators[[i, j], :], exact=s.exact)
         return zonotope_vertices_2d(flat)
     if isinstance(s, VPolytope):
-        return convex_hull_2d(s.vertices[:, [i, j]]).vertices
+        return VPolytope(s.vertices[:, [i, j]]).vertices
     if isinstance(s, HPolytope):
         if s.dim <= 3:
             verts = hrep_to_vrep(s).vertices
-            return convex_hull_2d(verts[:, [i, j]]).vertices
+            return VPolytope(verts[:, [i, j]]).vertices
         return _fan_polygon(s, i, j)
     raise TypeError(f"cannot plot set type {type(s).__name__}")
 

@@ -1,8 +1,8 @@
 """Independent oracles used to freeze expected values in the test suite.
 
 Deliberately naive implementations that share no code with the package:
-plain Taylor series, brute-force vertex enumeration, gift-wrapping hulls,
-and fixed-step integrators.
+plain Taylor series, brute-force vertex enumeration, hulls on Fraction
+orientation tests, and fixed-step integrators.
 """
 
 import itertools
@@ -223,37 +223,49 @@ def cold_phase_two(c, t, basis, tol=1e-9):
     return "optimal", float(np.asarray(c) @ x), x
 
 
-def gift_wrap_hull(points, tol=1e-12):
-    """Planar convex hull by gift wrapping (independent of monotone chain)."""
-    pts = np.asarray(points, dtype=float)
-    uniq = []
-    for p in pts:
-        if not any(np.allclose(p, q, atol=1e-12) for q in uniq):
-            uniq.append(p)
-    pts = np.asarray(uniq)
-    if pts.shape[0] <= 2:
-        return pts
-    start = min(range(pts.shape[0]), key=lambda i: (pts[i][0], pts[i][1]))
+def _distinct_points(points):
+    """The rows of points as tuples, each repeated point's first copy kept
+    in order (0.0 and -0.0 are equal)."""
+    return list(dict.fromkeys(map(tuple, np.asarray(points, dtype=float).tolist())))
+
+
+def fraction_turn(o, a, b):
+    """Sign of (a - o) x (b - o) in Fraction arithmetic, on the floats as
+    given: positive when o, a, b turn left."""
+    o, a, b = ([Fraction(float(x)) for x in p] for p in (o, a, b))
+    det = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    return (det > 0) - (det < 0)
+
+
+def gift_wrap_hull(points):
+    """Planar convex hull by gift wrapping (independent of monotone chain)
+    on Fraction orientation: the corners, counterclockwise from the
+    lexicographically least point; collinear points leave their two
+    ends."""
+    pts = _distinct_points(points)
+    if len(pts) <= 2:
+        return np.array(pts)
+
+    def dist2(i, j):
+        return sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(pts[i], pts[j]))
+
+    start = min(range(len(pts)), key=lambda i: pts[i])
     hull = [start]
     while True:
         cur = hull[-1]
         cand = 0 if cur != 0 else 1
-        for i in range(pts.shape[0]):
+        for i in range(len(pts)):
             if i == cur:
                 continue
-            u = pts[cand] - pts[cur]
-            w = pts[i] - pts[cur]
-            cr = u[0] * w[1] - u[1] * w[0]
-            d_cand = np.linalg.norm(pts[cand] - pts[cur])
-            d_i = np.linalg.norm(pts[i] - pts[cur])
-            if cr < -tol or (abs(cr) <= tol and d_i > d_cand):
+            turn = fraction_turn(pts[cur], pts[cand], pts[i])
+            if turn < 0 or (turn == 0 and dist2(cur, i) > dist2(cur, cand)):
                 cand = i
         if cand == start:
             break
         hull.append(cand)
-        if len(hull) > pts.shape[0]:
+        if len(hull) > len(pts):
             raise RuntimeError("gift wrapping failed")
-    return pts[hull]
+    return np.array([pts[i] for i in hull])
 
 
 def fraction_orientation(a, b, c, d):
@@ -266,31 +278,23 @@ def fraction_orientation(a, b, c, d):
     return (det > 0) - (det < 0)
 
 
-def monotone_chain_numpy(points):
-    """Planar hull by the monotone chain on numpy float64 scalars, with the
-    de-duplication grid and cross-product tolerance of
-    ``setgeom.convex_hull_2d``: the reference its Python-float chain must
-    match bit for bit.  Returns the CCW vertex cycle as an array."""
-    pts = np.asarray(points, dtype=float)
-    scale = max(1.0, float(np.abs(pts).max()))
-    tol = 1e-12 * scale * float(np.ptp(pts, axis=0).max())
-    _, idx = np.unique(np.round(pts / (1e-12 * scale)).astype(np.int64),
-                       axis=0, return_index=True)
-    pts = pts[np.sort(idx)]
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    if pts.shape[0] <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for chain, seq in ((lower, pts), (upper, pts[::-1])):
+def exact_chain(points):
+    """Planar hull by the monotone chain on Fraction orientation: the
+    counterclockwise corner cycle from the lexicographically least point,
+    a point staying only where the turn onto it is strictly left.  Each
+    corner is the first copy of its point as given."""
+    pts = sorted(_distinct_points(points))
+    if len(pts) <= 2:
+        return np.array(pts)
+    cycle = []
+    for seq in (pts, pts[::-1]):
+        chain = []
         for p in seq:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= tol:
+            while len(chain) >= 2 and fraction_turn(chain[-2], chain[-1], p) <= 0:
                 chain.pop()
             chain.append(p)
-    return np.asarray(lower[:-1] + upper[:-1])
+        cycle += chain[:-1]
+    return np.array(cycle)
 
 
 def box_support(lower, upper, d):

@@ -908,9 +908,9 @@ def sliver_questions(draw):
 
 
 class TestVertexPrecheck:
-    """A vertex set up to 3-d enters a question by its facet form, one
-    hull, whatever its shape: the precheck and the LP read that form's
-    rows, and a sliver gets the LP's verdict on them."""
+    """A vertex set up to 3-d enters a question by its facet form, read
+    from the hull it keeps, whatever its shape: the precheck and the LP
+    read that form's rows, and a sliver gets the LP's verdict on them."""
 
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.one_of(cloud_questions(), sliver_questions()))
@@ -918,6 +918,10 @@ class TestVertexPrecheck:
     # point 1e-5 over the cap is disjoint from the facet form
     @example((VPolytope([[0.0, 0.0, 0.0], [1e-8, 0.0, 0.0], [0.0, 1e-8, 0.0], [0.0, 0.0, -1.0]]),
               Box([0.0, 0.0, 1e-5], [0.0, 0.0, 1e-5])))
+    # the exact cycle keeps an edge 4e-247 long, whose scaled normal's norm
+    # rounds to zero: the edge gives no row
+    @example((VPolytope([[0.0, 0.0], [3.754011243503388e-247, 0.0], [0.0, 1.0]]),
+              Box([1.0, 1.0], [1.0, 1.0])))
     def test_verdict_is_the_facet_form_verdict(self, case):
         v, q = case
         fixed = sg._Prepared(q)
@@ -956,16 +960,16 @@ class TestVertexCloudsIn3d:
     """x+ = (0.9 I + 0.1 P) x + u, P the cyclic shift, X0 = [-1, 1]^3 and
     u in [-0.1, 0.1]^3, propagated by vertices: each step keeps the hull
     vertices of its candidates, 8, 29, 65 at steps 0-2 (the unthinned
-    clouds held 8, 64, 504), and each bad-set question converts the
-    segment to facets by one hull."""
+    clouds held 8, 64, 504), and each bad-set question reads the segment's
+    facet form from the triangles its step kept."""
 
     @staticmethod
     def run(bad, horizon):
         a = 0.9 * np.eye(3) + 0.1 * np.roll(np.eye(3), 1, axis=1)
         system = LinearSystem(a, Box(-np.ones(3), np.ones(3)),
                               input_set=Box(np.full(3, -0.1), np.full(3, 0.1)))
-        return reach(system, ReachConfig(horizon=horizon, strategy="vertices",
-                                         mode="bad_set", bad_set=bad))
+        question = {} if bad is None else {"mode": "bad_set", "bad_set": bad}
+        return reach(system, ReachConfig(horizon=horizon, strategy="vertices", **question))
 
     def test_a_far_bad_set_is_answered_in_under_a_second(self, monkeypatch):
         converted = count_calls(monkeypatch, sg, "_hform_enclosure")
@@ -975,6 +979,18 @@ class TestVertexCloudsIn3d:
         assert pipe.status == "horizon"
         assert [s.set_rep.vertices.shape[0] for s in pipe.segments] == [8, 29, 65]
         assert converted == [3]
+
+    @pytest.mark.parametrize("bad", [Box(np.full(3, 5.0), np.full(3, 6.0)), None],
+                             ids=["far-bad-set", "no-bad-set"])
+    def test_each_step_runs_one_hull(self, monkeypatch, bad):
+        # X0's corners, the input's corners, then one hull per step: the
+        # bad-set questions run none of their own
+        hulls = count_calls(monkeypatch, sg, "_hull_3d")
+        pipe = self.run(bad, 8)
+        assert pipe.status == "horizon"
+        assert [s.set_rep.vertices.shape[0] for s in pipe.segments] == [
+            8, 29, 65, 127, 200, 288, 394, 518, 662]
+        assert hulls == [10]
 
     def test_a_near_bad_set_gets_the_facet_form_verdict(self, monkeypatch):
         # 1e-7 past the cloud's corner (1.1, 1.1, 1.1) at step 1

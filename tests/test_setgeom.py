@@ -3,14 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from reachflow import setgeom as sg
 from reachflow.setgeom import Box, HPolytope, UnsupportedCheck, VPolytope, Zonotope
 
-from oracles import (box_support, fraction_orientation, gift_wrap_hull, lp_vertex_enum,
-                     monotone_chain_numpy)
+from oracles import (box_support, exact_chain, fraction_orientation, fraction_turn, gift_wrap_hull,
+                     lp_vertex_enum)
 
 
 def unit_box(n=2):
@@ -127,7 +127,10 @@ class TestLinearMap:
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
         v = VPolytope([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         img = sg.linear_map(a, v)
-        assert np.allclose(img.vertices, v.vertices @ a.T)
+        # each corner's image is a corner of the image, in the image's cycle
+        np.testing.assert_array_equal(img.vertices, VPolytope(v.vertices @ a.T).vertices)
+        images = (v.vertices @ a.T).tolist()
+        assert set(map(tuple, img.vertices.tolist())) == set(map(tuple, images))
 
     def test_singular_map_of_vertices_keeps_distinct_images(self):
         cube = Box([0.0] * 3, [1.0] * 3).to_vpolytope()
@@ -419,8 +422,7 @@ def hull_clouds(draw, grid):
     """Planar clouds with repeated points and points on the segment
     between two others, 1e-3 off it, or (off the grid) within 1e-14 of it.
     ``grid`` puts the drawn points on a 0.1 grid, where many are exactly
-    collinear and none are closer than the gift-wrap oracle's merge
-    tolerance without being equal."""
+    collinear."""
     k = draw(st.integers(1, 12))
     coords = (st.integers(-60, 60).map(lambda i: i / 10.0) if grid
               else st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False))
@@ -438,34 +440,75 @@ def hull_clouds(draw, grid):
     return np.array(pts)
 
 
+# a nearly vertical collinear cloud: the point 1e-14 right of the segment
+# sorts last, and a 1e-12 pop bound dropped the true end (0, 0)
+NEAR_VERTICAL = np.array([[0.0, 0.0], [0.0, -0.1], [1e-14, -0.025]])
+
+
+def any_hull_clouds():
+    return st.booleans().flatmap(lambda grid: hull_clouds(grid=grid))
+
+
 class TestConvexHull2d:
+    """``VPolytope`` thins a planar cloud by the monotone chain on the
+    exact orientation test, checked against chains and gift wrapping in
+    Fraction arithmetic."""
+
     def test_collinear_input_keeps_its_two_ends(self):
-        hull = sg.convex_hull_2d([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        hull = VPolytope([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         assert hull.vertices.tolist() == [[0.0, 0.0], [3.0, 3.0]]
 
     @settings(max_examples=300, deadline=None)
     @given(hull_clouds(grid=False))
-    def test_float_chain_is_the_numpy_chain_bit_for_bit(self, pts):
-        got = sg.convex_hull_2d(pts).vertices
-        want = monotone_chain_numpy(pts)
+    @example(NEAR_VERTICAL)
+    @example(np.array([[0.0, 0.0], [1.0, 1e-13], [2.0, 0.0]]))
+    def test_float_chain_is_the_exact_chain_bit_for_bit(self, pts):
+        got = VPolytope(pts).vertices
+        want = exact_chain(pts)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(hull_clouds(grid=True))
+    @given(any_hull_clouds())
     def test_matches_gift_wrap_as_sets(self, pts):
-        got = sg.convex_hull_2d(pts).vertices
-        assert set(map(tuple, got)) == set(map(tuple, gift_wrap_hull(pts)))
+        got = VPolytope(pts).vertices
+        assert set(map(tuple, got.tolist())) == set(map(tuple, gift_wrap_hull(pts).tolist()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_hull_clouds())
+    @example(NEAR_VERTICAL)
+    def test_every_point_lies_in_the_cycle(self, pts):
+        p = VPolytope(pts)
+        cycle = p.vertices.tolist()
+        assert set(map(tuple, cycle)) <= set(map(tuple, pts.tolist()))
+        m = len(cycle)
+        if m >= 3:
+            # every turn of the cycle is strictly left, and no point lies
+            # right of an edge
+            assert all(fraction_turn(cycle[i - 2], cycle[i - 1], cycle[i]) > 0 for i in range(m))
+            edges = [(cycle[i - 1], cycle[i]) for i in range(m)]
+            assert all(fraction_turn(a, b, x) >= 0 for a, b in edges for x in pts.tolist())
+        else:
+            lo, hi = np.min(p.vertices, axis=0), np.max(p.vertices, axis=0)
+            assert all(fraction_turn(cycle[0], cycle[-1], x) == 0 for x in pts.tolist())
+            assert np.all((pts >= lo) & (pts <= hi))
+        h = sg.vrep_to_hrep(p)
+        assert np.all(p.vertices @ h.normals.T <= h.offsets)
+
+    def test_a_near_vertical_collinear_cloud_keeps_its_ends(self):
+        total = sg.minkowski_sum(VPolytope(NEAR_VERTICAL), VPolytope([[0.0, 0.0]]))
+        assert total.exact
+        assert set(map(tuple, total.vertices.tolist())) == set(map(tuple, NEAR_VERTICAL.tolist()))
 
     def test_interior_and_collinear_points_removed(self):
         pts = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0],
                [1.0, 1.0], [1.0, 0.0], [2.0, 1.0]]
-        hull = sg.convex_hull_2d(pts)
+        hull = VPolytope(pts)
         assert hull.vertices.shape[0] == 4
         got = set(map(tuple, hull.vertices))
         assert got == {(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)}
 
     def test_ccw_orientation(self):
-        hull = sg.convex_hull_2d([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]).vertices
+        hull = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]).vertices
         area2 = 0.0
         m = hull.shape[0]
         for i in range(m):
@@ -475,15 +518,16 @@ class TestConvexHull2d:
         assert area2 > 0  # counterclockwise
 
     def test_degenerate_inputs(self):
-        assert sg.convex_hull_2d([[1.0, 1.0]]).vertices.shape[0] == 1
-        seg = sg.convex_hull_2d([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
+        assert VPolytope([[1.0, 1.0]]).vertices.shape[0] == 1
+        assert VPolytope([[1.0, 1.0], [1.0, 1.0]]).vertices.shape[0] == 1
+        seg = VPolytope([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
         assert seg.vertices.shape[0] == 2
 
     def test_a_small_triangle_keeps_its_apex(self):
-        # the pop bound shrinks with the cloud's extent, so a 1e-6 triangle
-        # keeps all three corners, also through a Minkowski sum with a point
+        # exact turns know no scale: a 1e-6 triangle keeps all three
+        # corners, also through a Minkowski sum with a point
         tri = [[0.0, 0.0], [1e-6, 0.0], [0.0, 1e-6]]
-        assert sg.convex_hull_2d(tri).vertices.shape[0] == 3
+        assert VPolytope(tri).vertices.shape[0] == 3
         total = sg.minkowski_sum(VPolytope(tri), VPolytope([[0.0, 0.0]]))
         assert total.exact and total.vertices.shape[0] == 3
         assert set(map(tuple, total.vertices)) == set(map(tuple, tri))
@@ -492,9 +536,9 @@ class TestConvexHull2d:
         rng = np.random.default_rng(13)
         for _ in range(20):
             pts = rng.normal(size=(30, 2))
-            mine = sg.convex_hull_2d(pts).vertices
+            mine = VPolytope(pts).vertices
             oracle = gift_wrap_hull(pts)
-            assert set(map(tuple, np.round(mine, 9))) == set(map(tuple, np.round(oracle, 9)))
+            assert set(map(tuple, mine.tolist())) == set(map(tuple, oracle.tolist()))
 
 
 @st.composite
@@ -663,16 +707,19 @@ def hull3d_clouds(draw):
 
 
 class TestHull3d:
-    """``_hull_3d`` on the exact orientation test, checked in Fraction
-    arithmetic: its triangles close up into one consistently oriented
-    surface, no input point lies above any of them, and the vertices
-    ``_reduce_vertices`` keeps are input points."""
+    """``VPolytope`` thins a 3-d cloud by ``_hull_3d`` on the exact
+    orientation test, checked in Fraction arithmetic: the triangles it
+    keeps close up into one consistently oriented surface, no input point
+    lies above any of them, its vertices are input points, and each
+    vertex meets every row of its facet form with zero tolerance."""
 
     @staticmethod
     def check(v):
-        faces = sg._hull_3d(v)
-        kept = sg._reduce_vertices(v)
+        p = VPolytope(v)
+        kept, faces = p.vertices, p.faces
         assert set(map(tuple, kept.tolist())) <= set(map(tuple, v.tolist()))
+        h = sg.vrep_to_hrep(p)
+        assert np.all(kept @ h.normals.T <= h.offsets)
         if faces is None:
             # a flat cloud, or one that rounding cannot tell from a line
             centered = v - v.mean(axis=0)
@@ -680,12 +727,15 @@ class TestHull3d:
             sv = np.linalg.svd(centered / extent, compute_uv=False) if extent else np.zeros(3)
             assert sv[-1] <= 1e-9 * sv[0]
             return
-        np.testing.assert_array_equal(kept, v[np.unique(faces)])
+        # the triangles' corners, each kept once, in the order given
+        np.testing.assert_array_equal(np.unique(faces), np.arange(kept.shape[0]))
+        rows = iter(v.tolist())
+        assert all(any(x == y for y in rows) for x in kept.tolist())
         edges = [(t[i], t[(i + 1) % 3]) for t in faces.tolist() for i in range(3)]
         assert len(set(edges)) == len(edges)
         assert all((w, u) in set(edges) for u, w in edges)
         for t in faces:
-            assert all(fraction_orientation(*v[t], p) <= 0 for p in v)
+            assert all(fraction_orientation(*kept[t], x) <= 0 for x in v)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(hull3d_clouds())
@@ -696,7 +746,7 @@ class TestHull3d:
         grid = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=3)))
         self.check(grid)
         corners = set(itertools.product((0.0, 1.0), repeat=3))
-        kept = set(map(tuple, sg._reduce_vertices(grid).tolist()))
+        kept = set(map(tuple, VPolytope(grid).vertices.tolist()))
         # corners, and perhaps points on the cube's faces; never its center
         assert corners <= kept and (0.5, 0.5, 0.5) not in kept
 
@@ -708,7 +758,9 @@ class TestHull3d:
     def test_a_flat_cloud_has_no_hull(self, v):
         v = np.array(v)
         assert sg._hull_3d(v) is None
-        np.testing.assert_array_equal(sg._reduce_vertices(v), v)
+        p = VPolytope(v)
+        assert p.faces is None
+        np.testing.assert_array_equal(p.vertices, v)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=3, max_size=3),
