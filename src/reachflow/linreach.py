@@ -314,11 +314,10 @@ def step_input_vertices(p: SetRep, v: Optional[SetRep], a: np.ndarray) -> VPolyt
     """
     p = _vform_enclosure(p)
     pts = p.vertices @ as_matrix(a).T
-    if v is None:
-        return VPolytope(pts, exact=p.exact)
-    v = _vform_enclosure(v)
-    sums = (pts[:, None] + v.vertices).reshape(-1, pts.shape[1])
-    return VPolytope(sums, exact=p.exact and v.exact)
+    if v is not None:
+        v = _vform_enclosure(v)
+        pts = (pts[:, None] + v.vertices).reshape(-1, pts.shape[1])
+    return VPolytope(pts, exact=p.exact and (v is None or v.exact))
 
 
 def step_input_facets(p: HPolytope, v: Union[SetRep, Sequence[SetRep], None],

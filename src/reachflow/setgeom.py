@@ -211,7 +211,7 @@ class VPolytope:
     least corner in 2-d, and a full 3-d cloud's hull corners in the order
     given, with the hull's triangles as rows of indices into them in
     ``faces`` (None for any other cloud).  A flat 3-d cloud, and any cloud
-    above 3-d, only loses duplicate rows (1e-9 grid).
+    above 3-d, only loses exactly repeated rows, keeping the order given.
     """
 
     __slots__ = ("vertices", "faces", "exact")
@@ -923,10 +923,11 @@ class _Prepared:
 
 # Shewchuk's static bounds on the rounding of the float orientation
 # determinants, relative to their permanents, with eps = 2^-53: in 3-d, and
-# in 2-d relative to |left| + |right|; the smallest normal float, 2^-1022,
-# widens both, which covers what underflow loses
+# in 2-d relative to |left| + |right|; both are widened by the smallest
+# normal float
 _ORIENT_ERR = (7.0 + 56.0 * 2.0 ** -53) * 2.0 ** -53
 _ORIENT2_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+_TINY = np.finfo(float).tiny
 
 
 def _orientation(t, d) -> np.ndarray:
@@ -937,11 +938,12 @@ def _orientation(t, d) -> np.ndarray:
     leading axes.
 
     The float determinant decides where Shewchuk's static error bound
-    (DCG 1997) leaves its sign in no doubt; an overflow leaves it in
-    doubt.  A sign in doubt is the exact determinant's: each float is an
-    integer over a power of two, so the twelve coordinates over their
-    largest denominator are integers, and Python's integers, some ten
-    times faster than ``Fraction``, give it.
+    (DCG 1997) leaves its sign in no doubt; the bound is widened by the
+    smallest normal float, which covers what underflow loses, and an
+    overflow leaves the sign in doubt.  A sign in doubt is the exact
+    determinant's: each float is an integer over a power of two, so the
+    twelve coordinates over their largest denominator are integers, and
+    Python's integers, some ten times faster than ``Fraction``, give it.
     """
     t, d = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(d, dtype=float)[..., None, :])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -952,7 +954,7 @@ def _orientation(t, d) -> np.ndarray:
         det = (ad * (left - right)).sum(axis=0)
         bound = _ORIENT_ERR * (np.abs(ad) * (np.abs(left) + np.abs(right))).sum(axis=0)
     out = np.array(np.where(det < 0.0, 1, -1))
-    for i in map(tuple, np.argwhere(~(np.abs(det) > bound + 2.0 ** -1022))):
+    for i in map(tuple, np.argwhere(~(np.abs(det) > bound + _TINY))):
         ratios = [x.as_integer_ratio() for x in np.vstack([t[i], d[i]]).ravel().tolist()]
         den = max(q for _, q in ratios)
         p = [n * (den // q) for n, q in ratios]
@@ -1021,15 +1023,16 @@ def _hull(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     3-d the hull's triangles as rows of indices into them (else None): the
     thinning ``VPolytope`` describes."""
     n = v.shape[1]
-    if n <= 2:
-        # sorted lexicographically, each repeated point's first copy kept;
-        # in 1-d the first and the last are the ends
-        v = v[np.unique(v, axis=0, return_index=True)[1]]
-        return (v[[0, -1]][:v.shape[0]] if n == 1 else _hull_2d(v)), None
     if n == 3 and (faces := _hull_3d(v)) is not None:
         corners = np.unique(faces)
         return v[corners], np.searchsorted(corners, faces)
-    return _distinct_rows(v), None
+    # each repeated point's first copy, sorted lexicographically up to 2-d
+    # (in 1-d the first and the last are the ends), else in the order given
+    first = np.unique(v, axis=0, return_index=True)[1]
+    if n <= 2:
+        v = v[first]
+        return (v[[0, -1]][:v.shape[0]] if n == 1 else _hull_2d(v)), None
+    return v[np.sort(first)], None
 
 
 def _hull_2d(v: np.ndarray) -> np.ndarray:
@@ -1057,7 +1060,7 @@ def _left_turn(o: list, a: list, b: list) -> bool:
     on Python floats, and where it leaves the sign in doubt the 3-d test
     on the triangle lifted to z = 0 against (o, 1)."""
     left, right = (a[0] - o[0]) * (b[1] - o[1]), (a[1] - o[1]) * (b[0] - o[0])
-    if abs(left - right) > _ORIENT2_ERR * (abs(left) + abs(right)) + 2.0 ** -1022:
+    if abs(left - right) > _ORIENT2_ERR * (abs(left) + abs(right)) + _TINY:
         return left > right
     return _orientation([[*o, 0.0], [*a, 0.0], [*b, 0.0]], [*o, 1.0]) > 0
 
@@ -1085,13 +1088,16 @@ def _facet_normals(p: VPolytope) -> np.ndarray:
     norm each; the offsets are ``vrep_to_hrep``'s.
 
     They are read from p's own hull, its vertices centred and scaled to
-    extent 1.  A full set gets +-1 in 1-d, the edge normals of its cycle in
-    2-d and the unit normals of its triangles in 3-d, one row per 1e-9
-    grid cell; an edge or triangle whose normal rounds to zero gives none.
-    A flat set (at most two points in 2-d, no triangles in 3-d) gets +-
-    each direction across its affine hull, a singular value above 1e-9
-    counting as one along it, and then the normals of its hull inside that
-    hull, lifted back.
+    extent 1.  The set is flat when a singular value of that copy is at
+    most 1e-12 in 2-d, 1e-9 in 3-d: rounding can fold a thinner copy's
+    cycle onto a line, whose normals bound nothing along it, and the 1e-9
+    grid below folds a thinner 3-d set's triangle normals onto +- one row.
+    A flat set gets +- each direction across its affine hull, a singular
+    value above that bound counting as one along it, and then the normals
+    of its hull inside that hull, lifted back.  A full set gets +-1 in 1-d,
+    the edge normals of its cycle in 2-d and the unit normals of its
+    triangles in 3-d, one row per 1e-9 grid cell; an edge or triangle whose
+    normal rounds to zero gives none.
     """
     v = p.vertices
     n = v.shape[1]
@@ -1101,9 +1107,10 @@ def _facet_normals(p: VPolytope) -> np.ndarray:
     extent = float(np.abs(centered).max())
     pts = centered / extent if extent else centered[:1]
     pts = pts - pts.mean(axis=0)
-    if (p.faces is None) if n == 3 else v.shape[0] <= 2:
-        _, sv, vt = np.linalg.svd(pts)
-        rank = min(int(np.count_nonzero(sv > 1e-9)), n - 1)
+    _, sv, vt = np.linalg.svd(pts)
+    rank = int(np.count_nonzero(sv > (1e-12 if n == 2 else 1e-9)))
+    if rank < n or (n == 3 and p.faces is None):
+        rank = min(rank, n - 1)
         inside = vt[:rank]
         lifted = [_facet_normals(VPolytope(pts @ inside.T)) @ inside] if rank else []
         return np.vstack([vt[rank:], -vt[rank:], *lifted])
@@ -1113,9 +1120,8 @@ def _facet_normals(p: VPolytope) -> np.ndarray:
     else:
         t = pts[p.faces]
         normals = np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0])
-    size = np.linalg.norm(normals, axis=1)
-    normals, size = normals[size > 0.0], size[size > 0.0]
-    return normals if n == 2 else _distinct_rows(normals / size[:, None])
+    normals = normals[np.linalg.norm(normals, axis=1) > 0.0]
+    return normals if n == 2 else _distinct_rows(normals / np.linalg.norm(normals, axis=1)[:, None])
 
 
 # a candidate vertex is kept when it meets every row within this much

@@ -237,6 +237,14 @@ def fraction_turn(o, a, b):
     return (det > 0) - (det < 0)
 
 
+def positively_spans_plane(rows):
+    """Whether the planar rows positively span the plane, in Fraction
+    arithmetic: each has rows strictly on both sides of its line.  A
+    facet form on such normals is bounded."""
+    rows = np.asarray(rows, dtype=float).tolist()
+    return all({fraction_turn((0.0, 0.0), a, b) for b in rows} >= {-1, 1} for a in rows)
+
+
 def gift_wrap_hull(points):
     """Planar convex hull by gift wrapping (independent of monotone chain)
     on Fraction orientation: the corners, counterclockwise from the

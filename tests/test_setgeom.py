@@ -10,7 +10,7 @@ from reachflow import setgeom as sg
 from reachflow.setgeom import Box, HPolytope, UnsupportedCheck, VPolytope, Zonotope
 
 from oracles import (box_support, exact_chain, fraction_orientation, fraction_turn, gift_wrap_hull,
-                     lp_vertex_enum)
+                     lp_vertex_enum, positively_spans_plane)
 
 
 def unit_box(n=2):
@@ -563,6 +563,23 @@ def vertex_clouds(draw):
     return draw(st.sampled_from([1e-6, 1.0, 1e3])) * v + shift
 
 
+@st.composite
+def thin_planar_clouds(draw):
+    """Planar clouds of 3 to 12 points squeezed to 1e-20 to 1e-6 across a
+    direction, or repeating three points but for 1e-20 to 1e-6 of their
+    size; scaled by 1e-200, 1 or 1e200."""
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    v = np.array(draw(st.lists(st.tuples(unit, unit), min_size=3, max_size=12)))
+    thin = draw(st.sampled_from([1e-20, 1e-16, 1e-13, 1e-11, 1e-9, 1e-6]))
+    if draw(st.booleans()):
+        angle = draw(st.floats(0.0, np.pi))
+        u = np.array([np.cos(angle), np.sin(angle)])
+        v = v - np.outer((v @ u) * (1.0 - thin), u)
+    else:
+        v = v[np.arange(len(v)) % 3] + thin * v
+    return draw(st.sampled_from([1e-200, 1.0, 1e200])) * v
+
+
 class TestConversions:
     def test_square_round_trip(self):
         sq = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -653,6 +670,31 @@ class TestConversions:
         h = sg.vrep_to_hrep(VPolytope(v))
         assert np.all(v @ h.normals.T <= h.offsets)
 
+    @pytest.mark.parametrize("v, far", [
+        ([[0.0, 0.0], [1e-20, 0.0], [3.0, 3.0]], [100.0, 100.0]),
+        ([[0.0, 0.0], [3.75e-247, 0.0], [0.0, 1.0]], [0.0, 100.0]),
+        ([[0.0, 0.0, 0.0], [1e-20, 0.0, 0.0], [3.0, 3.0, 0.0], [0.0, 0.0, 1e-20]],
+         [100.0, 100.0, 0.0]),
+    ], ids=["coinciding-copies-2d", "underflowing-edge-2d", "coinciding-copies-3d"])
+    def test_a_sliver_has_a_bounded_form(self, v, far):
+        # the hull keeps every corner, but the copy centred and scaled to
+        # extent 1 folds two corners into one, or an edge's normal
+        # underflows: the form read from it would be a strip along the
+        # sliver
+        p = VPolytope(v)
+        assert p.vertices.shape[0] == len(v)
+        h = sg.vrep_to_hrep(p)
+        n = p.dim
+        assert np.all(np.isfinite(sg.support_batch(h, np.hstack([np.eye(n), -np.eye(n)]))))
+        assert not sg.contains_set(p, Box(far, far))
+
+    @settings(max_examples=300, deadline=None)
+    @given(thin_planar_clouds())
+    def test_a_thin_planar_cloud_has_a_bounded_form(self, v):
+        h = sg.vrep_to_hrep(VPolytope(v))
+        assert np.all(VPolytope(v).vertices @ h.normals.T <= h.offsets)
+        assert positively_spans_plane(h.normals)
+
     def test_a_tiny_cube_converts(self):
         corners = 1e-6 * np.array(list(itertools.product((0.0, 1.0), repeat=3)))
         h = sg.vrep_to_hrep(VPolytope(corners))
@@ -663,6 +705,12 @@ class TestConversions:
     def test_unbounded_rejected(self):
         with pytest.raises(ValueError):
             sg.hrep_to_vrep(HPolytope([[1.0, 0.0]], [1.0]))
+
+    def test_a_tiny_4d_box_keeps_its_corners(self):
+        # above 3-d only exactly repeated rows go: no grid merges corners
+        # 1e-10 apart
+        box = Box([0.0] * 4, [1e-10] * 4)
+        assert box.to_vpolytope().vertices.tobytes() == box.corners().tobytes()
 
     def test_high_dim_rejected(self):
         with pytest.raises(ValueError):
