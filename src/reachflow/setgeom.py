@@ -25,12 +25,16 @@ H-polytope share one phase one of the simplex: ``support`` and
 each yes/no question solves from a start of its own.
 
 A vertex set is its exact hull: ``VPolytope`` thins every point list it
-is given, once, to the corners its hull needs, on orientation tests that
+is given, once, to the vertices of its hull, on orientation tests that
 are exact on the floats as given (a monotone chain in 2-d, Quickhull in
 3-d, which also keeps its triangles).  It converts to facets one way,
-``vrep_to_hrep``: the normals are read from that hull, and each offset is
-the cloud's maximum along its unit normal, so the facet form holds every
-vertex by construction.
+``vrep_to_hrep``: the normals are read from that hull, one per edge in
+2-d and one per facet in 3-d, the facets told apart by the same exact
+test, and each offset is the cloud's maximum along its unit normal, so the
+facet form holds every vertex by construction.  Of the facts about a
+vertex set only flatness rests on a bound: a set is flat when a singular
+value of its scaled copy is at most the simplex's FEAS_TOL, which could
+not tell the facet rows of a thinner set apart.
 
 A run asks these questions of a few fixed sets (a bad set, guards,
 invariants, a domain) at every step.  The drivers hold each as a
@@ -45,8 +49,8 @@ import itertools
 
 import numpy as np
 
-from .numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _LpStart, as_matrix, as_vector,
-                        lp_max)
+from .numkernel import (FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _LpStart, as_matrix,
+                        as_vector, lp_max)
 
 TOL = 1e-9
 # a row whose norm is this close to 1 counts as unit: rounding after a
@@ -520,19 +524,6 @@ def _pullback(a: np.ndarray, h: HPolytope) -> HPolytope | None:
     return HPolytope(rows, h.offsets, exact=h.exact) if np.all(np.isfinite(rows)) else None
 
 
-def _distinct_rows(v: np.ndarray) -> np.ndarray:
-    """Rows of v without duplicates on a 1e-9 grid, first occurrences kept
-    in order."""
-    # float keys: an int64 cast would send every |v| above 9.2e9 to one key
-    keys = np.round(v / TOL)
-    # a stable sort puts each key's first occurrence first among its equals
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    return v[np.sort(order[first])]
-
-
 def minkowski_sum(s1: SetRep, s2: SetRep) -> SetRep:
     """Minkowski sum s1 + s2.
 
@@ -575,24 +566,23 @@ def minkowski_sum(s1: SetRep, s2: SetRep) -> SetRep:
 
 
 def zonotope_vertices_2d(z: Zonotope) -> np.ndarray:
-    """Exact vertex cycle of a planar zonotope by angular generator walk."""
+    """Vertex cycle of a planar zonotope by angular generator walk.
+
+    Every generator is flipped into the upper half-plane by its exact
+    signs (y < 0, or y = 0 and x < 0) and walked in angular order; the
+    exact chain of ``VPolytope`` drops the repeated and collinear points
+    the walk makes.
+    """
     if z.dim != 2:
         raise ValueError("zonotope vertex walk is planar only")
     g = z.generators.T.copy()
-    g = g[np.linalg.norm(g, axis=1) > 1e-14]
     if len(g) == 0:
         return z.center[None, :].copy()
-    g[g[:, 1] < 0] *= -1.0  # flip into the upper half-plane
-    g[(np.abs(g[:, 1]) <= 1e-14) & (g[:, 0] < 0)] *= -1.0
-    order = np.argsort(np.arctan2(g[:, 1], g[:, 0]), kind="stable")
-    g = g[order]
-    start = z.center - g.sum(axis=0)
-    pts = [start]
-    for gen in g:  # walk up one side...
-        pts.append(pts[-1] + 2.0 * gen)
-    for gen in g:  # ...and mirror down the other
-        pts.append(pts[-1] - 2.0 * gen)
-    return VPolytope(pts[:-1]).vertices
+    g[(g[:, 1] < 0) | ((g[:, 1] == 0) & (g[:, 0] < 0))] *= -1.0
+    g = g[np.argsort(np.arctan2(g[:, 1], g[:, 0]), kind="stable")]
+    # walk up one side and mirror down the other, one step after another
+    walk = np.cumsum(np.vstack([z.center - g.sum(axis=0), 2.0 * g, -2.0 * g]), axis=0)
+    return VPolytope(walk[:-1]).vertices
 
 
 def intersect(s1: SetRep, s2: SetRep) -> SetRep | None:
@@ -974,11 +964,12 @@ def _hull_3d(v: np.ndarray) -> np.ndarray | None:
     Quickhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) on that exact
     test.  Each triangle holds the points strictly above it, each point in
     one triangle.  The highest point of some triangle replaces every
-    triangle it lies strictly above with a cone over their boundary, and
+    triangle it lies on or above with a cone over their boundary, and
     their points go to the first new triangle they lie strictly above; a
-    point above none lies in the new hull and is dropped.  A point in a
-    triangle's plane does not replace it, so several triangles may share
-    one plane, and a corner of theirs may be no vertex of the hull.
+    point above none lies in the new hull and is dropped.  A triangle in
+    the apex's plane borders the triangles it lies strictly above, and no
+    boundary edge lies on a line through the apex, so no cone triangle is
+    flat and every corner kept is a vertex of the hull.
     """
     # the float picks read v scaled to extent 1: no square or cube of it
     # over- or underflows
@@ -1009,7 +1000,7 @@ def _hull_3d(v: np.ndarray) -> np.ndarray | None:
     while held:
         face, pts = held.popitem()
         top = highest(list(face), pts)
-        seen = _orientation(v[tri], v[top]) > 0
+        seen = _orientation(v[tri], v[top]) >= 0
         edges = {e for t in tri[seen].tolist() for e in zip(t, t[1:] + t[:1])}
         cone = np.array([(i, j, top) for i, j in sorted(edges) if (j, i) not in edges])
         pts = np.concatenate([pts, *(held.pop(tuple(t), pts[:0]) for t in tri[seen].tolist())])
@@ -1089,15 +1080,14 @@ def _facet_normals(p: VPolytope) -> np.ndarray:
 
     They are read from p's own hull, its vertices centred and scaled to
     extent 1.  The set is flat when a singular value of that copy is at
-    most 1e-12 in 2-d, 1e-9 in 3-d: rounding can fold a thinner copy's
-    cycle onto a line, whose normals bound nothing along it, and the 1e-9
-    grid below folds a thinner 3-d set's triangle normals onto +- one row.
-    A flat set gets +- each direction across its affine hull, a singular
-    value above that bound counting as one along it, and then the normals
-    of its hull inside that hull, lifted back.  A full set gets +-1 in 1-d,
-    the edge normals of its cycle in 2-d and the unit normals of its
-    triangles in 3-d, one row per 1e-9 grid cell; an edge or triangle whose
-    normal rounds to zero gives none.
+    most FEAS_TOL (1e-9): the simplex cannot tell apart rows whose slopes
+    differ by less, so the facet form of a thinner set could read +inf
+    supports along it.  A flat set gets +- each direction across its affine
+    hull, a singular value above that bound counting as one along it, and
+    then the normals of its hull inside that hull, lifted back.  A full set
+    gets +-1 in 1-d, the edge normals of its cycle in 2-d and in 3-d one
+    normal per facet (``_facets``), the sum of its triangles' normals; an
+    edge or facet whose normal rounds to zero gives none.
     """
     v = p.vertices
     n = v.shape[1]
@@ -1107,8 +1097,9 @@ def _facet_normals(p: VPolytope) -> np.ndarray:
     extent = float(np.abs(centered).max())
     pts = centered / extent if extent else centered[:1]
     pts = pts - pts.mean(axis=0)
-    _, sv, vt = np.linalg.svd(pts)
-    rank = int(np.count_nonzero(sv > (1e-12 if n == 2 else 1e-9)))
+    # the reduced SVD drops the directions across a copy of fewer than n rows
+    _, sv, vt = np.linalg.svd(pts, full_matrices=pts.shape[0] < n)
+    rank = int(np.count_nonzero(sv > FEAS_TOL))
     if rank < n or (n == 3 and p.faces is None):
         rank = min(rank, n - 1)
         inside = vt[:rank]
@@ -1119,9 +1110,27 @@ def _facet_normals(p: VPolytope) -> np.ndarray:
         normals = np.column_stack([edge[:, 1], -edge[:, 0]])  # outward for a CCW cycle
     else:
         t = pts[p.faces]
-        normals = np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0])
-    normals = normals[np.linalg.norm(normals, axis=1) > 0.0]
-    return normals if n == 2 else _distinct_rows(normals / np.linalg.norm(normals, axis=1)[:, None])
+        normals = np.zeros(t.shape[:2])
+        np.add.at(normals, _facets(v, p.faces), np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]))
+    return normals[np.linalg.norm(normals, axis=1) > 0.0]
+
+
+def _facets(v: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """The facet of each hull triangle of ``_hull_3d``, labelled by the
+    least index of a triangle in it.  Two triangles that share an edge lie
+    in one facet when the far corner of one lies exactly in the other's
+    plane."""
+    tail, head = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    # each edge runs once in each of its two triangles: sorted, they pair up
+    e, f = np.argsort(np.minimum(tail, head) * v.shape[0] + np.maximum(tail, head)).reshape(-1, 2).T
+    flat = _orientation(v[faces[e // 3]], v[np.roll(faces, 1, axis=1).ravel()[f]]) == 0
+    pairs = np.stack([e[flat], f[flat]]) // 3
+    a, b = np.hstack([pairs, pairs[::-1]])
+    label = np.arange(faces.shape[0])
+    while np.any(label[a] != label[b]):
+        np.minimum.at(label, a, label[b])
+        label = label[label]
+    return label
 
 
 # a candidate vertex is kept when it meets every row within this much
@@ -1135,8 +1144,12 @@ def hrep_to_vrep(p: HPolytope) -> VPolytope:
     Enumerates all n-subsets of facets, solves each linear system and keeps
     the intersection points that meet every row within ``_VERTEX_TOL``
     times max(1, max |b|): not exact, since a kept point may lie that far
-    outside p.  The ``VPolytope`` of the kept points thins them to their
-    exact hull.
+    outside p.  A point within that band of a kept one in every coordinate,
+    as the n-subsets of the rows through one degenerate vertex solve to,
+    counts as that one, so the hull may miss a vertex by that much too;
+    far-apart corners of a thin set meet the same rows within the band,
+    so the rows met cannot tell them apart.  The ``VPolytope`` of the
+    kept points thins them to their exact hull.
     """
     if not isinstance(p, HPolytope):
         raise TypeError("hrep_to_vrep expects an HPolytope")
@@ -1148,17 +1161,16 @@ def hrep_to_vrep(p: HPolytope) -> VPolytope:
     if not np.all(np.isfinite(support_batch(p, np.hstack([eye, -eye])))):
         raise ValueError("cannot enumerate the vertices of an unbounded polytope")
     a, b = p.normals, p.offsets
-    scale = max(1.0, float(np.abs(b).max()))
+    band = _VERTEX_TOL * max(1.0, float(np.abs(b).max()))
     pts = []
     for rows in itertools.combinations(range(a.shape[0]), n):
-        sub = a[list(rows)]
         try:
-            x = np.linalg.solve(sub, b[list(rows)])
+            x = np.linalg.solve(a[list(rows)], b[list(rows)])
         except np.linalg.LinAlgError:
             continue
         if not np.all(np.isfinite(x)):
             continue
-        if np.all(a @ x <= b + _VERTEX_TOL * scale):
+        if np.all(a @ x <= b + band) and all(np.abs(x - q).max() > band for q in pts):
             pts.append(x)
     if not pts:
         raise ValueError("vertex enumeration found no vertices (empty polytope?)")

@@ -2,7 +2,9 @@
 
 Deliberately naive implementations that share no code with the package:
 plain Taylor series, brute-force vertex enumeration, hulls on Fraction
-orientation tests, and fixed-step integrators.
+orientation tests, and fixed-step integrators.  ``extremal_trace`` alone
+calls the package, for its closed-form support witnesses and its
+``simulate``: it builds a true trajectory, not a bound.
 """
 
 import itertools
@@ -329,6 +331,28 @@ def eager_zonotope_support(x0_c, x0_g, v_c, v_g, a, k, d):
         gens.append(ai @ v_g)
     g = np.hstack(gens)
     return float(d @ center + np.abs(d @ g).sum())
+
+
+def extremal_trace(system, d, k):
+    """States of a trajectory of the discrete ``system`` whose state at
+    step k maximises d . x over every trajectory, by the maximum principle
+    for a linear map: x0 is the support witness of X0 along (A^T)^k d, and
+    input i that of the input set along B^T (A^T)^(k-1-i) d, replayed with
+    ``simulate``.  Along a zero direction any witness will do."""
+    from reachflow.linreach import simulate
+    from reachflow.setgeom import support
+
+    def witness(s, w):
+        return support(s, w if np.any(w) else np.eye(s.dim)[0])[1]
+
+    pulled = [np.asarray(d, dtype=float)]
+    for _ in range(k):
+        pulled.append(system.a.T @ pulled[-1])
+    x0 = witness(system.x0, pulled[k])
+    if not system.has_input:
+        return simulate(system, x0, steps=k).states
+    inputs = [witness(system.input_set, system.b.T @ pulled[k - 1 - i]) for i in range(k)]
+    return simulate(system, x0, inputs, steps=k).states
 
 
 def rk4(f, x0, t_end, steps):

@@ -52,7 +52,7 @@ from reachflow.setgeom import (
     support_batch,
 )
 
-from oracles import eager_zonotope_support, matvec_loops
+from oracles import eager_zonotope_support, extremal_trace, matvec_loops
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -984,6 +984,46 @@ class TestReachStrategies:
         for _ in range(360):
             box = bounding_box(linear_map(a, box))
         assert np.all(box.upper > 10.0)  # the naive loop has blown up
+
+
+@st.composite
+def small_discrete_runs(draw):
+    """A discrete system of dimension 1 to 4, its map on a 1/16 grid, with
+    a box or zonotope X0 and a box input; a strategy; a horizon, 2 steps
+    for 4-d vertex clouds, which nothing thins; and one direction to check
+    beside the default template."""
+    n = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0)
+    entry = st.integers(-16, 16).map(lambda i: i / 16.0)
+    a = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    c = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        x0 = Box(c, c + np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))))
+    else:
+        p = draw(st.integers(1, 3))
+        x0 = Zonotope(c, np.array(draw(st.lists(unit, min_size=n * p, max_size=n * p))).reshape(n, p))
+    r = np.array(draw(st.lists(st.floats(0.0, 0.2), min_size=n, max_size=n)))
+    strategy = draw(st.sampled_from(["lazy", "facets", "vertices"]))
+    horizon = draw(st.integers(1, 2 if strategy == "vertices" and n == 4 else 6))
+    d = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    assume(np.linalg.norm(d) > 0.1)
+    system = LinearSystem(a, x0, input_set=Box(-r, r))
+    return system, strategy, horizon, np.vstack([default_template(n), d / np.linalg.norm(d)])
+
+
+class TestExtremalTraces:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_discrete_runs())
+    def test_every_segment_holds_the_extremal_states(self, case):
+        # the trace that maximises d . x at step k reaches the true support
+        # of the reach set there, which each segment must bound
+        system, strategy, horizon, dirs = case
+        pipe = reach(system, ReachConfig(horizon=horizon, strategy=strategy))
+        for k, seg in enumerate(pipe.segments):
+            got = support_batch(seg.set_rep, dirs.T)
+            for d, value in zip(dirs, got):
+                reached = float(d @ extremal_trace(system, d, k)[k])
+                assert value >= reached - 1e-9 * (1.0 + abs(reached)), (strategy, k, d)
 
 
 class TestReachContinuous:

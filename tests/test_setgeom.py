@@ -142,19 +142,6 @@ class TestLinearMap:
         img = sg.linear_map(swap, VPolytope([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]))
         assert np.array_equal(img.vertices, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
-        st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-12, 2e-10, -3e-10, 0.5]),
-                 min_size=n, max_size=n), min_size=1, max_size=12)))
-    def test_distinct_rows_match_a_unique_on_the_grid(self, rows):
-        v = np.array(rows)
-        _, idx = np.unique(np.round(v / 1e-9).astype(np.int64), axis=0, return_index=True)
-        assert np.array_equal(sg._distinct_rows(v), v[np.sort(idx)])
-
-    def test_distinct_rows_keep_large_coordinates_apart(self):
-        v = np.array([[1e10, 0.0], [2e10, 0.0], [3e10, 5.0], [2e10, 0.0]])
-        assert np.array_equal(sg._distinct_rows(v), v[:3])
-
     def test_hpolytope_invertible_map_is_exact(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
@@ -410,6 +397,28 @@ class TestExactHform:
             assert same_set(h, s)
         h = diamond_h()
         assert sg._exact_hform(h) is h
+
+    def test_a_planar_zonotope_keeps_a_tiny_generator(self):
+        z = Zonotope([0.0, 0.0], [[1.0, 0.0], [0.0, 5e-15]])
+        assert sg.support_batch(sg._exact_vform(z), np.array([[0.0], [1.0]]))[0] == 5e-15
+        assert sg.member(sg._exact_hform(z), [0.0, 5e-15], tol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 1e-300, -2.0, 0.5, 3.0])] * 2)
+                    | st.tuples(*[st.floats(-4.0, 4.0)] * 2), min_size=1, max_size=8))
+    def test_the_walk_steps_as_a_loop_would(self, gens):
+        # the reference: one generator step at a time, up one side and down
+        # the other; the accumulated walk gives the same points bit for bit
+        z = Zonotope([0.3, -0.2], np.array(gens).T)
+        g = z.generators.T.copy()
+        g[(g[:, 1] < 0) | ((g[:, 1] == 0) & (g[:, 0] < 0))] *= -1.0
+        g = g[np.argsort(np.arctan2(g[:, 1], g[:, 0]), kind="stable")]
+        pts = [z.center - g.sum(axis=0)]
+        for gen in g:
+            pts.append(pts[-1] + 2.0 * gen)
+        for gen in g:
+            pts.append(pts[-1] - 2.0 * gen)
+        assert sg.zonotope_vertices_2d(z).tobytes() == VPolytope(pts[:-1]).vertices.tobytes()
 
     def test_none_without_an_exact_facet_form(self):
         thin = Zonotope(np.zeros(3), np.hstack([0.5 * np.ones((3, 1)), 0.01 * np.eye(3)]))
@@ -695,6 +704,46 @@ class TestConversions:
         assert np.all(VPolytope(v).vertices @ h.normals.T <= h.offsets)
         assert positively_spans_plane(h.normals)
 
+    @pytest.mark.parametrize("base, facets", [
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 6),
+        ([[2.0, 0.0], [1.0, 2.0], [-1.0, 2.0], [-2.0, 0.0], [-1.0, -2.0], [1.0, -2.0]], 8),
+    ], ids=["unit-cube", "hexagonal-prism"])
+    def test_one_row_per_facet(self, base, facets):
+        # the triangles of one facet lie exactly in one plane: two for a
+        # square, four for a hexagon
+        v = np.array([[*xy, z] for xy in base for z in (0.0, 1.0)])
+        h = sg.vrep_to_hrep(VPolytope(v))
+        assert h.nrows == facets
+        assert np.all(v @ h.normals.T <= h.offsets)
+        assert {(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)} <= set(map(tuple, h.normals.tolist()))
+
+    def test_a_sliver_triangle_gets_finite_supports(self):
+        # its edge normals differ in slope by about 1e-11, which the simplex
+        # cannot tell apart: the set is flat, and its form bounds it
+        h = sg.vrep_to_hrep(VPolytope([[0.2, 0.0], [2.0, 8e-12], [-11.0, 2e-10]]))
+        assert all(np.all(np.isfinite(b)) for b in sg.axis_bounds(h))
+        assert sg.contains_set(Box([-20.0, -1.0], [20.0, 1.0]), h)
+
+    def test_a_degenerate_octahedron_has_six_vertices(self):
+        # four facets meet at each vertex: each of their 3-subsets solves
+        # to its own point, a few ulps from the others
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        v = sg.hrep_to_vrep(HPolytope(signs @ q.T, np.ones(8)))
+        assert v.vertices.shape == (6, 3)
+        # the corners +-e_i of |y|_1 <= 1, mapped by q
+        np.testing.assert_allclose(np.abs(v.vertices @ q).max(axis=1), np.ones(6))
+
+    @pytest.mark.parametrize("shift", [0.0, 100.0])
+    def test_a_thin_triangle_keeps_its_far_corners(self, shift):
+        # (0,0), (1,0), (0.5, 2e-8): every corner meets all three rows
+        # within the enumeration band, yet they lie a unit apart
+        o = np.array([shift, shift])
+        a = np.array([[0.0, -1.0], [-4e-8, 1.0], [4e-8, 1.0]])
+        v = sg.hrep_to_vrep(HPolytope(a, a @ o + np.array([0.0, 0.0, 4e-8])))
+        np.testing.assert_allclose(sg.support_batch(v, np.array([[1.0, -1.0], [0.0, 0.0]])),
+                                   [1.0 + shift, -shift], atol=1e-6)
+
     def test_a_tiny_cube_converts(self):
         corners = 1e-6 * np.array(list(itertools.product((0.0, 1.0), repeat=3)))
         h = sg.vrep_to_hrep(VPolytope(corners))
@@ -754,6 +803,19 @@ def hull3d_clouds(draw):
     return draw(st.sampled_from([1e-150, 1.0, 1e150])) * v
 
 
+@st.composite
+def grid_clouds_3d(draw):
+    """3-d clouds of 5 to 16 points on the integer grid [-2, 2]^3, where
+    many lie exactly in one plane or on one line; a third of them rotated,
+    which leaves them coplanar but for rounding."""
+    v = np.array(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=5, max_size=16)),
+                 dtype=float)
+    if draw(st.integers(0, 2)) == 0:
+        q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 99))).normal(size=(3, 3)))
+        v = v @ q.T
+    return v
+
+
 class TestHull3d:
     """``VPolytope`` thins a 3-d cloud by ``_hull_3d`` on the exact
     orientation test, checked in Fraction arithmetic: the triangles it
@@ -790,13 +852,27 @@ class TestHull3d:
     def test_no_point_lies_above_the_hull(self, v):
         self.check(v)
 
+    @settings(max_examples=100, deadline=None)
+    @given(grid_clouds_3d())
+    def test_every_corner_is_a_vertex(self, v):
+        # a corner is a vertex when it lies outside the hull of the other
+        # corners: strictly above one of its triangles, in Fraction
+        # arithmetic
+        p = VPolytope(v)
+        assume(p.faces is not None)
+        for i, x in enumerate(p.vertices):
+            rest = np.delete(p.vertices, i, axis=0)
+            self.check(rest)
+            faces = sg._hull_3d(rest)
+            if faces is not None:
+                assert any(fraction_orientation(*rest[t], x) > 0 for t in faces)
+
     def test_a_grid_keeps_its_corners(self):
         grid = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=3)))
         self.check(grid)
         corners = set(itertools.product((0.0, 1.0), repeat=3))
-        kept = set(map(tuple, VPolytope(grid).vertices.tolist()))
-        # corners, and perhaps points on the cube's faces; never its center
-        assert corners <= kept and (0.5, 0.5, 0.5) not in kept
+        # no point on the cube's faces or edges, nor its center
+        assert set(map(tuple, VPolytope(grid).vertices.tolist())) == corners
 
     @pytest.mark.parametrize("v", [
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
