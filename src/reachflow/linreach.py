@@ -35,6 +35,7 @@ from .setgeom import (
     _hform_enclosure,
     _Prepared,
     _pullback,
+    _row_norms,
     _vform_enclosure,
     axis_bounds,
     bloat,
@@ -184,7 +185,7 @@ class ReachConfig:
 
 def _template_norms(t: np.ndarray) -> np.ndarray:
     """Row norms of a direction template; zero rows are rejected."""
-    norms = np.linalg.norm(t, axis=1)
+    norms = _row_norms(t)
     if np.any(norms < TOL):
         raise ValueError("template rows must be nonzero")
     return norms

@@ -98,10 +98,19 @@ def _exp_integral(a, r: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LpResult:
+    """A solve's status, and for an optimal one its value and point.
+
+    An infeasible result carries ``farkas``: phase one's final prices on
+    the slack columns, negated and clipped at 0, one multiplier lam_i >= 0
+    per row.  Phase one's optimality makes them a Farkas certificate up to
+    its tolerance: |a^T lam| <= FEAS_TOL and lam . b < -FEAS_TOL.  Only a
+    check in exact arithmetic makes it a proof (``setgeom._empty``).
+    """
+
     status: str
     value: float | None = None
-    # the optimal point; for an infeasible result, phase one's last basic point
     x: np.ndarray | None = None
+    farkas: np.ndarray | None = None
 
 
 def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -128,9 +137,10 @@ def _basic_point(t: np.ndarray, basis: list[int], n: int) -> np.ndarray:
 def _phase_one(a: np.ndarray, b: np.ndarray):
     """A feasible basis of {a x <= b} (m > 0 rows) on the split-variable
     standard form, or an infeasible ``LpResult`` when phase one ends with
-    artificials above FEAS_TOL.  Its ``x`` is the last basic point: on a
-    flat set the tableau's rounding can leave that residue although the
-    point meets every row.
+    artificials above FEAS_TOL.  Its ``farkas`` are the multipliers the
+    final prices give the rows: on a flat set the tableau's rounding can
+    leave that residue although a point meets every row, so they are a
+    certificate only once checked exactly.
 
     Returns the tableau, columns x+ (n), x- (n), slacks (m) and the
     right-hand side, with the objective row left for phase two, and its
@@ -173,7 +183,9 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
     _walk(None, _Node(t[:-1], basis, private=True), t[-1])
     # the tableau keeps the negated objective value in the corner
     if t[-1, -1] > FEAS_TOL:
-        return LpResult(INFEASIBLE, x=_basic_point(t, basis, n))
+        # a slack's price is its row's multiplier, negated; the corner is
+        # -lam . b
+        return LpResult(INFEASIBLE, farkas=np.maximum(-t[-1, 2 * n:nreal], 0.0))
     # drive leftover artificials out of the basis, drop redundant rows
     keep = []
     for i in range(m):

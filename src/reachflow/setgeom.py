@@ -15,7 +15,9 @@ bounds the other's support from its own rows (a box exactly, an H-polytope
 by a row with the same normal or, for a parallelotope, by one n x n
 solve).  Stacked rows that are all axis rows bound a box, and its corners
 say "not disjoint" when they meet on every axis; otherwise the LP of
-``is_empty`` on the stacked rows decides.  ``contains_set`` skips the LP
+``is_empty`` on the stacked rows decides, and it says "empty" only with a
+Farkas certificate, checked in exact arithmetic, that the rows relaxed by
+TOL have no point.  ``contains_set`` skips the LP
 for a row of the outer set that such a bound of an inner H-polytope
 already satisfies.  Both prechecks demand a margin of ``_PRECHECK_MARGIN``
 relative to the magnitudes involved, a thousand times the simplex's
@@ -65,6 +67,19 @@ class UnsupportedCheck(Exception):
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a.  A row whose squares overflow
+    (entries above about 1e154) is divided by its largest entry first;
+    every other row's norm is ``np.linalg.norm``'s, bit for bit."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=1)
+    big = np.isinf(norms)
+    if big.any():
+        scale = np.abs(a[big]).max(axis=1)
+        norms[big] = scale * np.linalg.norm(a[big] / scale[:, None], axis=1)
+    return norms
 
 
 def _is_frozen(a: np.ndarray) -> bool:
@@ -146,7 +161,7 @@ class HPolytope:
         b = as_vector(offsets)
         if a.shape[0] != b.shape[0]:
             raise ValueError("normal count does not match offset count")
-        norms = np.linalg.norm(a, axis=1)
+        norms = _row_norms(a)
         if _is_frozen(a) and np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
             self.normals = a
             self.offsets = b if _is_frozen(b) else _freeze(b.copy())
@@ -405,11 +420,11 @@ def _hpolytope_solves(h: HPolytope, dmat: np.ndarray,
     over ``h``, from one phase one: the directions share the constraints.
 
     Solves from ``start``, a start over ``h``'s rows; the results are None
-    when ``h`` is empty.  On a flat set phase one's rounding can say
-    "infeasible" although ``is_empty`` finds a point meeting every row;
-    then the offsets are relaxed by each of ``_RELAX_WIDTHS`` in turn, a
-    superset whose supports still bound those of ``h`` from above, until
-    every witness meets the relaxed rows.  A direction that no width
+    only when ``_empty`` proves ``h`` empty by a checked certificate.  On
+    a flat set phase one's rounding can say "infeasible" with no such
+    proof; then the offsets are relaxed by each of ``_RELAX_WIDTHS`` in
+    turn, a superset whose supports still bound those of ``h`` from above,
+    until every witness meets the relaxed rows.  A direction that no width
     answers so gets an unbounded result: an upper bound that cannot be
     wrong.  ``h`` was checked when it was built, so only the directions
     are checked here.
@@ -421,7 +436,7 @@ def _hpolytope_solves(h: HPolytope, dmat: np.ndarray,
     results = start.solve(objectives)
     if results[0].status != INFEASIBLE:
         return live, results
-    if _empty(h, start):
+    if _empty(h, start) is not None:
         return live, None
     for width in _RELAX_WIDTHS:
         relaxed = _relaxed_offsets(h.offsets, width)
@@ -607,36 +622,68 @@ def intersect(s1: SetRep, s2: SetRep) -> SetRep | None:
     return _Prepared(s2).intersect(s1)
 
 
-# rows within this distance of phase one's basic point count as tight when
-# is_empty re-solves that point; the row test of the result, not this band,
-# decides the answer
-_REFINE_BAND = 1e-6
-
-
 def is_empty(s: SetRep) -> bool:
-    """Emptiness check; H-polytopes are decided by LP feasibility, phase
-    one run from a simplex start that the set does not keep."""
+    """Emptiness check: True only for an H-polytope whose rows, each offset
+    relaxed by TOL, have a Farkas certificate of infeasibility, read from
+    phase one (run from a simplex start the set does not keep) and checked
+    in exact arithmetic (``_empty``).  Any other set is not empty."""
     if isinstance(s, (Box, VPolytope, Zonotope)):
         return False
     if isinstance(s, HPolytope):
-        return _empty(s, _LpStart(s.normals, s.offsets))
+        return _empty(s, _LpStart(s.normals, s.offsets)) is not None
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
 
-def _empty(h: HPolytope, start: _LpStart) -> bool:
-    """``is_empty(h)``, read from ``start``, a start over h's rows."""
-    res = start.infeasible
-    if res is None:
-        return False
-    # phase one can misjudge a flat set by its own rounding: "empty"
-    # stands only when its last basic point misses some row, and so does
-    # that point re-solved, by least squares, on the rows it nearly meets
-    gap = h.normals @ res.x - h.offsets
-    if np.all(gap <= TOL):
-        return False
-    near = gap >= -_REFINE_BAND
-    x = res.x - np.linalg.lstsq(h.normals[near], gap[near], rcond=None)[0]
-    return not np.all(h.normals @ x <= h.offsets + TOL)
+# the certificate is sought among the rows with this many largest
+# multipliers, so a check solves at most 2^12 row sets
+_CERTIFICATE_ROWS = 12
+
+
+def _empty(h: HPolytope, start: _LpStart) -> tuple[int, ...] | None:
+    """``is_empty(h)``, read from ``start``, a start over h's rows: the rows
+    R of a proof that h is empty, in no particular order, or None.
+
+    The proof is that no x meets a . x <= b + TOL on every row of R: the
+    weights mu >= 0 on R with sum mu_i a_i = 0, which R fixes up to scale,
+    give sum mu_i (b_i + TOL) < 0, exactly (Farkas; Neumaier & Shcherbina,
+    Math. Program. 2004).  Phase one's multipliers, when it ends
+    infeasible, point to R: the rows with the ``_CERTIFICATE_ROWS``
+    largest are tried in sets of n + 1 rows down to one, largest first.
+    A set whose rank is one below its size has one null vector up to
+    scale, which is zero off the one minimal dependent set it holds: the
+    certificate when it is one-signed and the relaxed offsets give it the
+    right sign.  Each row enters as integers over its floats' largest
+    power-of-two denominator, a positive scale that keeps every sign.
+    Without a certificate the answer is "not empty", which every caller
+    takes as the conservative one.
+    """
+    if start.infeasible is None:
+        return None
+    rows = {i: _integers([*h.normals[i].tolist(), float(h.offsets[i]), TOL]) for i in
+            np.argsort(-start.infeasible.farkas, kind="stable")[:_CERTIFICATE_ROWS].tolist()}
+    for size in range(h.dim + 1, 0, -1):
+        for r in itertools.combinations(rows, size):
+            null = _left_null([rows[i][:-2] for i in r])
+            if (len(null) == 1 and min(null[0]) * max(null[0]) >= 0 and sum(null[0])
+                    * sum(mu * (rows[i][-2] + rows[i][-1]) for mu, i in zip(null[0], r)) < 0):
+                return tuple(i for mu, i in zip(null[0], r) if mu)
+    return None
+
+
+def _left_null(rows: list[list[int]]) -> list[list[int]]:
+    """Integer vectors spanning {mu : sum_i mu_i rows_i = 0}: Bareiss's
+    fraction-free elimination of the rows beside an identity, where each
+    division by the last pivot is exact; the identity parts of the rows
+    left over once every column has its pivot span the space."""
+    k, last = len(rows), 1
+    m = [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    for col in range(len(rows[0])):
+        pivot = next((r for r in m if r[col]), None)
+        if pivot is not None:
+            m.remove(pivot)
+            m = [[(pivot[col] * x - r[col] * y) // last for x, y in zip(r, pivot)] for r in m]
+            last = pivot[col]
+    return [r[-k:] for r in m]
 
 
 # a facet row decides a yes/no query without the simplex only when it
@@ -764,7 +811,7 @@ class _Stack:
 
     def __init__(self, n1: np.ndarray, n2: np.ndarray):
         a = np.vstack([n1, n2])
-        self.norms = np.linalg.norm(a, axis=1)
+        self.norms = _row_norms(a)
         self.normals = _freeze(a / self.norms[:, None])
         self.upper = self.lower = None
         nonzero = self.normals != 0.0
@@ -945,13 +992,19 @@ def _orientation(t, d) -> np.ndarray:
         bound = _ORIENT_ERR * (np.abs(ad) * (np.abs(left) + np.abs(right))).sum(axis=0)
     out = np.array(np.where(det < 0.0, 1, -1))
     for i in map(tuple, np.argwhere(~(np.abs(det) > bound + _TINY))):
-        ratios = [x.as_integer_ratio() for x in np.vstack([t[i], d[i]]).ravel().tolist()]
-        den = max(q for _, q in ratios)
-        p = [n * (den // q) for n, q in ratios]
+        p = _integers(np.vstack([t[i], d[i]]).ravel().tolist())
         u, r, e = ([p[j + k] - p[k] for k in range(3)] for j in (3, 6, 9))
         exact = sum(e[k] * (u[k - 2] * r[k - 1] - u[k - 1] * r[k - 2]) for k in range(3))
         out[i] = (exact > 0) - (exact < 0)
     return out
+
+
+def _integers(values: list[float]) -> list[int]:
+    """The floats as integers over their largest denominator, a power of
+    two: exact, and their common positive scale keeps every sign."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios]
 
 
 def _hull_3d(v: np.ndarray) -> np.ndarray | None:
@@ -1070,7 +1123,7 @@ def vrep_to_hrep(p: VPolytope) -> HPolytope:
     if p.dim > 3:
         raise ValueError("exact vertex-to-facet conversion is limited to dimension 3")
     normals = _facet_normals(p)
-    normals = _freeze(normals / np.linalg.norm(normals, axis=1)[:, None])
+    normals = _freeze(normals / _row_norms(normals)[:, None])
     return HPolytope._trusted(normals, (p.vertices @ normals.T).max(axis=0), exact=p.exact)
 
 
@@ -1112,7 +1165,7 @@ def _facet_normals(p: VPolytope) -> np.ndarray:
         t = pts[p.faces]
         normals = np.zeros(t.shape[:2])
         np.add.at(normals, _facets(v, p.faces), np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]))
-    return normals[np.linalg.norm(normals, axis=1) > 0.0]
+    return normals[_row_norms(normals) > 0.0]
 
 
 def _facets(v: np.ndarray, faces: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Deliberately naive implementations that share no code with the package:
 plain Taylor series, brute-force vertex enumeration, hulls on Fraction
-orientation tests, and fixed-step integrators.  ``extremal_trace`` alone
-calls the package, for its closed-form support witnesses and its
+orientation tests, Farkas certificates checked in Fraction arithmetic, and
+fixed-step integrators.  ``extremal_trace`` alone calls the package, for
+its closed-form support witnesses, its matrix exponential and its
 ``simulate``: it builds a true trajectory, not a bound.
 """
 
@@ -102,16 +103,6 @@ def _cold_bland(t, basis, nvars, tol):
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def _cold_basic_point(t, basis, n):
-    x = np.zeros(n)
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] += t[i, -1]
-        elif j < 2 * n:
-            x[j - n] -= t[i, -1]
-    return x
-
-
 def cold_phase_one(a, b, tol=1e-9):
     """Phase one of {a x <= b} (m > 0 rows) on the split-variable standard
     form, with its own Bland loop over the full tableau: a reference for a
@@ -120,7 +111,8 @@ def cold_phase_one(a, b, tol=1e-9):
     Returns ``(t, basis, None)`` for a feasible system: the tableau with
     columns x+ (n), x- (n), slacks (m) and the right-hand side, objective
     row last, artificials and redundant rows removed.  Returns
-    ``(None, None, x)`` for an infeasible one, x the last basic point.
+    ``(None, None, lam)`` for an infeasible one, lam the row multipliers:
+    the final objective row's slack prices, negated and clipped at 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -154,7 +146,7 @@ def cold_phase_one(a, b, tol=1e-9):
     # bounds at tol is rounding: phase one ends on the tableau it reached
     _cold_bland(t, basis, ncols, tol)
     if t[-1, -1] > tol:
-        return None, None, _cold_basic_point(t, basis, n)
+        return None, None, np.maximum(-t[-1, 2 * n:nreal], 0.0)
     keep = []
     for i in range(m):
         if basis[i] >= nreal:
@@ -168,6 +160,52 @@ def cold_phase_one(a, b, tol=1e-9):
             _cold_pivot(t, basis, i, piv)
         keep.append(i)
     return np.delete(t[keep + [m]], np.s_[nreal:ncols], axis=1), [basis[i] for i in keep], None
+
+
+def _fractions(values):
+    return [Fraction(float(x)) for x in np.asarray(values, dtype=float).ravel()]
+
+
+def farkas_certifies(a, b, tol):
+    """Whether the rows a x <= b + tol prove themselves infeasible, in
+    Fraction arithmetic: the weights mu with sum_i mu_i a_i = 0 span one
+    dimension, and oriented to mu >= 0 they give sum_i mu_i (b_i + tol) <
+    0.  Such rows are a Farkas certificate for every row set holding them.
+    The weights come from the reduced echelon form of the n x k system."""
+    k = len(b)
+    cols = [_fractions(row) for row in np.asarray(a, dtype=float)]
+    m = [list(r) for r in zip(*cols)]  # n x k: column i is row i of a
+    pivots = []
+    for col in range(k):
+        r0 = len(pivots)
+        piv = next((r for r in range(r0, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[r0], m[piv] = m[piv], m[r0]
+        m[r0] = [x / m[r0][col] for x in m[r0]]
+        for r in range(len(m)):
+            if r != r0 and m[r][col] != 0:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[r0])]
+        pivots.append(col)
+    free = [j for j in range(k) if j not in pivots]
+    if len(free) != 1:
+        return False
+    mu = [Fraction(0)] * k
+    mu[free[0]] = Fraction(1)
+    for r, col in enumerate(pivots):
+        mu[col] = -m[r][free[0]]
+    if all(v <= 0 for v in mu):
+        mu = [-v for v in mu]
+    relaxed = [c + Fraction(tol) for c in _fractions(b)]
+    return all(v >= 0 for v in mu) and sum(v * c for v, c in zip(mu, relaxed)) < 0
+
+
+def meets_relaxed(a, b, x, tol):
+    """Whether the point x meets every row a x <= b + tol, in Fraction
+    arithmetic on the floats as given."""
+    x = _fractions(x)
+    return all(sum(ai * xi for ai, xi in zip(_fractions(row), x)) <= c + Fraction(tol)
+               for row, c in zip(np.asarray(a, dtype=float), _fractions(b)))
 
 
 def cold_phase_two(c, t, basis, tol=1e-9):
@@ -333,19 +371,40 @@ def eager_zonotope_support(x0_c, x0_g, v_c, v_g, a, k, d):
     return float(d @ center + np.abs(d @ g).sum())
 
 
-def extremal_trace(system, d, k):
-    """States of a trajectory of the discrete ``system`` whose state at
-    step k maximises d . x over every trajectory, by the maximum principle
-    for a linear map: x0 is the support witness of X0 along (A^T)^k d, and
-    input i that of the input set along B^T (A^T)^(k-1-i) d, replayed with
-    ``simulate``.  Along a zero direction any witness will do."""
+def extremal_trace(system, d, k, step=None, substeps=1):
+    """States of a trajectory of ``system`` whose state at step k maximises
+    d . x over every trajectory, by the maximum principle for a linear
+    system; along a zero direction any witness will do.
+
+    Discrete: x0 is the support witness of X0 along (A^T)^k d, and input i
+    that of the input set along B^T (A^T)^(k-1-i) d, replayed with
+    ``simulate``.  Continuous, with time step ``step`` (r): x0 is the
+    witness along e^(A^T k r) d, and each of ``substeps`` (q) equal
+    sub-steps of every step holds the witness along B^T e^(A^T (k r - s)) d
+    at its midpoint s, replayed exactly by ``simulate`` at step r / q; the
+    states returned are those at the multiples of r.  The held inputs are
+    admissible, so the trace is a true trajectory; as q grows its state at
+    k r tends to the true support."""
     from reachflow.linreach import simulate
+    from reachflow.numkernel import mat_exp
     from reachflow.setgeom import support
 
     def witness(s, w):
         return support(s, w if np.any(w) else np.eye(s.dim)[0])[1]
 
-    pulled = [np.asarray(d, dtype=float)]
+    d = np.asarray(d, dtype=float)
+    if step is not None:
+        # the directions at the sub-steps' midpoints, last first
+        h = step / substeps
+        half, full = mat_exp(system.a.T, h / 2), mat_exp(system.a.T, h)
+        pulled = [half @ d] if k else []
+        while len(pulled) < k * substeps:
+            pulled.append(full @ pulled[-1])
+        x0 = witness(system.x0, half @ pulled[-1] if k else d)
+        inputs = ([witness(system.input_set, system.b.T @ w) for w in reversed(pulled)]
+                  if system.has_input else None)
+        return simulate(system, x0, inputs, steps=k * substeps, step=h).states[::substeps]
+    pulled = [d]
     for _ in range(k):
         pulled.append(system.a.T @ pulled[-1])
     x0 = witness(system.x0, pulled[k])

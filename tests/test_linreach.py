@@ -9,7 +9,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from reachflow.linreach import (
@@ -591,6 +591,15 @@ class TestFoldedTemplate:
                 pytest.raises(ValueError, match="vector has non-finite entries"):
             reach(system, config)
 
+    def test_a_huge_template_gives_the_unit_offsets(self):
+        # rows of 1e200, whose squares overflow, normalise to the unit rows
+        system = LinearSystem(np.array([[0.5, 0.1], [0.0, 0.9]]), Box([0.0, 0.0], [1.0, 1.0]),
+                              input_set=Box([-0.1, -0.1], [0.1, 0.1]))
+        t = np.vstack([np.eye(2), -np.eye(2)])
+        unit, huge = (reach(system, ReachConfig(horizon=5, template=s * t)) for s in (1.0, 1e200))
+        for a, b in zip(unit.segments, huge.segments, strict=True):
+            assert a.set_rep.offsets.tobytes() == b.set_rep.offsets.tobytes()
+
     def test_writable_template_is_not_aliased(self):
         t = np.vstack([np.eye(2), -np.eye(2)])
         s = LazyReachSet(unit_box(2), rot(0.3), directions=t)
@@ -1011,6 +1020,20 @@ def small_discrete_runs(draw):
     return system, strategy, horizon, np.vstack([default_template(n), d / np.linalg.norm(d)])
 
 
+@st.composite
+def small_continuous_runs(draw):
+    """A continuous system of dimension 1 to 4, its matrix on a 1/16 grid,
+    with a box or zonotope X0 and a box input; a step r, a step count, a
+    bloat policy that keeps the state at each k r in segment k (the time
+    point under small_r, the dense segment under once_hull); and one
+    direction to check beside the default template."""
+    system, _, _, dirs = draw(small_discrete_runs())
+    system = LinearSystem(system.a, system.x0, input_set=system.input_set, time_kind=CONTINUOUS)
+    r = draw(st.sampled_from([0.05, 0.125, 0.25]))
+    steps = draw(st.integers(1, 6))
+    return system, r, steps, draw(st.sampled_from([SMALL_R, ONCE_HULL])), dirs
+
+
 class TestExtremalTraces:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(small_discrete_runs())
@@ -1024,6 +1047,24 @@ class TestExtremalTraces:
             for d, value in zip(dirs, got):
                 reached = float(d @ extremal_trace(system, d, k)[k])
                 assert value >= reached - 1e-9 * (1.0 + abs(reached)), (strategy, k, d)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_continuous_runs())
+    # a rotation with a +-0.01 input: small_r's offsets are tight enough
+    # here that 1% of the input's accumulated supports shows
+    @example((LinearSystem([[0.0, 1.0], [-1.0, 0.0]], Box([0.9, -0.1], [1.1, 0.1]),
+                           input_set=Box([-0.01, -0.01], [0.01, 0.01]), time_kind=CONTINUOUS),
+              0.125, 6, SMALL_R, np.vstack([default_template(2), [[0.6, 0.8]]])))
+    def test_every_continuous_segment_holds_the_extremal_states(self, case):
+        # the inputs the maximum principle picks, held on 4 sub-steps of
+        # each step, give a true state at k r that segment k must bound
+        system, r, steps, policy, dirs = case
+        pipe = reach(system, ReachConfig(horizon=steps * r, step=r, bloat_policy=policy))
+        for k, seg in enumerate(pipe.segments[:steps + 1]):
+            got = support_batch(seg.set_rep, dirs.T)
+            for d, value in zip(dirs, got):
+                reached = float(d @ extremal_trace(system, d, k, step=r, substeps=4)[k])
+                assert value >= reached - 1e-9 * (1.0 + abs(reached)), (policy, k, d)
 
 
 class TestReachContinuous:

@@ -202,20 +202,24 @@ def lp_batches(draw):
 def cold_solve(c, a, b):
     """One objective alone: the reference phase one, then the reference
     phase two on a full copy of its tableau."""
-    t, basis, x = cold_phase_one(a, b)
+    t, basis, lam = cold_phase_one(a, b)
     if t is None:
-        return INFEASIBLE, None, x
-    return cold_phase_two(c, t, basis)
+        return INFEASIBLE, None, None, lam
+    return (*cold_phase_two(c, t, basis), None)
 
 
 def bits(value):
     return None if value is None else np.float64(value).tobytes()
 
 
+def same_array(got, want):
+    return (got is None and want is None) or got.tobytes() == want.tobytes()
+
+
 def same_result(got, want):
-    status, value, x = want
+    status, value, x, farkas = want
     assert got.status == status and bits(got.value) == bits(value)
-    assert (got.x is None and x is None) or got.x.tobytes() == x.tobytes()
+    assert same_array(got.x, x) and same_array(got.farkas, farkas)
 
 
 class TestSharedPaths:
@@ -276,11 +280,11 @@ class TestPhaseOne:
     @example((np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 1.0, 0.0, 0.0])))
     def test_is_the_reference_phase_one_bit_for_bit(self, system):
         a, b = system
-        t, basis, x = cold_phase_one(a, b)
+        t, basis, lam = cold_phase_one(a, b)
         got = _phase_one(a, b)
         if t is None:
             assert isinstance(got, LpResult) and got.status == INFEASIBLE
-            assert got.x.tobytes() == x.tobytes()
+            assert got.x is None and got.farkas.tobytes() == lam.tobytes()
             return
         got_t, got_basis = got
         assert got_basis == basis

@@ -28,7 +28,7 @@ from reachflow.linreach import LinearSystem, ReachConfig, reach
 from reachflow.numkernel import INFEASIBLE, OPTIMAL, UNBOUNDED, _LpStart, lp_max
 from reachflow.setgeom import Box, HPolytope, VPolytope, Zonotope
 
-from oracles import box_support, lp_vertex_enum
+from oracles import box_support, farkas_certifies, lp_vertex_enum, meets_relaxed
 
 PROPERTY = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -279,6 +279,58 @@ class TestBoxPairs:
         # corners, not the LP on the stacked rows, tell the boxes apart
         if gap >= 1e-6:
             assert sg.is_empty(stacked(b1, b2))
+
+
+class TestCertifiedEmptiness:
+    """``is_empty`` says "empty", and ``_hpolytope_solves`` gives no
+    results, only with rows that ``farkas_certifies`` accepts on its own:
+    Fraction arithmetic on the rows with their offsets relaxed by TOL."""
+
+    @staticmethod
+    def check(h):
+        start = _LpStart(h.normals, h.offsets)
+        rows = sg._empty(h, start)
+        assert sg.is_empty(h) == (rows is not None)
+        assert (sg._hpolytope_solves(h, np.eye(h.dim), start)[1] is None) == (rows is not None)
+        if rows is not None:
+            rows = list(rows)
+            assert farkas_certifies(h.normals[rows], h.offsets[rows], sg.TOL)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(set_pairs())
+    def test_stacked_rows_are_empty_only_with_a_certificate(self, pair):
+        s1, s2 = pair
+        self.check(stacked(s1, s2))
+        self.check(stacked(s2, s1))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(1, 4).flatmap(lambda n: st.one_of(
+        template_hpolytopes(n), parallelotopes(n), flat_parallelotopes(n))))
+    def test_a_set_is_empty_only_with_a_certificate(self, h):
+        self.check(h)
+
+    def test_contradictory_rows_are_certified(self):
+        # x <= 0 and x >= 1: the two rows are the certificate
+        h = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, -1.0, 1.0])
+        assert sorted(sg._empty(h, _LpStart(h.normals, h.offsets))) == [0, 1]
+        # each row relaxed by TOL: 3e-9 apart stays empty; 2e-9 apart
+        # phase one calls infeasible, but the relaxed rows meet at 1e-9
+        assert sg.is_empty(HPolytope([[1.0], [-1.0]], [0.0, -3e-9]))
+        tight = HPolytope([[1.0], [-1.0]], [0.0, -2e-9])
+        assert _LpStart(tight.normals, tight.offsets).infeasible is not None
+        assert meets_relaxed(tight.normals, tight.offsets, [1e-9], sg.TOL)
+        assert not sg.is_empty(tight)
+
+    def test_a_sliver_meets_a_point_in_both_orders(self):
+        # 3e-8 thick: phase one ends infeasible on one row order only, but
+        # the relaxed rows of both orders hold a point, so neither order
+        # has a certificate and meets answers alike
+        sliver = VPolytope([[0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, -4.0, 1.192092896e-07]])
+        point = Box([0.0, 0.03125, 0.0], [0.0, 0.03125, 0.0])
+        assert sg.meets(sliver, point) and sg.meets(point, sliver)
+        for h in (stacked(sliver, point), stacked(point, sliver)):
+            assert meets_relaxed(h.normals, h.offsets, [0.0, 0.03125, -2.0 ** -30], sg.TOL)
+            assert not sg.is_empty(h)
 
 
 def parallelotope(coupling, lower, upper):

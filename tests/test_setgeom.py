@@ -1121,6 +1121,11 @@ class TestHPolytopeArrays:
         assert h.normals is a
         assert b.flags.writeable and not np.shares_memory(h.offsets, b)
 
+    def test_rows_whose_squares_overflow_keep_their_bounds(self):
+        h = HPolytope([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0], [0.0, -1.0]], [1e200, 1e200, 1.0, 1.0])
+        lo, hi = sg.axis_bounds(h)
+        assert lo.tolist() == [-1.0, -1.0] and hi.tolist() == [1.0, 1.0]
+
     def test_read_only_non_unit_rows_are_normalised(self):
         a = np.array([[2.0, 0.0], [0.0, -0.5]])
         a.flags.writeable = False

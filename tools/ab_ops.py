@@ -7,7 +7,11 @@ first, in odd rounds the second's.  Each process imports its own tree's
 pass, then ``PASSES`` timed passes, and times every operation with
 ``time.process_time`` under one BLAS thread.  The report gives, per
 operation, the least CPU time over every process and pass of each tree and
-their ratio, then the warm-up fingerprints of both trees side by side.
+their ratio; beside it the simplex's work in the warm-up pass of the first
+process of each tree, counted by wrapping ``numkernel``'s functions: phase
+ones (and how many end infeasible), Bland walks and pivots, with any
+operation whose counts differ flagged; then the warm-up fingerprints of
+both trees side by side.
 
     python3 tools/ab_ops.py PARENT_TREE CHANGE_TREE [--workload check-mix]
         [--seed 1]
@@ -27,11 +31,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 ROUNDS = 4  # processes per tree
 PASSES = 4  # timed passes per process
+SOLVER = ("phase ones", "infeasible", "walks", "pivots")  # counted per operation
 
 
 def op_name(op) -> str:
@@ -40,10 +46,39 @@ def op_name(op) -> str:
     return str(args[0]) if args else op.__name__
 
 
+def count_solver(numkernel) -> tuple[dict, Callable[[], None]]:
+    """Wrap the simplex's phase one, walk and pivot in ``numkernel``: the
+    counters they add to, and a function that restores the originals."""
+    counts = dict.fromkeys(SOLVER, 0)
+    phase_one, walk, pivot = numkernel._phase_one, numkernel._walk, numkernel._pivot
+
+    def counted_phase_one(*args):
+        counts["phase ones"] += 1
+        out = phase_one(*args)
+        counts["infeasible"] += isinstance(out, numkernel.LpResult)
+        return out
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    numkernel._phase_one = counted_phase_one
+    numkernel._walk = counted("walks", walk)
+    numkernel._pivot = counted("pivots", pivot)
+
+    def restore():
+        numkernel._phase_one, numkernel._walk, numkernel._pivot = phase_one, walk, pivot
+    return counts, restore
+
+
 def child(tree: Path, workload: str, seed: int) -> dict:
-    """One process: the tree's workload, a warm-up and timed passes."""
+    """One process: the tree's workload, a warm-up whose solver work is
+    counted per operation, and timed passes."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import reachflow
+    from reachflow import numkernel
     from workloads import WORKLOADS
 
     where = Path(reachflow.__file__).resolve().parent
@@ -53,7 +88,13 @@ def child(tree: Path, workload: str, seed: int) -> dict:
     try:
         wl = WORKLOADS[workload](seed, False, workdir / "work")
         ops = wl.ops()
-        results = [op() for op in ops]
+        counts, restore = count_solver(numkernel)
+        results, solver = [], []
+        for op in ops:
+            before = dict(counts)
+            results.append(op())
+            solver.append([counts[k] - before[k] for k in SOLVER])
+        restore()
         failed = [r for r in wl.check(results) if r is not None]
         fingerprint = wl.fingerprint(results)
         del results
@@ -65,7 +106,7 @@ def child(tree: Path, workload: str, seed: int) -> dict:
                 times.append(time.process_time() - t0)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    return {"names": [op_name(op) for op in ops], "cpu": cpu,
+    return {"names": [op_name(op) for op in ops], "cpu": cpu, "solver": solver,
             "fingerprint": fingerprint, "failed": failed}
 
 
@@ -109,6 +150,10 @@ def main(argv=None) -> int:
     print(f"{'operation':<22}{'parent':>10}{'change':>10}{'ratio':>8}")
     for name, a, b in zip(names, *best):
         print(f"{name:<22}{1e3 * a:>10.1f}{1e3 * b:>10.1f}{b / a if a else float('nan'):>8.3f}")
+    print(f"solver work in the warm-up pass, parent / change ({', '.join(SOLVER)}):")
+    for name, a, b in zip(names, runs[0][0]["solver"], runs[1][0]["solver"]):
+        cells = "".join(f"{f'{x} / {y}':>16}" for x, y in zip(a, b))
+        print(f"{name:<22}{cells}{'  DIFFERENT' if a != b else ''}")
     prints = [side[0]["fingerprint"] for side in runs]
     print("fingerprints (warm-up pass of the first process):")
     for i, (a, b) in enumerate(zip(*prints)):
