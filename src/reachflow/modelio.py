@@ -28,7 +28,6 @@ import json
 from dataclasses import dataclass, fields
 from itertools import chain
 from math import inf, isfinite
-from struct import pack
 from typing import Optional
 
 import numpy as np
@@ -86,10 +85,11 @@ def canonical_dumps(doc: dict) -> str:
 
     Dicts and lists are walked here.  Each list of numbers, and each list
     of number rows, is written by the C encoder and indented by string
-    replacement; a float matrix that repeats within one document is
-    written once.  Anything else -- a tuple, a non-str key, a subclass of
-    a JSON type, nan, a cycle -- goes to ``json.dumps`` itself, which
-    writes it or raises as it always has.
+    replacement.  Text is reused by identity: a row list that one document
+    holds many times, as the segments of a ``result_doc`` over one template
+    hold one normals list, is written once per depth.  Anything else -- a
+    tuple, a non-str key, a subclass of a JSON type, nan, a cycle -- goes
+    to ``json.dumps`` itself, which writes it or raises as it always has.
     """
     out: list = []
     try:
@@ -111,13 +111,17 @@ def _write(o, level: int, out: list, seen: dict) -> None:
             raise _Defer
         _members([(_STRING(k) + ": ", o[k]) for k in sorted(o)], "{}", level, out, seen)
     elif t is list:
+        # the document holds every list it is walked through, so no id is
+        # reused while ``seen`` lives
+        key = (id(o), level)
+        if key in seen:
+            out.append(seen[key])
+            return
         kinds = set(map(type, o))
-        if kinds == {list} and all(o):
-            flat = list(chain.from_iterable(o))
-            kinds = set(map(type, flat))
-            if kinds <= _NUMBERS.keys():
-                out.append(_rows(o, flat if kinds == {float} else None, level, seen))
-                return
+        if kinds == {list} and all(o) and set(map(type, chain.from_iterable(o))) <= _NUMBERS.keys():
+            seen[key] = _rows(o, level)
+            out.append(seen[key])
+            return
         elif o and kinds <= _NUMBERS.keys():
             ind = "\n" + "  " * (level + 1)
             out.append("[" + ind + _COMPACT(o)[1:-1].replace(",", "," + ind)
@@ -146,28 +150,17 @@ def _members(items: list, brackets: str, level: int, out: list, seen: dict) -> N
     out.append(ind[:-2] + brackets[1])
 
 
-def _rows(o: list, floats: Optional[list], level: int, seen: dict) -> str:
-    """A list of non-empty rows of numbers, through the C encoder.
-
-    A matrix of floats only (``floats`` holds them, row after row) is kept
-    in ``seen``, keyed by the bits of its floats and its row lengths, so
-    -0.0 and 0.0 never share a text; ints and bools would turn into floats
-    in that key.
-    """
-    key = None
-    if floats is not None:
-        key = (pack(f"{len(floats)}d", *floats), tuple(map(len, o)), level)
-        if key in seen:
-            return seen[key]
+def _rows(o: list, level: int) -> str:
+    """A list of non-empty rows of numbers, through the C encoder.  Its
+    text depends on the list and the depth alone, so ``_write`` keeps it
+    for the list object: segments over one template share one read-only
+    normals list, and its text is reused by identity."""
     row = "\n" + "  " * (level + 1)
     item = row + "  "
-    text = ("[" + row + "[" + item
+    return ("[" + row + "[" + item
             + _COMPACT(o)[2:-2].replace(",", "," + item)
             .replace("]," + item + "[", row + "]," + row + "[" + item)
             + row + "]" + row[:-2] + "]")
-    if key is not None:
-        seen[key] = text
-    return text
 
 
 def model_sha256(doc: dict) -> str:
@@ -262,12 +255,21 @@ def decode_set(obj, path: str = "set") -> SetRep:
 
 
 def encode_set(s: SetRep) -> dict:
+    return _encode_set(s, {})
+
+
+def _encode_set(s: SetRep, rows: dict) -> dict:
+    """``encode_set(s)``, whose normals list is the one ``rows`` holds for
+    the normals buffer of s, by identity, or a new one kept there."""
     if isinstance(s, Box):
         return {"type": "box", "lower": s.lower.tolist(), "upper": s.upper.tolist()}
     if isinstance(s, HPolytope):
+        # the entry holds the buffer, so its id stays its own
+        if id(s.normals) not in rows:
+            rows[id(s.normals)] = s.normals, s.normals.tolist()
         return {
             "type": "hpolytope",
-            "normals": s.normals.tolist(),
+            "normals": rows[id(s.normals)][1],
             "offsets": s.offsets.tolist(),
         }
     if isinstance(s, VPolytope):
@@ -476,18 +478,25 @@ def save_model(doc: dict, path) -> None:
 # result documents
 
 
-def _encode_segment(seg) -> dict:
+def _encode_segment(seg, rows: dict) -> dict:
     return {
         "k": int(seg.k),
         "t0": float(seg.t0),
         "t1": float(seg.t1),
-        "set": encode_set(seg.set_rep),
+        "set": _encode_set(seg.set_rep, rows),
         "exact": bool(seg.set_rep.exact),
     }
 
 
 def result_doc(model: ParsedModel, pipe) -> dict:
-    """Result document for a flowpipe computed from ``model``."""
+    """Result document for a flowpipe computed from ``model``.
+
+    Segments over one template share one read-only normals buffer (every
+    lazy run, and the pieces one prepared set clips), and their sets share
+    one normals list here, which ``canonical_dumps`` writes once: treat the
+    document as read-only.
+    """
+    rows: dict = {}
     out = {
         "format": RESULT_FORMAT,
         "kind": model.kind,
@@ -509,7 +518,7 @@ def result_doc(model: ParsedModel, pipe) -> dict:
                 "depth": int(f.depth),
                 "status": f.status,
                 "status_step": None if f.status_step is None else int(f.status_step),
-                "segments": [_encode_segment(s) for s in f.segments],
+                "segments": [_encode_segment(s, rows) for s in f.segments],
             }
             for f in pipe.flows
         ]
@@ -530,7 +539,7 @@ def result_doc(model: ParsedModel, pipe) -> dict:
         out["status_step"] = (
             None if pipe.status_step is None else int(pipe.status_step)
         )
-        out["segments"] = [_encode_segment(s) for s in pipe.segments]
+        out["segments"] = [_encode_segment(s, rows) for s in pipe.segments]
         rigorous = getattr(pipe, "rigorous", None)
         if rigorous is not None:
             out["rigorous"] = bool(rigorous)

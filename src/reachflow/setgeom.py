@@ -1189,6 +1189,10 @@ def _facets(v: np.ndarray, faces: np.ndarray) -> np.ndarray:
 # a candidate vertex is kept when it meets every row within this much
 # times max(1, max |b|)
 _VERTEX_TOL = 1e-7
+# two candidates within this much times max(1, max |b|) of each other in
+# every coordinate are one vertex, solved from different rows: the scale
+# of the solve's rounding
+_SAME_VERTEX = 1e-12
 
 
 def hrep_to_vrep(p: HPolytope) -> VPolytope:
@@ -1196,13 +1200,13 @@ def hrep_to_vrep(p: HPolytope) -> VPolytope:
 
     Enumerates all n-subsets of facets, solves each linear system and keeps
     the intersection points that meet every row within ``_VERTEX_TOL``
-    times max(1, max |b|): not exact, since a kept point may lie that far
-    outside p.  A point within that band of a kept one in every coordinate,
-    as the n-subsets of the rows through one degenerate vertex solve to,
-    counts as that one, so the hull may miss a vertex by that much too;
-    far-apart corners of a thin set meet the same rows within the band,
-    so the rows met cannot tell them apart.  The ``VPolytope`` of the
-    kept points thins them to their exact hull.
+    times max(1, max |b|): far-apart corners of a thin set meet the same
+    rows only within such a band.  A point within ``_SAME_VERTEX`` of a
+    kept one, as the n-subsets of the rows through one degenerate vertex
+    solve to, counts as that one, so the kept points hold every vertex up
+    to the solve's rounding.  The ``VPolytope`` of the kept points thins
+    them to their exact hull, a superset of p, flagged inexact when a
+    kept point lies outside some row.
     """
     if not isinstance(p, HPolytope):
         raise TypeError("hrep_to_vrep expects an HPolytope")
@@ -1214,7 +1218,7 @@ def hrep_to_vrep(p: HPolytope) -> VPolytope:
     if not np.all(np.isfinite(support_batch(p, np.hstack([eye, -eye])))):
         raise ValueError("cannot enumerate the vertices of an unbounded polytope")
     a, b = p.normals, p.offsets
-    band = _VERTEX_TOL * max(1.0, float(np.abs(b).max()))
+    scale = max(1.0, float(np.abs(b).max()))
     pts = []
     for rows in itertools.combinations(range(a.shape[0]), n):
         try:
@@ -1223,11 +1227,13 @@ def hrep_to_vrep(p: HPolytope) -> VPolytope:
             continue
         if not np.all(np.isfinite(x)):
             continue
-        if np.all(a @ x <= b + band) and all(np.abs(x - q).max() > band for q in pts):
+        if (np.all(a @ x <= b + _VERTEX_TOL * scale)
+                and all(np.abs(x - q).max() > _SAME_VERTEX * scale for q in pts)):
             pts.append(x)
     if not pts:
         raise ValueError("vertex enumeration found no vertices (empty polytope?)")
-    return VPolytope(np.asarray(pts), exact=p.exact)
+    pts = np.asarray(pts)
+    return VPolytope(pts, exact=p.exact and bool(np.all(pts @ a.T <= b)))
 
 
 def default_template(n: int) -> np.ndarray:

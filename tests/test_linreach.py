@@ -1365,6 +1365,16 @@ class TestVertexStrategyForms:
                 assert member(seg.set_rep, state)
 
 
+    def test_a_vertex_an_ulp_band_apart_stays_in_the_flowpipe(self):
+        x0 = HPolytope([[0.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [0.0, -1.0]],
+                       [1.0, 1.0 + 5e-9, 1.0 + 5e-9, 0.0])
+        pipe = reach(LinearSystem(np.eye(2), x0), ReachConfig(horizon=2, strategy="vertices"))
+        assert len(pipe) == 3
+        d = np.array([[1e-3, -1e-3], [1.0, 1.0]])
+        for seg in pipe.segments:
+            assert np.all(support_batch(seg.set_rep, d) >= 1.0 + 5e-12)
+
+
 def thinning_systems():
     """3-d discrete systems x+ = A x + u with a box X0 and a box input: the
     cyclic shift 0.9 I + 0.1 P and three seeded random maps of spectral

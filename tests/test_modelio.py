@@ -209,6 +209,23 @@ class TestCanonicalWriter:
         assert text == reference_dumps(doc)
         assert text.count("-0.0") == 1
 
+    def test_one_row_list_held_many_times_at_several_depths(self):
+        rows = [[0.0, -0.0], [1, True], [2.5, 1e16]]
+        doc = {"a": [rows, rows, {"b": rows}], "c": rows, "d": [[0.0, -0.0], [1, True]]}
+        assert canonical_dumps(doc) == reference_dumps(doc)
+
+    def test_lazy_segments_share_one_normals_list(self):
+        doc = RESULT_DOCUMENTS["linear-lazy"]()
+        normals = {id(seg["set"]["normals"]) for seg in doc["segments"]}
+        assert len(doc["segments"]) > 1 and len(normals) == 1
+        assert canonical_dumps(doc) == reference_dumps(doc)
+
+    def test_hybrid_flows_share_normals_lists(self):
+        doc = RESULT_DOCUMENTS["hybrid"]()
+        segments = [seg for flow in doc["flows"] for seg in flow["segments"]]
+        assert len({id(seg["set"]["normals"]) for seg in segments}) < len(segments)
+        assert canonical_dumps(doc) == reference_dumps(doc)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_numbers_refused_everywhere(self, bad):
         for doc in ({"a": bad}, {"a": [1.0, bad]}, {"a": [[1.0], [bad]]},

@@ -744,6 +744,17 @@ class TestConversions:
         np.testing.assert_allclose(sg.support_batch(v, np.array([[1.0, -1.0], [0.0, 0.0]])),
                                    [1.0 + shift, -shift], atol=1e-6)
 
+    def test_a_vertex_an_ulp_band_apart_is_kept(self):
+        # the top vertices (+-5e-9, 1) lie 1e-8 apart, inside the row band:
+        # the hull must hold both, and the kept point above y <= 1 makes
+        # it a superset
+        h = HPolytope([[0.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [0.0, -1.0]],
+                      [1.0, 1.0 + 5e-9, 1.0 + 5e-9, 0.0])
+        v = sg.hrep_to_vrep(h)
+        assert not v.exact
+        d = np.array([[1e-3, -1e-3], [1.0, 1.0]])
+        assert np.all(sg.support_batch(v, d) >= 1.0 + 5e-12)
+
     def test_a_tiny_cube_converts(self):
         corners = 1e-6 * np.array(list(itertools.product((0.0, 1.0), repeat=3)))
         h = sg.vrep_to_hrep(VPolytope(corners))

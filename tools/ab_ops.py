@@ -7,11 +7,13 @@ first, in odd rounds the second's.  Each process imports its own tree's
 pass, then ``PASSES`` timed passes, and times every operation with
 ``time.process_time`` under one BLAS thread.  The report gives, per
 operation, the least CPU time over every process and pass of each tree and
-their ratio; beside it the simplex's work in the warm-up pass of the first
-process of each tree, counted by wrapping ``numkernel``'s functions: phase
-ones (and how many end infeasible), Bland walks and pivots, with any
-operation whose counts differ flagged; then the warm-up fingerprints of
-both trees side by side.
+their ratio, and the least CPU time of those passes spent writing results
+(in ``modelio.result_doc`` and ``modelio.canonical_dumps``, which also
+hashes each model as it loads); beside it the simplex's work in the
+warm-up pass of the first process of each tree, counted by wrapping
+``numkernel``'s functions: phase ones (and how many end infeasible),
+Bland walks and pivots, with any operation whose counts differ flagged;
+then the warm-up fingerprints of both trees side by side.
 
     python3 tools/ab_ops.py PARENT_TREE CHANGE_TREE [--workload check-mix]
         [--seed 1]
@@ -38,6 +40,7 @@ REPO = Path(__file__).resolve().parents[1]
 ROUNDS = 4  # processes per tree
 PASSES = 4  # timed passes per process
 SOLVER = ("phase ones", "infeasible", "walks", "pivots")  # counted per operation
+WRITER = ("result_doc", "canonical_dumps")  # timed per operation, as one sum
 
 
 def op_name(op) -> str:
@@ -73,12 +76,36 @@ def count_solver(numkernel) -> tuple[dict, Callable[[], None]]:
     return counts, restore
 
 
+def time_writer(modelio, cli) -> tuple[list, Callable[[], None]]:
+    """Wrap ``modelio``'s result writer, and ``cli``'s name for
+    ``result_doc``: a one-entry list of the CPU seconds they have taken, and
+    a function that restores the originals."""
+    spent = [0.0]
+    originals = [getattr(modelio, name) for name in WRITER]
+
+    def timed(fn):
+        def wrapper(*args):
+            t0 = time.process_time()
+            out = fn(*args)
+            spent[0] += time.process_time() - t0
+            return out
+        return wrapper
+
+    modelio.result_doc, modelio.canonical_dumps = map(timed, originals)
+    cli.result_doc = modelio.result_doc
+
+    def restore():
+        modelio.result_doc, modelio.canonical_dumps = originals
+        cli.result_doc = originals[0]
+    return spent, restore
+
+
 def child(tree: Path, workload: str, seed: int) -> dict:
     """One process: the tree's workload, a warm-up whose solver work is
     counted per operation, and timed passes."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import reachflow
-    from reachflow import numkernel
+    from reachflow import cli, modelio, numkernel
     from workloads import WORKLOADS
 
     where = Path(reachflow.__file__).resolve().parent
@@ -99,15 +126,20 @@ def child(tree: Path, workload: str, seed: int) -> dict:
         fingerprint = wl.fingerprint(results)
         del results
         cpu = [[] for _ in ops]
+        writing = [[] for _ in ops]
+        spent, restore = time_writer(modelio, cli)
         for _ in range(PASSES):
-            for times, op in zip(cpu, ops):
+            for times, written, op in zip(cpu, writing, ops):
+                w0 = spent[0]
                 t0 = time.process_time()
                 op()
                 times.append(time.process_time() - t0)
+                written.append(spent[0] - w0)
+        restore()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    return {"names": [op_name(op) for op in ops], "cpu": cpu, "solver": solver,
-            "fingerprint": fingerprint, "failed": failed}
+    return {"names": [op_name(op) for op in ops], "cpu": cpu, "writing": writing,
+            "solver": solver, "fingerprint": fingerprint, "failed": failed}
 
 
 def run_child(tree: Path, args, env: dict) -> dict:
@@ -143,13 +175,19 @@ def main(argv=None) -> int:
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
             runs[side].append(run_child(trees[side], args, env))
     names = runs[0][0]["names"]
-    best = [[min(t for run in side for t in run["cpu"][i]) for i in range(len(names))]
-            for side in runs]
+
+    def least(key):
+        return [[min(t for run in side for t in run[key][i]) for i in range(len(names))]
+                for side in runs]
+
     print(f"{args.workload}, seed {args.seed}: {ROUNDS} processes per tree, "
-          f"{PASSES} timed passes each, least CPU ms per operation")
-    print(f"{'operation':<22}{'parent':>10}{'change':>10}{'ratio':>8}")
-    for name, a, b in zip(names, *best):
-        print(f"{name:<22}{1e3 * a:>10.1f}{1e3 * b:>10.1f}{b / a if a else float('nan'):>8.3f}")
+          f"{PASSES} timed passes each, least CPU ms per operation "
+          f"(wr: in {' and '.join(WRITER)})")
+    print(f"{'operation':<22}{'parent':>10}{'change':>10}{'ratio':>8}"
+          f"{'wr parent':>11}{'wr change':>11}")
+    for name, a, b, wa, wb in zip(names, *least("cpu"), *least("writing")):
+        print(f"{name:<22}{1e3 * a:>10.1f}{1e3 * b:>10.1f}{b / a if a else float('nan'):>8.3f}"
+              f"{1e3 * wa:>11.1f}{1e3 * wb:>11.1f}")
     print(f"solver work in the warm-up pass, parent / change ({', '.join(SOLVER)}):")
     for name, a, b in zip(names, runs[0][0]["solver"], runs[1][0]["solver"]):
         cells = "".join(f"{f'{x} / {y}':>16}" for x, y in zip(a, b))
