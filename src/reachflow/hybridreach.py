@@ -6,14 +6,18 @@ transitions with optional affine resets.  Reachability interleaves
 per-mode flowpipe computation with discrete jumps: guard intersections
 are collected per step, clustered over contiguous step runs, reset, and
 fed back into a FIFO worklist until it drains, a bad state is hit, or
-the jump-depth bound is exceeded.
+the jump-depth bound is exceeded.  A mode's flow (``mode_reach``) is
+fixed by the automaton and the mode's name: the mode's dynamics and
+invariant, its outgoing transitions and the automaton's time kind.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from functools import reduce
+from itertools import groupby
+from typing import Optional
 
 import numpy as np
 
@@ -134,15 +138,16 @@ class HybridAutomaton:
         n = dims.pop()
         by_name = {m.name: m for m in self.modes}
         for tr in self.transitions:
+            where = f"transition {tr.source!r} -> {tr.target!r}"
             for end in (tr.source, tr.target):
                 if end not in by_name:
-                    raise ValueError(f"transition endpoint {end!r} is not a mode")
+                    raise ValueError(f"{where}: endpoint {end!r} is not a mode")
             if tr.guard.dim != n:
-                raise ValueError("guard dimension does not match the state space")
+                raise ValueError(f"{where}: guard dimension does not match the state space")
             if tr.reset_matrix is not None and tr.reset_matrix.shape != (n, n):
-                raise ValueError("reset matrix must map the state space to itself")
+                raise ValueError(f"{where}: reset matrix must map the state space to itself")
             if tr.reset_offset is not None and tr.reset_offset.shape != (n,):
-                raise ValueError("reset offset dimension mismatch")
+                raise ValueError(f"{where}: reset offset dimension mismatch")
         if self.time_kind not in (DISCRETE, CONTINUOUS):
             raise ValueError(f"unknown time kind {self.time_kind!r}")
 
@@ -210,18 +215,20 @@ class HybridFlowpipe:
 
 
 def mode_reach(
-    mode: Mode,
+    automaton: HybridAutomaton,
+    name: str,
     entry: SetRep,
     config: ReachConfig,
     nsteps: int,
-    transitions: Sequence[Transition] = (),
-    time_kind: str = CONTINUOUS,
-    bad_set: Optional[SetRep] = None,
 ):
-    """Flowpipe of one mode from ``entry``, clipped to the invariant.
+    """Flowpipe of the automaton's mode ``name`` from ``entry``, clipped to
+    the mode's invariant.
 
-    The step recurrence itself is never clipped (trajectories that left
-    the invariant are dropped from the output but stay in the recurrence,
+    The flow runs in the automaton's time kind, asks the guards of
+    ``automaton.outgoing(name)`` at every step and stops at the first
+    segment that meets ``config.bad_set`` (when there is one).  The step
+    recurrence itself is never clipped (trajectories that left the
+    invariant are dropped from the output but stay in the recurrence,
     which only over-approximates).  Segments are recorded clipped; the
     run stops early once ``intersect`` finds nothing of a segment inside
     the invariant, since no trajectory can still be flowing there.  Each
@@ -235,18 +242,21 @@ def mode_reach(
     as a jump's post, so the call lets go of that start before it returns.
 
     Returns ``(segments, hits, status, status_step)`` where hits lists,
-    for each transition in order, its per-step guard pieces
+    for each outgoing transition in order, its per-step guard pieces
     ``[(k, piece), ...]``.
     """
+    mode = automaton.mode(name)
+    transitions = automaton.outgoing(name)
     inv = None if mode.invariant is None else _Prepared(mode.invariant)
     guards = [_Prepared(tr.guard) for tr in transitions]
-    bad = None if bad_set is None else _Prepared(bad_set)
+    bad = None if config.bad_set is None else _Prepared(config.bad_set)
     hits = [[] for _ in transitions]
     segments = []
     status, status_step = HORIZON, None
 
     system = LinearSystem(
-        mode.a, entry, b=mode.b, input_set=mode.input_set, time_kind=time_kind
+        mode.a, entry, b=mode.b, input_set=mode.input_set,
+        time_kind=automaton.time_kind,
     )
     for seg in _flow_steps(system, config):
         k = seg.k
@@ -275,31 +285,21 @@ def mode_reach(
 def guard_cross(hits, transition: Transition):
     """Cluster per-step guard pieces and apply the reset.
 
-    Contiguous step runs are merged into one cluster each (their convex
-    hull, or an enclosure of it), so a guard grazed over many consecutive
-    steps spawns a single successor instead of one per step.  Returns
-    ``[(k_lo, k_hi, pre_cluster, post_set), ...]``.
+    ``hits`` is one transition's ``[(k, piece), ...]`` from ``mode_reach``,
+    in step order.  Each run of contiguous steps becomes one cluster, the
+    hull of its pieces taken left to right (``hull_union``, or an enclosure
+    of it), so a guard grazed over many consecutive steps spawns a single
+    successor instead of one per step.  Returns
+    ``[(k_lo, k_hi, pre_cluster, post_set), ...]``, empty when there are
+    no hits.
     """
     out = []
-    run = []
-    last_k = None
-    for k, piece in hits:
-        if last_k is not None and k != last_k + 1:
-            out.append(_close_run(run, transition))
-            run = []
-        run.append((k, piece))
-        last_k = k
-    if run:
-        out.append(_close_run(run, transition))
+    # k minus its position is constant exactly along a contiguous run
+    for _, run in groupby(enumerate(hits), key=lambda item: item[1][0] - item[0]):
+        ks, pieces = zip(*(hit for _, hit in run))
+        cluster = reduce(hull_union, pieces)
+        out.append((ks[0], ks[-1], cluster, transition.apply_reset(cluster)))
     return out
-
-
-def _close_run(run, transition: Transition):
-    cluster = run[0][1]
-    for _, piece in run[1:]:
-        cluster = hull_union(cluster, piece)
-    post = transition.apply_reset(cluster)
-    return run[0][0], run[-1][0], cluster, post
 
 
 def hybrid_reach(
@@ -359,16 +359,8 @@ def hybrid_reach(
         prepared = _Prepared(entry)
         if prepared.exact_form:
             explored.append((mode_name, prepared, remaining))
-        mode = automaton.mode(mode_name)
-        outgoing = automaton.outgoing(mode_name)
         segments, hits, flow_status, flow_step = mode_reach(
-            mode,
-            entry,
-            config,
-            remaining,
-            outgoing,
-            automaton.time_kind,
-            bad_set=config.bad_set,
+            automaton, mode_name, entry, config, remaining
         )
         flow_idx = len(flows)
         if jump is not None:
@@ -382,9 +374,7 @@ def hybrid_reach(
         if flow_status == BAD_REACHED:
             status, bad_flow = BAD_REACHED, flow_idx
             break
-        for tr, tr_hits in zip(outgoing, hits):
-            if not tr_hits:
-                continue
+        for tr, tr_hits in zip(automaton.outgoing(mode_name), hits):
             for k_lo, k_hi, pre, post in guard_cross(tr_hits, tr):
                 inv = invariants.get(tr.target)
                 entry_next = post if inv is None else inv.intersect(post)

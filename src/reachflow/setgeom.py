@@ -341,28 +341,16 @@ def _member_rows(s: Box | HPolytope | None, tol: float = TOL):
 def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
     """Support value max{d.x : x in s} and a witness point attaining it.
 
-    Returns (inf, None) when s is unbounded in direction d.  Boxes,
-    zonotopes and vertex lists use closed forms; a vertex list gives its
-    first maximizing vertex.  H-polytopes solve the LP that
-    ``support_batch`` solves, so the value is the same bit for bit, and the
-    witness is that solve's optimal vertex.
+    Returns (inf, None) when s is unbounded in direction d.  The value is
+    ``support_batch``'s for the one column d, bit for bit: a closed form
+    for boxes, zonotopes and vertex lists, and for H-polytopes the same
+    LP.  A vertex list's witness is its first maximizing vertex; an
+    H-polytope's is that solve's optimal vertex.
     """
     d = as_vector(d)
     if np.all(d == 0.0):
         raise ValueError("support direction must be nonzero")
     _check_dim(s, d, "support")
-    if isinstance(s, Box):
-        witness = np.where(d > 0.0, s.upper, s.lower)
-        return float(d @ witness), witness
-    if isinstance(s, Zonotope):
-        proj = d @ s.generators
-        value = float(d @ s.center + np.abs(proj).sum())
-        witness = s.center + s.generators @ np.where(proj >= 0.0, 1.0, -1.0)
-        return value, witness
-    if isinstance(s, VPolytope):
-        vals = s.vertices @ d
-        i = int(np.argmax(vals))
-        return float(vals[i]), s.vertices[i].copy()
     if isinstance(s, HPolytope):
         results = _hpolytope_solves(s, d[:, None], s._lp_start())[1]
         if results is None:
@@ -371,7 +359,12 @@ def support(s: SetRep, d) -> tuple[float, np.ndarray | None]:
         if res.status == UNBOUNDED:
             return float("inf"), None
         return res.value, res.x
-    raise TypeError(f"unknown set representation {type(s).__name__}")
+    value = float(support_batch(s, d[:, None])[0])
+    if isinstance(s, Box):
+        return value, np.where(d > 0.0, s.upper, s.lower)
+    if isinstance(s, Zonotope):
+        return value, s.center + s.generators @ np.where(d @ s.generators >= 0.0, 1.0, -1.0)
+    return value, s.vertices[int(np.argmax(s.vertices @ d))].copy()
 
 
 def support_batch(s: SetRep, dmat: np.ndarray) -> np.ndarray:

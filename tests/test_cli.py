@@ -257,6 +257,16 @@ class TestPlot:
         assert main(["plot", str(res), "--dims", "a,b", "-o", "x.svg"]) == 1
         assert "comma-separated integers" in capsys.readouterr().err
 
+    def test_plot_rejects_a_result_without_segments(self, tmp_path, capsys):
+        model = write_model(tmp_path, rotation_doc())
+        res = tmp_path / "r.json"
+        main(["reach", model, "-o", str(res)])
+        doc = json.loads(res.read_text())
+        del doc["segments"]
+        res.write_text(json.dumps(doc))
+        assert main(["plot", str(res), "-o", str(tmp_path / "x.svg")]) == 1
+        assert "the result document has no segments to plot" in capsys.readouterr().err
+
     def test_plot_rejects_model_file(self, tmp_path, capsys):
         model = write_model(tmp_path, rotation_doc())
         assert main(["plot", model, "-o", str(tmp_path / "x.svg")]) == 1

@@ -62,6 +62,12 @@ class TestParseExpr:
     def test_modulo_rejected(self):
         with pytest.raises(ExprError, match="unsupported operator Mod"):
             parse_expr("x % 2", ["x"])
+        with pytest.raises(ExprError, match="unsupported operator Invert at column 1"):
+            parse_expr("~x", ["x"])
+
+    def test_source_must_be_a_string(self):
+        with pytest.raises(ExprError, match="^expression must be a string$"):
+            parse_expr(3, ["x"])
 
 
 class TestParseField:

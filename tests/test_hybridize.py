@@ -215,6 +215,13 @@ class TestStaticHybridize:
         with pytest.raises(ValueError, match="cap"):
             static_hybridize(sys, Box([0.0, 0.0], [1.0, 1.0]), grid=40)
 
+    def test_domain_and_grid_checked(self):
+        sys = NonlinearSystem(lambda x: x, 2, hessian_bound=0.0)
+        with pytest.raises(ValueError, match="^domain dimension does not match the system$"):
+            static_hybridize(sys, Box([0.0], [1.0]), grid=2)
+        with pytest.raises(ValueError, match="^grid must have at least one cell per axis$"):
+            static_hybridize(sys, Box([0.0, 0.0], [1.0, 1.0]), grid=(2, 0))
+
     def test_raised_cell_cap(self):
         # the cap is a safety limit the caller may raise, and it is inclusive
         sys = NonlinearSystem(lambda x: x, 2, hessian_bound=0.0)

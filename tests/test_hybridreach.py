@@ -27,7 +27,6 @@ from reachflow.hybridreach import (
 from reachflow.linreach import (
     BAD_REACHED,
     COMPLETED,
-    CONTINUOUS,
     DISCRETE,
     HORIZON,
     LinearSystem,
@@ -87,8 +86,14 @@ class TestAutomatonValidation:
     def test_unknown_transition_endpoint(self):
         m = Mode("a", [[1.0]])
         tr = Transition("a", "ghost", guard=le(1.0))
-        with pytest.raises(ValueError, match="ghost"):
+        with pytest.raises(ValueError, match="^transition 'a' -> 'ghost': endpoint 'ghost' is not a mode$"):
             HybridAutomaton((m,), (tr,))
+
+    def test_needs_a_mode_and_a_known_time_kind(self):
+        with pytest.raises(ValueError, match="^automaton needs at least one mode$"):
+            HybridAutomaton((), ())
+        with pytest.raises(ValueError, match="^unknown time kind 'hybrid'$"):
+            HybridAutomaton((Mode("a", [[1.0]]),), (), time_kind="hybrid")
 
     def test_dimension_mismatch_across_modes(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -113,11 +118,7 @@ class TestModeReach:
     def test_invariant_clips_segments(self):
         auto = thermostat()
         segs, hits, status, step = mode_reach(
-            auto.mode("heat"),
-            Box([19.0], [20.0]),
-            cfg(2.0),
-            200,
-            auto.outgoing("heat"),
+            auto, "heat", Box([19.0], [20.0]), cfg(2.0), 200
         )
         for seg in segs:
             lo, hi = axis_bounds(seg.set_rep)
@@ -129,13 +130,7 @@ class TestModeReach:
 
     def test_guard_hits_start_near_crossing_time(self):
         auto = thermostat()
-        _, hits, _, _ = mode_reach(
-            auto.mode("heat"),
-            Box([19.0], [20.0]),
-            cfg(2.0),
-            200,
-            auto.outgoing("heat"),
-        )
+        _, hits, _, _ = mode_reach(auto, "heat", Box([19.0], [20.0]), cfg(2.0), 200)
         ks = [k for k, _ in hits[0]]
         assert ks == list(range(ks[0], ks[0] + len(ks)))  # one contiguous run
         # upper end crosses 22 at t = ln((30-20)/(30-22)) ~ 0.223
@@ -146,24 +141,23 @@ class TestModeReach:
             assert hi[0] == pytest.approx(22.0, abs=1e-9)
 
     def test_no_invariant_runs_to_horizon(self):
-        mode = Mode("free", [[-1.0]], b=[[1.0]], input_set=Box([30.0], [30.0]))
-        segs, _, status, _ = mode_reach(
-            mode, Box([19.0], [20.0]), cfg(0.5), 50, (), CONTINUOUS
-        )
+        auto = HybridAutomaton(
+            (Mode("free", [[-1.0]], b=[[1.0]], input_set=Box([30.0], [30.0])),), ())
+        segs, _, status, _ = mode_reach(auto, "free", Box([19.0], [20.0]), cfg(0.5), 50)
         assert status == HORIZON
         assert len(segs) == 51
 
     def test_heating_flow_matches_interval_recurrence(self):
         # independent oracle: exact scalar affine interval recurrence
         r = 0.01
-        mode = Mode("free", [[-1.0]], b=[[1.0]], input_set=Box([30.0], [30.0]))
+        auto = HybridAutomaton(
+            (Mode("free", [[-1.0]], b=[[1.0]], input_set=Box([30.0], [30.0])),), ())
         segs, _, _, _ = mode_reach(
-            mode,
+            auto,
+            "free",
             Box([19.0], [20.0]),
             cfg(0.5, step=r, bloat_policy="error_ball"),
             50,
-            (),
-            CONTINUOUS,
         )
         alpha = math.exp(-r)
         drift = 30.0 * (1.0 - alpha)
@@ -178,14 +172,9 @@ class TestModeReach:
             assert hi[0] <= want[k][1] + (k + 1) * 3 * pad + 1e-9
 
     def test_bad_set_stops_the_flow(self):
-        auto = thermostat()
+        auto = HybridAutomaton((thermostat().mode("heat"),), ())
         segs, _, status, step = mode_reach(
-            auto.mode("heat"),
-            Box([19.0], [20.0]),
-            cfg(2.0),
-            200,
-            (),
-            bad_set=ge(21.0),
+            auto, "heat", Box([19.0], [20.0]), cfg(2.0, mode="bad_set", bad_set=ge(21.0)), 200
         )
         assert status == BAD_REACHED
         assert step == len(segs) - 1
@@ -209,6 +198,7 @@ class TestGuardCross:
         assert lo[0] == pytest.approx(22.0, abs=1e-12)
         assert hi[0] == pytest.approx(23.5, abs=1e-12)
         assert (out[1][0], out[1][1]) == (7, 7)
+        assert guard_cross([], tr) == []
 
     def test_reset_is_applied_to_the_cluster(self):
         tr = Transition(
@@ -456,6 +446,10 @@ class TestHybridSimulate:
             hybrid_simulate(
                 auto, "heat", [25.0], 1.0, step=0.01, rng=np.random.default_rng(0)
             )
+        with pytest.raises(ValueError, match="^initial state has non-finite entries$"):
+            hybrid_simulate(auto, "heat", [np.nan], 1.0, step=0.01)
+        with pytest.raises(ValueError, match="^unknown jump policy 'eager'$"):
+            hybrid_simulate(auto, "heat", [19.5], 1.0, step=0.01, jump_policy="eager")
 
     def test_simulation_stays_inside_the_flowpipe(self):
         # dual route: pointwise exact flows against the set recurrence
@@ -688,10 +682,10 @@ class TestSetsAsTheyAre:
         a = 0.9 * np.array([[0.8, -0.6], [0.6, 0.8]])
         x0 = Box([0.9, -0.1], [1.1, 0.1])
         guard = Box([0.0, 0.0], [2.0, 2.0])
-        mode = Mode("free", a)
+        auto = HybridAutomaton(
+            (Mode("free", a),), (Transition("free", "free", guard=guard),), DISCRETE)
         config = ReachConfig(horizon=5, strategy="vertices")
-        segments, hits, status, _ = mode_reach(
-            mode, x0, config, 5, (Transition("free", "free", guard=guard),), DISCRETE)
+        segments, hits, status, _ = mode_reach(auto, "free", x0, config, 5)
         core = list(islice(_flow_steps(LinearSystem(a, x0), config), 6))
         assert status == HORIZON and len(segments) == 6
         for got, want in zip(segments, core):

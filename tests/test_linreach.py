@@ -230,6 +230,15 @@ class TestLazyReachSet:
         with pytest.raises(ValueError):
             LazyReachSet(unit_box(2), np.eye(2), Box([-1.0], [1.0]))
 
+    def test_rejects_directions_of_another_dimension(self):
+        with pytest.raises(ValueError, match="^template direction dimension mismatch$"):
+            LazyReachSet(unit_box(2), np.eye(2), directions=np.eye(3))
+        s = LazyReachSet(unit_box(2), np.eye(2))
+        with pytest.raises(ValueError, match="^direction dimension mismatch$"):
+            s.support([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^direction dimension mismatch$"):
+            s.concretize(np.eye(3))
+
     def test_rejects_zero_template_row(self):
         t = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="template rows must be nonzero"):
@@ -1251,6 +1260,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="step count"):
             simulate(sys, [0.0, 0.0])
 
+    def test_input_values_are_required_and_counted(self):
+        sys = LinearSystem(np.eye(2), unit_box(2), input_set=unit_box(2))
+        with pytest.raises(ValueError, match="^system has an input: per-step values are required$"):
+            simulate(sys, [0.0, 0.0], steps=3)
+        with pytest.raises(ValueError, match="^steps and input sequence length disagree$"):
+            simulate(sys, [0.0, 0.0], [[0.0, 0.0], [0.5, 0.5]], steps=3)
+
     def test_rejects_wrong_shapes(self):
         sys = LinearSystem(np.eye(2), unit_box(2), input_set=unit_box(2))
         with pytest.raises(ValueError, match="initial state dimension"):
@@ -1280,6 +1296,10 @@ class TestLinearSystem:
     def test_rejects_gain_without_input(self):
         with pytest.raises(ValueError, match="gain"):
             LinearSystem(np.eye(2), unit_box(2), b=np.eye(2))
+
+    def test_rejects_unknown_time_kind(self):
+        with pytest.raises(ValueError, match="^unknown time kind 'hybrid'$"):
+            LinearSystem(np.eye(2), unit_box(2), time_kind="hybrid")
 
     def test_default_gain_is_identity(self):
         sys = LinearSystem(np.eye(2), unit_box(2), input_set=unit_box(2))

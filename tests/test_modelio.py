@@ -479,6 +479,31 @@ MALFORMED = {
                          {"type": "vpolytope", "vertices": [[22.0], [25.0]]}),
                    "transitions[0]: guard must be a Box or HPolytope"),
     "automaton x0": (thermostat_doc(x0=BOX_2D), "x0: dimension does not match the automaton"),
+    "invariant type": (_with(thermostat_doc(), ("modes", 0, "invariant"),
+                             {"type": "vpolytope", "vertices": [[0.0], [22.0]]}),
+                       "modes[0]: mode 'heat': invariant must be a Box or HPolytope"),
+    "invariant dimension": (_with(thermostat_doc(), ("modes", 1, "invariant"), BOX_2D),
+                            "modes[1]: mode 'cool': invariant dimension mismatch"),
+    "guard dimension": (_with(thermostat_doc(), ("transitions", 0, "guard"), BOX_2D),
+                        "transition 'heat' -> 'cool': guard dimension does not match "
+                        "the state space"),
+    "reset matrix": (_with(thermostat_doc(), ("transitions", 1, "reset_matrix"), [[1.0, 0.0]]),
+                     "transition 'cool' -> 'heat': reset matrix must map the state space "
+                     "to itself"),
+    "reset offset": (_with(thermostat_doc(), ("transitions", 1, "reset_offset"), [0.0, 1.0]),
+                     "transition 'cool' -> 'heat': reset offset dimension mismatch"),
+    "input gain rows": (linear_doc(b=[[1.0]], input={"type": "box", "lower": [0.0],
+                                                     "upper": [1.0]}),
+                        "input gain row count does not match dynamics"),
+    "unbounded x0": (linear_doc(x0={"type": "hpolytope", "normals": [[1.0, 0.0]],
+                                    "offsets": [1.0]}),
+                     "initial set must be bounded"),
+    "strategy": (linear_doc(config={"horizon": 1, "strategy": "greedy"}),
+                 "config: unknown strategy 'greedy'"),
+    "bloat policy": (linear_doc(config={"horizon": 1, "bloat_policy": "none"}),
+                     "config: unknown bloat policy 'none'"),
+    "box corners": (linear_doc(x0={"type": "box", "lower": [0.0, 0.0], "upper": [1.0]}),
+                    "x0: box corners have different dimensions"),
     "variables": (nonlinear_doc(variables=["x", 1]), "variables: must be an array of strings"),
     "rhs": (nonlinear_doc(rhs="-x**3"), "rhs: must be an array of expression strings"),
     "variables x0": (nonlinear_doc(x0=BOX_2D), "x0: dimension does not match the variables"),

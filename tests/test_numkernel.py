@@ -54,6 +54,8 @@ class TestMatExp:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             mat_exp(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="^time step must be finite$"):
+            mat_exp(np.eye(2), np.inf)
 
 
 def unit_box_constraints(n):

@@ -317,6 +317,19 @@ class TestSupport:
                 assert float(d @ wit) == pytest.approx(val, abs=1e-9)
                 assert sg.member(s, wit, tol=1e-7)
 
+    def test_closed_forms_equal_the_batch_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(2, 9))
+            c, d = rng.normal(size=n), rng.normal(size=n)
+            r = rng.uniform(0.0, 2.0, size=n)
+            for s in (Box(c - r, c + r),
+                      Zonotope(c, rng.normal(size=(n, n + 1))),
+                      VPolytope(c + rng.normal(size=(n + 2, n)))):
+                val, wit = sg.support(s, d)
+                assert val == sg.support_batch(s, d[:, None])[0], (type(s).__name__, n)
+                assert float(d @ wit) == pytest.approx(val, abs=1e-9)
+
     def test_unbounded_direction_reports_infinity(self):
         h = HPolytope([[1.0, 0.0]], [1.0])  # half plane
         val, wit = sg.support(h, [-1.0, 0.0])
@@ -1306,3 +1319,39 @@ class TestBoundingBoxFlag:
         assert Zonotope([1.0, 2.0, 3.0], np.zeros((3, 0))).bounding_box().exact
         assert Zonotope([0.5], [[1.0, 0.5]]).bounding_box().exact
         assert not Zonotope([0.5], [[1.0, 0.5]], exact=False).bounding_box().exact
+
+
+HALF_PLANE = HPolytope([[1.0, 0.0]], [1.0])
+
+# (call, the whole message it raises)
+REJECTED = {
+    "no vertex": (lambda: VPolytope(np.zeros((0, 2))), "a V-polytope needs at least one vertex"),
+    "generator rows": (lambda: Zonotope([0.0, 0.0], [[1.0, 0.0, 0.0]]),
+                       "generator rows do not match the center dimension"),
+    "direction rows": (lambda: sg.support_batch(unit_box(), np.ones((3, 1))),
+                       "direction matrix rows do not match the set dimension"),
+    "map columns": (lambda: sg.linear_map(np.eye(3), unit_box()),
+                    "map with 3 columns applied to set of dimension 2"),
+    "sum dimensions": (lambda: sg.minkowski_sum(unit_box(), unit_box(3)),
+                       "minkowski sum of sets with dimensions 2 and 3"),
+    "planar walk": (lambda: sg.zonotope_vertices_2d(unit_box(3).to_zonotope()),
+                    "zonotope vertex walk is planar only"),
+    "template dimension": (lambda: sg.default_template(0), "template needs a positive dimension"),
+    "template directions": (lambda: sg.template_hull(unit_box(), np.eye(3)),
+                            "template directions do not match the set dimension"),
+    "unbounded box": (lambda: sg.bounding_box(HALF_PLANE), "set is unbounded, no bounding box"),
+    "hull dimensions": (lambda: sg.hull_union(unit_box(1), unit_box()),
+                        "hull of sets with different dimensions"),
+    "unbounded interval hull": (lambda: sg.hull_union(HPolytope([[1.0]], [1.0]), unit_box(1)),
+                                "hull of unbounded operands is not supported"),
+    "unbounded template hull": (lambda: sg.hull_union(HALF_PLANE, unit_box()),
+                                "hull of unbounded operands is not supported"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_malformed_operands_are_rejected_with_their_message(case):
+    call, message = REJECTED[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

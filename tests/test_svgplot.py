@@ -94,6 +94,11 @@ class TestProjectionPolygon:
         with pytest.raises(ValueError, match="exactly two"):
             projection_polygon(b, (0, 1, 1))
 
+    def test_unbounded_fan_rejected(self):
+        half = HPolytope([[1.0, 0.0, 0.0, 0.0]], [1.0])
+        with pytest.raises(ValueError, match="^cannot plot an unbounded projection$"):
+            projection_polygon(half, (0, 1))
+
 
 class TestRendering:
     def test_svg_document(self, tmp_path):
