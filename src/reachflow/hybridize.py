@@ -6,9 +6,9 @@ contains the linearization residual everywhere on the domain.  Flowpipes
 of the affine relaxation then over-approximate the nonlinear flow as
 long as it stays inside the domain.  Two drivers are provided: a static
 grid partition that becomes an ordinary hybrid automaton (one mode per
-cell, face guards between neighbours), and a dynamic scheme that wraps a
-domain around the current reach set and rebuilds it whenever the
-flowpipe runs out of it.
+cell, face guards between neighbours), and a dynamic scheme in epochs,
+each of which wraps a domain around the current reach set and runs the
+stepping core until the flowpipe leaves it.
 """
 
 from __future__ import annotations
@@ -211,7 +211,9 @@ def static_hybridize(
     """Partition ``domain`` into a grid and linearize each cell into a mode.
 
     Adjacent cells are connected both ways; the guard of each transition
-    is the shared face.  The cell count is capped: refusing a huge grid
+    is the shared face.  One pass over the cells, in grid order (the last
+    axis fastest), gives each cell's mode and the two transitions across
+    each of its upper faces.  The cell count is capped: refusing a huge grid
     beats silently building an automaton that can never be explored.
     """
     n = system.dim
@@ -231,38 +233,28 @@ def static_hybridize(
         for i in range(n)
     ]
 
-    def cell_box(idx):
-        lo = np.array([edges[i][idx[i]] for i in range(n)])
-        hi = np.array([edges[i][idx[i] + 1] for i in range(n)])
-        return Box(lo, hi)
+    def cell_name(idx):
+        return "cell_" + "_".join(str(i) for i in idx)
 
     modes = []
+    transitions = []
     cells = {}
     rigorous = True
     for idx in itertools.product(*(range(s) for s in shape)):
-        cell = cell_box(idx)
+        name = cell_name(idx)
+        cell = Box([edges[i][j] for i, j in enumerate(idx)],
+                   [edges[i][j + 1] for i, j in enumerate(idx)])
         lin = linearize(system, cell)
         rigorous = rigorous and lin.rigorous
-        name = "cell_" + "_".join(str(i) for i in idx)
         modes.append(Mode(name, lin.a, input_set=lin.disturbance_set(), invariant=cell))
         cells[name] = cell
-
-    transitions = []
-    for idx in itertools.product(*(range(s) for s in shape)):
-        name = "cell_" + "_".join(str(i) for i in idx)
-        cell = cells[name]
+        # both ways across each upper face, to the neighbour one cell up
         for axis in range(n):
-            if idx[axis] + 1 >= shape[axis]:
-                continue
-            jdx = list(idx)
-            jdx[axis] += 1
-            other = "cell_" + "_".join(str(i) for i in jdx)
-            upper_face = Box(
-                np.where(np.arange(n) == axis, cell.upper, cell.lower),
-                cell.upper.copy(),
-            )
-            transitions.append(Transition(name, other, guard=upper_face))
-            transitions.append(Transition(other, name, guard=upper_face))
+            if idx[axis] + 1 < shape[axis]:
+                other = cell_name(idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:])
+                face = Box(np.where(np.arange(n) == axis, cell.upper, cell.lower), cell.upper)
+                transitions.append(Transition(name, other, guard=face))
+                transitions.append(Transition(other, name, guard=face))
 
     auto = HybridAutomaton(tuple(modes), tuple(transitions), time_kind=CONTINUOUS)
     return StaticHybridization(auto, domain, tuple(int(s) for s in shape), cells, rigorous)
@@ -307,15 +299,17 @@ def dynamic_hybridize_reach(
     ``min_pad``) and advances the affine flowpipe, with the strategy
     ``config.strategy`` selects, while its segments stay inside that box
     -- segment containment in the domain is what makes the residual
-    bound, and hence the enclosure, valid.  A step that leaves the domain
-    is undone and the domain rebuilt around the last good segment.  Two
-    consecutive rebuilds without progress, or 10000 rebuilds in all, stall
-    the run; the truncated pipe is returned with status ``stalled``.  The
-    bad set, and each epoch's domain for the containment test, are
-    prepared once (``setgeom._Prepared``).  Each epoch's set-up asks the
-    supports of its entry, a returned segment, which keeps the simplex
-    start they solve from; this is the one driver that lets go of such
-    starts, so no returned segment keeps one.
+    bound, and hence the enclosure, valid.  Segments are numbered by the
+    pipe's length as they are kept.  The first segment that leaves the
+    domain ends the epoch, and the next one starts from the last kept
+    segment; an epoch that keeps nothing is retried once from its entry's
+    bounding box padded by ``min_pad``.  A second empty epoch in a row, or
+    10000 epochs in all, stall the run; the truncated pipe is returned with
+    status ``stalled``.  The bad set, and each epoch's domain for the
+    containment test, are prepared once (``setgeom._Prepared``).  Each
+    epoch's set-up asks the supports of its entry, which keeps the simplex
+    start they solve from; once the epoch has run it lets go of that start,
+    as ``hybridreach.mode_reach`` does, so no returned segment keeps one.
     """
     r, total = _lattice(config, CONTINUOUS, system.dim)
     if config.mode == FIXPOINT:
@@ -327,13 +321,12 @@ def dynamic_hybridize_reach(
     domains = []
     rigorous = True
     entry: SetRep = x0
-    k = 0  # global index of the next segment to produce
-    stall = 0
+    retried = False  # whether this epoch retries an epoch that kept nothing
     status, status_step = HORIZON, None
 
-    while k <= total:
+    while len(segments) <= total:
         if len(domains) >= _MAX_REBUILDS:
-            status, status_step = STALLED, k
+            status, status_step = STALLED, len(segments)
             break
         box = bounding_box(entry)
         domain = _inflate(box, _PAD_FRACTION, min_pad)
@@ -344,36 +337,32 @@ def dynamic_hybridize_reach(
         affine = LinearSystem(
             lin.a, entry, input_set=lin.disturbance_set(), time_kind=CONTINUOUS
         )
-        progressed = 0
+        before = len(segments)
         for seg in _flow_steps(affine, config):
             current = seg.set_rep
             if not inside.contains(current):
-                break  # rebuild around the last good segment
-            segments.append(Segment(k, k * r, (k + 1) * r, current))
-            progressed += 1
-            k += 1
+                break  # rebuild around the last kept segment
+            segments.append(
+                Segment(len(segments), len(segments) * r, (len(segments) + 1) * r, current)
+            )
             if bad is not None and bad.meets(current):
-                status, status_step = BAD_REACHED, k - 1
+                status, status_step = BAD_REACHED, len(segments) - 1
                 break
-            if k > total:
+            if len(segments) > total:
                 break
-        if status != HORIZON or k > total:
+        # the epoch's set-up asked its entry's supports, which keep the
+        # simplex start they solved from; the entry outlives the run
+        _drop_start(entry)
+        if status != HORIZON:
             break
-        if progressed == 0:
-            stall += 1
-            if stall >= 2:
-                status, status_step = STALLED, k
-                break
-            # one retry with a wider margin before giving up
-            entry = _inflate(box, 0.0, min_pad)
-            continue
-        stall = 0
-        entry = segments[-1].set_rep
+        empty = len(segments) == before
+        if empty and retried:
+            status, status_step = STALLED, len(segments)
+            break
+        # an epoch that kept nothing is retried once with a wider margin
+        retried = empty
+        entry = _inflate(box, 0.0, min_pad) if empty else segments[-1].set_rep
 
-    # an epoch starts from a returned segment, whose supports set the
-    # epoch up from a simplex start it keeps; the segments outlive the run
-    for seg in segments:
-        _drop_start(seg.set_rep)
     return DynamicFlowpipe(
         tuple(segments),
         status,

@@ -575,7 +575,8 @@ def discretize_continuous(system: LinearSystem, config: ReachConfig):
 def _template_dominates(q: _Prepared, p: SetRep) -> bool:
     """P subset of the prepared set Q, with an O(m) fast path for
     same-template H-forms; any other pair asks ``q.contains(p)``, which is
-    ``contains_set(Q, P)``."""
+    ``contains_set(Q, P)``.  A Q with no exact facet form (a vertex set
+    above 3-d) proves nothing, as in ``hybrid_reach``'s pruning."""
     s = q.set
     if (
         isinstance(p, HPolytope)
@@ -589,7 +590,7 @@ def _template_dominates(q: _Prepared, p: SetRep) -> bool:
         )
     ):
         return bool(np.all(p.offsets <= s.offsets + TOL))
-    return q.contains(p)
+    return q.exact_form and q.contains(p)
 
 
 class _Seen:

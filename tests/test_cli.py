@@ -4,6 +4,7 @@ import csv
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from reachflow.cli import main
@@ -126,6 +127,16 @@ class TestReach:
         model = write_model(tmp_path, {**doubling_doc(), "a": []})
         assert main(["check", model]) == 1
         assert "a: must be a non-empty array of rows" in capsys.readouterr().err
+
+    def test_vertex_fixpoint_above_3d_ends_without_traceback(self, tmp_path, capsys):
+        doc = {**doubling_doc(mode="fixpoint", strategy="vertices", horizon=5),
+               "a": (0.5 * np.eye(4)).tolist(),
+               "x0": {"type": "box", "lower": [0.0] * 4, "upper": [1.0] * 4}}
+        out = tmp_path / "r.json"
+        assert main(["reach", write_model(tmp_path, doc), "-o", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "horizon" in captured.out and "Traceback" not in captured.err
+        assert len(load_result(out)["segments"]) == 51
 
     def test_hybrid_reach(self, tmp_path):
         model = write_model(tmp_path, thermostat_doc())

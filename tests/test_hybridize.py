@@ -23,7 +23,7 @@ from reachflow.linreach import (
     ReachConfig,
     reach,
 )
-from reachflow.setgeom import Box, HPolytope, axis_bounds, default_template, member
+from reachflow.setgeom import Box, HPolytope, VPolytope, axis_bounds, default_template, member
 
 from oracles import rk4
 
@@ -209,6 +209,16 @@ class TestStaticHybridize:
         assert len(h.automaton.modes) == 6
         # 3 interior faces along axis 0, 4 along axis 1, two directions each
         assert len(h.automaton.transitions) == 14
+        # cells in grid order, each linked both ways across its upper faces
+        assert [(t.source, t.target) for t in h.automaton.transitions] == [
+            ("cell_0_0", "cell_1_0"), ("cell_1_0", "cell_0_0"),
+            ("cell_0_0", "cell_0_1"), ("cell_0_1", "cell_0_0"),
+            ("cell_0_1", "cell_1_1"), ("cell_1_1", "cell_0_1"),
+            ("cell_0_1", "cell_0_2"), ("cell_0_2", "cell_0_1"),
+            ("cell_0_2", "cell_1_2"), ("cell_1_2", "cell_0_2"),
+            ("cell_1_0", "cell_1_1"), ("cell_1_1", "cell_1_0"),
+            ("cell_1_1", "cell_1_2"), ("cell_1_2", "cell_1_1"),
+        ]
 
     def test_cell_cap_refusal(self):
         sys = NonlinearSystem(lambda x: x, 2, hessian_bound=0.0)
@@ -250,6 +260,15 @@ class TestStaticHybridize:
         h = static_hybridize(square_1d(), Box([0.0], [1.0]), grid=4)
         with pytest.raises(ValueError):
             h.initial(Box([1.4], [1.5]))
+
+    def test_initial_missing_its_center_cell_raises(self):
+        # the triangle's bounding box is centred in cell_0_0_0, which the
+        # plane x + y + z = 2 it lies in passes by
+        sys = NonlinearSystem(lambda x: x, 3, hessian_bound=0.0)
+        h = static_hybridize(sys, Box([0.0] * 3, [1.0] * 3), grid=2)
+        triangle = VPolytope([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match="^initial set does not intersect its center cell$"):
+            h.initial(triangle)
 
     def test_reach_covers_true_cubic_decay(self):
         h = static_hybridize(cubic_decay(), Box([0.2], [1.2]), grid=4)
@@ -378,6 +397,8 @@ class TestDynamicHybridize:
         assert 0 < pipe.status_step <= 29
         lo, _ = axis_bounds(pipe.segments[-1].set_rep)
         assert lo[0] <= 0.8 + 1e-9
+        # the contact ends the third epoch on its last segment
+        assert (pipe.status_step, len(pipe.segments), len(pipe.domains)) == (17, 18, 3)
 
     def test_stalls_when_error_explodes(self):
         sys = NonlinearSystem(
@@ -389,6 +410,8 @@ class TestDynamicHybridize:
         pipe = dynamic_hybridize_reach(sys, Box([1.0], [1.0]), cfg(1.0, 0.01))
         assert pipe.status == STALLED
         assert len(pipe.segments) <= 2
+        # the first epoch and its one retry keep nothing
+        assert (pipe.status_step, len(pipe.segments), len(pipe.domains)) == (0, 0, 2)
 
     def test_stalls_at_the_rebuild_cap(self, monkeypatch):
         # the fast decay outruns its first domain; with room for two domains

@@ -693,14 +693,17 @@ class TestDiscretize:
         x0 = Box([-2.0], [2.0])
         v = Box([-0.5], [0.5])
         sys = LinearSystem([[-1.0]], x0, input_set=v, time_kind=CONTINUOUS)
-        cfg = ReachConfig(horizon=1.0, step=0.1, bloat_policy=ERROR_BALL)
-        _, omega0, err = discretize_continuous(sys, cfg)
-        assert omega0 is sys.x0
         phi = math.exp(0.1) - 1.0 - 0.1
-        want = phi * 2.0 + phi * 0.5  # state curvature + input residual
-        lo, hi = axis_bounds(err)
-        assert hi[0] == pytest.approx(want, abs=1e-12)
-        assert lo[0] == pytest.approx(-want, abs=1e-12)
+        # the state radius is x0's sup norm, or the configured state bound
+        for state_bound, r_x in ((None, 2.0), (5.0, 5.0)):
+            cfg = ReachConfig(horizon=1.0, step=0.1, bloat_policy=ERROR_BALL,
+                              state_bound=state_bound)
+            _, omega0, err = discretize_continuous(sys, cfg)
+            assert omega0 is sys.x0
+            want = phi * r_x + phi * 0.5  # state curvature + input residual
+            lo, hi = axis_bounds(err)
+            assert hi[0] == pytest.approx(want, abs=1e-12), state_bound
+            assert lo[0] == pytest.approx(-want, abs=1e-12), state_bound
 
     def test_quarter_turn_oscillator(self):
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -796,6 +799,16 @@ class TestReachModes:
         pipe = reach(sys, ReachConfig(horizon=3, mode="fixpoint"))
         assert pipe.status == HORIZON
         assert len(pipe.segments) == 31
+
+    def test_vertex_fixpoint_above_3d_proves_nothing(self):
+        # a 4-d vertex segment has no exact facet form, so no earlier one
+        # dominates a later one and the run meets its step guard; a 3-d
+        # one has its hull's facets and stops at the first repeat
+        config = ReachConfig(horizon=5, mode="fixpoint", strategy="vertices")
+        pipe = reach(LinearSystem(0.5 * np.eye(4), Box(np.zeros(4), np.ones(4))), config)
+        assert (pipe.status, pipe.status_step, len(pipe.segments)) == (HORIZON, None, 51)
+        pipe = reach(LinearSystem(0.5 * np.eye(3), Box(np.zeros(3), np.ones(3))), config)
+        assert (pipe.status, pipe.status_step) == (FIXPOINT_REACHED, 1)
 
     @staticmethod
     def pairwise_fixpoint(system, config):
@@ -1056,6 +1069,17 @@ class TestExtremalTraces:
             for d, value in zip(dirs, got):
                 reached = float(d @ extremal_trace(system, d, k)[k])
                 assert value >= reached - 1e-9 * (1.0 + abs(reached)), (strategy, k, d)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2(b): facet pushing keeps each row's "
+                       "offset through a rounded pullback, which can leave A X outside")
+    def test_facets_hold_an_extremal_state_of_a_rare_draw(self):
+        # a draw on which the test above fails: along (0, -1) the extremal
+        # trace reaches 0.3112049102783203 at step 5, as the lazy and vertex
+        # pipes read, while the facets pipe reads 0.31120490585211585
+        system = LinearSystem([[-0.0625, 0.125], [0.3125, -0.75]], Box([0.0, 0.0], [0.0, 1.0]))
+        pipe = reach(system, ReachConfig(horizon=5, strategy="facets"))
+        value = support_batch(pipe.segments[5].set_rep, np.array([[0.0], [-1.0]]))[0]
+        assert value >= 0.3112049102783203
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(small_continuous_runs())

@@ -337,6 +337,10 @@ class TestSetCodec:
         with pytest.raises(ModelError, match=r"set\.offsets: missing"):
             decode_set({"type": "hpolytope", "normals": [[1.0]]})
 
+    def test_encoding_a_non_set_names_its_type(self):
+        with pytest.raises(ModelError, match="^cannot encode set type dict$"):
+            encode_set({"type": "box"})
+
 
 class TestModelParsing:
     def test_linear_discrete(self):

@@ -132,6 +132,17 @@ class TestLinearMap:
         images = (v.vertices @ a.T).tolist()
         assert set(map(tuple, img.vertices.tolist())) == set(map(tuple, images))
 
+    def test_translate_moves_vertices_and_centres(self):
+        v = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], exact=False)
+        moved = sg.translate(v, [1.0, 2.0])
+        assert isinstance(moved, VPolytope) and not moved.exact
+        np.testing.assert_array_equal(moved.vertices, v.vertices + [1.0, 2.0])
+        z = Zonotope([0.5, 0.5], [[1.0, 0.5], [0.0, 0.25]])
+        moved = sg.translate(z, [1.0, 2.0])
+        assert isinstance(moved, Zonotope) and moved.exact
+        np.testing.assert_array_equal(moved.center, [1.5, 2.5])
+        np.testing.assert_array_equal(moved.generators, z.generators)
+
     def test_singular_map_of_vertices_keeps_distinct_images(self):
         cube = Box([0.0] * 3, [1.0] * 3).to_vpolytope()
         img = sg.linear_map(np.diag([1.0, 0.0, 0.0]), cube)
@@ -1346,6 +1357,13 @@ REJECTED = {
                                 "hull of unbounded operands is not supported"),
     "unbounded template hull": (lambda: sg.hull_union(HALF_PLANE, unit_box()),
                                 "hull of unbounded operands is not supported"),
+    "unbounded sum": (lambda: sg.minkowski_sum(HALF_PLANE, HPolytope([[0.0, 1.0]], [1.0])),
+                      "minkowski sum of unbounded operands is not supported"),
+    # the segment y = x, 0 <= x <= 1: uniform draws from its bounding box
+    # land within TOL of it with odds of a few in 1e9
+    "sliver samples": (lambda: sg.sample_points(
+        HPolytope([[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0, 1.0, 0.0]),
+        3, np.random.default_rng(0)), "rejection sampling failed (thin polytope)"),
 }
 
 
@@ -1355,3 +1373,26 @@ def test_malformed_operands_are_rejected_with_their_message(case):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+class _NotASet:
+    dim = 2
+
+
+# every operation that dispatches on the set type, given an object of none
+UNKNOWN_TYPE = {
+    "member": lambda s: sg.member(s, [0.0, 0.0]),
+    "support_batch": lambda s: sg.support_batch(s, np.eye(2)),
+    "translate": lambda s: sg.translate(s, [0.0, 0.0]),
+    "linear_map": lambda s: sg.linear_map(np.eye(2), s),
+    "is_empty": sg.is_empty,
+    "bloat": lambda s: sg.bloat(s, 0.1),
+    "sample_points": lambda s: sg.sample_points(s, 3, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("op", UNKNOWN_TYPE)
+def test_an_unknown_set_type_is_rejected_by_name(op):
+    with pytest.raises(TypeError) as err:
+        UNKNOWN_TYPE[op](_NotASet())
+    assert str(err.value) == "unknown set representation _NotASet"

@@ -99,6 +99,13 @@ class TestProjectionPolygon:
         with pytest.raises(ValueError, match="^cannot plot an unbounded projection$"):
             projection_polygon(half, (0, 1))
 
+    def test_non_set_rejected_by_type(self):
+        class Blob:
+            dim = 2
+
+        with pytest.raises(TypeError, match="^cannot plot set type Blob$"):
+            projection_polygon(Blob(), (0, 1))
+
 
 class TestRendering:
     def test_svg_document(self, tmp_path):
