@@ -39,10 +39,8 @@ from .setgeom import (
     Box,
     SetRep,
     _Prepared,
-    _drop_start,
     bounding_box,
     contains_set,
-    intersect,
     member,
 )
 
@@ -184,22 +182,15 @@ class StaticHybridization:
         raise ValueError("point lies outside the partitioned domain")
 
     def initial(self, x0: SetRep):
-        """Initial mode and entry set for ``x0``: the cell of its center.
-
-        Warns and clips when x0 overhangs that cell; states outside the
-        partition domain are never covered.
+        """Initial mode and entry set for ``x0``: the cell of its bounding
+        box's center, entered by x0 itself.  An x0 that this cell does not
+        contain is refused: a flow from one cell would miss the states of
+        x0 in the others.
         """
-        box = bounding_box(x0)
-        name = self.mode_containing(box.center)
-        cell = self.cells[name]
-        if not contains_set(cell, x0):
-            log.warning(
-                "initial set overhangs cell %s: clipping to the cell", name
-            )
-        entry = intersect(x0, cell)
-        if entry is None:
-            raise ValueError("initial set does not intersect its center cell")
-        return name, entry
+        name = self.mode_containing(bounding_box(x0).center)
+        if not contains_set(self.cells[name], x0):
+            raise ValueError(f"initial set is not inside its center cell {name}")
+        return name, x0
 
 
 def static_hybridize(
@@ -306,10 +297,7 @@ def dynamic_hybridize_reach(
     bounding box padded by ``min_pad``.  A second empty epoch in a row, or
     10000 epochs in all, stall the run; the truncated pipe is returned with
     status ``stalled``.  The bad set, and each epoch's domain for the
-    containment test, are prepared once (``setgeom._Prepared``).  Each
-    epoch's set-up asks the supports of its entry, which keeps the simplex
-    start they solve from; once the epoch has run it lets go of that start,
-    as ``hybridreach.mode_reach`` does, so no returned segment keeps one.
+    containment test, are prepared once (``setgeom._Prepared``).
     """
     r, total = _lattice(config, CONTINUOUS, system.dim)
     if config.mode == FIXPOINT:
@@ -350,9 +338,6 @@ def dynamic_hybridize_reach(
                 break
             if len(segments) > total:
                 break
-        # the epoch's set-up asked its entry's supports, which keep the
-        # simplex start they solved from; the entry outlives the run
-        _drop_start(entry)
         if status != HORIZON:
             break
         empty = len(segments) == before

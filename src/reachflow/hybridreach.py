@@ -41,7 +41,6 @@ from .setgeom import (
     Box,
     HPolytope,
     SetRep,
-    _drop_start,
     _member_rows,
     _Prepared,
     hull_union,
@@ -237,9 +236,7 @@ def mode_reach(
     are prepared once per call (``setgeom._Prepared``): the segments share
     one template and the clipped pieces one stacked template, so a step's
     questions cost arithmetic on its offsets unless one of them needs the
-    emptiness LP.  Setting the flow up asks the entry's supports, which
-    keep a simplex start on an H-polytope entry; the entry is handed back
-    as a jump's post, so the call lets go of that start before it returns.
+    emptiness LP.
 
     Returns ``(segments, hits, status, status_step)`` where hits lists,
     for each outgoing transition in order, its per-step guard pieces
@@ -278,7 +275,6 @@ def mode_reach(
         if k >= nsteps:
             break
 
-    _drop_start(entry)
     return tuple(segments), hits, status, status_step
 
 
@@ -334,8 +330,7 @@ def hybrid_reach(
     # whether the jump was pruned or which flow it leads to
     jumps = []
     # (mode name, prepared entry, remaining steps); an entry without an
-    # exact facet form is never pruned against, since an enclosure of it
-    # would prune successors that reach states outside it
+    # exact facet form contains nothing it is asked about
     explored = []
     queue = deque([(init_mode, init_set, 0, 0, 0, None)])
     # the invariants jumps enter, prepared once per run
@@ -356,9 +351,7 @@ def hybrid_reach(
         if len(flows) >= max_flows:
             status = INCOMPLETE
             break
-        prepared = _Prepared(entry)
-        if prepared.exact_form:
-            explored.append((mode_name, prepared, remaining))
+        explored.append((mode_name, _Prepared(entry), remaining))
         segments, hits, flow_status, flow_step = mode_reach(
             automaton, mode_name, entry, config, remaining
         )

@@ -10,7 +10,8 @@ propagation, facet pushing in H-representation, and a lazy
 support-function evaluator that never materializes intermediate sets (and
 therefore does not wrap).  The drivers -- ``reach`` here,
 ``hybridreach.mode_reach`` and ``hybridize.dynamic_hybridize_reach`` --
-iterate the core and keep only their own stopping rules.
+iterate the core and keep only their own stopping rules; when a driver
+stops, the core lets go of the simplex start its initial set kept.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .setgeom import (
     SetRep,
     VPolytope,
     Zonotope,
+    _drop_start,
     _even_odd,
     _hform_enclosure,
     _Prepared,
@@ -575,8 +577,7 @@ def discretize_continuous(system: LinearSystem, config: ReachConfig):
 def _template_dominates(q: _Prepared, p: SetRep) -> bool:
     """P subset of the prepared set Q, with an O(m) fast path for
     same-template H-forms; any other pair asks ``q.contains(p)``, which is
-    ``contains_set(Q, P)``.  A Q with no exact facet form (a vertex set
-    above 3-d) proves nothing, as in ``hybrid_reach``'s pruning."""
+    ``contains_set(Q, P)``."""
     s = q.set
     if (
         isinstance(p, HPolytope)
@@ -590,7 +591,7 @@ def _template_dominates(q: _Prepared, p: SetRep) -> bool:
         )
     ):
         return bool(np.all(p.offsets <= s.offsets + TOL))
-    return q.exact_form and q.contains(p)
+    return q.contains(p)
 
 
 class _Seen:
@@ -647,7 +648,10 @@ def _flow_steps(system: LinearSystem, config: ReachConfig) -> Iterator[Segment]:
     strategy ``config.strategy`` selects; segment k+1 is computed only when
     the caller asks for it, so each driver stops on its own rules.  Dense
     continuous segments cover [k r, (k+1) r]; discrete and lattice ones are
-    the snapshot at k r (r = 1 for discrete systems).
+    the snapshot at k r (r = 1 for discrete systems).  The supports the run
+    reads of ``system.x0`` keep a simplex start on an H-polytope x0, which
+    outlives the run: when the caller stops iterating, the run lets go of
+    that start.
     """
     r, _ = _lattice(config, system.time_kind, system.dim)
     # per-step input: BV for discrete systems, r BV + E for continuous ones
@@ -673,17 +677,20 @@ def _flow_steps(system: LinearSystem, config: ReachConfig) -> Iterator[Segment]:
         current = _hform_enclosure(omega0)
 
     k = 0
-    while True:
-        t = k * r
-        yield Segment(k, t, (k + 1) * r if dense else t, current)
-        k += 1
-        if config.strategy == LAZY:
-            lazy = lazy.advance()
-            current = lazy.concretize()
-        elif config.strategy == VERTICES:
-            current = step_input_vertices(current, v_in, a_step)
-        else:
-            current = step_input_facets(current, inputs if inputs else None, a_step)
+    try:
+        while True:
+            t = k * r
+            yield Segment(k, t, (k + 1) * r if dense else t, current)
+            k += 1
+            if config.strategy == LAZY:
+                lazy = lazy.advance()
+                current = lazy.concretize()
+            elif config.strategy == VERTICES:
+                current = step_input_vertices(current, v_in, a_step)
+            else:
+                current = step_input_facets(current, inputs if inputs else None, a_step)
+    finally:
+        _drop_start(system.x0)
 
 
 def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:

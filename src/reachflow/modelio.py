@@ -238,15 +238,16 @@ def decode_set(obj, path: str = "set") -> SetRep:
         if kind == "vpolytope":
             return VPolytope(_field(obj, "vertices", path, _matrix))
         if kind == "zonotope":
-            gens = _field(obj, "generators", path, _matrix)
+            # a point has no generators: the one matrix that may be empty
+            gens = [] if obj.get("generators") == [] else _field(obj, "generators", path, _matrix)
             center = _field(obj, "center", path, _vector)
             # stored one generator per row; the constructor takes columns
-            if gens.shape[1] != center.shape[0]:
+            if len(gens) and gens.shape[1] != center.shape[0]:
                 raise ModelError(
                     f"{_join(path, 'generators')}: generator length does not "
                     "match the center"
                 )
-            return Zonotope(center, gens.T)
+            return Zonotope(center, np.reshape(gens, (-1, center.shape[0])).T)
     except ModelError:
         raise
     except ValueError as e:

@@ -60,10 +60,6 @@ TOL = 1e-9
 _UNIT_TOL = 1e-12
 
 
-class UnsupportedCheck(Exception):
-    """Raised when a containment query has no sound decision procedure."""
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -191,10 +187,10 @@ class HPolytope:
         return h
 
     def _lp_start(self) -> _LpStart:
-        """The simplex start the supports of this set solve from, kept for
-        the set's lifetime.  A start whose phase-one tableau alone is over
-        the start budget is not kept: each call builds its own, so no set
-        holds more than that."""
+        """The simplex start the supports of this set solve from, kept
+        until ``_drop_start`` lets go of it.  A start whose phase-one
+        tableau alone is over the start budget is not kept: each call builds
+        its own, so no set holds more than that."""
         if self._start is not None:
             return self._start
         start = _LpStart(self.normals, self.offsets)
@@ -217,7 +213,8 @@ class HPolytope:
 def _drop_start(s: SetRep) -> None:
     """Drop the simplex start an H-polytope's supports kept, for a set that
     outlives the LPs the start served: a start holds up to its byte budget
-    of tableaux."""
+    of tableaux.  The stepping core calls it on its initial set when a run
+    ends."""
     if isinstance(s, HPolytope):
         s._start = None
 
@@ -921,12 +918,11 @@ class _Prepared:
 
     def contains(self, p: SetRep, tol: float = TOL) -> bool:
         """``contains_set(s, p, tol)`` for the prepared single set s.  The
-        row LPs of one call solve from one start that p does not keep."""
+        row LPs of one call solve from one start that p does not keep.  A
+        set with no exact facet form (a vertex set above 3-d) answers False:
+        its enclosure's rows cannot prove that p lies inside it."""
         if not self.exact_form:
-            q = self.set
-            raise UnsupportedCheck(
-                f"no exact facet form for containment against {type(q).__name__} "
-                f"in dimension {q.dim}")
+            return False
         normals, offsets = self.rows
         if not isinstance(p, HPolytope):
             # one row at a time: stop at the first row p crosses
@@ -1397,7 +1393,9 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
     """Decide p subseteq q.
 
     q may be a single set or a list of sets (a union).  Single sets are
-    decided exactly through their facet form (support of p vs offsets).
+    decided exactly through their facet form (support of p vs offsets); a
+    set with no exact facet form (a vertex set above 3-d) answers False, a
+    containment it cannot prove.
     Box unions against a box p use successive set difference (sifting)
     from each member widened by tol on every axis, the band a single box
     gives each of its facet rows; other unions use the sound one-sided

@@ -248,13 +248,11 @@ class TestStaticHybridize:
         assert axis_bounds(entry)[0] == pytest.approx([0.3])
         assert axis_bounds(entry)[1] == pytest.approx([0.35])
 
-    def test_initial_overhang_clips_with_warning(self, caplog):
+    def test_initial_overhang_is_refused(self):
+        # a flow from cell_0 alone would miss the states of x0 in cell_1
         h = static_hybridize(square_1d(), Box([0.0], [1.0]), grid=4)
-        with caplog.at_level(logging.WARNING, logger="reachflow.hybridize"):
-            name, entry = h.initial(Box([0.2], [0.3]))
-        assert "overhang" in caplog.text
-        assert name == "cell_0"
-        assert axis_bounds(entry)[1] == pytest.approx([0.25])
+        with pytest.raises(ValueError, match="^initial set is not inside its center cell cell_0$"):
+            h.initial(Box([0.2], [0.3]))
 
     def test_initial_outside_domain_raises(self):
         h = static_hybridize(square_1d(), Box([0.0], [1.0]), grid=4)
@@ -267,7 +265,7 @@ class TestStaticHybridize:
         sys = NonlinearSystem(lambda x: x, 3, hessian_bound=0.0)
         h = static_hybridize(sys, Box([0.0] * 3, [1.0] * 3), grid=2)
         triangle = VPolytope([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        with pytest.raises(ValueError, match="^initial set does not intersect its center cell$"):
+        with pytest.raises(ValueError, match="^initial set is not inside its center cell cell_0_0_0$"):
             h.initial(triangle)
 
     def test_reach_covers_true_cubic_decay(self):

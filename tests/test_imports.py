@@ -401,12 +401,13 @@ def test_detects_a_stale_public_name():
     assert _unresolved(stale) == ["Empty"]
 
 
-# the names through which a simplex start is built, kept or read, and the
-# modules that may name each: setgeom owns the rule for starts, numkernel
-# defines the start type; any other module reaches a start only through
-# setgeom._drop_start
+# the names through which a simplex start is built, kept, read or dropped,
+# and the modules that may name each: setgeom owns the rule for starts,
+# numkernel defines the start type, and the stepping core in linreach alone
+# lets go of a start, through setgeom._drop_start, when a run ends
 _START_NAMES = {"_LpStart": {"setgeom.py", "numkernel.py"},
-                "_start": {"setgeom.py"}, "_lp_start": {"setgeom.py"}}
+                "_start": {"setgeom.py"}, "_lp_start": {"setgeom.py"},
+                "_drop_start": {"setgeom.py", "linreach.py"}}
 
 
 def _start_uses(module, tree):
@@ -453,6 +454,11 @@ def test_detects_a_start_read_outside_setgeom():
         "linreach.py: _lp_start (line 6)",
         "linreach.py: _start (line 6)",
         "linreach.py: _start (line 7)",
+    ]
+    # only the stepping core in linreach lets go of a start
+    assert [use for use in _start_uses("hybridize.py", tree) if "_drop_start" in use] == [
+        "hybridize.py: _drop_start (line 2)",
+        "hybridize.py: _drop_start (line 5)",
     ]
     assert list(_start_uses("numkernel.py", ast.parse("class _LpStart:\n    pass\n"))) == []
     assert list(_start_uses("numkernel.py", ast.parse("x._start = 1\n"))) == [

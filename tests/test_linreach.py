@@ -1210,7 +1210,7 @@ class TestSteppingCore:
         pipe = reach(system, config)
         assert pipe.status == HORIZON and len(pipe) == 13
         core = list(islice(_flow_steps(system, config), len(pipe)))
-        for got, want in zip(core, pipe.segments):
+        for got, want in zip(core, pipe, strict=True):
             assert (got.k, got.t0, got.t1) == (want.k, want.t0, want.t1)
             assert type(got.set_rep) is type(want.set_rep)
             assert got.set_rep.exact == want.set_rep.exact

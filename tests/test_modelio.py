@@ -304,6 +304,7 @@ class TestSetCodec:
             HPolytope([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [1.0, 1.0, 0.5]),
             VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             Zonotope([1.0, 2.0], [[1.0, 0.5], [0.0, 0.25]]),
+            Zonotope([1.0, 2.0], []),  # a point: no generators
         ],
     )
     def test_round_trip(self, s):

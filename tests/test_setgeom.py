@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from reachflow import setgeom as sg
-from reachflow.setgeom import Box, HPolytope, UnsupportedCheck, VPolytope, Zonotope
+from reachflow.setgeom import Box, HPolytope, VPolytope, Zonotope
 
 from oracles import (box_support, exact_chain, fraction_orientation, fraction_turn, gift_wrap_hull,
                      lp_vertex_enum, positively_spans_plane)
@@ -72,6 +72,9 @@ class TestMember:
         assert sg.member(z, [2.0, 0.0])
         assert sg.member(z, [0.0, 2.0])
         assert not sg.member(z, [1.5, 1.5])
+        point = Zonotope([1.0, 2.0], [])
+        assert sg.member(point, [1.0, 2.0 + 1e-10])
+        assert not sg.member(point, [1.0, 2.0 + 1e-6])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -197,6 +200,7 @@ class TestMinkowskiSum:
         assert isinstance(s, Zonotope)
         assert np.allclose(s.center, [1.0, 1.0])
         assert s.order == 2
+        assert repr(s) == "Zonotope(dim=2, order=2)"
 
     def test_square_plus_diamond_is_octagon(self):
         sq = VPolytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
@@ -301,13 +305,15 @@ class TestSupport:
 
     def test_zonotope_closed_form_matches_vertex_scan(self):
         rng = np.random.default_rng(31)
-        z = Zonotope([0.3, -0.2], rng.normal(size=(2, 4)))
-        verts = sg.zonotope_vertices_2d(z)
-        for _ in range(50):
-            d = rng.normal(size=2)
-            val, wit = sg.support(z, d)
-            assert val == pytest.approx(float((verts @ d).max()), abs=1e-9)
-            assert val == pytest.approx(float(d @ wit), abs=1e-9)
+        point = Zonotope([0.3, -0.2], [])
+        assert sg.zonotope_vertices_2d(point).tolist() == [[0.3, -0.2]]
+        for z in (Zonotope([0.3, -0.2], rng.normal(size=(2, 4))), point):
+            verts = sg.zonotope_vertices_2d(z)
+            for _ in range(50):
+                d = rng.normal(size=2)
+                val, wit = sg.support(z, d)
+                assert val == pytest.approx(float((verts @ d).max()), abs=1e-9)
+                assert val == pytest.approx(float(d @ wit), abs=1e-9)
 
     def test_hpolytope_by_lp_matches_oracle(self):
         h = diamond_h()
@@ -391,10 +397,13 @@ class TestContainsSet:
     def test_vpolytope_target_low_dim(self):
         assert sg.contains_set(diamond(), Box([-0.4, -0.4], [0.4, 0.4]))
 
-    def test_unsupported_target_raises(self):
-        q = VPolytope(np.vstack([np.eye(4), -np.eye(4)]))  # 4-d cross polytope
-        with pytest.raises(UnsupportedCheck):
-            sg.contains_set(q, Box([0.0] * 4, [0.1] * 4))
+    def test_unprovable_target_answers_false(self):
+        # a 4-d cross polytope has no exact facet form: a containment it
+        # cannot prove is not a containment, alone or in a union
+        q = VPolytope(np.vstack([np.eye(4), -np.eye(4)]))
+        p = Box([0.0] * 4, [0.1] * 4)
+        assert not sg.contains_set(q, p)
+        assert sg.contains_set([q, Box([-1.0] * 4, [1.0] * 4)], p)
 
     def test_empty_hpolytope_is_contained_on_both_paths(self):
         # x <= 0 and x >= 1: the precheck settles every row of the large
@@ -620,6 +629,10 @@ class TestConversions:
         back = sg.hrep_to_vrep(h)
         assert same_set(sq, back)
         assert back.vertices.shape[0] == 4
+        # a row all but parallel to x <= 1 meets it at no finite point,
+        # which the enumeration skips: the square's corners stay
+        h = HPolytope(np.vstack([h.normals, [1.0, 1e-310]]), np.append(h.offsets, 2.0))
+        assert same_set(sq, sg.hrep_to_vrep(h))
 
     def test_triangle_has_three_facets(self):
         tri = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -1379,20 +1392,26 @@ class _NotASet:
     dim = 2
 
 
-# every operation that dispatches on the set type, given an object of none
+UNKNOWN = "unknown set representation _NotASet"
+
+# every operation that dispatches on the set type, and each conversion,
+# which takes one type, given an object of none: the message it raises
 UNKNOWN_TYPE = {
-    "member": lambda s: sg.member(s, [0.0, 0.0]),
-    "support_batch": lambda s: sg.support_batch(s, np.eye(2)),
-    "translate": lambda s: sg.translate(s, [0.0, 0.0]),
-    "linear_map": lambda s: sg.linear_map(np.eye(2), s),
-    "is_empty": sg.is_empty,
-    "bloat": lambda s: sg.bloat(s, 0.1),
-    "sample_points": lambda s: sg.sample_points(s, 3, np.random.default_rng(0)),
+    "member": (lambda s: sg.member(s, [0.0, 0.0]), UNKNOWN),
+    "support_batch": (lambda s: sg.support_batch(s, np.eye(2)), UNKNOWN),
+    "translate": (lambda s: sg.translate(s, [0.0, 0.0]), UNKNOWN),
+    "linear_map": (lambda s: sg.linear_map(np.eye(2), s), UNKNOWN),
+    "is_empty": (sg.is_empty, UNKNOWN),
+    "bloat": (lambda s: sg.bloat(s, 0.1), UNKNOWN),
+    "sample_points": (lambda s: sg.sample_points(s, 3, np.random.default_rng(0)), UNKNOWN),
+    "vrep_to_hrep": (sg.vrep_to_hrep, "vrep_to_hrep expects a VPolytope"),
+    "hrep_to_vrep": (sg.hrep_to_vrep, "hrep_to_vrep expects an HPolytope"),
 }
 
 
 @pytest.mark.parametrize("op", UNKNOWN_TYPE)
 def test_an_unknown_set_type_is_rejected_by_name(op):
+    call, message = UNKNOWN_TYPE[op]
     with pytest.raises(TypeError) as err:
-        UNKNOWN_TYPE[op](_NotASet())
-    assert str(err.value) == "unknown set representation _NotASet"
+        call(_NotASet())
+    assert str(err.value) == message
