@@ -12,10 +12,13 @@ therefore does not wrap).  The drivers -- ``reach`` here,
 ``hybridreach.mode_reach`` and ``hybridize.dynamic_hybridize_reach`` --
 iterate the core and keep only their own stopping rules; when a driver
 stops, the core lets go of the simplex start its initial set kept.
+``reach`` with a bad set takes the core's segments in blocks and asks the
+bad set about each block at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -646,7 +649,9 @@ def _flow_steps(system: LinearSystem, config: ReachConfig) -> Iterator[Segment]:
 
     Discretizes a continuous system, builds the per-step input and runs the
     strategy ``config.strategy`` selects; segment k+1 is computed only when
-    the caller asks for it, so each driver stops on its own rules.  Dense
+    the caller asks for it, so each driver stops on its own rules.  Only
+    ``reach`` with a bad set asks ahead, by at most one block of segments
+    (see there); every other driver asks for one segment at a time.  Dense
     continuous segments cover [k r, (k+1) r]; discrete and lattice ones are
     the snapshot at k r (r = 1 for discrete systems).  The supports the run
     reads of ``system.x0`` keep a simplex start on an H-polytope x0, which
@@ -693,6 +698,23 @@ def _flow_steps(system: LinearSystem, config: ReachConfig) -> Iterator[Segment]:
         _drop_start(system.x0)
 
 
+def _take(steps: Iterator[Segment], count: int) -> tuple[list, Optional[Exception]]:
+    """Up to ``count`` segments from the stepping core, and the error that
+    cut them short (None when there was none): a step computed past a
+    bad-set hit must not fail the run that stops at the hit."""
+    block = []
+    try:
+        block.extend(itertools.islice(steps, count))
+    except Exception as error:
+        return block, error
+    return block, None
+
+
+# the most segments reach takes from the stepping core at once in bad-set
+# mode; blocks double from one up to this many
+_BLOCK_MAX = 64
+
+
 def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     """Compute the flowpipe of ``system`` under ``config``.
 
@@ -700,10 +722,17 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
     fixpoint mode, ``max_steps``).  Early exit on bad-set contact
     (bad_set mode) or on inclusion in an already-seen segment (fixpoint
     mode, decided by template domination, one vectorised comparison per
-    step over a lazy run's shared template).  The bad set is prepared once
-    per run (``setgeom._Prepared``): segments over one template then pay
-    only for their offsets in the contact test.  A continuous system's
+    step over a lazy run's shared template).  A continuous system's
     bad-set question needs the dense policy: a lattice one is refused.
+
+    The bad set is prepared once per run (``setgeom._Prepared``) and asked
+    about blocks of segments, 1, 2, 4, ... up to ``_BLOCK_MAX`` at a time,
+    through one batched precheck per block (``_Prepared.first_meeting``).
+    So the run looks ahead at most one block, computes no more steps past
+    its last kept segment than it kept, and discards every segment past a
+    hit, as well as an error raised by a step past it; the flowpipe,
+    status and step are those of asking one segment at a time.  Bounded
+    and fixpoint runs without a bad set take one segment at a time.
     """
     r, nsteps = _lattice(config, system.time_kind, system.dim)
     if config.mode == BAD_SET and system.time_kind == CONTINUOUS:
@@ -716,20 +745,35 @@ def reach(system: LinearSystem, config: ReachConfig) -> Flowpipe:
             else (10 * nsteps if nsteps > 0 else 10000)
         )
 
-    bad = None if config.bad_set is None else _Prepared(config.bad_set)
-    seen = _Seen()
     segments = []
     status, status_step = HORIZON, None
-    for seg in _flow_steps(system, config):
-        segments.append(seg)
-        if bad is not None and bad.meets(seg.set_rep):
-            status, status_step = BAD_REACHED, seg.k
-            break
-        if config.mode == FIXPOINT and seen.dominated(seg.set_rep):
-            status, status_step = FIXPOINT_REACHED, seg.k
-            break
-        if seg.k >= limit:
-            break
+    steps = _flow_steps(system, config)
+    try:
+        if config.bad_set is None:
+            seen = _Seen()
+            for seg in steps:
+                segments.append(seg)
+                if config.mode == FIXPOINT and seen.dominated(seg.set_rep):
+                    status, status_step = FIXPOINT_REACHED, seg.k
+                    break
+                if seg.k >= limit:
+                    break
+        else:
+            bad = _Prepared(config.bad_set)
+            size = 1
+            while len(segments) <= limit:
+                block, error = _take(steps, min(size, limit + 1 - len(segments)))
+                hit = bad.first_meeting([seg.set_rep for seg in block])
+                if hit is not None:
+                    segments += block[:hit + 1]
+                    status, status_step = BAD_REACHED, block[hit].k
+                    break
+                if error is not None:
+                    raise error
+                segments += block
+                size = min(2 * size, _BLOCK_MAX)
+    finally:
+        steps.close()
 
     return Flowpipe(
         tuple(segments),

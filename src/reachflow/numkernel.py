@@ -35,7 +35,7 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got array of shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -45,7 +45,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -186,22 +186,15 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
         # a slack's price is its row's multiplier, negated; the corner is
         # -lam . b
         return LpResult(INFEASIBLE, farkas=np.maximum(-t[-1, 2 * n:nreal], 0.0))
-    # drive leftover artificials out of the basis, drop redundant rows
-    keep = []
+    # drive leftover artificials out of the basis.  Such a row always has a
+    # pivot: its own slack column is its artificial column negated through
+    # every pivot (float negation commutes with the pivot arithmetic), so it
+    # reads exactly -1 there
     for i in range(m):
         if basis[i] >= nreal:
-            piv = -1
-            for j in range(nreal):
-                if abs(t[i, j]) > FEAS_TOL:
-                    piv = j
-                    break
-            if piv < 0:
-                continue  # redundant constraint row
-            _pivot(t, basis, i, piv)
-        keep.append(i)
-    # retire the artificial columns (all zero from here on) with the
-    # redundant rows
-    return np.delete(t[keep + [m]], np.s_[nreal:ncols], axis=1), [basis[i] for i in keep]
+            _pivot(t, basis, i, next(j for j in range(nreal) if abs(t[i, j]) > FEAS_TOL))
+    # retire the artificial columns, all zero from here on
+    return np.delete(t, np.s_[nreal:ncols], axis=1), basis
 
 
 # Bytes of phase-two tableaux one ``_LpStart`` keeps.  Past it a walk

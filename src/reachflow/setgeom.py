@@ -42,12 +42,15 @@ A run asks these questions of a few fixed sets (a bad set, guards,
 invariants, a domain) at every step.  The drivers hold each as a
 ``_Prepared`` operand, which builds its facet rows once and keeps what
 the other operand's normals alone decide, so a step over a shared
-template costs arithmetic on the segment's offsets.
+template costs arithmetic on the segment's offsets.  Asked about a block
+of segments at once (``first_meeting``), it takes the prechecks of the
+whole block in a few stacked array operations.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -58,6 +61,11 @@ TOL = 1e-9
 # a row whose norm is this close to 1 counts as unit: rounding after a
 # normalisation leaves a few ulps, far below TOL
 _UNIT_TOL = 1e-12
+# a row of norm at most this is degenerate: the constructor drops it
+_DEGENERATE_NORM = 1e-14
+# entries below this in magnitude square, and sum in any row of fewer than
+# 1e8 entries, without overflow
+_SQUARES_FIT = 1e150
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -89,7 +97,7 @@ def _is_frozen(a: np.ndarray) -> bool:
 class Box:
     """Axis-aligned box given by its lower and upper corner."""
 
-    __slots__ = ("lower", "upper", "exact")
+    __slots__ = ("lower", "upper", "exact", "_halves")
 
     def __init__(self, lower, upper, exact: bool = True):
         self.lower = _freeze(as_vector(lower).copy())
@@ -100,6 +108,16 @@ class Box:
             raise ValueError("box lower corner exceeds upper corner; "
                              "use intersect for possibly-empty results")
         self.exact = exact
+        self._halves = None
+
+    def _center_radii(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """The centre, None for a box centred at the origin, and the radii,
+        read-only and computed once: what every closed-form support of the
+        box reads."""
+        if self._halves is None:
+            center = _freeze(self.center)
+            self._halves = (center if center.any() else None, _freeze(self.radii))
+        return self._halves
 
     @property
     def dim(self) -> int:
@@ -162,7 +180,7 @@ class HPolytope:
             self.normals = a
             self.offsets = b if _is_frozen(b) else _freeze(b.copy())
         else:
-            degenerate = norms <= 1e-14
+            degenerate = norms <= _DEGENERATE_NORM
             if np.any(degenerate):
                 if np.any(b[degenerate] < -TOL):
                     raise ValueError("zero normal with negative offset (trivially empty)")
@@ -397,11 +415,12 @@ def _even_odd(s: Box | Zonotope, dmat: np.ndarray, abs_t: np.ndarray | None = No
     ``np.abs(dmat.T)`` when the caller already has it (boxes only).
     """
     if isinstance(s, Box):
-        even = (np.abs(dmat.T) if abs_t is None else abs_t) @ s.radii
+        center, radii = s._center_radii()
+        even = (np.abs(dmat.T) if abs_t is None else abs_t) @ radii
     else:
         even = np.abs(s.generators.T @ dmat).sum(axis=0)
-    center = s.center
-    return even, (dmat.T @ center if center.any() else None)
+        center = s.center if s.center.any() else None
+    return even, (None if center is None else dmat.T @ center)
 
 
 def _hpolytope_solves(h: HPolytope, dmat: np.ndarray,
@@ -520,12 +539,21 @@ def _pullback(a: np.ndarray, h: HPolytope) -> HPolytope | None:
     """Exact image of h under the square map a, or None when a is singular.
 
     Row a_i of the image is a_i A^{-1} and the offsets carry over; the map
-    counts as singular when the solve fails or gives non-finite rows.
+    counts as singular when the solve fails or gives non-finite rows.  The
+    rows and offsets are divided once by the rows' norms, the arithmetic of
+    the public constructor, bit for bit, and only the offsets are checked
+    after; rows it would treat otherwise (a degenerate row, or squares that
+    could overflow) go through it.
     """
     try:
         rows = np.linalg.solve(a.T, h.normals.T).T
     except np.linalg.LinAlgError:
         return None
+    if np.abs(rows).max(initial=0.0) < _SQUARES_FIT:
+        norms = np.linalg.norm(rows, axis=1)
+        if norms.min(initial=np.inf) > _DEGENERATE_NORM:
+            return HPolytope._trusted(_freeze(rows / norms[:, None]), h.offsets / norms,
+                                      exact=h.exact)
     return HPolytope(rows, h.offsets, exact=h.exact) if np.all(np.isfinite(rows)) else None
 
 
@@ -730,7 +758,9 @@ class _RowBound:
     and, when those leave a column unbounded and the normals are a
     parallelotope [P; -P], the coefficients ``lam`` of each column in the
     rows of P.  Called with the set's offsets, it gives the bounds and
-    magnitudes ``_support_bound`` gives."""
+    magnitudes ``_support_bound`` gives; called with a stack of offsets
+    over these normals, one set per row, it gives theirs row by row, bit
+    for bit."""
 
     __slots__ = ("width", "rows", "cols", "lam")
 
@@ -738,25 +768,56 @@ class _RowBound:
         self.width = dmat.shape[1]
         self.rows, self.cols = _equal_rows(normals, dmat.T)
         self.lam = None
-        if np.unique(self.cols).shape[0] < self.width:
-            p = _antiparallel_pairs(normals)
-            if p is not None:
-                # d = sum_i lam_i p_i
-                self.lam = np.linalg.solve(p.T, dmat)
+        if np.unique(self.cols).shape[0] < self.width and _parallelotopes(normals[None])[0]:
+            # d = sum_i lam_i p_i over the rows p_i of P
+            self.lam = np.linalg.solve(normals[:normals.shape[1]].T, dmat)
 
     def __call__(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        bound = np.full(self.width, np.inf)
-        np.minimum.at(bound, self.cols, offsets[self.rows])
+        bound = np.full(offsets.shape[:-1] + (self.width,), np.inf)
+        np.minimum.at(bound.T, self.cols, offsets[..., self.rows].T)
         mag = 1.0 + np.abs(bound)
         if self.lam is None:
             return bound, mag
-        lam = self.lam
-        n = lam.shape[0]
-        hi, lo = offsets[:n, None], offsets[n:, None]
-        para = np.where(lam > 0.0, lam * hi, -lam * lo).sum(axis=0)
-        para_mag = (np.abs(lam) * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))).sum(axis=0)
-        tighter = para < bound
-        return np.where(tighter, para, bound), np.where(tighter, para_mag, mag)
+        return _parallelotope_bound(self.lam, offsets, bound, mag)
+
+
+def _parallelotope_bound(lam: np.ndarray, offsets: np.ndarray, bound: np.ndarray,
+                         mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(bound, mag)``, taking instead the bound that parallelotope rows
+    [P; -P] with ``offsets`` give along each column ``d = lam^T P`` where
+    it is tighter, with its magnitude.  Each argument may carry leading
+    stack axes; every set's sums run over the rows of P in order."""
+    n = lam.shape[-2]
+    hi, lo = offsets[..., :n, None], offsets[..., n:, None]
+    para = np.where(lam > 0.0, lam * hi, -lam * lo).sum(axis=-2)
+    para_mag = (np.abs(lam) * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))).sum(axis=-2)
+    tighter = para < bound
+    return np.where(tighter, para, bound), np.where(tighter, para_mag, mag)
+
+
+def _stacked_row_bounds(normals: np.ndarray, offsets: np.ndarray,
+                        dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_RowBound(normals[i], dmat)(offsets[i])`` for each of k sets, each
+    over its own rows ``normals`` (k, m, n) with ``offsets`` (k, m), taken
+    at once: the rows equal to a column are matched in one weighted sum
+    over the stack, and the sets that leave a column unbounded and are
+    parallelotopes get one solve over their stack.  LAPACK solves each set
+    alone, so every ``lam``, bound and magnitude has the bits ``_RowBound``
+    gives that set."""
+    k, m, n = normals.shape
+    rows, cols = _equal_rows(normals.reshape(-1, n), dmat.T)
+    which = rows // m
+    bound = np.full((k, dmat.shape[1]), np.inf)
+    np.minimum.at(bound, (which, cols), offsets.reshape(-1)[rows])
+    mag = 1.0 + np.abs(bound)
+    covered = np.zeros(bound.shape, dtype=bool)
+    covered[which, cols] = True
+    para = ~covered.all(axis=1)
+    para[para] = _parallelotopes(normals[para])
+    if para.any():
+        lam = np.linalg.solve(normals[para, :n].transpose(0, 2, 1), dmat)
+        bound[para], mag[para] = _parallelotope_bound(lam, offsets[para], bound[para], mag[para])
+    return bound, mag
 
 
 def _equal_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -770,17 +831,19 @@ def _equal_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i[same], j[same]
 
 
-def _antiparallel_pairs(normals: np.ndarray) -> np.ndarray | None:
-    """P when the 2n rows are a well-conditioned parallelotope in the layout
-    [P; -P], compared as values (0.0 matches -0.0), so row i pairs with row
-    i + n; else None."""
-    n = normals.shape[1]
-    if normals.shape[0] != 2 * n or not np.array_equal(normals[n:], -normals[:n]):
-        return None
-    sv = np.linalg.svd(normals[:n], compute_uv=False)
-    if sv[-1] * _MAX_COND <= sv[0]:
-        return None
-    return normals[:n]
+def _parallelotopes(normals: np.ndarray) -> np.ndarray:
+    """Which of the stacked row sets ``normals`` (k, m, n) are a
+    well-conditioned parallelotope in the layout [P; -P], compared as
+    values (0.0 matches -0.0), so row i pairs with row i + n: one SVD call
+    over the stack of those in that layout, which LAPACK runs set by set."""
+    k, m, n = normals.shape
+    if m != 2 * n:
+        return np.zeros(k, dtype=bool)
+    out = np.all(normals[:, n:] == -normals[:, :n], axis=(1, 2))
+    if out.any():
+        sv = np.linalg.svd(normals[out, :n], compute_uv=False)
+        out[out] = ~(sv[:, -1] * _MAX_COND <= sv[:, 0])
+    return out
 
 
 def meets(s1: SetRep, s2: SetRep) -> bool:
@@ -915,6 +978,56 @@ class _Prepared:
     def meets(self, s1: SetRep) -> bool:
         """``meets(s1, s)`` for the prepared set s."""
         return self.intersect(s1) is not None
+
+    def first_meeting(self, sets: Sequence[SetRep]) -> int | None:
+        """The index of the first of ``sets`` that meets the prepared set
+        s, or None when none does: ``meets`` asked of each in turn, with
+        the prechecks of ``intersect`` taken for the whole block at once.
+
+        H-polytopes of s's dimension over one shared normals buffer (the
+        segments of a lazy pipe) get both prechecks in one vectorised test
+        of their stacked offsets against the memo.  The others of one row
+        count, each over its own rows (facet segments), get the second in
+        one stacked row bound (``_stacked_row_bounds``).  A precheck clears
+        a set only on the floats ``intersect`` computes for it alone, so
+        every set it clears is one ``intersect`` would call disjoint; the
+        rest go through ``intersect`` in order, up to the first that meets.
+        """
+        cleared = np.zeros(len(sets), dtype=bool)
+        shared, own = {}, {}
+        for i, s in enumerate(sets):
+            if isinstance(s, HPolytope) and s.dim == self.set.dim:
+                shared.setdefault(id(s.normals), []).append(i)
+        for idx in shared.values():
+            if len(idx) == 1:
+                own.setdefault(sets[idx[0]].normals.shape, []).extend(idx)
+                continue
+            offsets = np.stack([sets[i].offsets for i in idx])
+            cleared[idx] = self._shared_clears(sets[idx[0]].normals, offsets)
+        n2, b2 = self.rows
+        for idx in own.values():
+            bound, mag = _stacked_row_bounds(np.stack([sets[i].normals for i in idx]),
+                                             np.stack([sets[i].offsets for i in idx]), -n2.T)
+            cleared[idx] = _clears(b2 + bound, b2, mag).any(axis=1)
+        for i in np.flatnonzero(~cleared).tolist():
+            if self.meets(sets[i]):
+                return i
+        return None
+
+    def _shared_clears(self, n1: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Where ``intersect``'s prechecks call H-polytopes over the one
+        normals buffer ``n1`` disjoint from s, one set per row of
+        ``offsets``, from the memo as ``intersect`` fills it."""
+        n2, b2 = self.rows
+        memo = self._memo_for(n1)
+        if memo.beyond is None:
+            memo.beyond = _support_bound(self.op, -n1.T)
+        bound, mag = memo.beyond
+        if memo.facing is None:
+            memo.facing = _RowBound(n1, -n2.T)
+        facing, facing_mag = memo.facing(offsets)
+        return (_clears(offsets + bound, offsets, mag).any(axis=1)
+                | _clears(b2 + facing, b2, facing_mag).any(axis=1))
 
     def contains(self, p: SetRep, tol: float = TOL) -> bool:
         """``contains_set(s, p, tol)`` for the prepared single set s.  The
@@ -1061,11 +1174,23 @@ def _hull(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         return v[corners], np.searchsorted(corners, faces)
     # each repeated point's first copy, sorted lexicographically up to 2-d
     # (in 1-d the first and the last are the ends), else in the order given
-    first = np.unique(v, axis=0, return_index=True)[1]
+    first = _first_copies(v)
     if n <= 2:
         v = v[first]
         return (v[[0, -1]][:v.shape[0]] if n == 1 else _hull_2d(v)), None
     return v[np.sort(first)], None
+
+
+def _first_copies(v: np.ndarray) -> np.ndarray:
+    """The index of the first copy of each distinct row of v, in the
+    lexicographic order of the rows (first column first), rows compared as
+    values (0.0 matches -0.0): ``np.unique(v, axis=0, return_index=True)[1]``
+    by one stable sort and one comparison of neighbours."""
+    order = np.lexsort(v.T[::-1])
+    rows = v[order]
+    new = np.ones(order.shape[0], dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return order[new]
 
 
 def _hull_2d(v: np.ndarray) -> np.ndarray:

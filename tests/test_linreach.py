@@ -41,6 +41,7 @@ from reachflow.setgeom import (
     VPolytope,
     Zonotope,
     _Prepared,
+    _pullback,
     axis_bounds,
     bounding_box,
     contains_set,
@@ -147,6 +148,38 @@ class TestStepOperators:
         for x in sample_points(unit_box(2), 50, rng):
             for w in sample_points(v, 3, rng):
                 assert member(out, a @ x + w)
+
+
+    @pytest.mark.parametrize("a", [
+        rot(0.3) @ np.diag([1.5, 0.5]),
+        np.diag([2.0, -0.5]),  # keeps the -0.0 entries of [I; -I] in its rows
+        np.array([[0.0, 3.0], [-0.25, 0.0]]),
+        1e15 * np.eye(2),  # degenerate rows: the constructor drops them
+        np.array([[1.0, 2.0], [2.0, 4.0]]),  # singular: no image
+    ])
+    def test_facet_image_is_the_public_constructors(self, a):
+        # the pullback divides the solve's rows once by their norms, as
+        # HPolytope(rows, offsets) does, bit for bit; and the step raises
+        # those offsets by the input's supports summed from zero
+        p = HPolytope(np.vstack([np.eye(2), -np.eye(2)]), [1.1, 0.3, -0.0, 2.7], exact=True)
+        assert np.signbit(p.normals).any() and np.signbit(p.offsets).any()
+        img = _pullback(a, p)
+        if np.linalg.matrix_rank(a) < 2:
+            assert img is None
+            return
+        want = HPolytope(np.linalg.solve(a.T, p.normals.T).T, p.offsets, exact=p.exact)
+        assert img.exact == want.exact
+        assert img.normals.tobytes() == want.normals.tobytes()
+        assert img.offsets.tobytes() == want.offsets.tobytes()
+        v = Box([-0.1, 0.0], [0.3, 0.2])
+        out = step_input_facets(p, (v, Zonotope([0.0, -0.0], [[0.1], [-0.2]])), a)
+        raised = np.zeros(want.nrows)
+        raised += support_batch(v, want.normals.T)
+        raised += support_batch(Zonotope([0.0, -0.0], [[0.1], [-0.2]]), want.normals.T)
+        want = HPolytope(want.normals, want.offsets + raised, exact=False)
+        assert out.normals.tobytes() == want.normals.tobytes()
+        assert out.offsets.tobytes() == want.offsets.tobytes()
+        assert not out.exact
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +948,103 @@ class TestReachModes:
         assert type(cfg.max_steps) is int and cfg.max_steps == 4
         sys = LinearSystem(0.5 * np.eye(2), unit_box(2), input_set=unit_box(2))
         assert len(reach(sys, cfg).segments) == 5
+
+
+@st.composite
+def bad_set_runs(draw):
+    """``(system, config)``: a small_discrete_runs() system, discrete or
+    continuous under the dense policy, for up to 40 steps, with a bad box
+    around or beside a point its centre trajectory reaches at some step, so
+    that hits fall anywhere in a block, touching ones included."""
+    system, strategy, _, _ = draw(small_discrete_runs())
+    assume(strategy != "vertices" or system.dim < 3)  # 3-d clouds grow fast
+    steps = draw(st.integers(0, 40))
+    continuous = draw(st.booleans())
+    if continuous:
+        system = LinearSystem(system.a, system.x0, input_set=system.input_set,
+                              time_kind=CONTINUOUS)
+        step_map = mat_exp(system.a, 0.125)
+    else:
+        step_map = system.a
+    lo, hi = axis_bounds(system.x0)
+    x = np.linalg.matrix_power(step_map, draw(st.integers(0, steps))) @ (0.5 * (lo + hi))
+    x = x + draw(st.sampled_from([0.0, 0.5, 3.0])) * np.eye(system.dim)[0]
+    radius = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    bad = Box(x - radius, x + radius)
+    config = ReachConfig(horizon=steps * 0.125 if continuous else steps,
+                         step=0.125 if continuous else None, mode="bad_set", bad_set=bad,
+                         strategy=strategy)
+    return system, config
+
+
+def one_at_a_time(system, config):
+    """``(status, status_step, segments)`` of asking the bad set about each
+    segment as the stepping core yields it."""
+    _, nsteps = linreach._lattice(config, system.time_kind, system.dim)
+    bad = _Prepared(config.bad_set)
+    segments = []
+    for seg in _flow_steps(system, config):
+        segments.append(seg)
+        if bad.meets(seg.set_rep):
+            return BAD_REACHED, seg.k, segments
+        if seg.k >= nsteps:
+            return HORIZON, None, segments
+
+
+def segment_bytes(seg):
+    s = seg.set_rep
+    arrays = (s.vertices,) if isinstance(s, VPolytope) else (s.normals, s.offsets)
+    return (seg.k, seg.t0, seg.t1, type(s), s.exact, *(a.tobytes() for a in arrays))
+
+
+class TestBadSetBlocks:
+    """``reach`` asks its bad set about blocks of segments: the pipe, its
+    status and step are those of asking one segment at a time."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(bad_set_runs())
+    @example((LinearSystem(np.eye(1), Box([0.0], [0.0]), input_set=Box([1.0], [1.0])),
+              ReachConfig(horizon=40, mode="bad_set", bad_set=Box([3.0], [3.0]))))
+    def test_blocks_of_one_and_of_64_give_the_same_pipe(self, case):
+        system, config = case
+        status, step, segments = one_at_a_time(system, config)
+        for block_max in (1, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linreach, "_BLOCK_MAX", block_max)
+                pipe = reach(system, config)
+            assert (pipe.status, pipe.status_step, len(pipe)) == (status, step, len(segments))
+            assert list(map(segment_bytes, pipe)) == list(map(segment_bytes, segments))
+
+    def test_looks_ahead_no_further_than_it_kept(self, monkeypatch):
+        # x' = x + 1 from 0 meets the point k at step k; the core computes
+        # no more steps past k than the k + 1 segments kept
+        computed = [0]
+
+        def counted(*args):
+            computed[0] += 1
+            return step_input_facets(*args)
+
+        monkeypatch.setattr(linreach, "step_input_facets", counted)
+        system = LinearSystem(np.eye(1), Box([0.0], [0.0]), input_set=Box([1.0], [1.0]))
+        for k in range(300):
+            computed[0] = 0
+            pipe = reach(system, ReachConfig(horizon=400, mode="bad_set", strategy="facets",
+                                             bad_set=Box([float(k)], [float(k)])))
+            assert (pipe.status, pipe.status_step, len(pipe)) == (BAD_REACHED, k, k + 1)
+            assert k <= computed[0] <= k + min(k + 1, linreach._BLOCK_MAX)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("strategy", ["lazy", "vertices"])
+    def test_an_error_past_the_hit_does_not_fail_the_run(self, strategy):
+        # the step after the hit overflows: asking ahead computes it, and
+        # the run still ends at the hit, as it does one segment at a time
+        system = LinearSystem(1e100 * np.eye(1), Box([1.0], [2.0]))
+        pipe = reach(system, ReachConfig(horizon=10, mode="bad_set", strategy=strategy,
+                                         bad_set=Box([1e250], [1e308])))
+        assert (pipe.status, pipe.status_step, len(pipe)) == (BAD_REACHED, 3, 4)
+        with pytest.raises((ValueError, FloatingPointError)):
+            reach(system, ReachConfig(horizon=10, mode="bad_set", strategy=strategy,
+                                      bad_set=Box([-2.0], [-1.0])))
 
 
 class TestReachStrategies:

@@ -256,7 +256,7 @@ def phase_one_systems(draw):
     """{a x <= b} with 1-8 rows: integer or float data, negative offsets
     that put artificials in the start basis (and can make the system
     infeasible), and repeated rows, which leave an artificial basic at
-    zero and so a redundant row for phase one to drop."""
+    zero for phase one to drive out on the row's own slack."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     num = draw(st.sampled_from([st.integers(-3, 3).map(float), st.floats(-3.0, 3.0)]))
     a = np.array(draw(st.lists(num, min_size=m * n, max_size=m * n))).reshape(m, n)
@@ -270,8 +270,8 @@ class TestPhaseOne:
     @given(phase_one_systems())
     # x <= -1 and x >= 0: infeasible
     @example((np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0])))
-    # x + y >= 1 twice: the second artificial stays basic at zero, its row
-    # is redundant
+    # x + y >= 1 twice: the second artificial stays basic at zero, and its
+    # redundant row keeps its place in the tableau
     @example((np.array([[-1.0, -1.0], [-1.0, -1.0], [1.0, 0.0]]), np.array([-1.0, -1.0, 2.0])))
     # a slack column prices above the tolerance once both artificials have
     # left the basis, with no entry above it: phase one ends there
@@ -291,3 +291,6 @@ class TestPhaseOne:
         got_t, got_basis = got
         assert got_basis == basis
         assert got_t.shape == t.shape and got_t.tobytes() == t.tobytes()
+        # the reference drops no row either: every leftover artificial finds
+        # a pivot on its own row
+        assert got_t.shape[0] == a.shape[0] + 1

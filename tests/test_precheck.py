@@ -231,7 +231,7 @@ class TestMeetsAgreesWithTheLp:
     def test_ill_conditioned_parallelotope_gets_no_pairs(self):
         m = np.array([[1.0, 0.0], [1.0, 1e-10]])
         p = HPolytope(np.vstack([m, -m]), np.ones(4))
-        assert sg._antiparallel_pairs(p.normals) is None
+        assert not sg._parallelotopes(p.normals[None])[0]
 
     def test_touching_sets_meet_by_corners_or_by_the_lp(self, monkeypatch):
         # a shared face is no separation.  Axis rows alone stack to a box
@@ -520,6 +520,116 @@ class TestPreparedOperand:
         h = HPolytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
         stack = sg._Stack(h.normals, sg._box_rows(Box([0.0, 0.0], [1.0, 1.0]))[0])
         assert stack.upper is None and not stack.corners_meet(np.zeros(7))
+
+
+GRID = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def grid_boxes(draw, n, widths=(0.0, 0.5, 1.0)):
+    lo = np.array(draw(st.lists(GRID, min_size=n, max_size=n)))
+    return Box(lo, lo + np.array(draw(st.lists(st.sampled_from(widths), min_size=n, max_size=n))))
+
+
+def first_steps(a, x0, u, strategy, count):
+    """The first ``count`` segments of the stepping core's pipe."""
+    system = LinearSystem(a, x0, input_set=u)
+    config = ReachConfig(horizon=count, strategy=strategy)
+    return [seg.set_rep for seg in itertools.islice(_flow_steps(system, config), count)]
+
+
+@st.composite
+def block_questions(draw):
+    """``(s2, sets)``: a set to prepare and a block of segments to ask it
+    about: the first steps of a lazy, facet or vertex pipe, or of two of
+    them interleaved.  A signed permutation keeps every segment on the
+    half-integer grid of s2's corners, so many touch s2; a random map near
+    the identity gives facet segments [P; -P] of every slant."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        a = draw(st.sampled_from([0.5, 1.0])) * np.eye(n)[draw(st.permutations(range(n)))] * signs
+    else:
+        m = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+        a = 0.5 * m.reshape(n, n) + np.eye(n)
+    x0 = draw(grid_boxes(n))
+    u = draw(st.none() | grid_boxes(n, widths=(0.0, 0.5)))
+    s2 = draw(st.one_of(grid_boxes(n), parallelotopes(n), template_hpolytopes(n), sets(n)))
+    kinds = draw(st.lists(st.sampled_from(["lazy", "facets", "vertices"]), min_size=1, max_size=2,
+                          unique=True))
+    # 3-d vertex clouds grow fast
+    count = draw(st.integers(0, 4 if n == 3 and "vertices" in kinds else 10))
+    pipes = [first_steps(a, x0, u, kind, count) for kind in kinds]
+    return s2, [s for step in zip(*pipes) for s in step]
+
+
+class TestFirstMeeting:
+    """A block of segments asked at once gives the index of the first that
+    ``meets`` the prepared set, as asking them one by one does; its
+    prechecks clear a set only on the floats ``intersect`` computes for
+    that set alone."""
+
+    @PROPERTY
+    @given(block_questions())
+    @example((Box([0.0, 0.0], [1.0, 1.0]),
+              first_steps(np.eye(2), Box([1.0, 1.0], [2.0, 2.0]), None, "facets", 3)))
+    @example((Box([2.0, -1.0], [3.0, 1.0]),
+              first_steps(np.eye(2), Box([0.0, 0.0], [1.0, 0.5]),
+                          Box([0.5, -0.5], [0.5, 0.0]), "lazy", 6)))
+    def test_is_the_first_set_that_meets(self, question):
+        s2, segments = question
+        want = next((i for i, s in enumerate(segments) if sg.meets(s, s2)), None)
+        assert sg._Prepared(s2).first_meeting(segments) == want
+
+    def test_first_and_touching_hits(self):
+        bad = sg._Prepared(Box([2.0, -1.0], [3.0, 1.0]))
+        # x0 itself inside, and a pipe sliding right by 0.5 a step: it
+        # touches the bad box at step 2 and crosses it after
+        for strategy in ("lazy", "facets", "vertices"):
+            inside = first_steps(np.eye(2), Box([2.5, 0.0], [2.5, 0.5]), None, strategy, 4)
+            assert bad.first_meeting(inside) == 0
+            sliding = first_steps(np.eye(2), Box([0.0, 0.0], [1.0, 0.5]),
+                                  Box([0.5, 0.0], [0.5, 0.0]), strategy, 8)
+            assert bad.first_meeting(sliding) == 2
+            assert bad.first_meeting(sliding[:2]) is None
+        assert bad.first_meeting([]) is None
+
+    def test_far_segments_need_no_exact_test(self, monkeypatch):
+        # a facet pipe and a lazy pipe far from the bad box are cleared by
+        # the batched prechecks: no per-segment intersect, and no row bound
+        # built per facet segment
+        a = 0.9 * np.array([[0.6, -0.8], [0.8, 0.6]])
+        x0, u = Box([0.9, -0.1], [1.1, 0.1]), Box([-0.01, -0.01], [0.01, 0.01])
+        bad = sg._Prepared(Box([20.0, -30.0], [30.0, 30.0]))
+        calls = count_calls(monkeypatch, sg._Prepared, "intersect")
+        built = count_calls(monkeypatch, sg, "_RowBound")
+        for strategy in ("facets", "lazy"):
+            assert bad.first_meeting(first_steps(a, x0, u, strategy, 64)) is None
+        assert calls == [0]
+        assert built == [1]  # the lazy template's, kept in the memo
+
+    @PROPERTY
+    @given(block_questions())
+    def test_stacked_row_bounds_are_each_sets_bit_for_bit(self, question):
+        s2, segments = question
+        op = sg._Prepared(s2)
+        dmat = -op.rows[0].T
+        own = [s for s in segments if isinstance(s, HPolytope)]
+        for shape in {s.normals.shape for s in own}:
+            same = [s for s in own if s.normals.shape == shape]
+            bound, mag = sg._stacked_row_bounds(np.stack([s.normals for s in same]),
+                                                np.stack([s.offsets for s in same]), dmat)
+            for i, s in enumerate(same):
+                want_bound, want_mag = sg._RowBound(s.normals, dmat)(s.offsets)
+                assert bound[i].tobytes() == want_bound.tobytes()
+                assert mag[i].tobytes() == want_mag.tobytes()
+            # one normals buffer with a stack of offsets: row by row
+            rb = sg._RowBound(same[0].normals, dmat)
+            bound, mag = rb(np.stack([s.offsets for s in same]))
+            for i, s in enumerate(same):
+                want_bound, want_mag = rb(s.offsets)
+                assert bound[i].tobytes() == want_bound.tobytes()
+                assert mag[i].tobytes() == want_mag.tobytes()
 
 
 class TestSharedPhaseOne:

@@ -491,6 +491,27 @@ def any_hull_clouds():
     return st.booleans().flatmap(lambda grid: hull_clouds(grid=grid))
 
 
+@st.composite
+def repeated_clouds(draw):
+    """Point clouds of 1-4 columns on a coarse grid, with repeated rows and
+    with 0.0 and -0.0 mixed, so that many rows compare equal."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    grid = st.sampled_from([-1.5, -1.0, 0.0, -0.0, 0.5, 1.0])
+    v = np.array(draw(st.lists(grid, min_size=m * n, max_size=m * n))).reshape(m, n)
+    return v[draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m))]
+
+
+class TestFirstCopies:
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_clouds())
+    @example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0], [-0.0, 1.0]]))
+    def test_is_numpy_unique_return_index(self, v):
+        # the same first copies in the same order as the dedup it replaces
+        want = np.unique(v, axis=0, return_index=True)[1]
+        got = sg._first_copies(v)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 class TestConvexHull2d:
     """``VPolytope`` thins a planar cloud by the monotone chain on the
     exact orientation test, checked against chains and gift wrapping in

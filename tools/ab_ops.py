@@ -13,7 +13,11 @@ hashes each model as it loads); beside it the simplex's work in the
 warm-up pass of the first process of each tree, counted by wrapping
 ``numkernel``'s functions: phase ones (and how many end infeasible),
 Bland walks and pivots, with any operation whose counts differ flagged;
-then the warm-up fingerprints of both trees side by side.
+beside those the set work of the same pass, counted by wrapping
+``setgeom``: ``_RowBound`` constructions (each an equal-row match and,
+for a parallelotope, an SVD and a solve) and per-set
+``_Prepared.intersect`` calls; then the warm-up fingerprints of both
+trees side by side.
 
     python3 tools/ab_ops.py PARENT_TREE CHANGE_TREE [--workload check-mix]
         [--seed 1]
@@ -40,6 +44,7 @@ REPO = Path(__file__).resolve().parents[1]
 ROUNDS = 4  # processes per tree
 PASSES = 4  # timed passes per process
 SOLVER = ("phase ones", "infeasible", "walks", "pivots")  # counted per operation
+CHECKS = ("row bounds", "intersects")  # counted per operation
 WRITER = ("result_doc", "canonical_dumps")  # timed per operation, as one sum
 
 
@@ -76,6 +81,28 @@ def count_solver(numkernel) -> tuple[dict, Callable[[], None]]:
     return counts, restore
 
 
+def count_checks(setgeom) -> tuple[dict, Callable[[], None]]:
+    """Wrap ``setgeom._RowBound`` and ``setgeom._Prepared.intersect``: the
+    counters they add to, and a function that restores the originals."""
+    counts = dict.fromkeys(CHECKS, 0)
+    row_bound, intersect = setgeom._RowBound, setgeom._Prepared.intersect
+
+    def counted_row_bound(*args):
+        counts["row bounds"] += 1
+        return row_bound(*args)
+
+    def counted_intersect(*args):
+        counts["intersects"] += 1
+        return intersect(*args)
+
+    setgeom._RowBound = counted_row_bound
+    setgeom._Prepared.intersect = counted_intersect
+
+    def restore():
+        setgeom._RowBound, setgeom._Prepared.intersect = row_bound, intersect
+    return counts, restore
+
+
 def time_writer(modelio, cli) -> tuple[list, Callable[[], None]]:
     """Wrap ``modelio``'s result writer, and ``cli``'s name for
     ``result_doc``: a one-entry list of the CPU seconds they have taken, and
@@ -105,7 +132,7 @@ def child(tree: Path, workload: str, seed: int) -> dict:
     counted per operation, and timed passes."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import reachflow
-    from reachflow import cli, modelio, numkernel
+    from reachflow import cli, modelio, numkernel, setgeom
     from workloads import WORKLOADS
 
     where = Path(reachflow.__file__).resolve().parent
@@ -116,12 +143,15 @@ def child(tree: Path, workload: str, seed: int) -> dict:
         wl = WORKLOADS[workload](seed, False, workdir / "work")
         ops = wl.ops()
         counts, restore = count_solver(numkernel)
-        results, solver = [], []
+        checks, restore_checks = count_checks(setgeom)
+        results, solver, work = [], [], []
         for op in ops:
-            before = dict(counts)
+            before, checked = dict(counts), dict(checks)
             results.append(op())
             solver.append([counts[k] - before[k] for k in SOLVER])
+            work.append([checks[k] - checked[k] for k in CHECKS])
         restore()
+        restore_checks()
         failed = [r for r in wl.check(results) if r is not None]
         fingerprint = wl.fingerprint(results)
         del results
@@ -139,7 +169,7 @@ def child(tree: Path, workload: str, seed: int) -> dict:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return {"names": [op_name(op) for op in ops], "cpu": cpu, "writing": writing,
-            "solver": solver, "fingerprint": fingerprint, "failed": failed}
+            "solver": solver, "checks": work, "fingerprint": fingerprint, "failed": failed}
 
 
 def run_child(tree: Path, args, env: dict) -> dict:
@@ -192,6 +222,9 @@ def main(argv=None) -> int:
     for name, a, b in zip(names, runs[0][0]["solver"], runs[1][0]["solver"]):
         cells = "".join(f"{f'{x} / {y}':>16}" for x, y in zip(a, b))
         print(f"{name:<22}{cells}{'  DIFFERENT' if a != b else ''}")
+    print(f"set work in the warm-up pass, parent / change ({', '.join(CHECKS)}):")
+    for name, a, b in zip(names, runs[0][0]["checks"], runs[1][0]["checks"]):
+        print(f"{name:<22}" + "".join(f"{f'{x} / {y}':>16}" for x, y in zip(a, b)))
     prints = [side[0]["fingerprint"] for side in runs]
     print("fingerprints (warm-up pass of the first process):")
     for i, (a, b) in enumerate(zip(*prints)):
