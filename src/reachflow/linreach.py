@@ -37,6 +37,7 @@ from .setgeom import (
     Zonotope,
     _drop_start,
     _even_odd,
+    _fan_pairs,
     _hform_enclosure,
     _Prepared,
     _pullback,
@@ -316,13 +317,19 @@ def step_input_vertices(p: SetRep, v: Optional[SetRep], a: np.ndarray) -> VPolyt
     summands is folded into one set by the caller, once per run.  The
     candidates A p + v, one per pair of vertices, make one ``VPolytope``:
     up to 3-d one hull thins them, so the count stays bounded by the true
-    facet structure, and its facet form reads that hull.
+    facet structure, and its facet form reads that hull.  In 2-d only the
+    pairs the edge normals of A P and V allow enter (``_fan_pairs``),
+    about |P| + |V| of them: the hull of those is the hull of all, the
+    same vertex cycle bit for bit.
     """
     p = _vform_enclosure(p)
-    pts = p.vertices @ as_matrix(a).T
+    a = as_matrix(a)
+    pts = p.vertices @ a.T
     if v is not None:
         v = _vform_enclosure(v)
-        pts = (pts[:, None] + v.vertices).reshape(-1, pts.shape[1])
+        pairs = _fan_pairs(p.vertices, a, pts, v.vertices)
+        pts = pts[:, None] + v.vertices
+        pts = pts.reshape(-1, pts.shape[-1]) if pairs is None else pts[pairs]
     return VPolytope(pts, exact=p.exact and (v is None or v.exact))
 
 

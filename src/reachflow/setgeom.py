@@ -50,6 +50,7 @@ whole block in a few stacked array operations.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -186,7 +187,9 @@ class HPolytope:
                     raise ValueError("zero normal with negative offset (trivially empty)")
                 a, b, norms = a[~degenerate], b[~degenerate], norms[~degenerate]
             self.normals = _freeze(a / norms[:, None])
-            self.offsets = _freeze(b / norms)
+            # a row of small norm can carry its offset past the float range
+            with np.errstate(over="ignore"):
+                self.offsets = _freeze(as_vector(b / norms))
         self.exact = exact
         self._start = None
 
@@ -713,6 +716,10 @@ _PRECHECK_MARGIN = 1e-6
 # a parallelotope whose normals are worse conditioned than this gets no
 # closed-form support bound
 _MAX_COND = 1e8
+# a planar vertex sum through a map worse conditioned than this hulls every
+# pair of vertices: the map's rounding, some 1e-16 times its condition
+# number, then stays a hundredfold below the precheck margin
+_FAN_COND = 1e6
 
 
 def _box_overlap(b1: Box, b2: Box) -> tuple[np.ndarray, np.ndarray] | None:
@@ -852,13 +859,36 @@ def meets(s1: SetRep, s2: SetRep) -> bool:
     return intersect(s1, s2) is not None
 
 
+def _axis_rows(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """When every row of ``normals`` is an axis row (+-e_i, compared as
+    values, so -0.0 entries count as zeros), which rows bound each axis
+    from above and which from below, as (n, m) masks; else None."""
+    # each row's largest magnitude is 1, and each row has one nonzero entry
+    mag = np.abs(normals)
+    if not ((mag.max(axis=1, initial=0.0) == 1.0).all() and np.count_nonzero(mag) == mag.shape[0]):
+        return None
+    return (normals == 1.0).T, (normals == -1.0).T
+
+
+def _axis_box(rows: tuple[np.ndarray, np.ndarray],
+              offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The greatest lower and the least upper bound that axis rows
+    (``_axis_rows``) with ``offsets`` put on each axis, -inf and inf where
+    no row bounds that side: exact, since each is an offset or its
+    negation."""
+    upper, lower = rows
+    hi = np.where(upper, offsets, np.inf).min(axis=1, initial=np.inf)
+    lo = np.where(lower, -offsets, -np.inf).max(axis=1, initial=-np.inf)
+    return lo, hi
+
+
 class _Stack:
     """The stacked rows [n1; n2] of ``intersect``, normalised once as the
     ``HPolytope`` constructor would: the read-only unit normals every
     result over these rows shares, the row norms its offsets are divided
-    by, and, when every row is an axis row (+-e_i), which rows bound each
-    axis from above and from below.  The operands' rows are unit rows, so
-    no row is degenerate."""
+    by, and, when every row is an axis row, which rows bound each axis
+    from above and from below (``_axis_rows``).  The operands' rows are
+    unit rows, so no row is degenerate."""
 
     __slots__ = ("normals", "norms", "upper", "lower")
 
@@ -866,11 +896,7 @@ class _Stack:
         a = np.vstack([n1, n2])
         self.norms = _row_norms(a)
         self.normals = _freeze(a / self.norms[:, None])
-        self.upper = self.lower = None
-        nonzero = self.normals != 0.0
-        if np.all(nonzero.sum(axis=1) == 1) and np.all(np.abs(self.normals[nonzero]) == 1.0):
-            self.upper = (self.normals == 1.0).T
-            self.lower = (self.normals == -1.0).T
+        self.upper, self.lower = _axis_rows(self.normals) or (None, None)
 
     def corners_meet(self, offsets: np.ndarray) -> bool:
         """True when the rows are axis rows and, on every axis, the least
@@ -878,9 +904,8 @@ class _Stack:
         lower corner meets every row exactly, so the set is not empty."""
         if self.upper is None:
             return False
-        hi = np.where(self.upper, offsets, np.inf).min(axis=1)
-        lo = np.where(self.lower, -offsets, -np.inf).max(axis=1)
-        return bool(np.all(lo <= hi))
+        lo, hi = _axis_box((self.upper, self.lower), offsets)
+        return bool((lo <= hi).all())
 
 
 class _Memo:
@@ -956,7 +981,7 @@ class _Prepared:
         if memo.beyond is None:
             memo.beyond = _support_bound(self.op, -n1.T)
         bound, mag = memo.beyond
-        if np.any(_clears(b1 + bound, b1, mag)):
+        if _clears(b1 + bound, b1, mag).any():
             return None
         if isinstance(op1, Box):
             bound, mag = _support_bound(op1, -n2.T)
@@ -964,7 +989,7 @@ class _Prepared:
             if memo.facing is None:
                 memo.facing = _RowBound(n1, -n2.T)
             bound, mag = memo.facing(b1)
-        if np.any(_clears(b2 + bound, b2, mag)):
+        if _clears(b2 + bound, b2, mag).any():
             return None
         if memo.stack is None:
             memo.stack = _Stack(n1, n2)
@@ -1211,6 +1236,52 @@ def _hull_2d(v: np.ndarray) -> np.ndarray:
             chain.append(p)
         cycle += chain[:-1]
     return np.array(cycle)
+
+
+def _fan_pairs(p: np.ndarray, a: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Which pairs (i, j) of the planar sum A P + V can give a vertex, as
+    a (|P|, |V|) mask over the vertex cycles ``p`` and ``v`` (the
+    counterclockwise cycles a ``VPolytope`` keeps) with ``q`` the rows
+    A p_i; None in any other dimension, and when an operand is degenerate:
+    fewer than three vertices (so zero area: an exact hull of three or
+    more points has positive area) or A singular or near it: ||A||_F^2 /
+    |det A|, a bound on its condition number, at least ``_FAN_COND``.
+
+    The edges of a planar Minkowski sum are the edges of its summands, so
+    each vertex A p_i + v_j of the sum has an edge normal of A P (the image
+    of an edge e of P is A e, its cycle reversed when det A < 0) or of V
+    along which both points reach their support.  A pair is kept when
+    both come within ``_PRECHECK_MARGIN`` of their supports along one such
+    normal, relative to the operands' magnitudes.  The rounding of A p_i,
+    of the normals and of the sums moves those supports by a few units of
+    roundoff times the condition number of A, far below the margin, so a
+    dropped sum lies inside every edge of the sum of the kept ones, and
+    the hull of the kept sums is the hull of them all (Fukuda, J. Symb.
+    Comput. 2004).
+    """
+    if p.shape[1] != 2 or p.shape[0] < 3 or v.shape[0] < 3:
+        return None
+    (a11, a12), (a21, a22) = a.tolist()
+    det = a11 * a22 - a12 * a21
+    # 2 max |x_i| bounds |n . x| for a unit n in the plane
+    margin = _PRECHECK_MARGIN * (1.0 + 2.0 * (np.abs(q).max() + np.abs(v).max()))
+    # ||A||_F^2 / |det A| bounds the condition number of A from above
+    if not (a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22 < _FAN_COND * abs(det)
+            and math.isfinite(margin)):
+        return None
+    # each edge, and A, scaled to magnitude 1 first, so no product of
+    # theirs underflows: the directions are the same; A's scale carries the
+    # sign of det A
+    ep, ev = (e / np.abs(e).max(axis=1, keepdims=True)
+              for e in (np.diff(p, axis=0, append=p[:1]), np.diff(v, axis=0, append=v[:1])))
+    edges = np.vstack([ep @ (a / math.copysign(np.abs(a).max(), det)).T, ev])
+    # (e_y, -e_x) points out of a counterclockwise cycle
+    normals = edges[:, ::-1] * np.array([1.0, -1.0])
+    normals /= np.hypot(*normals.T)[:, None]
+    hq, hv = normals @ q.T, normals @ v.T
+    near_q = hq >= hq.max(axis=1, keepdims=True) - margin
+    near_v = hv >= hv.max(axis=1, keepdims=True) - margin
+    return near_q.T.astype(float) @ near_v.astype(float) > 0.0
 
 
 def _left_turn(o: list, a: list, b: list) -> bool:
@@ -1549,7 +1620,15 @@ def contains_set(q, p: SetRep, tol: float = TOL) -> bool:
 
 
 def axis_bounds(s: SetRep) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise bounds (tight bounding box) via axis supports."""
+    """Componentwise bounds (tight bounding box) via axis supports.
+
+    Each type answers in closed form, an H-polytope by its axis rows
+    (``_axis_box``) when all its rows are axis rows: exact, where the LP
+    can under-read by its tolerances.  The LP of ``support_batch`` answers
+    for every other H-polytope, for a side of an axis that no row bounds
+    (it reads +-inf) and for an axis whose bounds cross, so an empty set
+    raises.
+    """
     if isinstance(s, Box):
         return s.lower.copy(), s.upper.copy()
     if isinstance(s, Zonotope):
@@ -1557,8 +1636,17 @@ def axis_bounds(s: SetRep) -> tuple[np.ndarray, np.ndarray]:
         return b.lower, b.upper
     if isinstance(s, VPolytope):
         return s.vertices.min(axis=0), s.vertices.max(axis=0)
+    # the supports along [I, -I], nan where the rows do not say
+    vals = np.full(2 * s.dim, np.nan)
+    rows = _axis_rows(s.normals)
+    if rows is not None:
+        lo, hi = _axis_box(rows, s.offsets)
+        if np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all():
+            return lo, hi
+        vals = np.where(np.tile(lo <= hi, 2), np.concatenate([hi, -lo]), np.nan)
+    ask = ~np.isfinite(vals)
     eye = np.eye(s.dim)
-    vals = support_batch(s, np.hstack([eye, -eye]))
+    vals[ask] = support_batch(s, np.hstack([eye, -eye])[:, ask])
     return -vals[s.dim:], vals[:s.dim]
 
 
@@ -1573,7 +1661,9 @@ def bounding_box(s: SetRep) -> Box:
 
 
 def hull_union(s1: SetRep, s2: SetRep) -> SetRep:
-    """Superset of conv(s1 union s2); exact for vertex pairs and intervals.
+    """Superset of conv(s1 union s2); exact for vertex pairs and intervals,
+    a bounded interval read from its rows by ``axis_bounds`` with no LP
+    (every 1-d row is an axis row).
 
     Zonotope or box pairs use the symmetric enclosing zonotope; anything
     else takes the componentwise-max support template (flagged).
@@ -1585,7 +1675,7 @@ def hull_union(s1: SetRep, s2: SetRep) -> SetRep:
         lo1, hi1 = axis_bounds(s1)
         lo2, hi2 = axis_bounds(s2)
         lo, hi = np.minimum(lo1, lo2), np.maximum(hi1, hi2)
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("hull of unbounded operands is not supported")
         return Box(lo, hi, exact=s1.exact and s2.exact)
     if isinstance(s1, VPolytope) and isinstance(s2, VPolytope):

@@ -34,6 +34,7 @@ from reachflow.linreach import (
     step_input_vertices,
 )
 from reachflow import linreach
+from reachflow import setgeom as sg
 from reachflow.numkernel import mat_exp
 from reachflow.setgeom import (
     Box,
@@ -42,6 +43,7 @@ from reachflow.setgeom import (
     Zonotope,
     _Prepared,
     _pullback,
+    _vform_enclosure,
     axis_bounds,
     bounding_box,
     contains_set,
@@ -180,6 +182,101 @@ class TestStepOperators:
         assert out.normals.tobytes() == want.normals.tobytes()
         assert out.offsets.tobytes() == want.offsets.tobytes()
         assert not out.exact
+
+
+@st.composite
+def planar_polygons(draw, magnitude=10.0):
+    """A planar set of each kind whose vertex form the vertex step reads:
+    a random cloud (a polygon, segment or point once hulled), points on a
+    short or long circular arc (near-collinear edges), a box (flat axes
+    included) or a zonotope (one generator: a segment)."""
+    coord = st.floats(-magnitude, magnitude, allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["cloud", "arc", "box", "zonotope"]))
+    if kind == "cloud":
+        return VPolytope(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12)))
+    if kind == "arc":
+        radius = draw(st.sampled_from([1.0, 7.5, 1e3]))
+        spread = draw(st.sampled_from([1e-6, 1e-3, 0.1, 2.0 * math.pi]))
+        start = draw(st.floats(0.0, 2.0 * math.pi))
+        t = start + spread * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=40)))
+        center = np.array([draw(coord), draw(coord)])
+        return VPolytope(center + radius * np.column_stack([np.cos(t), np.sin(t)]))
+    lo = np.array([draw(coord), draw(coord)])
+    if kind == "box":
+        return Box(lo, lo + np.array([draw(st.floats(0.0, magnitude)) for _ in range(2)]))
+    order = draw(st.integers(1, 4))
+    gens = np.array([[draw(coord) for _ in range(order)] for _ in range(2)])
+    return Zonotope(lo, gens)
+
+
+PLANAR_MAPS = [
+    np.zeros((2, 2)),  # no image: every pair stays
+    np.array([[1.0, 2.0], [2.0, 4.0]]),  # singular
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-7]]),  # beyond the condition bound
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-5]]),  # within it, barely
+    np.diag([1.0, -1.0]),  # det < 0: the image cycle runs clockwise
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    0.9 * rot(0.3),
+    np.array([[1.0, 1.0], [0.0, 1.0]]),
+]
+
+
+def all_pairs_step(p, v, a):
+    """``A P + V`` hulled from the sum of every pair of vertices."""
+    p, v = _vform_enclosure(p), _vform_enclosure(v)
+    pts = ((p.vertices @ a.T)[:, None] + v.vertices).reshape(-1, 2)
+    return VPolytope(pts, exact=p.exact and v.exact)
+
+
+class TestPlanarVertexSums:
+    """In 2-d the vertex step hulls only the pairs of vertices the edge
+    normals of A P and V allow, and gets the same vertex cycle, bit for
+    bit, as hulling every pair."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(planar_polygons(), st.one_of(st.sampled_from(PLANAR_MAPS), st.lists(
+        st.floats(-3.0, 3.0, allow_nan=False), min_size=4, max_size=4).map(
+            lambda x: np.reshape(x, (2, 2)))), planar_polygons(magnitude=0.5),
+        st.sampled_from([1e-6, 1.0, 1e6]))
+    @example(unit_box(2), np.zeros((2, 2)), Box([0.0, -0.1], [0.2, 0.1]), 1.0)
+    @example(unit_box(2), rot(0.3), VPolytope([[0.0, 0.0], [0.1, 0.2]]), 1.0)
+    @example(unit_box(2), rot(0.3), Box([0.1, 0.2], [0.1, 0.2]), 1.0)
+    def test_same_cycle_as_every_pair(self, p, a, v, scale):
+        a = scale * a
+        got = step_input_vertices(p, v, a)
+        want = all_pairs_step(p, v, a)
+        assert got.vertices.shape == want.vertices.shape
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.exact == want.exact and got.faces is None
+
+    def test_square_plus_diamond_keeps_the_octagons_corners(self):
+        p = unit_box(2).to_vpolytope()
+        v = VPolytope([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]])
+        pairs = sg._fan_pairs(p.vertices, np.eye(2), p.vertices, v.vertices)
+        assert pairs.shape == (4, 4) and pairs.sum() == 8
+        assert step_input_vertices(p, v, np.eye(2)).vertices.shape == (8, 2)
+
+    def test_a_many_cornered_polygon_keeps_few_pairs(self):
+        # a 200-gon under a rotation with a box input: each edge normal
+        # admits its own edge's two ends, about |P| + |V| pairs of 800
+        t = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+        p = VPolytope(np.column_stack([np.cos(t), np.sin(t)]))
+        v = Box([-0.01, -0.01], [0.01, 0.01]).to_vpolytope()
+        a = rot(0.01)
+        pairs = sg._fan_pairs(p.vertices, a, p.vertices @ a.T, v.vertices)
+        assert pairs.sum() <= 2 * (200 + 4)
+        out = step_input_vertices(p, v, a)
+        assert out.vertices.tobytes() == all_pairs_step(p, v, a).vertices.tobytes()
+
+    @pytest.mark.parametrize("p, a, v", [
+        (VPolytope([[0.0, 0.0], [1.0, 0.0]]), np.eye(2), unit_box(2).to_vpolytope()),
+        (unit_box(2).to_vpolytope(), np.eye(2), VPolytope([[0.0, 0.0]])),
+        (unit_box(2).to_vpolytope(), np.zeros((2, 2)), unit_box(2).to_vpolytope()),
+        (unit_box(2).to_vpolytope(), PLANAR_MAPS[2], unit_box(2).to_vpolytope()),
+        (unit_box(3).to_vpolytope(), np.eye(3), unit_box(3).to_vpolytope()),
+    ])
+    def test_degenerate_operands_keep_every_pair(self, p, a, v):
+        assert sg._fan_pairs(p.vertices, a, p.vertices @ a.T, v.vertices) is None
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,12 @@ class TestSetCodec:
         with pytest.raises(ModelError, match="x0:"):
             decode_set({"type": "box", "lower": [2.0], "upper": [1.0]}, "x0")
 
+    def test_offset_past_the_float_range_has_a_path(self):
+        # 1e300 over a row of norm 1e-13 is no float
+        doc = {"type": "hpolytope", "normals": [[1e-13, 0.0]], "offsets": [1e300]}
+        with pytest.raises(ModelError, match="^bad_set: vector has non-finite entries$"):
+            decode_set(doc, "bad_set")
+
     def test_missing_field(self):
         with pytest.raises(ModelError, match=r"set\.offsets: missing"):
             decode_set({"type": "hpolytope", "normals": [[1.0]]})

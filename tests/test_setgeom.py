@@ -1,11 +1,13 @@
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from reachflow import numkernel
 from reachflow import setgeom as sg
 from reachflow.setgeom import Box, HPolytope, VPolytope, Zonotope
 
@@ -1167,6 +1169,106 @@ class TestHullUnion:
                 assert sg.member(u, p, tol=1e-7)
 
 
+@st.composite
+def axis_row_polytopes(draw, open_axes=False):
+    """An H-polytope whose rows are all axis rows, over 1 to 4 axes: on
+    each axis one to three rows from above and from below (none on a side
+    of an axis left open, when ``open_axes``), redundant rows included,
+    scaled by powers of two, their zero entries 0.0 or -0.0, in a
+    permuted order; never empty."""
+    n = draw(st.integers(1, 4))
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    rows, offsets = [], []
+    for i in range(n):
+        lo = draw(finite)
+        hi = lo + draw(st.floats(0.0, 1e3))
+        for side, bound in ((1.0, hi), (-1.0, -lo)):
+            count = draw(st.integers(0 if open_axes else 1, 3))
+            for extra in [0.0] + draw(st.lists(st.floats(0.0, 10.0), min_size=count - 1,
+                                               max_size=count - 1)) if count else []:
+                row = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n,
+                                             max_size=n)))
+                scale = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+                row[i] = side * scale
+                rows.append(row)
+                offsets.append(scale * (bound + extra))
+    order = draw(st.permutations(range(len(rows))))
+    return HPolytope(np.array(rows).reshape(-1, n)[order], np.array(offsets)[order])
+
+
+def fraction_axis_bounds(h):
+    """Each axis's greatest lower and least upper bound from the stored
+    rows of an axis-row polytope, in Fraction arithmetic (None: no row)."""
+    lo, hi = [None] * h.dim, [None] * h.dim
+    for row, b in zip(h.normals.tolist(), h.offsets.tolist()):
+        i = next(j for j, x in enumerate(row) if x != 0.0)
+        if row[i] == 1.0:
+            hi[i] = Fraction(b) if hi[i] is None else min(hi[i], Fraction(b))
+        else:
+            lo[i] = -Fraction(b) if lo[i] is None else max(lo[i], -Fraction(b))
+    return lo, hi
+
+
+class TestAxisBounds:
+    """An H-polytope whose rows are all axis rows gives its bounds from its
+    rows; the LP answers only for an open axis or crossing bounds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(axis_row_polytopes())
+    def test_closed_form_is_exact(self, h):
+        solves = []
+        phase_one = numkernel._phase_one
+        try:
+            numkernel._phase_one = lambda *args: solves.append(1) or phase_one(*args)
+            lo, hi = sg.axis_bounds(h)
+        finally:
+            numkernel._phase_one = phase_one
+        want_lo, want_hi = fraction_axis_bounds(h)
+        assert [Fraction(x) for x in lo] == want_lo
+        assert [Fraction(x) for x in hi] == want_hi
+        assert not solves
+
+    @settings(max_examples=100, deadline=None)
+    @given(axis_row_polytopes(open_axes=True))
+    def test_open_axes_read_infinite(self, h):
+        lo, hi = sg.axis_bounds(h)
+        want_lo, want_hi = fraction_axis_bounds(h)
+        assert [-np.inf if w is None else w for w in want_lo] == lo.tolist()
+        assert [np.inf if w is None else w for w in want_hi] == hi.tolist()
+
+    def test_an_open_side_alone_asks_the_lp(self, monkeypatch):
+        asked = []
+        batch = sg.support_batch
+
+        def recorded(s, dmat):
+            asked.append(np.asarray(dmat).tolist())
+            return batch(s, dmat)
+
+        monkeypatch.setattr(sg, "support_batch", recorded)
+        h = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [2.0, 1.0, 3.0])
+        lo, hi = sg.axis_bounds(h)
+        assert lo.tolist() == [-1.0, -np.inf] and hi.tolist() == [2.0, 3.0]
+        assert asked == [[[-0.0], [-1.0]]]
+
+    def test_crossing_rows_raise(self):
+        h = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, -2.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="support of an empty polytope is undefined"):
+            sg.axis_bounds(h)
+
+    def test_a_draw_the_lp_under_reads(self):
+        # the simplex reads this set's top as 15.625999999999998, below its
+        # row 0.0 x + 1.0 y <= 15.626
+        h = HPolytope([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [0.0, -1.0]],
+                      [7.214, 15.626, -1.4430000000000005, -5.654, -5.284])
+        lo, hi = sg.axis_bounds(h)
+        assert lo.tolist() == [-7.214, 5.654] and hi.tolist() == [-1.4430000000000005, 15.626]
+
+    def test_other_rows_keep_the_lp(self):
+        lo, hi = sg.axis_bounds(diamond_h())
+        np.testing.assert_allclose(lo, [-1.0, -1.0])
+        np.testing.assert_allclose(hi, [1.0, 1.0])
+
+
 class TestHPolytopeArrays:
     def test_empty_rows_leave_caller_arrays_writable(self):
         a, b = np.zeros((0, 2)), np.zeros(0)
@@ -1217,6 +1319,17 @@ class TestHPolytopeArrays:
         a.flags.writeable = False
         with pytest.raises(ValueError, match=message):
             HPolytope(a, offsets)
+
+    def test_offset_past_the_float_range_is_rejected(self, recwarn):
+        # 1e300 over the row norm 1e-13 overflows: refused, as the engine
+        # constructor refuses it, with no numpy warning on the way
+        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+            HPolytope([[1e-13, 0.0]], [1e300])
+        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+            HPolytope([[0.0, -1e-13], [1.0, 0.0]], [-1e300, 1.0])
+        assert not recwarn.list
+        h = HPolytope([[1e-13, 0.0]], [1e290])
+        assert h.normals.tolist() == [[1.0, 0.0]] and h.offsets[0] == pytest.approx(1e303)
 
     def test_engine_constructor_rejects_non_finite_offsets(self):
         a = np.vstack([np.eye(2), -np.eye(2)])

@@ -15,9 +15,11 @@ warm-up pass of the first process of each tree, counted by wrapping
 Bland walks and pivots, with any operation whose counts differ flagged;
 beside those the set work of the same pass, counted by wrapping
 ``setgeom``: ``_RowBound`` constructions (each an equal-row match and,
-for a parallelotope, an SVD and a solve) and per-set
-``_Prepared.intersect`` calls; then the warm-up fingerprints of both
-trees side by side.
+for a parallelotope, an SVD and a solve), per-set
+``_Prepared.intersect`` calls, and the exact orientation tests of the
+hulls, ``_left_turn`` (planar) and ``_orientation`` (3-d, and the planar
+test where its float filter leaves the sign in doubt); then the warm-up
+fingerprints of both trees side by side.
 
     python3 tools/ab_ops.py PARENT_TREE CHANGE_TREE [--workload check-mix]
         [--seed 1]
@@ -44,7 +46,9 @@ REPO = Path(__file__).resolve().parents[1]
 ROUNDS = 4  # processes per tree
 PASSES = 4  # timed passes per process
 SOLVER = ("phase ones", "infeasible", "walks", "pivots")  # counted per operation
-CHECKS = ("row bounds", "intersects")  # counted per operation
+# counted per operation: the name of each counter, and what it wraps in setgeom
+CHECKS = {"row bounds": "_RowBound", "intersects": "_Prepared.intersect",
+          "left turns": "_left_turn", "orientations": "_orientation"}
 WRITER = ("result_doc", "canonical_dumps")  # timed per operation, as one sum
 
 
@@ -52,6 +56,14 @@ def op_name(op) -> str:
     """``check_model`` partials are named by their model, methods by name."""
     args = getattr(op, "args", ())
     return str(args[0]) if args else op.__name__
+
+
+def counted(counts: dict, name: str, fn: Callable) -> Callable:
+    """``fn``, adding one to ``counts[name]`` at each call."""
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+    return wrapper
 
 
 def count_solver(numkernel) -> tuple[dict, Callable[[], None]]:
@@ -66,15 +78,9 @@ def count_solver(numkernel) -> tuple[dict, Callable[[], None]]:
         counts["infeasible"] += isinstance(out, numkernel.LpResult)
         return out
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-
     numkernel._phase_one = counted_phase_one
-    numkernel._walk = counted("walks", walk)
-    numkernel._pivot = counted("pivots", pivot)
+    numkernel._walk = counted(counts, "walks", walk)
+    numkernel._pivot = counted(counts, "pivots", pivot)
 
     def restore():
         numkernel._phase_one, numkernel._walk, numkernel._pivot = phase_one, walk, pivot
@@ -82,24 +88,19 @@ def count_solver(numkernel) -> tuple[dict, Callable[[], None]]:
 
 
 def count_checks(setgeom) -> tuple[dict, Callable[[], None]]:
-    """Wrap ``setgeom._RowBound`` and ``setgeom._Prepared.intersect``: the
-    counters they add to, and a function that restores the originals."""
+    """Wrap what ``CHECKS`` names in ``setgeom``: the counters they add
+    to, and a function that restores the originals."""
     counts = dict.fromkeys(CHECKS, 0)
-    row_bound, intersect = setgeom._RowBound, setgeom._Prepared.intersect
-
-    def counted_row_bound(*args):
-        counts["row bounds"] += 1
-        return row_bound(*args)
-
-    def counted_intersect(*args):
-        counts["intersects"] += 1
-        return intersect(*args)
-
-    setgeom._RowBound = counted_row_bound
-    setgeom._Prepared.intersect = counted_intersect
+    originals = []
+    for name, path in CHECKS.items():
+        *owner, attr = path.split(".")
+        obj = getattr(setgeom, owner[0]) if owner else setgeom
+        originals.append((obj, attr, getattr(obj, attr)))
+        setattr(obj, attr, counted(counts, name, getattr(obj, attr)))
 
     def restore():
-        setgeom._RowBound, setgeom._Prepared.intersect = row_bound, intersect
+        for obj, attr, fn in originals:
+            setattr(obj, attr, fn)
     return counts, restore
 
 
